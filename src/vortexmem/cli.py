@@ -7,6 +7,12 @@ fidelity row carries the matching classical-memory bounds and the
 key-distribution threshold verdict; runs are bit-reproducible for a fixed
 (config, seed) pair, with per-job seeds derived as seed XOR job index.
 
+Jobs are batched over a job axis: encode, storage and recombine run once
+per distinct (state, storage time), and the rotation, click statistics,
+tomography and fidelities work on arrays with one row per job.  Each job
+keeps its own generator, default_rng(seed XOR job index), so the per-job
+seeds and the output bytes are those of a one-job-at-a-time run.
+
 Config files are JSON documents mirroring ExperimentConfig; angles are in
 radians and storage times in microseconds.  trials_per_projection = 0
 selects exact (expectation-valued, linearized-detector) tomography instead
@@ -22,6 +28,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
+from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -87,16 +94,25 @@ class ExperimentConfig:
                 raise ConfigError(f"input_states: unknown state {name!r}")
         if not self.input_states and self.scenario != "bounds_table":
             raise ConfigError("input_states: must not be empty")
+        for name in ("trials_per_projection", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name}: expected an integer, got {value!r}")
         if self.trials_per_projection < 0:
             raise ConfigError("trials_per_projection: must be >= 0")
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
+        for sub in ("source", "memory", "qplate"):
+            params = getattr(self, sub)
+            for f in dataclass_fields(params):
+                if f.type == "float":
+                    _check_finite(f"{sub}.{f.name}", getattr(params, f.name))
         for t in self.storage_times:
-            if not (math.isfinite(t) and t >= 0.0):
+            _check_finite("storage_times", t)
+            if t < 0.0:
                 raise ConfigError(f"storage_times: invalid time {t}")
         for a in self.rotation_angles:
-            if not math.isfinite(a):
-                raise ConfigError(f"rotation_angles: invalid angle {a}")
+            _check_finite("rotation_angles", a)
         if not self.storage_times:
             raise ConfigError("storage_times: must not be empty")
         if not self.rotation_angles:
@@ -108,6 +124,11 @@ class ExperimentConfig:
             bad = [s for s in self.input_states if s not in hilbert.HYBRID_SPHERE_NAMES]
             if bad:
                 raise ConfigError(f"input_states: field_maps needs hybrid-sphere states, got {bad}")
+
+
+def _check_finite(path: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
 def default_config(scenario: str) -> ExperimentConfig:
@@ -187,7 +208,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-# --- single-point pipeline ---------------------------------------------------
+# --- batched job pipeline ---------------------------------------------------
 
 @dataclass(frozen=True)
 class DetectionMixture:
@@ -205,98 +226,167 @@ class DetectionMixture:
     def survival(self) -> float:
         return sum(w for w, _ in self.components)
 
-    def signal_per_projector(self) -> dict[str, float]:
-        sig = dict.fromkeys(photodetection.PROJECTOR_ORDER, 0.0)
-        for weight, pol in self.components:
-            for name, p in photodetection.projection_probabilities(pol).items():
-                sig[name] += weight * p
-        return sig
+
+@dataclass(frozen=True)
+class _Retrieval:
+    """One input state after encode, displacer, storage and recombine: the
+    part of a job that does not depend on the detection-frame angle."""
+
+    components: tuple[tuple[float, HybridState], ...]
+    target: HybridState
+    rotates: bool   # components are retrieved polarization light, not yet decoded
+
+    def mixture(self, theta: float) -> DetectionMixture:
+        """The light at the analyzers for a detection frame rotated by theta.
+
+        Hybrid states carry zero total angular momentum, so their decoded
+        components are the same at every angle."""
+        comps = self.components
+        if self.rotates:
+            comps = tuple((w, optics.rotate_frame(pol, theta)) for w, pol in comps)
+        return DetectionMixture(comps, self.target)
+
+
+def _retrieve(state_name: str, cfg: ExperimentConfig, t_us: float) -> _Retrieval:
+    """Run one state through encode, storage and recombine (and the decode
+    pass, for hybrid states)."""
+    psi = named_state(state_name)
+    if psi.basis_tag is BasisTag.POLARIZATION and cfg.encode_with_qplate:
+        psi = optics.qplate_apply(psi, cfg.qplate)
+    rails = memory.store_retrieve(optics.displacer_split(psi), cfg.memory, t_us)
+    hybrid = psi.basis_tag is BasisTag.HYBRID_POINCARE
+    target = optics.qplate_decode(psi, cfg.qplate) if hybrid else psi
+    if rails.power() == 0.0:
+        # the efficiency underflowed at a long storage time: nothing is
+        # retrieved and the analyzers see background clicks only
+        return _Retrieval((), target, not hybrid)
+    rec = optics.displacer_recombine(rails)
+    if not hybrid:
+        return _Retrieval(((rec.throughput, rec.state),), target, True)
+    conv = optics.conversion_probability(cfg.qplate) ** 2  # encode + decode pass
+    comps = [(conv * (rec.throughput - rec.leak_power), optics.qplate_decode(rec.state, cfg.qplate))]
+    if rec.leak_power > 0.0:
+        # |R,-1> decodes to L-polarized, |L,+1> to R-polarized light
+        comps.append((conv * abs(rec.leak[0]) ** 2, named_state("L")))
+        comps.append((conv * abs(rec.leak[1]) ** 2, named_state("R")))
+    return _Retrieval(tuple(comps), target, False)
 
 
 def propagate(state_name: str, cfg: ExperimentConfig, t_us: float,
               theta: float) -> DetectionMixture:
     """Run one state through encode, storage, rotation and decode."""
-    psi = named_state(state_name)
-    if psi.basis_tag is BasisTag.POLARIZATION and cfg.encode_with_qplate:
-        psi = optics.qplate_apply(psi, cfg.qplate)
-    rails = optics.displacer_split(psi)
-    rails = memory.store_retrieve(rails, cfg.memory, t_us)
-    rec = optics.displacer_recombine(rails)
-    if psi.basis_tag is BasisTag.HYBRID_POINCARE:
-        conv = optics.conversion_probability(cfg.qplate) ** 2  # encode + decode pass
-        retrieved = optics.rotate_frame(rec.state, theta)
-        pol = optics.qplate_decode(retrieved, cfg.qplate)
-        comps = [(conv * (rec.throughput - rec.leak_power), pol)]
-        if rec.leak_power > 0.0:
-            # |R,-1> decodes to L-polarized, |L,+1> to R-polarized light
-            comps.append((conv * abs(rec.leak[0]) ** 2, named_state("L")))
-            comps.append((conv * abs(rec.leak[1]) ** 2, named_state("R")))
-        target = optics.qplate_decode(psi, cfg.qplate)
+    return _retrieve(state_name, cfg, t_us).mixture(theta)
+
+
+def _signal(mixes: list[DetectionMixture]) -> tuple[np.ndarray, np.ndarray]:
+    """Signal weight per projector (J, 6) and survival (J,) of each mixture."""
+    signal = np.zeros((len(mixes), len(photodetection.PROJECTOR_ORDER)))
+    for k in range(max((len(m.components) for m in mixes), default=0)):
+        rows = [j for j, m in enumerate(mixes) if len(m.components) > k]
+        comps = [mixes[j].components[k] for j in rows]
+        weights = np.array([w for w, _ in comps])[:, None]
+        amps = np.array([(pol.c0, pol.c1) for _, pol in comps], dtype=complex)
+        signal[rows] += weights * photodetection.projection_weights(amps)
+    return signal, np.array([m.survival() for m in mixes], dtype=float)
+
+
+def _detect(cfg: ExperimentConfig, signal: np.ndarray, survival: np.ndarray,
+            seeds: list[int]) -> tuple[np.ndarray, float, int]:
+    """Counts (J, 6), expected background clicks and trials per projector."""
+    nbar = cfg.source.nbar
+    bg = cfg.memory.bg_click
+    if cfg.trials_per_projection == 0:
+        # exact mode: expectation-valued counts for the linearized detector
+        scale = 1.0 / (1.0 + nbar)
+        counts, bg_expected, trials = (bg + nbar * signal) * scale, bg * scale, 1
     else:
-        pol = optics.rotate_frame(rec.state, theta)
-        comps = [(rec.throughput, pol)]
-        target = psi
-    return DetectionMixture(tuple(comps), target)
+        trials = cfg.trials_per_projection
+        lit = survival[:, None] > 0
+        proj = np.divide(signal, survival[:, None], out=np.zeros_like(signal), where=lit)
+        probs = photodetection.click_probabilities(
+            nbar, np.minimum(1.0, survival), np.minimum(1.0, proj), bg)
+        counts, bg_expected = photodetection.sample_counts(probs, trials, seeds), bg * trials
+    photodetection.check_counts(counts, trials)
+    return counts, bg_expected, trials
 
 
 def detection_records(mix: DetectionMixture, cfg: ExperimentConfig,
                       job_seed: int) -> list[photodetection.CountRecord]:
-    nbar = cfg.source.nbar
-    bg = cfg.memory.bg_click
-    sig = mix.signal_per_projector()
-    if cfg.trials_per_projection == 0:
-        # exact mode: expectation-valued records for the linearized detector
-        scale = 1.0 / (1.0 + nbar)
-        probs = {k: (bg + nbar * s) * scale for k, s in sig.items()}
-        return photodetection.expected_counts(probs, trials=1, bg=bg * scale)
-    survival = mix.survival()
-    probs = {
-        k: photodetection.click_probability(nbar, min(1.0, survival),
-                                            min(1.0, s / survival) if survival > 0 else 0.0, bg)
-        for k, s in sig.items()
-    }
-    return photodetection.simulate_counts(probs, cfg.trials_per_projection, job_seed, bg=bg)
+    counts, bg_expected, trials = _detect(cfg, *_signal([mix]), [job_seed])
+    return [photodetection.CountRecord(name, c, trials, bg_expected)
+            for name, c in zip(photodetection.PROJECTOR_ORDER, counts[0].tolist())]
+
+
+def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
+              seeds: list[int]) -> list[dict]:
+    """Rows of (state, time, angle) jobs: the pipeline over a job axis.
+
+    Encode, storage and recombine run once per distinct (state, time); the
+    counts of job j come from its own generator, default_rng(seeds[j]).  A
+    job with no retrieved signal has nothing to correct, so its corrected
+    fidelity and density matrix are None.
+    """
+    retrievals: dict[tuple[str, float], _Retrieval] = {}
+    for state, t_us, _ in jobs:
+        if (state, t_us) not in retrievals:
+            retrievals[state, t_us] = _retrieve(state, cfg, t_us)
+    mixes = [retrievals[state, t_us].mixture(theta) for state, t_us, theta in jobs]
+    signal, survival = _signal(mixes)
+    counts, bg_expected, _ = _detect(cfg, signal, survival, seeds)
+    targets = np.array([(m.target.c0, m.target.c1) for m in mixes], dtype=complex)
+    stokes_raw, rho_raw = tomography.reconstruct(counts, bg_expected)
+    f_raw = hilbert.fidelities(rho_raw, targets).tolist()
+    f_corr, rho_corr = [None] * len(jobs), [None] * len(jobs)
+    retrieved = np.flatnonzero(survival > 0)
+    _, rho = tomography.reconstruct(counts[retrieved], bg_expected, subtract_bg=True)
+    for j, f, m in zip(retrieved.tolist(), hilbert.fidelities(rho, targets[retrieved]).tolist(),
+                       _rho_to_lists(rho)):
+        f_corr[j], rho_corr[j] = f, m
+
+    nbar, bg = cfg.source.nbar, cfg.memory.bg_click
+    bounds: dict[float, tuple] = {}   # survival -> (poisson, efficiency, snr)
+    rows = []
+    for j, ((state, t_us, theta), seed, f, stokes, rho, surv) in enumerate(zip(
+            jobs, seeds, f_raw, stokes_raw.tolist(), _rho_to_lists(rho_raw), survival.tolist())):
+        surv = min(1.0, max(1e-12, surv))
+        if surv not in bounds:
+            bounds[surv] = (
+                security.classical_bound_poisson(nbar),
+                security.classical_bound_with_efficiency(security.BenchmarkInput(nbar, surv)),
+                photodetection.snr_of(nbar, surv, bg) if bg > 0 else None,
+            )
+        poisson, efficiency, snr = bounds[surv]
+        rows.append({
+            "scenario": cfg.scenario,
+            "state": state,
+            "angle_deg": round(math.degrees(theta), 9),
+            "time_us": t_us,
+            "fidelity_raw": f,
+            "fidelity_corrected": f_corr[j],
+            "bound_poisson": poisson,
+            "bound_efficiency": efficiency,
+            "pass_shor_preskill": security.shor_preskill_pass(f),
+            "_extras": {
+                "survival": surv,
+                "snr": snr,
+                "stokes_raw": stokes,
+                "rho_raw": rho,
+                "rho_corrected": rho_corr[j],
+                "job_seed": seed,
+            },
+        })
+    return rows
 
 
 def simulate_point(state_name: str, cfg: ExperimentConfig, t_us: float,
                    theta: float, job_seed: int) -> dict:
     """One (state, time, angle) job: full pipeline plus benchmark columns."""
-    mix = propagate(state_name, cfg, t_us, theta)
-    records = detection_records(mix, cfg, job_seed)
-    raw = tomography.tomograph(records, subtract_bg=False)
-    corrected = tomography.tomograph(records, subtract_bg=True)
-    f_raw = raw.fidelity_vs(mix.target)
-    f_corr = corrected.fidelity_vs(mix.target)
-    survival = min(1.0, max(1e-12, mix.survival()))
-    bench = security.BenchmarkInput(cfg.source.nbar, survival)
-    row = {
-        "scenario": cfg.scenario,
-        "state": state_name,
-        "angle_deg": round(math.degrees(theta), 9),
-        "time_us": t_us,
-        "fidelity_raw": f_raw,
-        "fidelity_corrected": f_corr,
-        "bound_poisson": security.classical_bound_poisson(cfg.source.nbar),
-        "bound_efficiency": security.classical_bound_with_efficiency(bench),
-        "pass_shor_preskill": security.shor_preskill_pass(f_raw),
-    }
-    extras = {
-        "survival": survival,
-        "snr": photodetection.snr_of(cfg.source.nbar, survival, cfg.memory.bg_click)
-        if cfg.memory.bg_click > 0 else None,
-        "stokes_raw": [raw.stokes.s1, raw.stokes.s2, raw.stokes.s3],
-        "rho_raw": _rho_to_lists(raw.rho),
-        "rho_corrected": _rho_to_lists(corrected.rho),
-        "job_seed": job_seed,
-    }
-    return {**row, "_extras": extras}
+    return _simulate(cfg, [(state_name, t_us, theta)], [job_seed])[0]
 
 
-def _rho_to_lists(rho: hilbert.DensityMatrix) -> dict:
-    return {
-        "real": np.real(rho.elements).tolist(),
-        "imag": np.imag(rho.elements).tolist(),
-    }
+def _rho_to_lists(rho: np.ndarray) -> list[dict]:
+    """JSON form of a stack of density matrices (N, 2, 2)."""
+    return [{"real": re, "imag": im} for re, im in zip(rho.real.tolist(), rho.imag.tolist())]
 
 
 # --- scenario runners --------------------------------------------------------
@@ -350,12 +440,12 @@ def run(cfg: ExperimentConfig) -> Report:
             )
             report.pixmaps.append((f"{name}_intensity.csv", render_grid_csv(intensity)))
         return report
-    for index, (state, t_us, theta) in enumerate(_jobs(cfg)):
-        row = simulate_point(state, cfg, t_us, theta, cfg.seed ^ index)
-        report.rows.append(row)
-        if cfg.scenario == "store_tomography":
+    jobs = _jobs(cfg)
+    report.rows = _simulate(cfg, jobs, [cfg.seed ^ index for index in range(len(jobs))])
+    if cfg.scenario == "store_tomography":
+        for row in report.rows:
             extras = row["_extras"]
-            report.density[state] = {
+            report.density[row["state"]] = {
                 "rho_raw": extras["rho_raw"],
                 "rho_corrected": extras["rho_corrected"],
                 "fidelity_raw": row["fidelity_raw"],
@@ -532,16 +622,20 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except tomography.InsufficientCounts as exc:
+        print(f"insufficient counts: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     for path in written:
         print(f"wrote {path}")
     for row in report.rows:
+        f_corr = row["fidelity_corrected"]
         print(
             f"{row['state']:>10s}  angle={row['angle_deg']:6.1f} deg  "
             f"t={row['time_us']:5.2f} us  F_raw={row['fidelity_raw']:.4f}  "
-            f"F_corr={row['fidelity_corrected']:.4f}  "
+            f"F_corr={'  none' if f_corr is None else f'{f_corr:.4f}'}  "
             f"bound={row['bound_efficiency']:.4f}  "
             f"secure={'yes' if row['pass_shor_preskill'] else 'no'}"
         )

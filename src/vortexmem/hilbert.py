@@ -75,14 +75,7 @@ class DensityMatrix:
         object.__setattr__(self, "elements", arr)
 
     def validate(self) -> None:
-        m = self.elements
-        if not np.allclose(m, m.conj().T, atol=ATOL_HERMITIAN, rtol=0.0):
-            raise NonPhysicalDensity("matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > ATOL_TRACE or abs(np.trace(m).imag) > ATOL_TRACE:
-            raise NonPhysicalDensity(f"trace is {np.trace(m)}, expected 1")
-        eig = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if eig.min() < -ATOL_EIGEN:
-            raise NonPhysicalDensity(f"negative eigenvalue {eig.min()}")
+        check_densities(self.elements[None])
 
     def is_physical(self) -> bool:
         try:
@@ -123,12 +116,34 @@ def density_from_pure(psi: HybridState) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()))
 
 
+def check_densities(m: np.ndarray) -> None:
+    """Raise NonPhysicalDensity unless every matrix of the stack (N, 2, 2) is
+    Hermitian, has unit trace and no negative eigenvalue."""
+    adjoint = m.conj().swapaxes(-1, -2)
+    if not np.isclose(m, adjoint, atol=ATOL_HERMITIAN, rtol=0.0).all():
+        raise NonPhysicalDensity("matrix is not Hermitian")
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    bad = (np.abs(trace.real - 1.0) > ATOL_TRACE) | (np.abs(trace.imag) > ATOL_TRACE)
+    if bad.any():
+        raise NonPhysicalDensity(f"trace is {trace[bad][0]}, expected 1")
+    eig = np.linalg.eigvalsh((m + adjoint) / 2.0)
+    if eig.size and eig.min() < -ATOL_EIGEN:
+        raise NonPhysicalDensity(f"negative eigenvalue {eig.min()}")
+
+
+def fidelities(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Conditional fidelities <v|rho|v> of a stack of density matrices
+    (N, 2, 2) with state vectors (N, 2), each clamped to [0, 1]."""
+    check_densities(m)
+    # stacked matmul keeps the bits of the one-state v.conj() @ rho @ v
+    f = ((v.conj()[:, None, :] @ m) @ v[:, :, None])[:, 0, 0].real
+    f = np.where(f > 0.0, f, 0.0)
+    return np.where(f < 1.0, f, 1.0)
+
+
 def conditional_fidelity(rho: DensityMatrix, psi: HybridState) -> float:
     """Conditional fidelity <psi|rho|psi>, clamped to [0, 1]."""
-    rho.validate()
-    v = psi.vector()
-    f = float(np.real(v.conj() @ rho.elements @ v))
-    return min(1.0, max(0.0, f))
+    return float(fidelities(rho.elements[None], psi.vector()[None])[0])
 
 
 def bloch_of(rho: DensityMatrix) -> BlochVector:
@@ -140,11 +155,18 @@ def bloch_of(rho: DensityMatrix) -> BlochVector:
     )
 
 
+def densities_from_bloch(s: np.ndarray) -> np.ndarray:
+    """Density matrices (I + s . tau)/2 for a stack of Bloch vectors (N, 3);
+    raises OutsideBall if any is longer than 1 beyond tolerance."""
+    length = np.linalg.norm(s, axis=-1)
+    if (length > 1.0 + ATOL_BALL).any():
+        raise OutsideBall(f"Bloch vector length {length.max()} > 1")
+    s1, s2, s3 = (s[:, i, None, None] for i in range(3))
+    return (np.eye(2, dtype=complex) + s1 * TAU1 + s2 * TAU2 + s3 * TAU3) / 2.0
+
+
 def rho_of(b: BlochVector) -> DensityMatrix:
-    if b.length() > 1.0 + ATOL_BALL:
-        raise OutsideBall(f"Bloch vector length {b.length()} > 1")
-    m = (np.eye(2, dtype=complex) + b.s1 * TAU1 + b.s2 * TAU2 + b.s3 * TAU3) / 2.0
-    return DensityMatrix(m)
+    return DensityMatrix(densities_from_bloch(np.array([[b.s1, b.s2, b.s3]], dtype=float))[0])
 
 
 # --- named state catalogue -------------------------------------------------

@@ -15,8 +15,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .hilbert import BlochVector, DensityMatrix, HybridState, conditional_fidelity, rho_of
-from .photodetection import PROJECTOR_PAIRS, CountRecord
+from .hilbert import (DensityMatrix, HybridState, conditional_fidelity, densities_from_bloch,
+                      fidelities)
+from .photodetection import PROJECTOR_ORDER, PROJECTOR_PAIRS, CountRecord
 
 # sampled records carry integer clicks and stay integer after subtraction
 _INT_TYPES = (int, np.integer)
@@ -43,12 +44,61 @@ class TomographyResult:
         return conditional_fidelity(self.rho, target)
 
 
+def subtract_background(counts: np.ndarray, bg_expected) -> np.ndarray:
+    """Remove the expected background clicks, clamping at zero.  Integer
+    (sampled) counts are rounded back to whole clicks; float
+    (expectation-valued) counts stay exact."""
+    corrected = counts - bg_expected
+    corrected = np.where(corrected > 0.0, corrected, 0.0)
+    return np.rint(corrected) if counts.dtype.kind in "iu" else corrected
+
+
+def stokes_of(counts: np.ndarray) -> np.ndarray:
+    """Stokes vectors (N, 3) from counts (N, 6) in PROJECTOR_ORDER: the three
+    basis-pair count asymmetries."""
+    plus, minus = counts[:, 0::2], counts[:, 1::2]
+    total = plus + minus
+    empty = total == 0
+    if empty.any():
+        a, b = PROJECTOR_PAIRS[int(np.argwhere(empty)[0, 1])]
+        raise InsufficientCounts(f"pair ({a}, {b}) has zero counts")
+    return (plus - minus) / total
+
+
+def project_to_ball(stokes: np.ndarray) -> np.ndarray:
+    """Radial projection of Stokes vectors (N, 3) onto the unit Bloch ball."""
+    # a stacked matmul keeps the bits of np.linalg.norm on one vector
+    length = np.sqrt(stokes[:, None, :] @ stokes[:, :, None])[:, 0]
+    return np.divide(stokes, length, out=stokes.copy(), where=length > 1.0)
+
+
+def reconstruct(counts: np.ndarray, bg_expected, subtract_bg: bool = False
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Linear-inversion tomography of a stack of count records.
+
+    ``counts`` is (N, 6) in PROJECTOR_ORDER, ``bg_expected`` the expected
+    background clicks, broadcast against it.  Returns the Stokes vectors
+    (N, 3) before projection and the physical density matrices (N, 2, 2).
+    """
+    if subtract_bg:
+        counts = subtract_background(counts, bg_expected)
+    stokes = stokes_of(counts)
+    return stokes, densities_from_bloch(project_to_ball(stokes))
+
+
+def _count_arrays(records: Iterable[CountRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Clicks and expected background (1, 6) of six records, in PROJECTOR_ORDER."""
+    table = _by_projector(records)
+    counts = np.array([[table[k].clicks for k in PROJECTOR_ORDER]])
+    bg = np.array([[table[k].bg_clicks_expected for k in PROJECTOR_ORDER]], dtype=float)
+    return counts, bg
+
+
 def background_subtract(c: CountRecord) -> CountRecord:
     """Remove the expected background clicks, clamping at zero."""
-    corrected = max(0.0, c.clicks - c.bg_clicks_expected)
-    if isinstance(c.clicks, _INT_TYPES):
-        corrected = int(round(corrected))
-    return replace(c, clicks=corrected, bg_clicks_expected=0.0)
+    corrected = subtract_background(np.array([c.clicks]), c.bg_clicks_expected)[0]
+    clicks = int(corrected) if isinstance(c.clicks, _INT_TYPES) else float(corrected)
+    return replace(c, clicks=clicks, bg_clicks_expected=0.0)
 
 
 def _by_projector(records: Iterable[CountRecord]) -> dict[str, CountRecord]:
@@ -63,47 +113,36 @@ def _by_projector(records: Iterable[CountRecord]) -> dict[str, CountRecord]:
     return table
 
 
+def _estimate(stokes: np.ndarray, counts: np.ndarray) -> StokesEstimate:
+    s1, s2, s3 = stokes[0].tolist()
+    return StokesEstimate(s1, s2, s3, int(round(float(counts.sum()))))
+
+
 def stokes_from_counts(records: Iterable[CountRecord]) -> StokesEstimate:
     """Stokes vector from the three basis-pair count asymmetries."""
-    table = _by_projector(records)
-    comps = []
-    total = 0.0
-    for plus, minus in PROJECTOR_PAIRS:
-        a, b = table[plus].clicks, table[minus].clicks
-        if a + b == 0:
-            raise InsufficientCounts(f"pair ({plus}, {minus}) has zero counts")
-        comps.append((a - b) / (a + b))
-        total += a + b
-    return StokesEstimate(comps[0], comps[1], comps[2], int(round(total)))
+    counts, _ = _count_arrays(records)
+    return _estimate(stokes_of(counts), counts)
 
 
 def stokes_from_probabilities(probabilities: Mapping[str, float]) -> StokesEstimate:
     """Exact (infinite-trial) Stokes vector from projector probabilities."""
-    comps = []
-    for plus, minus in PROJECTOR_PAIRS:
-        a, b = probabilities[plus], probabilities[minus]
-        if a + b == 0:
-            raise InsufficientCounts(f"pair ({plus}, {minus}) has zero probability")
-        comps.append((a - b) / (a + b))
-    return StokesEstimate(comps[0], comps[1], comps[2], 0)
+    probs = np.array([[probabilities[k] for k in PROJECTOR_ORDER]], dtype=float)
+    return _estimate(stokes_of(probs), np.zeros(1))
 
 
 def density_from_stokes(s: StokesEstimate) -> DensityMatrix:
     """Linear inversion with radial projection onto the Bloch ball."""
-    vec = np.array([s.s1, s.s2, s.s3], dtype=float)
-    length = float(np.linalg.norm(vec))
-    if length > 1.0:
-        vec = vec / length
-    return rho_of(BlochVector(*vec))
+    stokes = np.array([[s.s1, s.s2, s.s3]], dtype=float)
+    return DensityMatrix(densities_from_bloch(project_to_ball(stokes))[0])
 
 
 def tomograph(records: Iterable[CountRecord], subtract_bg: bool = False) -> TomographyResult:
     """Reconstruct a physical density matrix from six count records."""
-    records = list(records)
+    counts, bg = _count_arrays(records)
     if subtract_bg:
-        records = [background_subtract(r) for r in records]
-    stokes = stokes_from_counts(records)
-    return TomographyResult(density_from_stokes(stokes), stokes)
+        counts, bg = subtract_background(counts, bg), 0.0
+    stokes, rho = reconstruct(counts, bg)
+    return TomographyResult(DensityMatrix(rho[0]), _estimate(stokes, counts))
 
 
 def bootstrap_fidelity(records: Iterable[CountRecord], target: HybridState,
@@ -116,12 +155,16 @@ def bootstrap_fidelity(records: Iterable[CountRecord], target: HybridState,
     Returns (mean, standard deviation) of the resampled fidelities.
     """
     records = list(records)
+    table = _by_projector(records)
     rng = np.random.default_rng(seed)
-    fids = np.empty(n_resamples)
-    for i in range(n_resamples):
-        resampled = [
-            replace(r, clicks=int(rng.binomial(r.trials, min(1.0, r.clicks / r.trials))))
-            for r in records
-        ]
-        fids[i] = tomograph(resampled, subtract_bg=subtract_bg).fidelity_vs(target)
+    # one draw fills (resample, record) in row-major order, the order of a
+    # loop over resamples with the records in their given order inside
+    draws = rng.binomial([r.trials for r in records],
+                         [min(1.0, r.clicks / r.trials) for r in records],
+                         size=(n_resamples, len(records)))
+    column = {r.projector_id: i for i, r in enumerate(records)}
+    counts = draws[:, [column[k] for k in PROJECTOR_ORDER]]
+    bg = np.array([table[k].bg_clicks_expected for k in PROJECTOR_ORDER], dtype=float)
+    _, rho = reconstruct(counts, bg, subtract_bg)
+    fids = fidelities(rho, np.broadcast_to(target.vector(), (n_resamples, 2)))
     return float(fids.mean()), float(fids.std())

@@ -89,10 +89,18 @@ class TestMainExitCodes:
         rc = cli.main(["--scenario", "bounds_table", "--out", str(tmp_path / "o")])
         assert rc == 0
 
-    def test_config_error_is_2(self, tmp_path):
-        path = _write_config(tmp_path, {"scenario": "nope"})
+    @pytest.mark.parametrize("payload", [
+        {"scenario": "nope"},
+        {"scenario": "store_tomography", "seed": 1.5},
+        {"scenario": "store_tomography", "trials_per_projection": 1000.5},
+        {"scenario": "store_tomography", "qplate": {"alpha0": math.nan}},
+        {"scenario": "store_tomography", "source": {"nbar": math.nan}},
+    ], ids=["unknown_scenario", "fractional_seed", "fractional_trials", "nan_alpha0", "nan_nbar"])
+    def test_config_error_is_2(self, tmp_path, payload):
+        path = _write_config(tmp_path, payload)
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_json_is_2(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -107,6 +115,24 @@ class TestMainExitCodes:
     def test_missing_scenario_is_2(self, tmp_path):
         rc = cli.main(["--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_long_storage_gives_background_rows(self, tmp_path):
+        # exp(-(t/tau)^2) underflows to 0: nothing is retrieved
+        path = _write_config(tmp_path, {"scenario": "store_tomography", "storage_times": [200.0]})
+        out = tmp_path / "o"
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+        assert len(rows) == len(default_config("store_tomography").input_states)
+        for row in rows:
+            assert row["survival"] == 1e-12
+            assert abs(row["fidelity_raw"] - 0.5) < 0.05   # unpolarized background
+            assert row["fidelity_corrected"] is None and row["rho_corrected"] is None
+
+    def test_long_storage_without_background_is_2(self, tmp_path, capsys):
+        path = _write_config(tmp_path, {"scenario": "store_tomography", "storage_times": [200.0],
+                                        "memory": {"bg_click": 0.0}})
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert "has zero counts" in capsys.readouterr().err
 
     def test_io_error_is_3(self, tmp_path):
         blocker = tmp_path / "blocker"
