@@ -113,6 +113,13 @@ class ExperimentConfig:
                 raise ConfigError(f"storage_times: invalid time {t}")
         for a in self.rotation_angles:
             _check_finite("rotation_angles", a)
+        if not isinstance(self.encode_with_qplate, bool):
+            raise ConfigError(
+                f"encode_with_qplate: expected true or false, got {self.encode_with_qplate!r}")
+        try:
+            optics._check_charge(self.qplate)
+        except optics.UnsupportedCharge as exc:
+            raise ConfigError(f"qplate.q: {exc}") from exc
         if not self.storage_times:
             raise ConfigError("storage_times: must not be empty")
         if not self.rotation_angles:
@@ -456,14 +463,35 @@ def run(cfg: ExperimentConfig) -> Report:
 
 # --- output formats ----------------------------------------------------------
 
+def _scaled(intensity: np.ndarray) -> np.ndarray:
+    """Intensity divided by its peak: each pixel in [0, 1].
+
+    A pixmap cannot show a negative or non-finite intensity, so those raise
+    ValueError; this also bounds the samples of a scaled image to [0, maxval].
+    """
+    if not np.isfinite(intensity).all() or (intensity < 0.0).any():
+        raise ValueError("pixmap intensity must be finite and non-negative")
+    peak = float(intensity.max())
+    return np.zeros_like(intensity) if peak == 0.0 else intensity / peak
+
+
+def _pixmap_text(magic: str, width: int, height: int, maxval: int,
+                 samples: np.ndarray) -> str:
+    """ASCII netpbm file from integer samples in [0, maxval], one text row
+    per array row; each level that occurs is formatted once."""
+    if not 0 < maxval < 65536:
+        raise ValueError(f"pixmap maxval must be in [1, 65535], got {maxval}")
+    levels = np.flatnonzero(np.bincount(samples.ravel(), minlength=maxval + 1))
+    table = np.empty(maxval + 1, dtype=object)
+    table[levels] = [str(v) for v in levels.tolist()]
+    rows = "".join(" ".join(row) + "\n" for row in table[samples].tolist())
+    return f"{magic}\n{width} {height}\n{maxval}\n" + rows
+
+
 def render_pgm(intensity: np.ndarray, maxval: int = 65535) -> str:
     """ASCII PGM (P2) with intensity scaled to the full gray range."""
-    peak = float(intensity.max())
-    scaled = np.zeros_like(intensity) if peak == 0.0 else intensity / peak
-    pixels = np.rint(scaled * maxval).astype(int)
-    lines = ["P2", f"{intensity.shape[1]} {intensity.shape[0]}", str(maxval)]
-    lines += [" ".join(str(v) for v in row) for row in pixels]
-    return "\n".join(lines) + "\n"
+    pixels = np.rint(_scaled(intensity) * maxval).astype(int)
+    return _pixmap_text("P2", pixels.shape[1], pixels.shape[0], maxval, pixels)
 
 
 def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -480,21 +508,26 @@ def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def render_ppm(hue: np.ndarray, intensity: np.ndarray, maxval: int = 255) -> str:
     """ASCII PPM (P3): hue encodes polarization azimuth, value the intensity."""
-    peak = float(intensity.max())
-    value = np.zeros_like(intensity) if peak == 0.0 else intensity / peak
-    rgb = _hsv_to_rgb(np.mod(hue, 1.0), np.ones_like(hue), value)
+    if not np.isfinite(hue).all():
+        raise ValueError("pixmap hue must be finite")
+    rgb = _hsv_to_rgb(np.mod(hue, 1.0), np.ones_like(hue), _scaled(intensity))
     pixels = np.rint(rgb * maxval).astype(int)
-    lines = ["P3", f"{hue.shape[1]} {hue.shape[0]}", str(maxval)]
-    lines += [" ".join(str(v) for v in row.reshape(-1)) for row in pixels]
-    return "\n".join(lines) + "\n"
+    ny, nx = hue.shape
+    return _pixmap_text("P3", nx, ny, maxval, pixels.reshape(ny, 3 * nx))
 
 
 def render_grid_csv(values: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in values:
-        writer.writerow([repr(float(v)) for v in row])
-    return buf.getvalue()
+    """CSV of a 2-D float grid, each cell the shortest round-trip repr.
+
+    Each distinct value is formatted once.  Values are told apart by their
+    bit pattern, so -0.0 and 0.0 keep their own text.  A float repr holds no
+    delimiter or quote, so the rows need no CSV quoting.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+    cells = text[inverse.reshape(values.shape)]
+    return "".join(",".join(row) + "\n" for row in cells.tolist())
 
 
 COUNT_RECORD_COLUMNS = ("projector", "clicks", "trials", "bg_expected")

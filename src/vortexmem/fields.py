@@ -7,10 +7,14 @@ radial / azimuthal / spiraling polarization textures.  Projecting such a
 map on a linear analyzer collapses the doughnut into two Hermite-Gaussian
 lobes.  Only the waist plane is modelled; all observables of interest live
 at conjugate planes, so propagation and Gouy phase add nothing testable.
+
+Every hybrid state is built from the same two carriers, so each carrier is
+computed once per (charge, grid, waist) and shared as a read-only array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,17 +89,26 @@ def lg_amplitude(l: int, grid: Grid, waist: float = 1.0) -> np.ndarray:
 
     Amplitude ~ (r*sqrt2/w0)^|l| * exp(-r^2/w0^2) * exp(i*l*phi); the ring
     of maximum intensity sits at r = w0*sqrt(|l|/2), so the mode size grows
-    like the square root of the charge.
+    like the square root of the charge.  The returned array is shared
+    between calls and read-only.
     """
     if abs(l) > MAX_CHARGE:
         raise ChargeOutOfRange(f"|l| = {abs(l)} exceeds supported {MAX_CHARGE}")
+    return _lg_carrier(l, grid, waist)
+
+
+# bounded, since each entry holds a full complex grid
+@functools.lru_cache(maxsize=8)
+def _lg_carrier(l: int, grid: Grid, waist: float) -> np.ndarray:
     xx, yy = grid.mesh()
     r = np.hypot(xx, yy)
     phi = np.arctan2(yy, xx)
     amp = (r * math.sqrt(2.0) / waist) ** abs(l) * np.exp(-(r / waist) ** 2)
     field = amp * np.exp(1j * l * phi)
     power = (np.abs(field) ** 2).sum() * grid.pixel_area()
-    return field / math.sqrt(power)
+    field = field / math.sqrt(power)
+    field.setflags(write=False)
+    return field
 
 
 def vector_field_map(psi: HybridState, grid: Grid, waist: float = 1.0) -> VectorFieldMap:

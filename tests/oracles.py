@@ -5,8 +5,14 @@ over a leading job axis.  These are the one-job-at-a-time compositions it
 replaced, built from the package's unchanged scalar pieces (states, optics,
 memory, bounds) and plain Python arithmetic, so the tests can require the
 batch to reproduce them bit for bit.
+
+The field-map renderers format whole arrays, each distinct value once; the
+per-pixel renderers they replaced are kept at the end of this file as the
+byte-exact reference.
 """
 
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -201,3 +207,46 @@ def run(cfg):
                 "fidelity_corrected": row["fidelity_corrected"],
             }
     return report
+
+
+# --- per-pixel field-map renderers -------------------------------------------
+
+def render_pgm(intensity: np.ndarray, maxval: int = 65535) -> str:
+    """ASCII PGM (P2) with intensity scaled to the full gray range."""
+    peak = float(intensity.max())
+    scaled = np.zeros_like(intensity) if peak == 0.0 else intensity / peak
+    pixels = np.rint(scaled * maxval).astype(int)
+    lines = ["P2", f"{intensity.shape[1]} {intensity.shape[0]}", str(maxval)]
+    lines += [" ".join(str(v) for v in row) for row in pixels]
+    return "\n".join(lines) + "\n"
+
+
+def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    i = np.floor(h * 6.0).astype(int) % 6
+    f = h * 6.0 - np.floor(h * 6.0)
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    r = np.choose(i, [v, q, p, p, t, v])
+    g = np.choose(i, [t, v, v, q, p, p])
+    b = np.choose(i, [p, p, t, v, v, q])
+    return np.stack([r, g, b], axis=-1)
+
+
+def render_ppm(hue: np.ndarray, intensity: np.ndarray, maxval: int = 255) -> str:
+    """ASCII PPM (P3): hue encodes polarization azimuth, value the intensity."""
+    peak = float(intensity.max())
+    value = np.zeros_like(intensity) if peak == 0.0 else intensity / peak
+    rgb = _hsv_to_rgb(np.mod(hue, 1.0), np.ones_like(hue), value)
+    pixels = np.rint(rgb * maxval).astype(int)
+    lines = ["P3", f"{hue.shape[1]} {hue.shape[0]}", str(maxval)]
+    lines += [" ".join(str(v) for v in row.reshape(-1)) for row in pixels]
+    return "\n".join(lines) + "\n"
+
+
+def render_grid_csv(values: np.ndarray) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    for row in values:
+        writer.writerow([repr(float(v)) for v in row])
+    return buf.getvalue()

@@ -95,7 +95,11 @@ class TestMainExitCodes:
         {"scenario": "store_tomography", "trials_per_projection": 1000.5},
         {"scenario": "store_tomography", "qplate": {"alpha0": math.nan}},
         {"scenario": "store_tomography", "source": {"nbar": math.nan}},
-    ], ids=["unknown_scenario", "fractional_seed", "fractional_trials", "nan_alpha0", "nan_nbar"])
+        {"scenario": "store_tomography", "qplate": {"q": 1.5}},
+        {"scenario": "store_tomography", "qplate": {"q": 0}},
+        {"scenario": "store_tomography", "encode_with_qplate": "yes"},
+    ], ids=["unknown_scenario", "fractional_seed", "fractional_trials", "nan_alpha0", "nan_nbar",
+            "charge_1_5", "charge_0", "string_encode_flag"])
     def test_config_error_is_2(self, tmp_path, payload):
         path = _write_config(tmp_path, payload)
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "o")])
