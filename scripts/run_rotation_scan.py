@@ -35,9 +35,10 @@ def main(argv=None):
         "linear pol": ("H", "V", "D", "A"),
         "circular pol": ("R", "L"),
     }
+    all_rows = report.rows   # derived from the result table on each access
     print("\naverage raw fidelity per encoding family:")
     for deg in args.angles:
-        rows = [r for r in report.rows if abs(r["angle_deg"] - deg) < 1e-6]
+        rows = [r for r in all_rows if abs(r["angle_deg"] - deg) < 1e-6]
         line = f"  theta={deg:5.1f} deg"
         for label, names in groups.items():
             sel = [r["fidelity_raw"] for r in rows if r["state"] in names]

@@ -29,9 +29,10 @@ def main(argv=None):
     report = cli.run(cli.config_from_dict(payload))
     cli.emit(report, args.out)
 
+    all_rows = report.rows   # derived from the result table on each access
     print(f"\nsix-state averages ({args.trials or 'exact'} trials/projection):")
     for t in args.times:
-        rows = [r for r in report.rows if r["time_us"] == t]
+        rows = [r for r in all_rows if r["time_us"] == t]
         raw = sum(r["fidelity_raw"] for r in rows) / len(rows)
         corr = sum(r["fidelity_corrected"] for r in rows) / len(rows)
         bound = rows[0]["bound_efficiency"]

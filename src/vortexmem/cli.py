@@ -11,7 +11,10 @@ Jobs are batched over a job axis: encode, storage and recombine run once
 per distinct (state, storage time), and the rotation, click statistics,
 tomography and fidelities work on arrays with one row per job.  Each job
 keeps its own generator, default_rng(seed XOR job index), so the per-job
-seeds and the output bytes are those of a one-job-at-a-time run.
+seeds and the output bytes are those of a one-job-at-a-time run.  The batch
+is a ResultTable of columns; results.csv, results.jsonl and the stdout table
+are formatted from those columns, each distinct float once, one fixed
+template per line, with the bytes of per-row json.dumps and csv.writer.
 
 Config files are JSON documents mirroring ExperimentConfig; angles are in
 radians and storage times in microseconds.  trials_per_projection = 0
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -64,6 +66,10 @@ DEFAULT_ANGLES_DEG = (0, 10, 20, 30, 40, 45, 50, 60)
 DEFAULT_TIMES_US = (0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0)
 BOUNDS_NBAR_GRID = (0.1, 0.5, 1.0)
 
+# click counts and their background subtraction are float64 arithmetic,
+# exact only up to 2**53
+TRIALS_MAX = 2**53
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -98,8 +104,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name}: expected an integer, got {value!r}")
-        if self.trials_per_projection < 0:
-            raise ConfigError("trials_per_projection: must be >= 0")
+        if not 0 <= self.trials_per_projection <= TRIALS_MAX:
+            raise ConfigError(f"trials_per_projection: must lie in [0, {TRIALS_MAX}]")
         if self.seed < 0:
             raise ConfigError("seed: must be >= 0")
         for sub in ("source", "memory", "qplate"):
@@ -107,12 +113,22 @@ class ExperimentConfig:
             for f in dataclass_fields(params):
                 if f.type == "float":
                     _check_finite(f"{sub}.{f.name}", getattr(params, f.name))
+        if self.source.nbar > security.NBAR_MAX:
+            raise ConfigError(f"source.nbar: must be <= {security.NBAR_MAX}")
+        if not math.isfinite(2.0 * self.qplate.alpha0):
+            raise ConfigError("qplate.alpha0: 2 * alpha0 overflows")
         for t in self.storage_times:
             _check_finite("storage_times", t)
             if t < 0.0:
                 raise ConfigError(f"storage_times: invalid time {t}")
+            try:
+                memory.efficiency_at(self.memory, t)
+            except OverflowError as exc:
+                raise ConfigError(f"storage_times: (t/tau)^2 overflows at t = {t}") from exc
         for a in self.rotation_angles:
             _check_finite("rotation_angles", a)
+            if not math.isfinite(math.degrees(a)):
+                raise ConfigError(f"rotation_angles: {a} rad overflows in degrees")
         if not isinstance(self.encode_with_qplate, bool):
             raise ConfigError(
                 f"encode_with_qplate: expected true or false, got {self.encode_with_qplate!r}")
@@ -124,9 +140,10 @@ class ExperimentConfig:
             raise ConfigError("storage_times: must not be empty")
         if not self.rotation_angles:
             raise ConfigError("rotation_angles: must not be empty")
-        if self.scenario in ("store_tomography", "fidelity_vs_time", "fidelity_vs_rotation"):
-            if self.source.nbar <= 0.0:
-                raise ConfigError("source.nbar: tomography scenarios need nbar > 0")
+        if self.scenario != "field_maps" and self.source.nbar <= 0.0:
+            raise ConfigError(f"source.nbar: {self.scenario} needs nbar > 0")
+        if self.scenario == "bounds_table" and self.memory.eta0 <= 0.0:
+            raise ConfigError("memory.eta0: bounds_table needs eta0 > 0")
         if self.scenario == "field_maps":
             bad = [s for s in self.input_states if s not in hilbert.HYBRID_SPHERE_NAMES]
             if bad:
@@ -134,7 +151,14 @@ class ExperimentConfig:
 
 
 def _check_finite(path: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    """A JSON number that converts to a finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:   # an integer beyond the float range
+        finite = False
+    if not finite:
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
 
 
@@ -186,7 +210,7 @@ def _build_sub(cls, raw: dict, path: str):
         raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
     try:
         return cls(**raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -229,9 +253,6 @@ class DetectionMixture:
 
     components: tuple[tuple[float, HybridState], ...]
     target: HybridState
-
-    def survival(self) -> float:
-        return sum(w for w, _ in self.components)
 
 
 @dataclass(frozen=True)
@@ -286,15 +307,18 @@ def propagate(state_name: str, cfg: ExperimentConfig, t_us: float,
 
 
 def _signal(mixes: list[DetectionMixture]) -> tuple[np.ndarray, np.ndarray]:
-    """Signal weight per projector (J, 6) and survival (J,) of each mixture."""
+    """Signal weight per projector (J, 6) and survival (J,), the summed
+    component weights, of each mixture."""
     signal = np.zeros((len(mixes), len(photodetection.PROJECTOR_ORDER)))
+    survival = np.zeros(len(mixes))
     for k in range(max((len(m.components) for m in mixes), default=0)):
         rows = [j for j, m in enumerate(mixes) if len(m.components) > k]
         comps = [mixes[j].components[k] for j in rows]
-        weights = np.array([w for w, _ in comps])[:, None]
+        weights = np.array([w for w, _ in comps])
         amps = np.array([(pol.c0, pol.c1) for _, pol in comps], dtype=complex)
-        signal[rows] += weights * photodetection.projection_weights(amps)
-    return signal, np.array([m.survival() for m in mixes], dtype=float)
+        signal[rows] += weights[:, None] * photodetection.projection_weights(amps)
+        survival[rows] += weights
+    return signal, survival
 
 
 def _detect(cfg: ExperimentConfig, signal: np.ndarray, survival: np.ndarray,
@@ -324,14 +348,77 @@ def detection_records(mix: DetectionMixture, cfg: ExperimentConfig,
             for name, c in zip(photodetection.PROJECTOR_ORDER, counts[0].tolist())]
 
 
+@dataclass(frozen=True, eq=False)   # == on array fields has no single truth value
+class ResultTable:
+    """Results of a batch of jobs as columns, one row per job.
+
+    Bounds and SNR depend on a job only through its survival, so they are
+    kept once per distinct survival and ``level`` gives each job's entry.
+    A job with no retrieved signal (``retrieved`` false) has nothing to
+    correct: its ``f_corr`` and ``rho_corr`` entries are zero placeholders.
+    """
+
+    scenario: str
+    states: list[str]
+    times: list[float]          # storage times as given: int or float
+    seeds: list[int]
+    angle_deg: np.ndarray       # (J,) round(degrees(theta), 9)
+    f_raw: np.ndarray           # (J,)
+    f_corr: np.ndarray          # (J,)
+    retrieved: np.ndarray       # (J,) bool
+    stokes: np.ndarray          # (J, 3) raw Stokes vectors, before projection
+    rho_raw: np.ndarray         # (J, 2, 2)
+    rho_corr: np.ndarray        # (J, 2, 2)
+    survival: np.ndarray        # (J,) clamped to [1e-12, 1]
+    level: np.ndarray           # (J,) index into the per-survival columns
+    bound_poisson: np.ndarray   # (S,)
+    bound_efficiency: np.ndarray  # (S,)
+    snr: np.ndarray | None      # (S,); None without background clicks
+    secure: np.ndarray          # (J,) Shor-Preskill verdict on f_raw
+
+    def rows(self) -> list[dict]:
+        """One dict per job, with Python values: the row form that scripts
+        and tests read."""
+        def matrices(rho):
+            return [{"real": re, "imag": im}
+                    for re, im in zip(rho.real.tolist(), rho.imag.tolist())]
+
+        retrieved = self.retrieved.tolist()
+        f_corr = [f if ok else None for f, ok in zip(self.f_corr.tolist(), retrieved)]
+        rho_corr = [m if ok else None for m, ok in zip(matrices(self.rho_corr), retrieved)]
+        snr = [None] * len(retrieved) if self.snr is None else self.snr[self.level].tolist()
+        return [{
+            "scenario": self.scenario,
+            "state": state,
+            "angle_deg": angle,
+            "time_us": t_us,
+            "fidelity_raw": f,
+            "fidelity_corrected": f_corr[j],
+            "bound_poisson": poisson,
+            "bound_efficiency": efficiency,
+            "pass_shor_preskill": secure,
+            "_extras": {
+                "survival": surv,
+                "snr": snr[j],
+                "stokes_raw": stokes,
+                "rho_raw": rho,
+                "rho_corrected": rho_corr[j],
+                "job_seed": seed,
+            },
+        } for j, (state, t_us, seed, angle, f, poisson, efficiency, secure, surv, stokes, rho)
+            in enumerate(zip(
+                self.states, self.times, self.seeds, self.angle_deg.tolist(),
+                self.f_raw.tolist(), self.bound_poisson[self.level].tolist(),
+                self.bound_efficiency[self.level].tolist(), self.secure.tolist(),
+                self.survival.tolist(), self.stokes.tolist(), matrices(self.rho_raw)))]
+
+
 def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
-              seeds: list[int]) -> list[dict]:
-    """Rows of (state, time, angle) jobs: the pipeline over a job axis.
+              seeds: list[int]) -> ResultTable:
+    """Result table of (state, time, angle) jobs: the pipeline over a job axis.
 
     Encode, storage and recombine run once per distinct (state, time); the
-    counts of job j come from its own generator, default_rng(seeds[j]).  A
-    job with no retrieved signal has nothing to correct, so its corrected
-    fidelity and density matrix are None.
+    counts of job j come from its own generator, default_rng(seeds[j]).
     """
     retrievals: dict[tuple[str, float], _Retrieval] = {}
     for state, t_us, _ in jobs:
@@ -341,59 +428,45 @@ def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
     signal, survival = _signal(mixes)
     counts, bg_expected, _ = _detect(cfg, signal, survival, seeds)
     targets = np.array([(m.target.c0, m.target.c1) for m in mixes], dtype=complex)
-    stokes_raw, rho_raw = tomography.reconstruct(counts, bg_expected)
-    f_raw = hilbert.fidelities(rho_raw, targets).tolist()
-    f_corr, rho_corr = [None] * len(jobs), [None] * len(jobs)
-    retrieved = np.flatnonzero(survival > 0)
+    stokes, rho_raw = tomography.reconstruct(counts, bg_expected)
+    f_raw = hilbert.fidelities(rho_raw, targets)
+    retrieved = survival > 0
+    f_corr, rho_corr = np.zeros_like(f_raw), np.zeros_like(rho_raw)
     _, rho = tomography.reconstruct(counts[retrieved], bg_expected, subtract_bg=True)
-    for j, f, m in zip(retrieved.tolist(), hilbert.fidelities(rho, targets[retrieved]).tolist(),
-                       _rho_to_lists(rho)):
-        f_corr[j], rho_corr[j] = f, m
+    f_corr[retrieved] = hilbert.fidelities(rho, targets[retrieved])
+    rho_corr[retrieved] = rho
 
     nbar, bg = cfg.source.nbar, cfg.memory.bg_click
-    bounds: dict[float, tuple] = {}   # survival -> (poisson, efficiency, snr)
-    rows = []
-    for j, ((state, t_us, theta), seed, f, stokes, rho, surv) in enumerate(zip(
-            jobs, seeds, f_raw, stokes_raw.tolist(), _rho_to_lists(rho_raw), survival.tolist())):
-        surv = min(1.0, max(1e-12, surv))
-        if surv not in bounds:
-            bounds[surv] = (
-                security.classical_bound_poisson(nbar),
-                security.classical_bound_with_efficiency(security.BenchmarkInput(nbar, surv)),
-                photodetection.snr_of(nbar, surv, bg) if bg > 0 else None,
-            )
-        poisson, efficiency, snr = bounds[surv]
-        rows.append({
-            "scenario": cfg.scenario,
-            "state": state,
-            "angle_deg": round(math.degrees(theta), 9),
-            "time_us": t_us,
-            "fidelity_raw": f,
-            "fidelity_corrected": f_corr[j],
-            "bound_poisson": poisson,
-            "bound_efficiency": efficiency,
-            "pass_shor_preskill": security.shor_preskill_pass(f),
-            "_extras": {
-                "survival": surv,
-                "snr": snr,
-                "stokes_raw": stokes,
-                "rho_raw": rho,
-                "rho_corrected": rho_corr[j],
-                "job_seed": seed,
-            },
-        })
-    return rows
+    survival = np.minimum(1.0, np.maximum(1e-12, survival))
+    levels, level = np.unique(survival, return_inverse=True)
+    levels = levels.tolist()
+    return ResultTable(
+        scenario=cfg.scenario,
+        states=[state for state, _, _ in jobs],
+        times=[t_us for _, t_us, _ in jobs],
+        seeds=list(seeds),
+        angle_deg=np.array([round(math.degrees(theta), 9) for _, _, theta in jobs], dtype=float),
+        f_raw=f_raw,
+        f_corr=f_corr,
+        retrieved=retrieved,
+        stokes=stokes,
+        rho_raw=rho_raw,
+        rho_corr=rho_corr,
+        survival=survival,
+        level=level,
+        bound_poisson=np.full(len(levels), security.classical_bound_poisson(nbar)),
+        bound_efficiency=np.array([
+            security.classical_bound_with_efficiency(security.BenchmarkInput(nbar, s))
+            for s in levels]),
+        snr=np.array([photodetection.snr_of(nbar, s, bg) for s in levels]) if bg > 0 else None,
+        secure=security.shor_preskill_passes(f_raw),
+    )
 
 
 def simulate_point(state_name: str, cfg: ExperimentConfig, t_us: float,
                    theta: float, job_seed: int) -> dict:
     """One (state, time, angle) job: full pipeline plus benchmark columns."""
-    return _simulate(cfg, [(state_name, t_us, theta)], [job_seed])[0]
-
-
-def _rho_to_lists(rho: np.ndarray) -> list[dict]:
-    """JSON form of a stack of density matrices (N, 2, 2)."""
-    return [{"real": re, "imag": im} for re, im in zip(rho.real.tolist(), rho.imag.tolist())]
+    return _simulate(cfg, [(state_name, t_us, theta)], [job_seed]).rows()[0]
 
 
 # --- scenario runners --------------------------------------------------------
@@ -401,10 +474,26 @@ def _rho_to_lists(rho: np.ndarray) -> list[dict]:
 @dataclass
 class Report:
     config: ExperimentConfig
-    rows: list[dict] = field(default_factory=list)
+    table: ResultTable | None = None
     bounds_rows: list[dict] = field(default_factory=list)
-    density: dict[str, dict] = field(default_factory=dict)
     pixmaps: list[tuple[str, str]] = field(default_factory=list)  # (name, text)
+
+    @property
+    def rows(self) -> list[dict]:
+        """The job rows, derived from the table on each access."""
+        return [] if self.table is None else self.table.rows()
+
+    @property
+    def density(self) -> dict[str, dict]:
+        """Raw and corrected density matrix per state (store_tomography only)."""
+        if self.config.scenario != "store_tomography":
+            return {}
+        return {row["state"]: {
+            "rho_raw": row["_extras"]["rho_raw"],
+            "rho_corrected": row["_extras"]["rho_corrected"],
+            "fidelity_raw": row["fidelity_raw"],
+            "fidelity_corrected": row["fidelity_corrected"],
+        } for row in self.rows}
 
 
 def _jobs(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
@@ -448,16 +537,7 @@ def run(cfg: ExperimentConfig) -> Report:
             report.pixmaps.append((f"{name}_intensity.csv", render_grid_csv(intensity)))
         return report
     jobs = _jobs(cfg)
-    report.rows = _simulate(cfg, jobs, [cfg.seed ^ index for index in range(len(jobs))])
-    if cfg.scenario == "store_tomography":
-        for row in report.rows:
-            extras = row["_extras"]
-            report.density[row["state"]] = {
-                "rho_raw": extras["rho_raw"],
-                "rho_corrected": extras["rho_corrected"],
-                "fidelity_raw": row["fidelity_raw"],
-                "fidelity_corrected": row["fidelity_corrected"],
-            }
+    report.table = _simulate(cfg, jobs, [cfg.seed ^ index for index in range(len(jobs))])
     return report
 
 
@@ -494,40 +574,55 @@ def render_pgm(intensity: np.ndarray, maxval: int = 65535) -> str:
     return _pixmap_text("P2", pixels.shape[1], pixels.shape[0], maxval, pixels)
 
 
-def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    i = np.floor(h * 6.0).astype(int) % 6
-    f = h * 6.0 - np.floor(h * 6.0)
-    p = v * (1.0 - s)
-    q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
-    r = np.choose(i, [v, q, p, p, t, v])
-    g = np.choose(i, [t, v, v, q, p, p])
-    b = np.choose(i, [p, p, t, v, v, q])
-    return np.stack([r, g, b], axis=-1)
+# (r, g, b) of each hue sector as indices into the corners (v, q, p, t)
+_HSV_SECTORS = np.array([[0, 3, 2], [1, 0, 2], [2, 0, 3], [2, 1, 0], [3, 2, 0], [0, 2, 1]],
+                        dtype=np.int8)
+
+
+def _hsv_to_rgb(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """RGB (..., 3) of hue h in [0, 1) and value v at full saturation."""
+    h6 = h * 6.0
+    sector = np.floor(h6)
+    f = h6 - sector
+    corners = np.zeros(v.shape + (4,))   # p = v * (1 - s) = 0
+    corners[..., 0] = v
+    corners[..., 1] = v * (1.0 - f)
+    corners[..., 3] = v * (1.0 - (1.0 - f))   # not v * f: the two differ in the last bit
+    return np.take_along_axis(corners, _HSV_SECTORS[sector.astype(int) % 6], axis=-1)
 
 
 def render_ppm(hue: np.ndarray, intensity: np.ndarray, maxval: int = 255) -> str:
     """ASCII PPM (P3): hue encodes polarization azimuth, value the intensity."""
     if not np.isfinite(hue).all():
         raise ValueError("pixmap hue must be finite")
-    rgb = _hsv_to_rgb(np.mod(hue, 1.0), np.ones_like(hue), _scaled(intensity))
+    rgb = _hsv_to_rgb(np.mod(hue, 1.0), _scaled(intensity))
     pixels = np.rint(rgb * maxval).astype(int)
     ny, nx = hue.shape
     return _pixmap_text("P3", nx, ny, maxval, pixels.reshape(ny, 3 * nx))
 
 
-def render_grid_csv(values: np.ndarray) -> str:
-    """CSV of a 2-D float grid, each cell the shortest round-trip repr.
+def _float_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct values of a float array, the repr of each, and the index
+    of every element's value (in the array's shape).
 
     Each distinct value is formatted once.  Values are told apart by their
-    bit pattern, so -0.0 and 0.0 keep their own text.  A float repr holds no
-    delimiter or quote, so the rows need no CSV quoting.
+    bit pattern, so -0.0 and 0.0 keep their own text.  For a float, repr is
+    also str, the text csv writes.
     """
     values = np.ascontiguousarray(values, dtype=float)
     bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
-    cells = text[inverse.reshape(values.shape)]
-    return "".join(",".join(row) + "\n" for row in cells.tolist())
+    distinct = bits.view(float)
+    text = np.array(list(map(repr, distinct.tolist())), dtype=object)
+    return distinct, text, inverse.reshape(values.shape)
+
+
+def render_grid_csv(values: np.ndarray) -> str:
+    """CSV of a 2-D float grid, each cell the shortest round-trip repr.
+
+    A float repr holds no delimiter or quote, so the rows need no CSV quoting.
+    """
+    _, text, inverse = _float_text(values)
+    return "".join(",".join(row) + "\n" for row in text[inverse].tolist())
 
 
 COUNT_RECORD_COLUMNS = ("projector", "clicks", "trials", "bg_expected")
@@ -556,13 +651,114 @@ def read_count_records(path: str | Path) -> list[photodetection.CountRecord]:
     return records
 
 
-def _csv_text(rows: list[dict], columns: tuple[str, ...]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row[k] for k in columns})
-    return buf.getvalue()
+# --- result text -------------------------------------------------------------
+#
+# results.jsonl is the text json.dumps(row, sort_keys=True) gives and
+# results.csv the text of csv.writer: keys sorted, ", " and ": " separators,
+# floats as repr (json's NaN and Infinity, csv's nan and inf), None as null or
+# an empty cell.  State and scenario names come from fixed tables and hold no
+# character that JSON escapes or CSV quotes.
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_BOOL = np.array(["false", "true"], dtype=object)
+_CSV_BOOL = np.array(["False", "True"], dtype=object)
+
+_JSON_RHO = '{"imag": [[%s, %s], [%s, %s]], "real": [[%s, %s], [%s, %s]]}'
+_JSON_ROW = (
+    '{"angle_deg": %s, "bound_efficiency": %s, "bound_poisson": %s, '
+    '"fidelity_corrected": %s, "fidelity_raw": %s, "job_seed": %s, '
+    '"pass_shor_preskill": %s, "rho_corrected": %s, "rho_raw": ' + _JSON_RHO + ', '
+    '"scenario": %s, "snr": %s, "state": %s, "stokes_raw": [%s, %s, %s], '
+    '"survival": %s, "time_us": %s}\n'
+)
+_SUMMARY_ROW = ("%10s  angle=%6.1f deg  t=%5.2f us  F_raw=%.4f  F_corr=%s  "
+                "bound=%.4f  secure=%s\n")
+
+
+def _float_cells(block: np.ndarray) -> tuple[list[list[str]], list[list[str]]]:
+    """CSV and JSON text of a 2-D float block, as one list per column."""
+    distinct, text, inverse = _float_text(block)
+    json_text = text.copy()
+    odd = ~np.isfinite(distinct)
+    json_text[odd] = [_JSON_NON_FINITE[t] for t in text[odd].tolist()]
+    return text[inverse.T].tolist(), json_text[inverse.T].tolist()
+
+
+def _keep_ints(cells: list[str], values: list) -> None:
+    """Give each integer value its integer text, as json and csv write it."""
+    for j, value in enumerate(values):
+        if type(value) is int:
+            cells[j] = str(value)
+
+
+def _csv_lines(header, columns: list[list[str]]) -> str:
+    template = ",".join(["%s"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(map(template.__mod__, zip(*columns)))
+
+
+def _results_text(table: ResultTable) -> tuple[str, str]:
+    """(results.csv, results.jsonl) of a result table.
+
+    Every float column goes into one block whose distinct values are
+    formatted once; each line is one fixed template filled from the columns.
+    """
+    n = len(table.states)
+    level = table.level
+    block = np.column_stack([
+        table.angle_deg,                                          # 0
+        table.bound_efficiency[level],                            # 1
+        table.bound_poisson[level],                               # 2
+        table.f_corr,                                             # 3
+        table.f_raw,                                              # 4
+        table.rho_corr.imag.reshape(n, 4),                        # 5-8
+        table.rho_corr.real.reshape(n, 4),                        # 9-12
+        table.rho_raw.imag.reshape(n, 4),                         # 13-16
+        table.rho_raw.real.reshape(n, 4),                         # 17-20
+        np.zeros(n) if table.snr is None else table.snr[level],   # 21
+        table.stokes,                                             # 22-24
+        table.survival,                                           # 25
+        np.array([0.0 if type(t) is int else t for t in table.times]),  # 26
+    ])
+    csv_cols, json_cols = _float_cells(block)
+    for cols in (csv_cols, json_cols):
+        _keep_ints(cols[26], table.times)
+    rho_corr = list(map(_JSON_RHO.__mod__, zip(*json_cols[5:13])))
+    for j in np.flatnonzero(~table.retrieved).tolist():
+        csv_cols[3][j], json_cols[3][j], rho_corr[j] = "", "null", "null"
+    if table.snr is None:
+        json_cols[21] = ["null"] * n
+    secure = table.secure.astype(int)
+    names = {state: json.dumps(state) for state in set(table.states)}
+
+    csv_text = _csv_lines(CSV_COLUMNS, [
+        [table.scenario] * n, table.states, csv_cols[0], csv_cols[26], csv_cols[4],
+        csv_cols[3], csv_cols[2], csv_cols[1], _CSV_BOOL[secure].tolist()])
+    c = json_cols
+    jsonl_text = "".join(map(_JSON_ROW.__mod__, zip(
+        c[0], c[1], c[2], c[3], c[4], table.seeds, _JSON_BOOL[secure].tolist(), rho_corr,
+        *c[13:21], [json.dumps(table.scenario)] * n, c[21], [names[s] for s in table.states],
+        *c[22:27])))
+    return csv_text, jsonl_text
+
+
+def _bounds_text(rows: list[dict]) -> str:
+    header = list(rows[0])
+    values = [[row[key] for row in rows] for key in header]
+    block = np.array([[0.0 if type(v) is int else v for v in col] for col in values]).T
+    cells, _ = _float_cells(block)
+    for col, vals in zip(cells, values):
+        _keep_ints(col, vals)
+    return _csv_lines(header, cells)
+
+
+def _summary(table: ResultTable) -> str:
+    """The stdout table: one line per job."""
+    f_corr = ["%.4f" % f if ok else "  none"
+              for f, ok in zip(table.f_corr.tolist(), table.retrieved.tolist())]
+    secure = np.array(["no", "yes"], dtype=object)[table.secure.astype(int)].tolist()
+    return "".join(map(_SUMMARY_ROW.__mod__, zip(
+        table.states, table.angle_deg.tolist(), table.times, table.f_raw.tolist(), f_corr,
+        table.bound_efficiency[table.level].tolist(), secure)))
 
 
 def emit(report: Report, out_dir: str | Path,
@@ -577,21 +773,17 @@ def emit(report: Report, out_dir: str | Path,
         path.write_text(text)
         written.append(path)
 
-    if report.rows:
+    if report.table is not None and ("csv" in formats or "json-lines" in formats):
+        csv_text, jsonl_text = _results_text(report.table)
         if "csv" in formats:
-            _write("results.csv", _csv_text(report.rows, CSV_COLUMNS))
+            _write("results.csv", csv_text)
         if "json-lines" in formats:
-            lines = []
-            for row in report.rows:
-                payload = {k: v for k, v in row.items() if k != "_extras"}
-                payload.update(row["_extras"])
-                lines.append(json.dumps(payload, sort_keys=True))
-            _write("results.jsonl", "\n".join(lines) + "\n")
+            _write("results.jsonl", jsonl_text)
     if report.bounds_rows and "csv" in formats:
-        cols = tuple(report.bounds_rows[0].keys())
-        _write("bounds.csv", _csv_text(report.bounds_rows, cols))
-    if report.density and "json-lines" in formats:
-        _write("density_matrices.json", json.dumps(report.density, sort_keys=True, indent=2) + "\n")
+        _write("bounds.csv", _bounds_text(report.bounds_rows))
+    density = report.density
+    if density and "json-lines" in formats:
+        _write("density_matrices.json", json.dumps(density, sort_keys=True, indent=2) + "\n")
     if "pixmap" in formats:
         for name, text in report.pixmaps:
             _write(name, text)
@@ -661,17 +853,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    for path in written:
-        print(f"wrote {path}")
-    for row in report.rows:
-        f_corr = row["fidelity_corrected"]
-        print(
-            f"{row['state']:>10s}  angle={row['angle_deg']:6.1f} deg  "
-            f"t={row['time_us']:5.2f} us  F_raw={row['fidelity_raw']:.4f}  "
-            f"F_corr={'  none' if f_corr is None else f'{f_corr:.4f}'}  "
-            f"bound={row['bound_efficiency']:.4f}  "
-            f"secure={'yes' if row['pass_shor_preskill'] else 'no'}"
-        )
+    text = "".join(f"wrote {path}\n" for path in written)
+    if report.table is not None:
+        text += _summary(report.table)
+    sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -15,10 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 SHOR_PRESKILL_THRESHOLD = 0.89
 
 _TAIL_MASS_CUTOFF = 1e-14   # relative to the non-vacuum mass
-_NBAR_MAX = 700.0           # exp(-nbar) underflows past this
+NBAR_MAX = 700.0            # exp(-nbar) underflows past this
 
 
 class DomainError(ValueError):
@@ -55,7 +57,7 @@ def classical_bound_nphoton(n: int) -> float:
 def _nonvacuum_terms(nbar: float) -> tuple[float, list[float]]:
     """Non-vacuum mass 1 - P(0) and the terms P(1), P(2), ... until the
     remaining tail is below the relative cutoff."""
-    if nbar > _NBAR_MAX:
+    if nbar > NBAR_MAX:
         raise DomainError(f"nbar {nbar} too large for the double-precision series")
     nonvac = -math.expm1(-nbar)   # accurate 1 - exp(-nbar) for tiny nbar
     terms = [math.exp(-nbar) * nbar]
@@ -93,6 +95,10 @@ def classical_bound_with_efficiency(b: BenchmarkInput) -> float:
     if nonvac == 0.0:
         return 2.0 / 3.0
     target = b.eta * nonvac
+    if target == 0.0:
+        # eta * (1 - P(0)) underflowed: the limit of a vanishing budget,
+        # spent on the highest photon number of the series alone
+        return (len(terms) + 1) / (len(terms) + 2)
     available = sum(terms)
     if target > available * (1.0 + 1e-12):
         # post-selection cannot supply the requested output probability;
@@ -109,8 +115,15 @@ def classical_bound_with_efficiency(b: BenchmarkInput) -> float:
     return fidelity_mass / target
 
 
+def shor_preskill_passes(f: np.ndarray) -> np.ndarray:
+    """Per fidelity of an array: strictly above the BB84 security-proof
+    threshold F_T = 0.89."""
+    outside = ~((f >= 0.0) & (f <= 1.0))
+    if outside.any():
+        raise RangeError(f"fidelity {f[outside][0]} outside [0, 1]")
+    return f > SHOR_PRESKILL_THRESHOLD
+
+
 def shor_preskill_pass(f: float) -> bool:
     """Strictly above the BB84 security-proof threshold F_T = 0.89."""
-    if not 0.0 <= f <= 1.0:
-        raise RangeError(f"fidelity {f} outside [0, 1]")
-    return f > SHOR_PRESKILL_THRESHOLD
+    return bool(shor_preskill_passes(np.array([f], dtype=float))[0])

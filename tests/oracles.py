@@ -6,15 +6,18 @@ replaced, built from the package's unchanged scalar pieces (states, optics,
 memory, bounds) and plain Python arithmetic, so the tests can require the
 batch to reproduce them bit for bit.
 
-The field-map renderers format whole arrays, each distinct value once; the
-per-pixel renderers they replaced are kept at the end of this file as the
-byte-exact reference.
+The field-map renderers and the result writers format whole arrays, each
+distinct value once; the per-pixel renderers and the per-row writers
+(json.dumps, csv.DictWriter, print) they replaced are kept at the end of
+this file as the byte-exact reference.
 """
 
 import csv
 import io
+import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -192,9 +195,18 @@ def simulate_point(state_name, cfg, t_us, theta, job_seed):
     }
 
 
+@dataclass
+class Report:
+    """The report fields the per-row writers read."""
+    rows: list = field(default_factory=list)
+    bounds_rows: list = field(default_factory=list)
+    density: dict = field(default_factory=dict)
+    pixmaps: list = field(default_factory=list)
+
+
 def run(cfg):
     """cli.run for the three job scenarios, one job at a time."""
-    report = cli.Report(config=cfg)
+    report = Report()
     for index, (state, t_us, theta) in enumerate(cli._jobs(cfg)):
         row = simulate_point(state, cfg, t_us, theta, cfg.seed ^ index)
         report.rows.append(row)
@@ -207,6 +219,76 @@ def run(cfg):
                 "fidelity_corrected": row["fidelity_corrected"],
             }
     return report
+
+
+# --- per-row result writers --------------------------------------------------
+
+def _csv_text(rows, columns):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(columns), lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: row[k] for k in columns})
+    return buf.getvalue()
+
+
+def emit(report, out_dir, formats=("csv", "json-lines", "pixmap")):
+    """cli.emit with one json.dumps and one csv row per result row; reads
+    ``rows``, ``bounds_rows``, ``density`` and ``pixmaps`` of any report."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+
+    def _write(name, text):
+        path = out / name
+        path.write_text(text)
+        written.append(path)
+
+    if report.rows:
+        if "csv" in formats:
+            _write("results.csv", _csv_text(report.rows, cli.CSV_COLUMNS))
+        if "json-lines" in formats:
+            lines = []
+            for row in report.rows:
+                payload = {k: v for k, v in row.items() if k != "_extras"}
+                payload.update(row["_extras"])
+                lines.append(json.dumps(payload, sort_keys=True))
+            _write("results.jsonl", "\n".join(lines) + "\n")
+    if report.bounds_rows and "csv" in formats:
+        cols = tuple(report.bounds_rows[0].keys())
+        _write("bounds.csv", _csv_text(report.bounds_rows, cols))
+    if report.density and "json-lines" in formats:
+        _write("density_matrices.json", json.dumps(report.density, sort_keys=True, indent=2) + "\n")
+    if "pixmap" in formats:
+        for name, text in report.pixmaps:
+            _write(name, text)
+    return written
+
+
+def summary(rows):
+    """The stdout table of cli.main, one print per row."""
+    buf = io.StringIO()
+    for row in rows:
+        f_corr = row["fidelity_corrected"]
+        print(
+            f"{row['state']:>10s}  angle={row['angle_deg']:6.1f} deg  "
+            f"t={row['time_us']:5.2f} us  F_raw={row['fidelity_raw']:.4f}  "
+            f"F_corr={'  none' if f_corr is None else f'{f_corr:.4f}'}  "
+            f"bound={row['bound_efficiency']:.4f}  "
+            f"secure={'yes' if row['pass_shor_preskill'] else 'no'}",
+            file=buf,
+        )
+    return buf.getvalue()
+
+
+def main(argv):
+    """cli.main with the per-row writers: emit and summary above."""
+    args = cli._parser().parse_args(argv)
+    report = cli.run(cli.load_config(args.config, args.scenario, args.seed))
+    for path in emit(report, args.out):
+        print(f"wrote {path}")
+    print(summary(report.rows), end="")
+    return 0
 
 
 # --- per-pixel field-map renderers -------------------------------------------

@@ -27,8 +27,8 @@ def _config(scenario, trials, imperfection, encode, seed=4242):
     return cli.config_from_dict(raw)
 
 
-def _emitted(report, out):
-    return {p.name: p.read_bytes() for p in cli.emit(report, out)}
+def _emitted(write, report, out):
+    return {p.name: p.read_bytes() for p in write(report, out)}
 
 
 @pytest.mark.parametrize("encode", [True, False], ids=["qplate", "no_qplate"])
@@ -43,7 +43,8 @@ def test_run_matches_per_job_oracle(tmp_path, scenario, trials, imperfection, en
     for got, want in zip(batch.rows, oracle.rows):
         # json text also tells -0.0 from 0.0 and int from float
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-    assert _emitted(batch, tmp_path / "batch") == _emitted(oracle, tmp_path / "oracle")
+    assert (_emitted(cli.emit, batch, tmp_path / "batch")
+            == _emitted(oracles.emit, oracle, tmp_path / "oracle"))
 
 
 def test_single_job_api_matches_oracle():

@@ -98,8 +98,21 @@ class TestMainExitCodes:
         {"scenario": "store_tomography", "qplate": {"q": 1.5}},
         {"scenario": "store_tomography", "qplate": {"q": 0}},
         {"scenario": "store_tomography", "encode_with_qplate": "yes"},
+        {"scenario": "store_tomography", "source": {"nbar": 800}},
+        {"scenario": "bounds_table", "source": {"nbar": 800}},
+        {"scenario": "store_tomography", "trials_per_projection": 10**20},
+        {"scenario": "store_tomography", "qplate": {"alpha0": 1e308}},
+        {"scenario": "fidelity_vs_rotation", "rotation_angles": [1.7e308]},
+        {"scenario": "bounds_table", "source": {"nbar": 0}},
+        {"scenario": "bounds_table", "memory": {"eta0": 0}},
+        {"scenario": "store_tomography", "qplate": {"q": 1e308}},
+        {"scenario": "store_tomography", "storage_times": [10**400]},
+        {"scenario": "store_tomography", "storage_times": [1e200]},
     ], ids=["unknown_scenario", "fractional_seed", "fractional_trials", "nan_alpha0", "nan_nbar",
-            "charge_1_5", "charge_0", "string_encode_flag"])
+            "charge_1_5", "charge_0", "string_encode_flag", "nbar_past_series",
+            "bounds_nbar_past_series", "huge_trials", "huge_alpha0", "angle_overflows_degrees",
+            "bounds_zero_nbar", "bounds_zero_eta", "huge_charge", "huge_int_time",
+            "time_overflows_envelope"])
     def test_config_error_is_2(self, tmp_path, payload):
         path = _write_config(tmp_path, payload)
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "o")])

@@ -1,0 +1,81 @@
+"""Any JSON config runs or is refused: main returns 0, 2 or 3 and never raises.
+
+Configs start from a scenario preset, cut to a few states, angles and
+storage times, and have some fields replaced by arbitrary JSON values: null,
+booleans, huge integers, floats out to +-1e308 and non-finite (json.loads
+accepts NaN and Infinity), strings and nested lists or objects.
+"""
+
+import json
+import tempfile
+from datetime import timedelta
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from vortexmem import cli, hilbert
+
+_NAMES = st.sampled_from(cli.SCENARIOS + hilbert.STATE_NAMES)
+_NUMBERS = st.one_of(
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.sampled_from([0, 1, -1, 2**53, 2**53 + 1, 2**63, 10**20, 10**400]),
+    st.floats(),
+    st.floats(min_value=-10.0, max_value=10.0),
+    st.sampled_from([1e308, -1e308, 1.7e308, 5e-324, 1e-300, 700.5, 1e200, -0.0]),
+)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.text(max_size=4), _NAMES, _NUMBERS)
+_VALUES = st.one_of(
+    _NUMBERS,
+    _SCALARS,
+    st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=4), inner, max_size=2), max_leaves=6),
+)
+
+
+def _paths(raw):
+    """Every place a value can go: each field, each list entry and the root."""
+    paths = []
+    for key, value in raw.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths += [(key, sub) for sub in value]
+        if isinstance(value, list):
+            paths += [(key, i) for i in range(len(value))]
+    return paths + [()]
+
+
+def _put(raw, path, value):
+    if not path:
+        return value
+    parent = raw
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = value
+    return raw
+
+
+@st.composite
+def configs(draw):
+    scenario = draw(st.sampled_from(cli.SCENARIOS))
+    raw = cli.config_to_dict(cli.default_config(scenario))
+    raw["trials_per_projection"] = draw(st.sampled_from([0, 300, 2000]))
+    for key in ("rotation_angles", "storage_times", "input_states"):
+        raw[key] = raw[key][:2]
+    for path in draw(st.lists(st.sampled_from(_paths(raw)), min_size=1, max_size=3,
+                              unique=True)):
+        try:
+            raw = _put(raw, path, draw(_VALUES))
+        except (KeyError, IndexError, TypeError):
+            pass   # an earlier replacement removed the path's container
+    return raw
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(raw=configs())
+def test_main_returns_an_exit_code_for_any_json_config(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(raw))
+        assert cli.main(["--config", str(path), "--out", str(Path(tmp) / "out")]) in (0, 2, 3)

@@ -148,6 +148,12 @@ class TestEfficiencyBound:
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_underflowing_budget_is_the_top_term_limit(self):
+        # eta * (1 - P(0)) underflows to 0; a tiny budget gives the same value
+        assert classical_bound_with_efficiency(BenchmarkInput(5e-324, 1e-12)) == 2 / 3
+        tiny = classical_bound_with_efficiency(BenchmarkInput(5e-300, 1e-12))
+        assert tiny == pytest.approx(2 / 3, abs=1e-12)
+
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
             BenchmarkInput(0.0, 0.26)
