@@ -7,7 +7,7 @@ import math
 import sys
 
 from vortexmem import cli
-from vortexmem.hilbert import HYBRID_SPHERE_NAMES, POLARIZATION_NAMES
+from vortexmem.hilbert import HYBRID_SPHERE_NAMES
 
 
 def main(argv=None):

@@ -4,7 +4,7 @@ atomic quantum memory.
 Modules
 -------
 hilbert         state algebra for hybrid polarization-OAM and polarization qubits
-optics          q-plate encode/decode, waveplates, frame rotation, beam displacers
+optics          q-plate encode/decode, frame rotation, beam displacers
 memory          phenomenological storage-and-retrieval channel
 photodetection  weak-coherent click statistics behind projective analyzers
 tomography      six-projector density-matrix reconstruction

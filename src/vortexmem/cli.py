@@ -41,14 +41,6 @@ from .memory import MemoryParams
 from .optics import QPlateParams
 from .photodetection import SourceParams
 
-SCENARIOS = (
-    "store_tomography",
-    "fidelity_vs_time",
-    "fidelity_vs_rotation",
-    "field_maps",
-    "bounds_table",
-)
-
 CSV_COLUMNS = (
     "scenario",
     "state",
@@ -65,6 +57,24 @@ CSV_COLUMNS = (
 DEFAULT_ANGLES_DEG = (0, 10, 20, 30, 40, 45, 50, 60)
 DEFAULT_TIMES_US = (0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0)
 BOUNDS_NBAR_GRID = (0.1, 0.5, 1.0)
+
+# scenario -> (preset fields over the measured-regime base config, job
+# enumeration: state outermost, then time, then angle; None without jobs)
+_SCENARIOS = {
+    "store_tomography": ({}, lambda cfg: [
+        (s, cfg.storage_times[0], 0.0) for s in cfg.input_states]),
+    "fidelity_vs_time": ({"storage_times": DEFAULT_TIMES_US}, lambda cfg: [
+        (s, t, 0.0) for s in cfg.input_states for t in cfg.storage_times]),
+    "fidelity_vs_rotation": ({
+        "rotation_angles": tuple(math.radians(d) for d in DEFAULT_ANGLES_DEG),
+        "input_states": hilbert.HYBRID_SPHERE_NAMES + hilbert.POLARIZATION_NAMES,
+        "encode_with_qplate": False,
+    }, lambda cfg: [(s, cfg.storage_times[0], a) for s in cfg.input_states
+                    for a in cfg.rotation_angles]),
+    "field_maps": ({"trials_per_projection": 0}, None),
+    "bounds_table": ({}, None),
+}
+SCENARIOS = tuple(_SCENARIOS)
 
 # click counts and their background subtraction are float64 arithmetic,
 # exact only up to 2**53
@@ -164,6 +174,10 @@ def _check_finite(path: str, value) -> None:
 
 def default_config(scenario: str) -> ExperimentConfig:
     """Scenario presets in the measured operating regime."""
+    try:
+        preset, _ = _SCENARIOS[scenario]
+    except (KeyError, TypeError):   # TypeError: an unhashable JSON value
+        raise ConfigError(f"scenario: {scenario!r} not in {SCENARIOS}") from None
     mem = MemoryParams()
     survival_1us = memory.efficiency_at(mem, 1.0)
     # background pinned so the expected raw six-state average reproduces the
@@ -171,24 +185,7 @@ def default_config(scenario: str) -> ExperimentConfig:
     bg = photodetection.calibrate_background(
         0.5, survival_1us, photodetection.snr_for_raw_fidelity(0.967)
     )
-    mem = replace(mem, bg_click=bg)
-    base = ExperimentConfig(scenario=scenario, memory=mem)
-    if scenario == "store_tomography":
-        return base
-    if scenario == "fidelity_vs_time":
-        return replace(base, storage_times=DEFAULT_TIMES_US)
-    if scenario == "fidelity_vs_rotation":
-        return replace(
-            base,
-            rotation_angles=tuple(math.radians(d) for d in DEFAULT_ANGLES_DEG),
-            input_states=hilbert.HYBRID_SPHERE_NAMES + hilbert.POLARIZATION_NAMES,
-            encode_with_qplate=False,
-        )
-    if scenario == "field_maps":
-        return replace(base, trials_per_projection=0)
-    if scenario == "bounds_table":
-        return base
-    raise ConfigError(f"scenario: {scenario!r} not in {SCENARIOS}")
+    return ExperimentConfig(scenario=scenario, memory=replace(mem, bg_click=bg), **preset)
 
 
 # --- config (de)serialization ----------------------------------------------
@@ -249,33 +246,24 @@ class DetectionMixture:
     orthogonal spin-orbit combinations; after decoding those arrive as
     circularly polarized light in spatially distinct modes, so they add to
     the click rates without interfering with the main beam.
+    ``rotates`` marks retrieved polarization light, whose components turn
+    with the detection frame; decoded hybrid states carry zero total
+    angular momentum and are the same at every angle.
     """
 
     components: tuple[tuple[float, HybridState], ...]
     target: HybridState
+    rotates: bool = False
+
+    def rotated(self, theta: float) -> DetectionMixture:
+        """The light at the analyzers for a detection frame rotated by theta."""
+        if not self.rotates:
+            return self
+        return replace(self, components=tuple(
+            (w, optics.rotate_frame(pol, theta)) for w, pol in self.components))
 
 
-@dataclass(frozen=True)
-class _Retrieval:
-    """One input state after encode, displacer, storage and recombine: the
-    part of a job that does not depend on the detection-frame angle."""
-
-    components: tuple[tuple[float, HybridState], ...]
-    target: HybridState
-    rotates: bool   # components are retrieved polarization light, not yet decoded
-
-    def mixture(self, theta: float) -> DetectionMixture:
-        """The light at the analyzers for a detection frame rotated by theta.
-
-        Hybrid states carry zero total angular momentum, so their decoded
-        components are the same at every angle."""
-        comps = self.components
-        if self.rotates:
-            comps = tuple((w, optics.rotate_frame(pol, theta)) for w, pol in comps)
-        return DetectionMixture(comps, self.target)
-
-
-def _retrieve(state_name: str, cfg: ExperimentConfig, t_us: float) -> _Retrieval:
+def _retrieve(state_name: str, cfg: ExperimentConfig, t_us: float) -> DetectionMixture:
     """Run one state through encode, storage and recombine (and the decode
     pass, for hybrid states)."""
     psi = named_state(state_name)
@@ -287,23 +275,23 @@ def _retrieve(state_name: str, cfg: ExperimentConfig, t_us: float) -> _Retrieval
     if rails.power() == 0.0:
         # the efficiency underflowed at a long storage time: nothing is
         # retrieved and the analyzers see background clicks only
-        return _Retrieval((), target, not hybrid)
+        return DetectionMixture((), target, not hybrid)
     rec = optics.displacer_recombine(rails)
     if not hybrid:
-        return _Retrieval(((rec.throughput, rec.state),), target, True)
+        return DetectionMixture(((rec.throughput, rec.state),), target, True)
     conv = optics.conversion_probability(cfg.qplate) ** 2  # encode + decode pass
     comps = [(conv * (rec.throughput - rec.leak_power), optics.qplate_decode(rec.state, cfg.qplate))]
     if rec.leak_power > 0.0:
         # |R,-1> decodes to L-polarized, |L,+1> to R-polarized light
         comps.append((conv * abs(rec.leak[0]) ** 2, named_state("L")))
         comps.append((conv * abs(rec.leak[1]) ** 2, named_state("R")))
-    return _Retrieval(tuple(comps), target, False)
+    return DetectionMixture(tuple(comps), target)
 
 
 def propagate(state_name: str, cfg: ExperimentConfig, t_us: float,
               theta: float) -> DetectionMixture:
     """Run one state through encode, storage, rotation and decode."""
-    return _retrieve(state_name, cfg, t_us).mixture(theta)
+    return _retrieve(state_name, cfg, t_us).rotated(theta)
 
 
 def _signal(mixes: list[DetectionMixture]) -> tuple[np.ndarray, np.ndarray]:
@@ -420,11 +408,11 @@ def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
     Encode, storage and recombine run once per distinct (state, time); the
     counts of job j come from its own generator, default_rng(seeds[j]).
     """
-    retrievals: dict[tuple[str, float], _Retrieval] = {}
+    retrievals: dict[tuple[str, float], DetectionMixture] = {}
     for state, t_us, _ in jobs:
         if (state, t_us) not in retrievals:
             retrievals[state, t_us] = _retrieve(state, cfg, t_us)
-    mixes = [retrievals[state, t_us].mixture(theta) for state, t_us, theta in jobs]
+    mixes = [retrievals[state, t_us].rotated(theta) for state, t_us, theta in jobs]
     signal, survival = _signal(mixes)
     counts, bg_expected, _ = _detect(cfg, signal, survival, seeds)
     targets = np.array([(m.target.c0, m.target.c1) for m in mixes], dtype=complex)
@@ -497,15 +485,9 @@ class Report:
 
 
 def _jobs(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
-    """Canonical job enumeration (state outermost, then time, then angle)."""
-    if cfg.scenario == "store_tomography":
-        return [(s, cfg.storage_times[0], 0.0) for s in cfg.input_states]
-    if cfg.scenario == "fidelity_vs_time":
-        return [(s, t, 0.0) for s in cfg.input_states for t in cfg.storage_times]
-    if cfg.scenario == "fidelity_vs_rotation":
-        return [(s, cfg.storage_times[0], a) for s in cfg.input_states
-                for a in cfg.rotation_angles]
-    return []
+    """Canonical job enumeration of the scenario; empty without jobs."""
+    enumerate_jobs = _SCENARIOS[cfg.scenario][1]
+    return [] if enumerate_jobs is None else enumerate_jobs(cfg)
 
 
 def run(cfg: ExperimentConfig) -> Report:

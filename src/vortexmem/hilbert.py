@@ -18,13 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-ATOL_NORM = 1e-12
 ATOL_HERMITIAN = 1e-12
 ATOL_TRACE = 1e-12
 ATOL_EIGEN = 1e-10
 ATOL_BALL = 1e-10
 
 _SQRT2 = math.sqrt(2.0)
+
+
+class RangeError(ValueError):
+    """A parameter lies outside its allowed range."""
 
 
 class ZeroVector(ValueError):
@@ -76,13 +79,6 @@ class DensityMatrix:
 
     def validate(self) -> None:
         check_densities(self.elements[None])
-
-    def is_physical(self) -> bool:
-        try:
-            self.validate()
-        except NonPhysicalDensity:
-            return False
-        return True
 
 
 @dataclass(frozen=True)

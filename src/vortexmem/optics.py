@@ -1,5 +1,5 @@
-"""Optical elements: q-plate encode/decode, waveplates, frame rotation and
-calcite beam-displacer rail splitting/recombination.
+"""Optical elements: q-plate encode/decode, frame rotation and calcite
+beam-displacer rail splitting/recombination.
 
 The q-plate couples spin and orbital angular momentum: with half-integer
 charge q it sends a polarization qubit a|R> + b|L> to the structured state
@@ -47,20 +47,6 @@ class QPlateParams:
 
 
 @dataclass(frozen=True)
-class WaveplateParams:
-    retardance: float
-    axis_angle: float
-
-
-def hwp(axis_angle: float) -> WaveplateParams:
-    return WaveplateParams(math.pi, axis_angle)
-
-
-def qwp(axis_angle: float) -> WaveplateParams:
-    return WaveplateParams(math.pi / 2, axis_angle)
-
-
-@dataclass(frozen=True)
 class DualRailState:
     """Amplitudes of the H and V displacer rails, resolved over OAM labels.
 
@@ -79,30 +65,13 @@ class DualRailState:
         if not (len(self.rail_h) == len(self.rail_v) == len(self.oam_labels)):
             raise ValueError("rail amplitude vectors must match the OAM labels")
 
-    @property
-    def amp_h(self) -> complex:
-        return _leading_amp(self.rail_h)
-
-    @property
-    def amp_v(self) -> complex:
-        return _leading_amp(self.rail_v)
-
     def power(self) -> float:
         return float(sum(abs(a) ** 2 for a in self.rail_h + self.rail_v))
 
 
-def _leading_amp(rail: tuple[complex, ...]) -> complex:
-    """Rail norm carrying the phase of the first non-negligible component."""
-    norm = math.sqrt(sum(abs(a) ** 2 for a in rail))
-    if norm == 0.0:
-        return 0.0
-    lead = next(a for a in rail if abs(a) > 1e-15 * norm)
-    return norm * cmath.exp(1j * cmath.phase(lead))
-
-
-def scalar_rails(amp_h: complex, amp_v: complex, rail_phase: float = 0.0) -> DualRailState:
+def scalar_rails(h: complex, v: complex, rail_phase: float = 0.0) -> DualRailState:
     """Rail pair for a polarization state (single OAM-0 mode per rail)."""
-    return DualRailState((complex(amp_h),), (complex(amp_v),), (0,), rail_phase)
+    return DualRailState((complex(h),), (complex(v),), (0,), rail_phase)
 
 
 @dataclass(frozen=True)
@@ -169,22 +138,6 @@ def rotate_frame(psi: HybridState, theta: float) -> HybridState:
         psi.c1 * cmath.exp(1j * theta),
         BasisTag.POLARIZATION,
     )
-
-
-def jones_retarder_matrix(w: WaveplateParams) -> np.ndarray:
-    """Jones matrix of the retarder in the H/V basis (symmetric phase split)."""
-    c, s = math.cos(w.axis_angle), math.sin(w.axis_angle)
-    rot = np.array([[c, -s], [s, c]])
-    ret = np.diag([cmath.exp(-1j * w.retardance / 2), cmath.exp(1j * w.retardance / 2)])
-    return rot @ ret @ rot.T
-
-
-def waveplate(psi: HybridState, w: WaveplateParams) -> HybridState:
-    if psi.basis_tag is not BasisTag.POLARIZATION:
-        raise ValueError("waveplate expects a polarization-basis state")
-    h, v = jones_of(psi)
-    h2, v2 = jones_retarder_matrix(w) @ np.array([h, v])
-    return make_state((h2 + 1j * v2) / _SQRT2, (h2 - 1j * v2) / _SQRT2, BasisTag.POLARIZATION)
 
 
 def displacer_split(psi: HybridState) -> DualRailState:

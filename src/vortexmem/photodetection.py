@@ -16,16 +16,12 @@ from typing import Mapping
 
 import numpy as np
 
-from .hilbert import BasisTag, HybridState, named_state
+from .hilbert import BasisTag, HybridState, RangeError, named_state
 
 PROJECTOR_ORDER = ("H", "V", "D", "A", "R", "L")
 PROJECTOR_PAIRS = (("H", "V"), ("D", "A"), ("R", "L"))
 
 _ANALYZERS = {name: named_state(name) for name in PROJECTOR_ORDER}
-
-
-class RangeError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -138,17 +134,6 @@ def simulate_counts(probabilities: Mapping[str, float], trials: int, seed: int,
     clicks = sample_counts(np.array([[probabilities[k] for k in names]], dtype=float),
                            trials, [seed])
     return [CountRecord(name, c, trials, bg * trials) for name, c in zip(names, clicks[0].tolist())]
-
-
-def expected_counts(probabilities: Mapping[str, float], trials: int = 1,
-                    bg: float = 0.0) -> list[CountRecord]:
-    """Noise-free expectation-valued records (float clicks), for exact
-    infinite-trial tomography."""
-    return [
-        CountRecord(name, probabilities[name] * trials, trials, bg * trials)
-        for name in PROJECTOR_ORDER
-        if name in probabilities
-    ]
 
 
 def snr_of(nbar: float, survival: float, bg: float) -> float:

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hilbert import RangeError
+
 SHOR_PRESKILL_THRESHOLD = 0.89
 
 _TAIL_MASS_CUTOFF = 1e-14   # relative to the non-vacuum mass
@@ -24,14 +26,6 @@ NBAR_MAX = 700.0            # exp(-nbar) underflows past this
 
 
 class DomainError(ValueError):
-    pass
-
-
-class InfeasibleEfficiency(ValueError):
-    """Requested output probability exceeds what post-selection can supply."""
-
-
-class RangeError(ValueError):
     pass
 
 

@@ -10,18 +10,14 @@ acts on counts, before any Stokes arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .hilbert import (DensityMatrix, HybridState, conditional_fidelity, densities_from_bloch,
                       fidelities)
 from .photodetection import PROJECTOR_ORDER, PROJECTOR_PAIRS, CountRecord
-
-# sampled records carry integer clicks and stay integer after subtraction
-_INT_TYPES = (int, np.integer)
-
 
 class InsufficientCounts(ValueError):
     """A projector basis pair has zero total counts."""
@@ -32,7 +28,6 @@ class StokesEstimate:
     s1: float
     s2: float
     s3: float
-    total_counts: int
 
 
 @dataclass(frozen=True)
@@ -94,13 +89,6 @@ def _count_arrays(records: Iterable[CountRecord]) -> tuple[np.ndarray, np.ndarra
     return counts, bg
 
 
-def background_subtract(c: CountRecord) -> CountRecord:
-    """Remove the expected background clicks, clamping at zero."""
-    corrected = subtract_background(np.array([c.clicks]), c.bg_clicks_expected)[0]
-    clicks = int(corrected) if isinstance(c.clicks, _INT_TYPES) else float(corrected)
-    return replace(c, clicks=clicks, bg_clicks_expected=0.0)
-
-
 def _by_projector(records: Iterable[CountRecord]) -> dict[str, CountRecord]:
     table = {}
     for r in records:
@@ -113,21 +101,14 @@ def _by_projector(records: Iterable[CountRecord]) -> dict[str, CountRecord]:
     return table
 
 
-def _estimate(stokes: np.ndarray, counts: np.ndarray) -> StokesEstimate:
-    s1, s2, s3 = stokes[0].tolist()
-    return StokesEstimate(s1, s2, s3, int(round(float(counts.sum()))))
+def _estimate(stokes: np.ndarray) -> StokesEstimate:
+    return StokesEstimate(*stokes[0].tolist())
 
 
 def stokes_from_counts(records: Iterable[CountRecord]) -> StokesEstimate:
     """Stokes vector from the three basis-pair count asymmetries."""
     counts, _ = _count_arrays(records)
-    return _estimate(stokes_of(counts), counts)
-
-
-def stokes_from_probabilities(probabilities: Mapping[str, float]) -> StokesEstimate:
-    """Exact (infinite-trial) Stokes vector from projector probabilities."""
-    probs = np.array([[probabilities[k] for k in PROJECTOR_ORDER]], dtype=float)
-    return _estimate(stokes_of(probs), np.zeros(1))
+    return _estimate(stokes_of(counts))
 
 
 def density_from_stokes(s: StokesEstimate) -> DensityMatrix:
@@ -142,7 +123,7 @@ def tomograph(records: Iterable[CountRecord], subtract_bg: bool = False) -> Tomo
     if subtract_bg:
         counts, bg = subtract_background(counts, bg), 0.0
     stokes, rho = reconstruct(counts, bg)
-    return TomographyResult(DensityMatrix(rho[0]), _estimate(stokes, counts))
+    return TomographyResult(DensityMatrix(rho[0]), _estimate(stokes))
 
 
 def bootstrap_fidelity(records: Iterable[CountRecord], target: HybridState,

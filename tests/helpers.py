@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from vortexmem.hilbert import BasisTag, HybridState, make_state
@@ -41,3 +42,14 @@ def haar_states(rng: np.random.Generator, n: int, tag: BasisTag) -> list[HybridS
 
 def fidelity(a: HybridState, b: HybridState) -> float:
     return abs(a.overlap(b)) ** 2
+
+
+def assert_same_text(got: dict, want: dict) -> None:
+    """Equal file sets and bytes; a mismatch names the first differing line
+    (a full diff of a 7 200-line file would take pytest minutes)."""
+    assert sorted(got) == sorted(want)
+    for name in want:
+        if got[name] != want[name]:
+            pairs = zip(got[name].splitlines(), want[name].splitlines())
+            line = next(((g, w) for g, w in pairs if g != w), "line count differs")
+            pytest.fail(f"{name}: first difference {line}")

@@ -12,7 +12,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from vortexmem import cli, memory, optics, photodetection, security, tomography
+from helpers import assert_same_text
+from vortexmem import cli, memory, photodetection, security, tomography
 from vortexmem.fields import Grid, lg_amplitude, peak_radius, project_polarization, vector_field_map
 from vortexmem.hilbert import HYBRID_SPHERE_NAMES, named_state
 from vortexmem.memory import MemoryParams, efficiency_at
@@ -245,10 +246,8 @@ def test_criterion_9_byte_identical_reruns(tmp_path):
             out = tmp_path / f"{scenario}_{tag}"
             assert cli.main(["--config", str(cfg_path), "--out", str(out)]) == 0
             outs.append(out)
-        names = sorted(p.name for p in outs[0].iterdir())
-        assert names == sorted(p.name for p in outs[1].iterdir())
-        for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        first, second = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs)
+        assert_same_text(second, first)
     elapsed = time.perf_counter() - start
     _passline(9, f"byte-identical outputs for repeated (config, seed) runs of two "
                  f"scenarios, {elapsed:.1f} s")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import assert_same_text
 from vortexmem import cli, hilbert, photodetection, tomography
 from vortexmem.hilbert import NonPhysicalDensity, OutsideBall
 from vortexmem.photodetection import RangeError
@@ -43,8 +44,8 @@ def test_run_matches_per_job_oracle(tmp_path, scenario, trials, imperfection, en
     for got, want in zip(batch.rows, oracle.rows):
         # json text also tells -0.0 from 0.0 and int from float
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-    assert (_emitted(cli.emit, batch, tmp_path / "batch")
-            == _emitted(oracles.emit, oracle, tmp_path / "oracle"))
+    assert_same_text(_emitted(cli.emit, batch, tmp_path / "batch"),
+                     _emitted(oracles.emit, oracle, tmp_path / "oracle"))
 
 
 def test_single_job_api_matches_oracle():

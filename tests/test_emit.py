@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import assert_same_text
 from vortexmem import cli
 
 JOB_SCENARIOS = ("store_tomography", "fidelity_vs_time", "fidelity_vs_rotation")
@@ -33,17 +34,6 @@ CASES = {
 }
 
 
-def _assert_same_text(got: dict, want: dict) -> None:
-    """Equal file sets and bytes; a mismatch names the first differing line
-    (a full diff of a 7 200-line file would take pytest minutes)."""
-    assert sorted(got) == sorted(want)
-    for name in want:
-        if got[name] != want[name]:
-            pairs = zip(got[name].splitlines(), want[name].splitlines())
-            line = next(((g, w) for g, w in pairs if g != w), "line count differs")
-            pytest.fail(f"{name}: first difference {line}")
-
-
 def _run_main(main, config, out):
     code = main(["--config", str(config), "--out", str(out)])
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -60,7 +50,7 @@ def test_main_matches_per_row_writers(tmp_path, monkeypatch, capsys, payload):
     got_code, got = _run_main(cli.main, "config.json", tmp_path / "out")
     got["stdout"] = capsys.readouterr().out.encode()
     assert got_code == want_code == 0
-    _assert_same_text(got, want)
+    assert_same_text(got, want)
 
 
 def test_edge_values_match_per_row_writers(tmp_path):
@@ -83,5 +73,5 @@ def test_edge_values_match_per_row_writers(tmp_path):
     want = {p.name: p.read_bytes() for p in oracles.emit(report, tmp_path / "oracle")}
     got["stdout"] = cli._summary(report.table).encode()
     want["stdout"] = oracles.summary(report.rows).encode()
-    _assert_same_text(got, want)
+    assert_same_text(got, want)
     assert b"Infinity" in got["results.jsonl"] and b"nan" in got["results.csv"]

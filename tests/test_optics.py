@@ -7,24 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import fidelity, haar_states, states
-from vortexmem.hilbert import BasisTag, make_state, named_state, jones_of
+from vortexmem.hilbert import BasisTag, make_state, named_state
 from vortexmem.optics import (
     DualRailState,
     QPlateParams,
     UnsupportedCharge,
     VacuumOutput,
-    WaveplateParams,
     conversion_probability,
     displacer_recombine,
     displacer_split,
-    hwp,
-    jones_retarder_matrix,
     qplate_apply,
     qplate_decode,
-    qwp,
     rotate_frame,
     scalar_rails,
-    waveplate,
 )
 
 QP = QPlateParams()
@@ -142,57 +137,25 @@ class TestRotateFrame:
         )
 
 
-class TestWaveplate:
-    def test_hwp_45_h_to_v(self):
-        out = waveplate(named_state("H"), hwp(math.pi / 4))
-        assert fidelity(out, named_state("V")) == pytest.approx(1.0, abs=1e-12)
-
-    def test_qwp_45_h_to_circular(self):
-        out = waveplate(named_state("H"), qwp(math.pi / 4))
-        p_r = fidelity(out, named_state("R"))
-        p_l = fidelity(out, named_state("L"))
-        assert max(p_r, p_l) == pytest.approx(1.0, abs=1e-12)
-
-    def test_two_hwp_compose_to_rotation(self):
-        # matrix-product oracle: W_b @ W_a equals a Jones rotation by 2(b-a)
-        rng = np.random.default_rng(3)
-        for a, b in rng.uniform(0, math.pi, size=(10, 2)):
-            product = jones_retarder_matrix(hwp(b)) @ jones_retarder_matrix(hwp(a))
-            ang = 2 * (b - a)
-            rot = np.array([[math.cos(ang), -math.sin(ang)],
-                            [math.sin(ang), math.cos(ang)]])
-            lead = int(np.abs(product).argmax())
-            phase = product.flat[lead] / rot.flat[lead]
-            assert abs(abs(phase) - 1.0) < 1e-12
-            assert np.allclose(product, phase * rot, atol=1e-12)
-
-    @given(states(BasisTag.POLARIZATION),
-           st.floats(0, 2 * math.pi, allow_nan=False), st.floats(0, math.pi, allow_nan=False))
-    @settings(max_examples=50)
-    def test_unitary(self, psi, ret, ax):
-        out = waveplate(psi, WaveplateParams(ret, ax))
-        assert abs(out.norm() - 1.0) < 1e-12
-
-
 class TestDisplacers:
     def test_h_occupies_single_rail(self):
         d = displacer_split(named_state("H"))
-        assert d.amp_h == pytest.approx(1.0, abs=1e-12)
-        assert abs(d.amp_v) < 1e-12
+        assert d.rail_h == pytest.approx((1.0,), abs=1e-12)
+        assert abs(d.rail_v[0]) < 1e-12
         assert d.oam_labels == (0,)
         assert d.rail_phase == 0.0
 
     def test_radial_fills_rails_equally(self):
         d = displacer_split(named_state("radial"))
-        assert abs(d.amp_h) == pytest.approx(1 / SQ2, abs=1e-12)
-        assert abs(d.amp_v) == pytest.approx(1 / SQ2, abs=1e-12)
+        assert np.linalg.norm(d.rail_h) == pytest.approx(1 / SQ2, abs=1e-12)
+        assert np.linalg.norm(d.rail_v) == pytest.approx(1 / SQ2, abs=1e-12)
         assert d.oam_labels == (-1, +1)
 
     def test_zero_state_rail_amplitudes(self):
         # |0> = |L,-1>: expanding |L> in H/V gives rails (1/sqrt2, +i/sqrt2)
         d = displacer_split(named_state("zero"))
-        assert d.amp_h == pytest.approx(1 / SQ2, abs=1e-12)
-        assert d.amp_v == pytest.approx(1j / SQ2, abs=1e-12)
+        assert d.rail_h == pytest.approx((1 / SQ2, 0.0), abs=1e-12)
+        assert d.rail_v == pytest.approx((1j / SQ2, 0.0), abs=1e-12)
 
     @given(states(BasisTag.POLARIZATION))
     @settings(max_examples=25)

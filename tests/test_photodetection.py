@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +14,6 @@ from vortexmem.photodetection import (
     SourceParams,
     calibrate_background,
     click_probability,
-    expected_counts,
     projection_probabilities,
     simulate_counts,
     snr_for_raw_fidelity,
@@ -146,14 +144,6 @@ class TestSimulateCounts:
         probs = {k: 0.5 for k in PROJECTOR_ORDER}
         recs = simulate_counts(probs, 10, seed=4)
         assert tuple(r.projector_id for r in recs) == PROJECTOR_ORDER
-
-
-class TestExpectedCounts:
-    def test_float_clicks_equal_probabilities(self):
-        probs = projection_probabilities(named_state("D"))
-        recs = expected_counts(probs, trials=1)
-        for r in recs:
-            assert r.clicks == pytest.approx(probs[r.projector_id], abs=1e-15)
 
 
 class TestRecordValidation:

@@ -9,15 +9,19 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from helpers import assert_same_text
 from vortexmem import cli, fields, hilbert
 from vortexmem.fields import Grid, lg_amplitude, polarization_azimuth, vector_field_map
 from vortexmem.hilbert import named_state
 
 
 def _assert_same_renders(hue, intensity, **maxval):
-    assert cli.render_pgm(intensity, **maxval) == oracles.render_pgm(intensity, **maxval)
-    assert cli.render_ppm(hue, intensity, **maxval) == oracles.render_ppm(hue, intensity, **maxval)
-    assert cli.render_grid_csv(intensity) == oracles.render_grid_csv(intensity)
+    def renders(renderer):
+        return {"pgm": renderer.render_pgm(intensity, **maxval),
+                "ppm": renderer.render_ppm(hue, intensity, **maxval),
+                "csv": renderer.render_grid_csv(intensity)}
+
+    assert_same_text(renders(cli), renders(oracles))
 
 
 def _field_map(name, grid):
@@ -60,7 +64,7 @@ def test_csv_special_values_match_oracle():
     row = [-0.0, 0.0, 5e-324, 1e-300, 1e300, math.nan, 0.1, -2.5]
     values = np.array([row, row[::-1], row])
     text = cli.render_grid_csv(values)
-    assert text == oracles.render_grid_csv(values)
+    assert_same_text({"csv": text}, {"csv": oracles.render_grid_csv(values)})
     assert text.split("\n")[0] == "-0.0,0.0,5e-324,1e-300,1e+300,nan,0.1,-2.5"
 
 
