@@ -34,9 +34,11 @@ def main(argv=None):
     for t in args.times:
         rows = [r for r in all_rows if r["time_us"] == t]
         raw = sum(r["fidelity_raw"] for r in rows) / len(rows)
-        corr = sum(r["fidelity_corrected"] for r in rows) / len(rows)
+        # a row that retrieved nothing has no corrected fidelity
+        corrected = [r["fidelity_corrected"] for r in rows if r["fidelity_corrected"] is not None]
+        corr = f"{sum(corrected) / len(corrected):.4f}" if corrected else "none"
         bound = rows[0]["bound_efficiency"]
-        print(f"  t={t:5.1f} us  raw={raw:.4f}  corrected={corr:.4f}  "
+        print(f"  t={t:5.1f} us  raw={raw:.4f}  corrected={corr}  "
               f"classical bound={bound:.4f}  secure={'yes' if raw > 0.89 else 'no'}")
     return 0
 

@@ -5,16 +5,19 @@ without the encoding plate), dual-rail storage, detection-frame rotation,
 decoding, weak-coherent click statistics and tomography.  Every emitted
 fidelity row carries the matching classical-memory bounds and the
 key-distribution threshold verdict; runs are bit-reproducible for a fixed
-(config, seed) pair, with per-job seeds derived as seed XOR job index.
+(config, seed) pair.
 
 Jobs are batched over a job axis: encode, storage and recombine run once
 per distinct (state, storage time), and the rotation, click statistics,
-tomography and fidelities work on arrays with one row per job.  Each job
-keeps its own generator, default_rng(seed XOR job index), so the per-job
-seeds and the output bytes are those of a one-job-at-a-time run.  The batch
-is a ResultTable of columns; results.csv, results.jsonl and the stdout table
-are formatted from those columns, each distinct float once, one fixed
-template per line, with the bytes of per-row json.dumps and csv.writer.
+tomography and fidelities work on arrays with one row per job.  A run draws
+all its click counts from one stream, default_rng(seed): job by job in
+enumeration order, each job's six projectors in H, V, D, A, R, L order.
+The job_seed of every row is that run seed.  Arithmetic on the job axis is
+elementwise, so row 0 of a run is bit for bit the one-job run
+simulate_point(..., job_seed=seed).  The batch is a ResultTable of columns;
+results.csv, results.jsonl and the stdout table are formatted from those
+columns, each distinct float once, one fixed template per line, with the
+bytes of per-row json.dumps and csv.writer.
 
 Config files are JSON documents mirroring ExperimentConfig; angles are in
 radians and storage times in microseconds.  trials_per_projection = 0
@@ -310,8 +313,9 @@ def _signal(mixes: list[DetectionMixture]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _detect(cfg: ExperimentConfig, signal: np.ndarray, survival: np.ndarray,
-            seeds: list[int]) -> tuple[np.ndarray, float, int]:
-    """Counts (J, 6), expected background clicks and trials per projector."""
+            seed: int) -> tuple[np.ndarray, float, int]:
+    """Counts (J, 6), expected background clicks and trials per projector;
+    sampled counts come from one stream, default_rng(seed), in row order."""
     nbar = cfg.source.nbar
     bg = cfg.memory.bg_click
     if cfg.trials_per_projection == 0:
@@ -322,16 +326,18 @@ def _detect(cfg: ExperimentConfig, signal: np.ndarray, survival: np.ndarray,
         trials = cfg.trials_per_projection
         lit = survival[:, None] > 0
         proj = np.divide(signal, survival[:, None], out=np.zeros_like(signal), where=lit)
+        # the one clamp of click inputs, against round-off in the sums and
+        # ratios of component weights
         probs = photodetection.click_probabilities(
             nbar, np.minimum(1.0, survival), np.minimum(1.0, proj), bg)
-        counts, bg_expected = photodetection.sample_counts(probs, trials, seeds), bg * trials
+        counts, bg_expected = photodetection.sample_counts(probs, trials, seed), bg * trials
     photodetection.check_counts(counts, trials)
     return counts, bg_expected, trials
 
 
 def detection_records(mix: DetectionMixture, cfg: ExperimentConfig,
                       job_seed: int) -> list[photodetection.CountRecord]:
-    counts, bg_expected, trials = _detect(cfg, *_signal([mix]), [job_seed])
+    counts, bg_expected, trials = _detect(cfg, *_signal([mix]), job_seed)
     return [photodetection.CountRecord(name, c, trials, bg_expected)
             for name, c in zip(photodetection.PROJECTOR_ORDER, counts[0].tolist())]
 
@@ -349,7 +355,7 @@ class ResultTable:
     scenario: str
     states: list[str]
     times: list[float]          # storage times as given: int or float
-    seeds: list[int]
+    seed: int                   # the stream all counts were drawn from
     angle_deg: np.ndarray       # (J,) round(degrees(theta), 9)
     f_raw: np.ndarray           # (J,)
     f_corr: np.ndarray          # (J,)
@@ -391,22 +397,22 @@ class ResultTable:
                 "stokes_raw": stokes,
                 "rho_raw": rho,
                 "rho_corrected": rho_corr[j],
-                "job_seed": seed,
+                "job_seed": self.seed,
             },
-        } for j, (state, t_us, seed, angle, f, poisson, efficiency, secure, surv, stokes, rho)
+        } for j, (state, t_us, angle, f, poisson, efficiency, secure, surv, stokes, rho)
             in enumerate(zip(
-                self.states, self.times, self.seeds, self.angle_deg.tolist(),
+                self.states, self.times, self.angle_deg.tolist(),
                 self.f_raw.tolist(), self.bound_poisson[self.level].tolist(),
                 self.bound_efficiency[self.level].tolist(), self.secure.tolist(),
                 self.survival.tolist(), self.stokes.tolist(), matrices(self.rho_raw)))]
 
 
 def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
-              seeds: list[int]) -> ResultTable:
+              seed: int) -> ResultTable:
     """Result table of (state, time, angle) jobs: the pipeline over a job axis.
 
     Encode, storage and recombine run once per distinct (state, time); the
-    counts of job j come from its own generator, default_rng(seeds[j]).
+    counts of all jobs come from one stream, default_rng(seed), in job order.
     """
     retrievals: dict[tuple[str, float], DetectionMixture] = {}
     for state, t_us, _ in jobs:
@@ -414,7 +420,7 @@ def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
             retrievals[state, t_us] = _retrieve(state, cfg, t_us)
     mixes = [retrievals[state, t_us].rotated(theta) for state, t_us, theta in jobs]
     signal, survival = _signal(mixes)
-    counts, bg_expected, _ = _detect(cfg, signal, survival, seeds)
+    counts, bg_expected, _ = _detect(cfg, signal, survival, seed)
     targets = np.array([(m.target.c0, m.target.c1) for m in mixes], dtype=complex)
     stokes, rho_raw = tomography.reconstruct(counts, bg_expected)
     f_raw = hilbert.fidelities(rho_raw, targets)
@@ -432,7 +438,7 @@ def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
         scenario=cfg.scenario,
         states=[state for state, _, _ in jobs],
         times=[t_us for _, t_us, _ in jobs],
-        seeds=list(seeds),
+        seed=seed,
         angle_deg=np.array([round(math.degrees(theta), 9) for _, _, theta in jobs], dtype=float),
         f_raw=f_raw,
         f_corr=f_corr,
@@ -454,7 +460,7 @@ def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
 def simulate_point(state_name: str, cfg: ExperimentConfig, t_us: float,
                    theta: float, job_seed: int) -> dict:
     """One (state, time, angle) job: full pipeline plus benchmark columns."""
-    return _simulate(cfg, [(state_name, t_us, theta)], [job_seed]).rows()[0]
+    return _simulate(cfg, [(state_name, t_us, theta)], job_seed).rows()[0]
 
 
 # --- scenario runners --------------------------------------------------------
@@ -518,8 +524,7 @@ def run(cfg: ExperimentConfig) -> Report:
             )
             report.pixmaps.append((f"{name}_intensity.csv", render_grid_csv(intensity)))
         return report
-    jobs = _jobs(cfg)
-    report.table = _simulate(cfg, jobs, [cfg.seed ^ index for index in range(len(jobs))])
+    report.table = _simulate(cfg, _jobs(cfg), cfg.seed)
     return report
 
 
@@ -569,7 +574,7 @@ def _hsv_to_rgb(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     corners = np.zeros(v.shape + (4,))   # p = v * (1 - s) = 0
     corners[..., 0] = v
     corners[..., 1] = v * (1.0 - f)
-    corners[..., 3] = v * (1.0 - (1.0 - f))   # not v * f: the two differ in the last bit
+    corners[..., 3] = v * f
     return np.take_along_axis(corners, _HSV_SECTORS[sector.astype(int) % 6], axis=-1)
 
 
@@ -717,7 +722,7 @@ def _results_text(table: ResultTable) -> tuple[str, str]:
         csv_cols[3], csv_cols[2], csv_cols[1], _CSV_BOOL[secure].tolist()])
     c = json_cols
     jsonl_text = "".join(map(_JSON_ROW.__mod__, zip(
-        c[0], c[1], c[2], c[3], c[4], table.seeds, _JSON_BOOL[secure].tolist(), rho_corr,
+        c[0], c[1], c[2], c[3], c[4], [table.seed] * n, _JSON_BOOL[secure].tolist(), rho_corr,
         *c[13:21], [json.dumps(table.scenario)] * n, c[21], [names[s] for s in table.states],
         *c[22:27])))
     return csv_text, jsonl_text

@@ -131,8 +131,7 @@ def fidelities(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Conditional fidelities <v|rho|v> of a stack of density matrices
     (N, 2, 2) with state vectors (N, 2), each clamped to [0, 1]."""
     check_densities(m)
-    # stacked matmul keeps the bits of the one-state v.conj() @ rho @ v
-    f = ((v.conj()[:, None, :] @ m) @ v[:, :, None])[:, 0, 0].real
+    f = (v.conj()[:, :, None] * m * v[:, None, :]).sum((1, 2)).real
     f = np.where(f > 0.0, f, 0.0)
     return np.where(f < 1.0, f, 1.0)
 

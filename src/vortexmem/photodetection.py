@@ -68,10 +68,7 @@ def click_probabilities(nbar: float, survival: np.ndarray, proj_prob: np.ndarray
             raise RangeError(f"{name} {values[outside][0]} outside [0, 1]")
     if not 0.0 <= bg < 1.0:
         raise RangeError(f"bg {bg} outside [0, 1)")
-    exponent = -nbar * survival[:, None] * proj_prob
-    # math.exp, not np.exp: the two differ in the last bit of some results
-    decay = np.array([math.exp(x) for x in exponent.ravel().tolist()]).reshape(exponent.shape)
-    return 1.0 - (1.0 - bg) * decay
+    return 1.0 - (1.0 - bg) * np.exp(-nbar * survival[:, None] * proj_prob)
 
 
 def click_probability(nbar: float, survival: float, proj_prob: float, bg: float) -> float:
@@ -84,17 +81,14 @@ _ANALYZER_BRAS = np.array([[a.c0, a.c1] for a in _ANALYZERS.values()]).conj()
 
 def projection_weights(amps: np.ndarray) -> np.ndarray:
     """Probabilities |<analyzer|psi>|^2 (N, 6) of the six analyzer settings
-    for polarization amplitudes (N, 2) in the (|R>, |L>) basis."""
-    # complex products written out in real arithmetic and magnitudes taken
-    # with np.hypot: numpy's complex array multiply and np.abs can differ in
-    # the last bit from the scalar complex arithmetic of a single state
-    ar, ai = _ANALYZER_BRAS.real, _ANALYZER_BRAS.imag
-    br, bi = amps.real[:, None, :], amps.imag[:, None, :]
-    re = ar * br - ai * bi
-    im = ar * bi + ai * br
-    magnitude = np.hypot(re[..., 0] + re[..., 1], im[..., 0] + im[..., 1])
-    # squared by pow, as Python's ** does; numpy's square rounds differently
-    return np.array([m ** 2 for m in magnitude.ravel().tolist()]).reshape(magnitude.shape)
+    for normalized polarization amplitudes (N, 2) in the (|R>, |L>) basis.
+
+    Each is divided by the sum over its basis pair, which is 1 up to
+    round-off, so every probability lies in [0, 1]: |<H|H>|^2 alone comes to
+    1.0000000000000004.
+    """
+    weights = np.abs((_ANALYZER_BRAS * amps[:, None, :]).sum(-1)) ** 2
+    return weights / (weights[:, 0::2] + weights[:, 1::2]).repeat(2, axis=1)
 
 
 def projection_probabilities(psi: HybridState) -> dict[str, float]:
@@ -104,23 +98,17 @@ def projection_probabilities(psi: HybridState) -> dict[str, float]:
     return dict(zip(PROJECTOR_ORDER, projection_weights(psi.vector()[None])[0].tolist()))
 
 
-def sample_counts(probabilities: np.ndarray, trials: int, seeds) -> np.ndarray:
+def sample_counts(probabilities: np.ndarray, trials: int, seed: int) -> np.ndarray:
     """Binomial click counts (N, k) for click probabilities (N, k).
 
-    Row i is drawn from its own generator, default_rng(seeds[i]), one draw
-    per column in column order, so each row is bit-reproducible on its own.
+    All counts come from one stream, default_rng(seed), drawn in row-major
+    order: row 0 first, each row in column order.  Row 0 of a batch is
+    therefore the one-row draw at the same seed.  Probabilities outside
+    [0, 1] raise numpy's ValueError.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    p = np.clip(probabilities, 0.0, 1.0)  # guard float round-off
-    counts = np.empty(p.shape, dtype=np.int64)
-    for i, (seed, row) in enumerate(zip(seeds, p.tolist())):
-        # the generator default_rng(seed) builds, without its dispatch; scalar
-        # draws skip the array validation that makes one six-element call
-        # three times slower, and give the same stream
-        rng = np.random.Generator(np.random.PCG64(seed))
-        counts[i] = [rng.binomial(trials, x) for x in row]
-    return counts
+    return np.random.default_rng(seed).binomial(trials, probabilities)
 
 
 def simulate_counts(probabilities: Mapping[str, float], trials: int, seed: int,
@@ -132,7 +120,7 @@ def simulate_counts(probabilities: Mapping[str, float], trials: int, seed: int,
     """
     names = [name for name in PROJECTOR_ORDER if name in probabilities]
     clicks = sample_counts(np.array([[probabilities[k] for k in names]], dtype=float),
-                           trials, [seed])
+                           trials, seed)
     return [CountRecord(name, c, trials, bg * trials) for name, c in zip(names, clicks[0].tolist())]
 
 

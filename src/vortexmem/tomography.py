@@ -62,8 +62,7 @@ def stokes_of(counts: np.ndarray) -> np.ndarray:
 
 def project_to_ball(stokes: np.ndarray) -> np.ndarray:
     """Radial projection of Stokes vectors (N, 3) onto the unit Bloch ball."""
-    # a stacked matmul keeps the bits of np.linalg.norm on one vector
-    length = np.sqrt(stokes[:, None, :] @ stokes[:, :, None])[:, 0]
+    length = np.sqrt((stokes * stokes).sum(-1, keepdims=True))
     return np.divide(stokes, length, out=stokes.copy(), where=length > 1.0)
 
 
@@ -141,7 +140,7 @@ def bootstrap_fidelity(records: Iterable[CountRecord], target: HybridState,
     # one draw fills (resample, record) in row-major order, the order of a
     # loop over resamples with the records in their given order inside
     draws = rng.binomial([r.trials for r in records],
-                         [min(1.0, r.clicks / r.trials) for r in records],
+                         [r.clicks / r.trials for r in records],
                          size=(n_resamples, len(records)))
     column = {r.projector_id: i for i, r in enumerate(records)}
     counts = draws[:, [column[k] for k in PROJECTOR_ORDER]]

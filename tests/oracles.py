@@ -3,8 +3,12 @@
 The package runs jobs, reconstructions and bootstrap resamples as arrays
 over a leading job axis.  These are the one-job-at-a-time compositions it
 replaced, built from the package's unchanged scalar pieces (states, optics,
-memory, bounds) and plain Python arithmetic, so the tests can require the
-batch to reproduce them bit for bit.
+memory, bounds), so the tests can require the batch to reproduce them bit
+for bit.  Real arithmetic is plain Python; complex products, magnitudes and
+exponentials are numpy ufuncs on one state's amplitudes, since numpy's
+complex multiply, abs and exp round differently from Python's.  Counts are
+scalar draws, job by job and projector by projector, from one generator per
+run: the order in which the package's single array draw consumes its stream.
 
 The field-map renderers and the result writers format whole arrays, each
 distinct value once; the per-pixel renderers and the per-row writers
@@ -33,21 +37,30 @@ _ANALYZERS = {name: named_state(name) for name in PROJECTOR_ORDER}
 
 # --- detection ---------------------------------------------------------------
 
+def _braket(bra, ket):
+    """<bra|ket> as a one-element array."""
+    return (bra.vector().conj() * ket.vector()).sum(-1, keepdims=True)
+
+
 def projection_probabilities(psi):
-    return {name: float(abs(_ANALYZERS[name].overlap(psi)) ** 2) for name in PROJECTOR_ORDER}
+    weight = {name: (np.abs(_braket(_ANALYZERS[name], psi)) ** 2).item()
+              for name in PROJECTOR_ORDER}
+    probs = {}
+    for a, b in PROJECTOR_PAIRS:
+        pair = weight[a] + weight[b]
+        probs[a], probs[b] = weight[a] / pair, weight[b] / pair
+    return {name: probs[name] for name in PROJECTOR_ORDER}
 
 
 def click_probability(nbar, survival, proj_prob, bg):
-    return 1.0 - (1.0 - bg) * math.exp(-nbar * survival * proj_prob)
+    return 1.0 - (1.0 - bg) * np.exp([-nbar * survival * proj_prob]).item()
 
 
-def simulate_counts(probabilities, trials, seed, bg=0.0):
-    rng = np.random.default_rng(seed)
-    records = []
-    for name in PROJECTOR_ORDER:
-        p = min(1.0, max(0.0, probabilities[name]))
-        records.append(CountRecord(name, int(rng.binomial(trials, p)), trials, bg * trials))
-    return records
+def simulate_counts(probabilities, trials, rng, bg=0.0):
+    """Six scalar draws from ``rng``: a seed, or a run's shared generator."""
+    rng = np.random.default_rng(rng)
+    return [CountRecord(name, int(rng.binomial(trials, probabilities[name])), trials, bg * trials)
+            for name in PROJECTOR_ORDER]
 
 
 # --- tomography --------------------------------------------------------------
@@ -72,7 +85,7 @@ def stokes_from_counts(records):
 
 def density_from_stokes(stokes):
     vec = np.array(stokes, dtype=float)
-    length = float(np.linalg.norm(vec))
+    length = math.sqrt(sum(c * c for c in stokes))
     if length > 1.0:
         vec = vec / length
     s1, s2, s3 = vec
@@ -93,7 +106,7 @@ def validate(m):
 def conditional_fidelity(m, psi):
     validate(m)
     v = psi.vector()
-    f = float(np.real(v.conj() @ m @ v))
+    f = (v.conj()[:, None] * m * v[None, :]).sum().real.item()
     return min(1.0, max(0.0, f))
 
 
@@ -112,7 +125,7 @@ def bootstrap_fidelity(records, target, n_resamples=200, seed=0, subtract_bg=Fal
     fids = np.empty(n_resamples)
     for i in range(n_resamples):
         resampled = [
-            replace(r, clicks=int(rng.binomial(r.trials, min(1.0, r.clicks / r.trials))))
+            replace(r, clicks=int(rng.binomial(r.trials, r.clicks / r.trials)))
             for r in records
         ]
         _, m = tomograph(resampled, subtract_bg)
@@ -141,7 +154,7 @@ def propagate(state_name, cfg, t_us, theta):
     return [(rec.throughput, optics.rotate_frame(rec.state, theta))], psi
 
 
-def detection_records(comps, cfg, job_seed):
+def detection_records(comps, cfg, rng):
     nbar = cfg.source.nbar
     bg = cfg.memory.bg_click
     sig = dict.fromkeys(PROJECTOR_ORDER, 0.0)
@@ -158,16 +171,18 @@ def detection_records(comps, cfg, job_seed):
                              min(1.0, s / survival) if survival > 0 else 0.0, bg)
         for k, s in sig.items()
     }
-    return simulate_counts(probs, cfg.trials_per_projection, job_seed, bg=bg)
+    return simulate_counts(probs, cfg.trials_per_projection, rng, bg=bg)
 
 
 def _rho_to_lists(m):
     return {"real": np.real(m).tolist(), "imag": np.imag(m).tolist()}
 
 
-def simulate_point(state_name, cfg, t_us, theta, job_seed):
+def simulate_point(state_name, cfg, t_us, theta, job_seed, rng=None):
+    """One job; its counts come from ``rng``, the run's shared generator,
+    or on their own from default_rng(job_seed)."""
     comps, target = propagate(state_name, cfg, t_us, theta)
-    records = detection_records(comps, cfg, job_seed)
+    records = detection_records(comps, cfg, job_seed if rng is None else rng)
     stokes_raw, rho_raw = tomograph(records, subtract_bg=False)
     _, rho_corr = tomograph(records, subtract_bg=True)
     f_raw = conditional_fidelity(rho_raw, target)
@@ -207,8 +222,9 @@ class Report:
 def run(cfg):
     """cli.run for the three job scenarios, one job at a time."""
     report = Report()
-    for index, (state, t_us, theta) in enumerate(cli._jobs(cfg)):
-        row = simulate_point(state, cfg, t_us, theta, cfg.seed ^ index)
+    rng = np.random.default_rng(cfg.seed)
+    for state, t_us, theta in cli._jobs(cfg):
+        row = simulate_point(state, cfg, t_us, theta, cfg.seed, rng)
         report.rows.append(row)
         if cfg.scenario == "store_tomography":
             extras = row["_extras"]
@@ -308,7 +324,7 @@ def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     f = h * 6.0 - np.floor(h * 6.0)
     p = v * (1.0 - s)
     q = v * (1.0 - s * f)
-    t = v * (1.0 - s * (1.0 - f))
+    t = v * (1.0 - s + s * f)   # v(1 - s(1 - f)), exactly v * f at s = 1
     r = np.choose(i, [v, q, p, p, t, v])
     g = np.choose(i, [t, v, v, q, p, p])
     b = np.choose(i, [p, p, t, v, v, q])

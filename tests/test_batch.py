@@ -61,6 +61,18 @@ def test_single_job_api_matches_oracle():
             assert cli.detection_records(mix, cfg, 17) == oracles.detection_records(comps, cfg, 17)
 
 
+def test_one_job_run_is_row_zero_of_a_run_at_its_seed():
+    # one stream per run, drawn in job order, and elementwise arithmetic on
+    # the job axis: the first job of any run is the one-job run at its seed
+    for scenario in ("fidelity_vs_rotation", "store_tomography", "fidelity_vs_time"):
+        cfg = _config(scenario, 150_000, 0.05, True, seed=17)
+        state, t_us, theta = cli._jobs(cfg)[0]
+        got = cli.simulate_point(state, cfg, t_us, theta, 17)
+        want = cli.run(cfg).rows[0]
+        assert len(cli._jobs(cfg)) > 1
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
 @pytest.mark.parametrize("subtract_bg", [False, True], ids=["raw", "corrected"])
 def test_bootstrap_matches_resample_loop(subtract_bg):
     cfg = _config("fidelity_vs_time", 150_000, 0.05, True)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortexmem import cli
+from vortexmem import cli, hilbert, photodetection, tomography
 from vortexmem.cli import (
     CSV_COLUMNS,
     ConfigError,
@@ -302,6 +302,40 @@ class TestDeterminism:
         r1 = cli.run(config_from_dict({**base, "seed": 1}))
         r2 = cli.run(config_from_dict({**base, "seed": 2}))
         assert r1.rows[0]["fidelity_raw"] != r2.rows[0]["fidelity_raw"]
+
+    def test_streams_of_neighbouring_seeds_share_no_counts(self):
+        # a seed-XOR-job-index rule gave job 1 at seed 0 the stream of job 0
+        # at seed 1; one stream per run keeps every row of the two runs apart
+        base = {"scenario": "store_tomography", "input_states": ["radial", "radial"]}
+        rows = [tuple(row["_extras"]["stokes_raw"])
+                for seed in (0, 1) for row in cli.run(config_from_dict({**base, "seed": seed})).rows]
+        assert len(set(rows)) == 4
+
+
+class TestConvergence:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sampled_raw_fidelity_converges_to_threshold_detector_limit(self, seed):
+        # the infinite-trial limit of the sampled pipeline: tomography on the
+        # click probabilities of the threshold detector
+        cfg = default_config("store_tomography")
+        mix = cli.propagate("radial", cfg, cfg.storage_times[0], 0.0)
+        (weight, pol), = mix.components
+        probs = photodetection.click_probabilities(
+            cfg.source.nbar, np.array([weight]),
+            photodetection.projection_weights(np.array([[pol.c0, pol.c1]])), cfg.memory.bg_click)
+        _, rho = tomography.reconstruct(probs, 0.0)
+        f_inf = hilbert.fidelities(rho, np.array([[mix.target.c0, mix.target.c1]]))[0]
+        assert f_inf == pytest.approx(0.96700, abs=5e-6)
+        errors = []
+        for trials in (10**4, 10**5, 10**6):
+            raw = config_to_dict(cfg)
+            raw.update(trials_per_projection=trials, seed=seed, input_states=["radial"] * 200)
+            f = cli.run(config_from_dict(raw)).table.f_raw
+            se = f.std(ddof=1) / math.sqrt(len(f))
+            assert abs(f.mean() - f_inf) <= 4 * se
+            errors.append(se)
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 2.0 <= coarse / fine <= 5.0   # 1/sqrt(N): sqrt(10) per decade
 
 
 class TestOfflineCountRecords:

@@ -1,10 +1,13 @@
 """Golden output digests: the SHA-256 of every file each scenario preset
 writes at seed 12345.
 
-The digests were recorded before the field-map renderers were rewritten and
-must not move: a change that alters output bytes has to update them here
-and say why.  Each scenario run must also stay fast enough for the tier-1
-suite.
+The field-map and bounds digests date from before the field-map renderers
+were rewritten.  The digests of the three sampled presets (store_tomography,
+fidelity_vs_time, fidelity_vs_rotation) were regenerated once when a run
+came to draw all its counts from one stream, default_rng(seed), and the
+batch arithmetic became plain numpy ufuncs.  A change that alters output
+bytes has to update the digests here and say why.  Each scenario run must
+also stay fast enough for the tier-1 suite.
 """
 
 import hashlib
@@ -21,23 +24,23 @@ RUN_BUDGET_S = 2.0   # the slowest preset, field_maps, takes ~0.4 s on a 2-vCPU 
 GOLDEN = {
     "store_tomography": {
         "results.csv":
-            "01761ab7d9bdb5cd3d4cdb70c93bf7d61746d8f146ba989bb268297365b5a747",
+            "5b4a6fbd289eee5f59f14c3ed0f04f745228e7d14d952e5ff3dede54b9d7f4d6",
         "results.jsonl":
-            "8da85761dcb7f574fee2c9f9f6c214897b34d003e5a528dcb3b740ae5bcc2190",
+            "d96bab25bea50f15a749ed9b3dc5b05531ba1b21faf67d0591b3cf5131e72a5a",
         "density_matrices.json":
-            "07437e4645f50d49489eb120d7961a3998f265ab6c6347c9ee1638d060fa7046",
+            "5614d19f70ad2067eab69fed04c0d88247f122bd4677d0587f38945181f2a465",
     },
     "fidelity_vs_time": {
         "results.csv":
-            "c01ebda4f81b417941b0340718f4165ee435b54030334cbc653480cbb4967fad",
+            "0f229fd117172aba41e3c25b7a9a251e9e354e71b05925e06034c659744cf867",
         "results.jsonl":
-            "5d3d07ed31a3ed16552d4b467e52518ba38a288e62bf3cca1e69fc7282c56aae",
+            "016b2a1c98d918bc9ca6188140dc8d5037d14a269036a6b5203815c1b7235b99",
     },
     "fidelity_vs_rotation": {
         "results.csv":
-            "426e832033cba7cd5eb0c46746e56fe65e93902b6f73d5153f8370400f78d532",
+            "cd8c9e4b89fb249f4a45128035758b1460686bbb8457f04d4cfc94a9aec979dc",
         "results.jsonl":
-            "05d0ad00ae79dbdd4f811176ae10ffc5d8bdd8df9ae3b57745f92130ab4f6cda",
+            "36f9e204632f475cbe3b3aeb7224fd0fe460d0bfb140f8eb08348fe0d802f945",
     },
     "field_maps": {
         "zero_intensity.pgm":

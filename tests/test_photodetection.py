@@ -88,6 +88,15 @@ class TestProjectionProbabilities:
         with pytest.raises(ValueError):
             projection_probabilities(named_state("radial"))
 
+    def test_h_projection_is_exactly_one(self):
+        # |<H|H>|^2 alone rounds to 1.0000000000000004; the pair sum divides it out
+        assert projection_probabilities(named_state("H"))["H"] == 1.0
+
+    @given(states(BasisTag.POLARIZATION))
+    @settings(max_examples=200)
+    def test_probabilities_lie_in_unit_interval(self, psi):
+        assert all(0.0 <= p <= 1.0 for p in projection_probabilities(psi).values())
+
     @given(states(BasisTag.POLARIZATION))
     @settings(max_examples=50)
     def test_opposite_pairs_sum_to_one(self, psi):
@@ -139,6 +148,12 @@ class TestSimulateCounts:
             if abs(r.clicks / trials - p) < band:
                 hits += 1
         assert hits >= 99
+
+    @pytest.mark.parametrize("p", [1.0000000000000004, -1e-17, math.nan])
+    def test_out_of_range_probability_raises(self, p):
+        # no silent clip: click probabilities lie in [bg, 1] by construction
+        with pytest.raises(ValueError):
+            simulate_counts({"H": p}, 1000, seed=1)
 
     def test_canonical_order(self):
         probs = {k: 0.5 for k in PROJECTOR_ORDER}

@@ -18,6 +18,8 @@ def _main(name):
 @pytest.mark.parametrize("name, args", [
     ("run_rotation_scan", ["--angles", "0", "45"]),
     ("run_storage_experiment", ["--times", "0", "1"]),
+    # nothing is retrieved after 200 us: the corrected average prints none
+    ("run_storage_experiment", ["--times", "1", "200"]),
 ])
 def test_script_writes_results(tmp_path, capsys, name, args):
     out = tmp_path / "out"
