@@ -17,7 +17,9 @@ elementwise, so row 0 of a run is bit for bit the one-job run
 simulate_point(..., job_seed=seed).  The batch is a ResultTable of columns;
 results.csv, results.jsonl and the stdout table are formatted from those
 columns, each distinct float once, one fixed template per line, with the
-bytes of per-row json.dumps and csv.writer.
+bytes of per-row json.dumps and csv.writer.  In field_maps, states whose
+intensity (and, for the PPM, azimuth) arrays are bit-identical share their
+rendered text: each distinct array is rendered once per run.
 
 Config files are JSON documents mirroring ExperimentConfig; angles are in
 radians and storage times in microseconds.  trials_per_projection = 0
@@ -513,16 +515,26 @@ def run(cfg: ExperimentConfig) -> Report:
             })
         return report
     if cfg.scenario == "field_maps":
+        import hashlib   # here rather than at the top: it slows every import of the cli
+
         grid = fields.Grid()
+        # each text rendered once per run, keyed on the renderer and the SHA-256
+        # of its input arrays (all of one shape and dtype)
+        texts: dict[tuple, str] = {}
         for name in cfg.input_states:
             fmap = fields.vector_field_map(named_state(name), grid)
             intensity = fmap.intensity()
-            azimuth = fields.polarization_azimuth(fmap)
-            report.pixmaps.append((f"{name}_intensity.pgm", render_pgm(intensity)))
-            report.pixmaps.append(
-                (f"{name}_polarization.ppm", render_ppm(azimuth / math.pi, intensity))
-            )
-            report.pixmaps.append((f"{name}_intensity.csv", render_grid_csv(intensity)))
+            hue = fields.polarization_azimuth(fmap) / math.pi
+            i, h = (hashlib.sha256(np.ascontiguousarray(a)).digest() for a in (intensity, hue))
+            for file, render, arrays, digests in (
+                (f"{name}_intensity.pgm", render_pgm, (intensity,), (i,)),
+                (f"{name}_polarization.ppm", render_ppm, (hue, intensity), (h, i)),
+                (f"{name}_intensity.csv", render_grid_csv, (intensity,), (i,)),
+            ):
+                key = (render, *digests)
+                if key not in texts:
+                    texts[key] = render(*arrays)
+                report.pixmaps.append((file, texts[key]))
         return report
     report.table = _simulate(cfg, _jobs(cfg), cfg.seed)
     return report

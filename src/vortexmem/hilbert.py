@@ -113,18 +113,30 @@ def density_from_pure(psi: HybridState) -> DensityMatrix:
 
 
 def check_densities(m: np.ndarray) -> None:
-    """Raise NonPhysicalDensity unless every matrix of the stack (N, 2, 2) is
-    Hermitian, has unit trace and no negative eigenvalue."""
-    adjoint = m.conj().swapaxes(-1, -2)
-    if not np.isclose(m, adjoint, atol=ATOL_HERMITIAN, rtol=0.0).all():
+    """Raise NonPhysicalDensity unless every matrix of the stack (N, 2, 2) has
+    finite elements, is Hermitian, has unit trace and no negative eigenvalue.
+
+    The check is closed-form on the four elements [[a, b], [c, d]], with no
+    eigensolver: |m_ij - conj(m_ji)| <= ATOL_HERMITIAN for every i, j (on the
+    diagonal 2|Im a| and 2|Im d|), real and imaginary part of a + d - 1
+    within ATOL_TRACE, and the smaller eigenvalue of the Hermitian part,
+    Re(a + d)/2 - sqrt((Re(a - d)/2)^2 + |b + conj(c)|^2/4), at least
+    -ATOL_EIGEN.  A NaN or infinite element is rejected before any
+    arithmetic on it.
+    """
+    if not np.isfinite(m).all():
+        raise NonPhysicalDensity("matrix has a non-finite element")
+    a, b, c_bar, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0].conj(), m[..., 1, 1]
+    skew = np.maximum(np.abs(b - c_bar), 2.0 * np.maximum(np.abs(a.imag), np.abs(d.imag)))
+    if not (skew <= ATOL_HERMITIAN).all():
         raise NonPhysicalDensity("matrix is not Hermitian")
-    trace = np.trace(m, axis1=-2, axis2=-1)
+    trace = a + d
     bad = (np.abs(trace.real - 1.0) > ATOL_TRACE) | (np.abs(trace.imag) > ATOL_TRACE)
     if bad.any():
         raise NonPhysicalDensity(f"trace is {trace[bad][0]}, expected 1")
-    eig = np.linalg.eigvalsh((m + adjoint) / 2.0)
-    if eig.size and eig.min() < -ATOL_EIGEN:
-        raise NonPhysicalDensity(f"negative eigenvalue {eig.min()}")
+    low = trace.real / 2.0 - np.hypot((a.real - d.real) / 2.0, np.abs((b + c_bar) / 2.0))
+    if (low < -ATOL_EIGEN).any():
+        raise NonPhysicalDensity(f"negative eigenvalue {low.min()}")
 
 
 def fidelities(m: np.ndarray, v: np.ndarray) -> np.ndarray:

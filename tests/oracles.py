@@ -94,13 +94,25 @@ def density_from_stokes(stokes):
     return (np.eye(2, dtype=complex) + s1 * TAU1 + s2 * TAU2 + s3 * TAU3) / 2.0
 
 
-def validate(m):
-    if not np.allclose(m, m.conj().T, atol=ATOL_HERMITIAN, rtol=0.0):
+def check_densities(m):
+    """Reference for hilbert.check_densities on finite stacks (N, 2, 2):
+    isclose against the adjoint and LAPACK eigenvalues of the Hermitian part.
+    It lets equal infinities pass as Hermitian, so it is no reference for
+    non-finite elements."""
+    adjoint = m.conj().swapaxes(-1, -2)
+    if not np.isclose(m, adjoint, atol=ATOL_HERMITIAN, rtol=0.0).all():
         raise NonPhysicalDensity("matrix is not Hermitian")
-    if abs(np.trace(m).real - 1.0) > ATOL_TRACE or abs(np.trace(m).imag) > ATOL_TRACE:
-        raise NonPhysicalDensity("trace is not 1")
-    if np.linalg.eigvalsh((m + m.conj().T) / 2.0).min() < -ATOL_EIGEN:
-        raise NonPhysicalDensity("negative eigenvalue")
+    trace = np.trace(m, axis1=-2, axis2=-1)
+    bad = (np.abs(trace.real - 1.0) > ATOL_TRACE) | (np.abs(trace.imag) > ATOL_TRACE)
+    if bad.any():
+        raise NonPhysicalDensity(f"trace is {trace[bad][0]}, expected 1")
+    eig = np.linalg.eigvalsh((m + adjoint) / 2.0)
+    if eig.size and eig.min() < -ATOL_EIGEN:
+        raise NonPhysicalDensity(f"negative eigenvalue {eig.min()}")
+
+
+def validate(m):
+    check_densities(m[None])
 
 
 def conditional_fidelity(m, psi):

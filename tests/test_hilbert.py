@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from helpers import amplitude_pairs, bloch_vectors, states
 from vortexmem.hilbert import (
+    ATOL_BALL,
+    TAU1,
+    TAU2,
+    TAU3,
     BasisTag,
     BlochVector,
     DensityMatrix,
@@ -16,7 +22,9 @@ from vortexmem.hilbert import (
     POLARIZATION_NAMES,
     ZeroVector,
     bloch_of,
+    check_densities,
     conditional_fidelity,
+    densities_from_bloch,
     density_from_pure,
     make_state,
     named_state,
@@ -107,6 +115,77 @@ class TestConditionalFidelity:
         f_mix = conditional_fidelity(mixed, psi)
         f_parts = lam * conditional_fidelity(rho_a, psi) + (1 - lam) * conditional_fidelity(rho_b, psi)
         assert f_mix == pytest.approx(f_parts, abs=1e-12)
+
+
+_NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "infj": complex(0.0, math.inf)}
+
+
+def _non_finite_matrices():
+    """The maximally mixed state with one non-finite element, alone or with
+    its Hermitian partner set to the conjugate."""
+    for (label, value), (i, j), mirrored in itertools.product(
+            _NON_FINITE.items(), ((0, 0), (0, 1), (1, 0), (1, 1)), (False, True)):
+        if mirrored and i == j:
+            continue
+        m = np.eye(2, dtype=complex) / 2.0
+        m[i, j] = value
+        if mirrored:
+            m[j, i] = np.conj(value)
+        yield pytest.param(m, id=f"{label}-{i}{j}-{'mirrored' if mirrored else 'alone'}")
+    yield pytest.param(np.diag([math.inf, -math.inf]).astype(complex), id="inf-diagonal")
+
+
+def _verdict(check, m) -> str:
+    """'physical', or the first word of the NonPhysicalDensity message."""
+    try:
+        check(m)
+    except NonPhysicalDensity as e:
+        return str(e).split()[0]
+    return "physical"
+
+
+_unit = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda v: math.hypot(*v) > 0.1)
+_tiny = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), st.floats(-14.0, -11.0)).map(
+    lambda t: t[0] * 10.0 ** t[1])
+
+
+class TestCheckDensities:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", _non_finite_matrices())
+    def test_non_finite_elements_rejected(self, m):
+        with pytest.raises(NonPhysicalDensity, match="non-finite"):
+            DensityMatrix(m).validate()
+        with pytest.raises(NonPhysicalDensity, match="non-finite"):
+            conditional_fidelity(DensityMatrix(m), named_state("radial"))
+
+    @given(direction=_unit, sign=st.sampled_from([-1.0, 1.0]), exponent=st.floats(-14.0, -8.0),
+           tiny=st.lists(_tiny, min_size=8, max_size=8))
+    @settings(max_examples=500, deadline=None)
+    def test_verdict_matches_reference_near_the_boundary(self, direction, sign, exponent, tiny):
+        """Bloch lengths 1 +- 1e-14..1e-8 put the smaller eigenvalue around
+        -ATOL_EIGEN; perturbations up to 1e-11 straddle ATOL_HERMITIAN and
+        ATOL_TRACE."""
+        s = np.array(direction) / math.hypot(*direction) * (1.0 + sign * 10.0 ** exponent)
+        m = (np.eye(2) + s[0] * TAU1 + s[1] * TAU2 + s[2] * TAU3) / 2.0
+        m = m + (np.array(tiny[:4]) + 1j * np.array(tiny[4:])).reshape(2, 2)
+        assert _verdict(check_densities, m[None]) == _verdict(oracles.check_densities, m[None])
+
+    def test_every_density_inside_the_ball_tolerance_passes(self):
+        """densities_from_bloch accepts |s| <= 1 + ATOL_BALL, whose smaller
+        eigenvalue (1 - |s|)/2 >= -5e-11 lies within ATOL_EIGEN."""
+        rng = np.random.default_rng(7)
+        s = rng.normal(size=(20_000, 3))
+        s /= np.linalg.norm(s, axis=1, keepdims=True)
+        s[:10_000] *= 1.0 + ATOL_BALL
+        s[10_000:] *= rng.uniform(0.0, 1.0 + ATOL_BALL, size=(10_000, 1))
+        s = s[np.linalg.norm(s, axis=1) <= 1.0 + ATOL_BALL]
+        assert len(s) > 15_000
+        check_densities(densities_from_bloch(s))
+
+    def test_bloch_length_past_the_eigen_tolerance_rejected(self):
+        m = (np.eye(2) + (1.0 + 3e-10) * TAU3) / 2.0
+        with pytest.raises(NonPhysicalDensity, match="negative eigenvalue -1.5"):
+            check_densities(m[None])
 
 
 class TestBlochMaps:

@@ -111,3 +111,29 @@ def test_lg_carrier_is_shared_read_only_and_exact():
     fresh = fields._lg_carrier.__wrapped__(1, grid, 1.0)
     assert fresh.tobytes() == first.tobytes()
     assert lg_amplitude(-1, grid).tobytes() == fields._lg_carrier.__wrapped__(-1, grid, 1.0).tobytes()
+
+
+def test_field_maps_render_each_distinct_array_once(monkeypatch):
+    """zero/one, radial/azimuthal and plus_i/minus_i have bit-identical
+    intensities; zero/one also share their azimuths."""
+    calls = {"render_pgm": 0, "render_ppm": 0, "render_grid_csv": 0}
+    originals = {name: getattr(cli, name) for name in calls}
+
+    def counted(name):
+        def render(*args):
+            calls[name] += 1
+            return originals[name](*args)
+        return render
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    cfg = cli.default_config("field_maps")
+    pixmaps = dict(cli.run(cfg).pixmaps)
+    assert calls == {"render_pgm": 3, "render_ppm": 5, "render_grid_csv": 3}
+    for state in cfg.input_states:
+        hue, intensity = _field_map(state, Grid())
+        assert_same_text(
+            {k: v for k, v in pixmaps.items() if k.startswith(f"{state}_")},
+            {f"{state}_intensity.pgm": originals["render_pgm"](intensity),
+             f"{state}_polarization.ppm": originals["render_ppm"](hue, intensity),
+             f"{state}_intensity.csv": originals["render_grid_csv"](intensity)})
