@@ -8,16 +8,17 @@ key-distribution threshold verdict; runs are bit-reproducible for a fixed
 (config, seed) pair.
 
 Jobs are batched over a job axis: encode, storage and recombine run once
-per distinct (state, storage time), and the rotation, click statistics,
-tomography and fidelities work on arrays with one row per job.  A run draws
-all its click counts from one stream, default_rng(seed): job by job in
-enumeration order, each job's six projectors in H, V, D, A, R, L order.
-The job_seed of every row is that run seed.  Arithmetic on the job axis is
-elementwise, so row 0 of a run is bit for bit the one-job run
-simulate_point(..., job_seed=seed).  The batch is a ResultTable of columns;
-results.csv, results.jsonl and the stdout table are formatted from those
-columns, each distinct float once, one fixed template per line, with the
-bytes of per-row json.dumps and csv.writer.  In field_maps, states whose
+per distinct (state, storage time), the frame rotation's phases once per
+distinct angle, and the click statistics, tomography and fidelities work on
+arrays with one row per job.  A run draws all its click counts from one
+stream, default_rng(seed): job by job in enumeration order, each job's six
+projectors in H, V, D, A, R, L order.  The job_seed of every row is that
+run seed.  Arithmetic on the job axis is elementwise, so row 0 of a run is
+bit for bit the one-job run simulate_point(..., job_seed=seed).  The batch
+is a ResultTable of columns; results.csv, results.jsonl and the stdout
+table are filled column by column from those columns, repr running once
+per distinct magnitude, with the bytes of per-row json.dumps and
+csv.writer.  In field_maps, states whose
 intensity (and, for the PPM, azimuth) arrays are bit-identical share their
 rendered text: each distinct array is rendered once per run.
 
@@ -34,6 +35,7 @@ import csv
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, replace
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -299,16 +301,22 @@ def propagate(state_name: str, cfg: ExperimentConfig, t_us: float,
     return _retrieve(state_name, cfg, t_us).rotated(theta)
 
 
-def _signal(mixes: list[DetectionMixture]) -> tuple[np.ndarray, np.ndarray]:
+def _components(mix: DetectionMixture) -> tuple[tuple[float, complex, complex], ...]:
+    """The (weight, c0, c1) of each component of a mixture."""
+    return tuple((w, pol.c0, pol.c1) for w, pol in mix.components)
+
+
+def _signal(light: list[Sequence[tuple[float, complex, complex]]]
+            ) -> tuple[np.ndarray, np.ndarray]:
     """Signal weight per projector (J, 6) and survival (J,), the summed
-    component weights, of each mixture."""
-    signal = np.zeros((len(mixes), len(photodetection.PROJECTOR_ORDER)))
-    survival = np.zeros(len(mixes))
-    for k in range(max((len(m.components) for m in mixes), default=0)):
-        rows = [j for j, m in enumerate(mixes) if len(m.components) > k]
-        comps = [mixes[j].components[k] for j in rows]
-        weights = np.array([w for w, _ in comps])
-        amps = np.array([(pol.c0, pol.c1) for _, pol in comps], dtype=complex)
+    component weights, of each job's (weight, c0, c1) components."""
+    signal = np.zeros((len(light), len(photodetection.PROJECTOR_ORDER)))
+    survival = np.zeros(len(light))
+    for k in range(max(map(len, light), default=0)):
+        rows = [j for j, comps in enumerate(light) if len(comps) > k]
+        weights, c0, c1 = zip(*[light[j][k] for j in rows])
+        weights = np.array(weights)
+        amps = np.array((c0, c1), dtype=complex).T.copy()   # (rows, 2), C order
         signal[rows] += weights[:, None] * photodetection.projection_weights(amps)
         survival[rows] += weights
     return signal, survival
@@ -339,7 +347,7 @@ def _detect(cfg: ExperimentConfig, signal: np.ndarray, survival: np.ndarray,
 
 def detection_records(mix: DetectionMixture, cfg: ExperimentConfig,
                       job_seed: int) -> list[photodetection.CountRecord]:
-    counts, bg_expected, trials = _detect(cfg, *_signal([mix]), job_seed)
+    counts, bg_expected, trials = _detect(cfg, *_signal([_components(mix)]), job_seed)
     return [photodetection.CountRecord(name, c, trials, bg_expected)
             for name, c in zip(photodetection.PROJECTOR_ORDER, counts[0].tolist())]
 
@@ -413,17 +421,31 @@ def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
               seed: int) -> ResultTable:
     """Result table of (state, time, angle) jobs: the pipeline over a job axis.
 
-    Encode, storage and recombine run once per distinct (state, time); the
-    counts of all jobs come from one stream, default_rng(seed), in job order.
+    Encode, storage and recombine run once per distinct (state, time) and
+    the frame phases once per distinct angle: a rotating component's
+    amplitudes times those phases are, in the same Python complex
+    arithmetic, the amplitudes of DetectionMixture.rotated.  The counts of
+    all jobs come from one stream, default_rng(seed), in job order.
     """
-    retrievals: dict[tuple[str, float], DetectionMixture] = {}
-    for state, t_us, _ in jobs:
-        if (state, t_us) not in retrievals:
-            retrievals[state, t_us] = _retrieve(state, cfg, t_us)
-    mixes = [retrievals[state, t_us].rotated(theta) for state, t_us, theta in jobs]
-    signal, survival = _signal(mixes)
+    slots: dict[tuple[str, float], int] = {}
+    slot = [slots.setdefault((state, t_us), len(slots)) for state, t_us, _ in jobs]
+    mixes = [_retrieve(state, cfg, t_us) for state, t_us in slots]
+    # angles told apart by bit pattern: -0.0 and 0.0 give phases with
+    # zeros of opposite sign
+    bits, angle = _distinct_bits([theta for _, _, theta in jobs])
+    angles = bits.view(float).tolist()
+    phases = [optics._frame_phases(theta) for theta in angles]
+    comps = [_components(m) for m in mixes]
+    light = []
+    for s, k in zip(slot, angle.tolist()):
+        if mixes[s].rotates:
+            p0, p1 = phases[k]
+            light.append([(w, c0 * p0, c1 * p1) for w, c0, c1 in comps[s]])
+        else:
+            light.append(comps[s])
+    signal, survival = _signal(light)
     counts, bg_expected, _ = _detect(cfg, signal, survival, seed)
-    targets = np.array([(m.target.c0, m.target.c1) for m in mixes], dtype=complex)
+    targets = np.array([(m.target.c0, m.target.c1) for m in mixes], dtype=complex)[slot]
     stokes, rho_raw = tomography.reconstruct(counts, bg_expected)
     f_raw = hilbert.fidelities(rho_raw, targets)
     retrieved = survival > 0
@@ -441,7 +463,8 @@ def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
         states=[state for state, _, _ in jobs],
         times=[t_us for _, t_us, _ in jobs],
         seed=seed,
-        angle_deg=np.array([round(math.degrees(theta), 9) for _, _, theta in jobs], dtype=float),
+        angle_deg=np.array([round(math.degrees(theta), 9) for theta in angles],
+                           dtype=float)[angle],
         f_raw=f_raw,
         f_corr=f_corr,
         retrieved=retrieved,
@@ -600,19 +623,44 @@ def render_ppm(hue: np.ndarray, intensity: np.ndarray, maxval: int = 255) -> str
     return _pixmap_text("P3", nx, ny, maxval, pixels.reshape(ny, 3 * nx))
 
 
+_MAGNITUDE_BITS = np.int64(2**63 - 1)   # every bit of a float64 but its sign
+
+
+def _distinct_bits(values) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct bit patterns of a float array as sorted int64, and the
+    index of every element's pattern (in the array's shape).  Patterns tell
+    -0.0 from 0.0."""
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    return bits, inverse.reshape(values.shape)
+
+
 def _float_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct values of a float array, the repr of each, and the index
     of every element's value (in the array's shape).
 
-    Each distinct value is formatted once.  Values are told apart by their
-    bit pattern, so -0.0 and 0.0 keep their own text.  For a float, repr is
-    also str, the text csv writes.
+    Values are told apart by their bit pattern, so -0.0 and 0.0 keep their
+    own text, and repr runs once per distinct magnitude: a negative value
+    whose magnitude also occurs takes "-" and that magnitude's text, or the
+    text alone for a NaN, which repr prints without a sign.  For a float,
+    repr is also str, the text csv writes.
     """
-    values = np.ascontiguousarray(values, dtype=float)
-    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    bits, inverse = _distinct_bits(values)
     distinct = bits.view(float)
-    text = np.array(list(map(repr, distinct.tolist())), dtype=object)
-    return distinct, text, inverse.reshape(values.shape)
+    # sign bit set: the first `neg` patterns, as int64 sorts them
+    neg = int(np.searchsorted(bits, 0))
+    text = np.empty(len(bits), dtype=object)
+    text[neg:] = list(map(repr, distinct[neg:].tolist()))
+    if neg:
+        magnitude = bits[:neg] & _MAGNITUDE_BITS
+        at = np.minimum(np.searchsorted(bits, magnitude), len(bits) - 1)
+        shared = bits[at] == magnitude
+        signed = shared & ~np.isnan(distinct[:neg])
+        folded = text[at]
+        folded[signed] = ["-" + t for t in folded[signed].tolist()]
+        folded[~shared] = list(map(repr, distinct[:neg][~shared].tolist()))
+        text[:neg] = folded
+    return distinct, text, inverse
 
 
 def render_grid_csv(values: np.ndarray) -> str:
@@ -657,11 +705,22 @@ def read_count_records(path: str | Path) -> list[photodetection.CountRecord]:
 # floats as repr (json's NaN and Infinity, csv's nan and inf), None as null or
 # an empty cell.  State and scenario names come from fixed tables and hold no
 # character that JSON escapes or CSV quotes.
+#
+# Every text is built column by column.  The floats of a file go into one
+# block; repr runs once per distinct magnitude in it, and a negative value
+# whose magnitude also occurs is "-" and that text (the sign folding of
+# _float_text).  Each column then becomes a list of cell texts, and _fill
+# interleaves a line template's literal pieces with those lists, so no
+# line is formatted on its own.  emit writes the results files chunk by
+# chunk as _fill returns them.  The stdout table is filled the same way,
+# its state, angle and time cells formatted once per distinct value.
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _JSON_BOOL = np.array(["false", "true"], dtype=object)
 _CSV_BOOL = np.array(["False", "True"], dtype=object)
+_YES_NO = np.array(["no", "yes"], dtype=object)
 
+# line templates: _fill puts the cells of the k-th column at the k-th %s
 _JSON_RHO = '{"imag": [[%s, %s], [%s, %s]], "real": [[%s, %s], [%s, %s]]}'
 _JSON_ROW = (
     '{"angle_deg": %s, "bound_efficiency": %s, "bound_poisson": %s, '
@@ -670,8 +729,54 @@ _JSON_ROW = (
     '"scenario": %s, "snr": %s, "state": %s, "stokes_raw": [%s, %s, %s], '
     '"survival": %s, "time_us": %s}\n'
 )
-_SUMMARY_ROW = ("%10s  angle=%6.1f deg  t=%5.2f us  F_raw=%.4f  F_corr=%s  "
-                "bound=%.4f  secure=%s\n")
+_SUMMARY_ROW = "%s  angle=%s deg  t=%s us  F_raw=%s  F_corr=%s  bound=%s  secure=%s\n"
+
+
+_FILL_CHUNK = 1024   # lines per text chunk
+
+
+def _fill(template: str, columns: list) -> list[str]:
+    """Lines of a template, one per row, the k-th %s of each line taking the
+    row's cell of columns[k]: a list of str, one per row, or a str that is
+    the same on every line.
+
+    The lines come as text chunks of up to _FILL_CHUNK lines, which emit
+    writes one after another: a results file never exists as one string.
+    Each chunk interleaves the literal pieces with the column cells in one
+    list of its final length, by slice assignment, and joins it once.
+    """
+    pieces = template.split("%s")
+    if len(pieces) != len(columns) + 1:
+        raise ValueError(f"template has {len(pieces) - 1} fields, got {len(columns)} columns")
+    # a constant column joins the literal text around it
+    texts, lists = [pieces[0]], []
+    for column, piece in zip(columns, pieces[1:]):
+        if isinstance(column, str):
+            texts[-1] += column + piece
+        else:
+            lists.append(column)
+            texts.append(piece)
+    n = len(lists[0])
+    if any(len(column) != n for column in lists):
+        raise ValueError("columns differ in length")
+    width = len(texts) + len(lists)
+    chunks = []
+    for start in range(0, n, _FILL_CHUNK):
+        rows = min(_FILL_CHUNK, n - start)
+        cells = [""] * (rows * width)
+        for k, text in enumerate(texts):
+            cells[2 * k::width] = [text] * rows
+        for k, column in enumerate(lists):
+            cells[2 * k + 1::width] = column[start:start + rows]
+        chunks.append("".join(cells))
+    return chunks
+
+
+def _formatted(fmt: str, values) -> list[str]:
+    """fmt % v of every element of a 1-D float array, each distinct value
+    formatted once."""
+    bits, inverse = _distinct_bits(values)
+    return np.array([fmt % v for v in bits.view(float).tolist()], dtype=object)[inverse].tolist()
 
 
 def _float_cells(block: np.ndarray) -> tuple[list[list[str]], list[list[str]]]:
@@ -690,16 +795,15 @@ def _keep_ints(cells: list[str], values: list) -> None:
             cells[j] = str(value)
 
 
-def _csv_lines(header, columns: list[list[str]]) -> str:
-    template = ",".join(["%s"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + "".join(map(template.__mod__, zip(*columns)))
+def _csv_lines(header, columns: list) -> list[str]:
+    return [",".join(header) + "\n", *_fill(",".join(["%s"] * len(header)) + "\n", columns)]
 
 
-def _results_text(table: ResultTable) -> tuple[str, str]:
-    """(results.csv, results.jsonl) of a result table.
+def _results_text(table: ResultTable) -> tuple[list[str], list[str]]:
+    """The text chunks of results.csv and of results.jsonl of a table.
 
-    Every float column goes into one block whose distinct values are
-    formatted once; each line is one fixed template filled from the columns.
+    Every float column goes into one block formatted by _float_text; the
+    lines are filled column by column from its cell texts.
     """
     n = len(table.states)
     level = table.level
@@ -721,7 +825,9 @@ def _results_text(table: ResultTable) -> tuple[str, str]:
     csv_cols, json_cols = _float_cells(block)
     for cols in (csv_cols, json_cols):
         _keep_ints(cols[26], table.times)
-    rho_corr = list(map(_JSON_RHO.__mod__, zip(*json_cols[5:13])))
+    # one text per row (no float text holds a line break), so that rows
+    # with nothing retrieved can take null instead
+    rho_corr = "".join(_fill(_JSON_RHO + "\n", json_cols[5:13])).splitlines()
     for j in np.flatnonzero(~table.retrieved).tolist():
         csv_cols[3][j], json_cols[3][j], rho_corr[j] = "", "null", "null"
     if table.snr is None:
@@ -729,18 +835,18 @@ def _results_text(table: ResultTable) -> tuple[str, str]:
     secure = table.secure.astype(int)
     names = {state: json.dumps(state) for state in set(table.states)}
 
-    csv_text = _csv_lines(CSV_COLUMNS, [
-        [table.scenario] * n, table.states, csv_cols[0], csv_cols[26], csv_cols[4],
+    csv_chunks = _csv_lines(CSV_COLUMNS, [
+        table.scenario, table.states, csv_cols[0], csv_cols[26], csv_cols[4],
         csv_cols[3], csv_cols[2], csv_cols[1], _CSV_BOOL[secure].tolist()])
     c = json_cols
-    jsonl_text = "".join(map(_JSON_ROW.__mod__, zip(
-        c[0], c[1], c[2], c[3], c[4], [table.seed] * n, _JSON_BOOL[secure].tolist(), rho_corr,
-        *c[13:21], [json.dumps(table.scenario)] * n, c[21], [names[s] for s in table.states],
-        *c[22:27])))
-    return csv_text, jsonl_text
+    jsonl_chunks = _fill(_JSON_ROW, [
+        c[0], c[1], c[2], c[3], c[4], str(table.seed), _JSON_BOOL[secure].tolist(),
+        rho_corr, *c[13:21], json.dumps(table.scenario), c[21],
+        [names[s] for s in table.states], *c[22:27]])
+    return csv_chunks, jsonl_chunks
 
 
-def _bounds_text(rows: list[dict]) -> str:
+def _bounds_text(rows: list[dict]) -> list[str]:
     header = list(rows[0])
     values = [[row[key] for row in rows] for key in header]
     block = np.array([[0.0 if type(v) is int else v for v in col] for col in values]).T
@@ -752,12 +858,18 @@ def _bounds_text(rows: list[dict]) -> str:
 
 def _summary(table: ResultTable) -> str:
     """The stdout table: one line per job."""
+    names = {state: "%10s" % state for state in set(table.states)}
     f_corr = ["%.4f" % f if ok else "  none"
               for f, ok in zip(table.f_corr.tolist(), table.retrieved.tolist())]
-    secure = np.array(["no", "yes"], dtype=object)[table.secure.astype(int)].tolist()
-    return "".join(map(_SUMMARY_ROW.__mod__, zip(
-        table.states, table.angle_deg.tolist(), table.times, table.f_raw.tolist(), f_corr,
-        table.bound_efficiency[table.level].tolist(), secure)))
+    bound = np.array(["%.4f" % b for b in table.bound_efficiency.tolist()], dtype=object)
+    return "".join(_fill(_SUMMARY_ROW, [
+        [names[s] for s in table.states],
+        _formatted("%6.1f", table.angle_deg),
+        _formatted("%5.2f", np.array(table.times, dtype=float)),
+        list(map("%.4f".__mod__, table.f_raw.tolist())),
+        f_corr,
+        bound[table.level].tolist(),
+        _YES_NO[table.secure.astype(int)].tolist()]))
 
 
 def emit(report: Report, out_dir: str | Path,
@@ -767,25 +879,26 @@ def emit(report: Report, out_dir: str | Path,
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def _write(name: str, text: str):
+    def _write(name: str, chunks: list[str]):
         path = out / name
-        path.write_text(text)
+        with path.open("w") as handle:
+            handle.writelines(chunks)
         written.append(path)
 
     if report.table is not None and ("csv" in formats or "json-lines" in formats):
-        csv_text, jsonl_text = _results_text(report.table)
+        csv_chunks, jsonl_chunks = _results_text(report.table)
         if "csv" in formats:
-            _write("results.csv", csv_text)
+            _write("results.csv", csv_chunks)
         if "json-lines" in formats:
-            _write("results.jsonl", jsonl_text)
+            _write("results.jsonl", jsonl_chunks)
     if report.bounds_rows and "csv" in formats:
         _write("bounds.csv", _bounds_text(report.bounds_rows))
     density = report.density
     if density and "json-lines" in formats:
-        _write("density_matrices.json", json.dumps(density, sort_keys=True, indent=2) + "\n")
+        _write("density_matrices.json", [json.dumps(density, sort_keys=True, indent=2) + "\n"])
     if "pixmap" in formats:
         for name, text in report.pixmaps:
-            _write(name, text)
+            _write(name, [text])
     return written
 
 

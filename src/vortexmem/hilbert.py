@@ -122,10 +122,17 @@ def check_densities(m: np.ndarray) -> None:
     within ATOL_TRACE, and the smaller eigenvalue of the Hermitian part,
     Re(a + d)/2 - sqrt((Re(a - d)/2)^2 + |b + conj(c)|^2/4), at least
     -ATOL_EIGEN.  A NaN or infinite element is rejected before any
-    arithmetic on it.
+    arithmetic on it, and so is an element with a real or imaginary part
+    beyond 2 in magnitude: no matrix that passes has one (its elements lie
+    within 1 up to the tolerances), and on one near the float range the
+    closed form would overflow.
     """
-    if not np.isfinite(m).all():
-        raise NonPhysicalDensity("matrix has a non-finite element")
+    # real and imaginary parts side by side; NaN fails the comparison too
+    parts = np.ascontiguousarray(m, dtype=complex).view(float)
+    if not (np.abs(parts) <= 2.0).all():
+        if not np.isfinite(parts).all():
+            raise NonPhysicalDensity("matrix has a non-finite element")
+        raise NonPhysicalDensity("matrix has an element beyond 2 in real or imaginary part")
     a, b, c_bar, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0].conj(), m[..., 1, 1]
     skew = np.maximum(np.abs(b - c_bar), 2.0 * np.maximum(np.abs(a.imag), np.abs(d.imag)))
     if not (skew <= ATOL_HERMITIAN).all():

@@ -124,6 +124,12 @@ def conversion_probability(p: QPlateParams) -> float:
     return p.conversion_efficiency * math.sin(p.tuning_delta / 2.0) ** 2
 
 
+def _frame_phases(theta: float) -> tuple[complex, complex]:
+    """(exp(-i theta), exp(+i theta)): the phases a detection frame rotated
+    by theta puts on the |R> and |L> amplitudes."""
+    return cmath.exp(-1j * theta), cmath.exp(1j * theta)
+
+
 def rotate_frame(psi: HybridState, theta: float) -> HybridState:
     """View the state in a detection frame rotated by theta about the beam axis.
 
@@ -133,11 +139,8 @@ def rotate_frame(psi: HybridState, theta: float) -> HybridState:
     """
     if psi.basis_tag is BasisTag.HYBRID_POINCARE:
         return psi
-    return HybridState(
-        psi.c0 * cmath.exp(-1j * theta),
-        psi.c1 * cmath.exp(1j * theta),
-        BasisTag.POLARIZATION,
-    )
+    p0, p1 = _frame_phases(theta)
+    return HybridState(psi.c0 * p0, psi.c1 * p1, BasisTag.POLARIZATION)
 
 
 def displacer_split(psi: HybridState) -> DualRailState:

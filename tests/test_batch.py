@@ -2,13 +2,16 @@
 
 import json
 import math
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
 from helpers import assert_same_text
-from vortexmem import cli, hilbert, photodetection, tomography
+from vortexmem import cli, hilbert, optics, photodetection, tomography
 from vortexmem.hilbert import NonPhysicalDensity, OutsideBall
 from vortexmem.photodetection import RangeError
 from vortexmem.tomography import InsufficientCounts
@@ -59,6 +62,51 @@ def test_single_job_api_matches_oracle():
             comps, target = oracles.propagate(state, cfg, 1.0, theta)
             assert mix.components == tuple(comps) and mix.target == target
             assert cli.detection_records(mix, cfg, 17) == oracles.detection_records(comps, cfg, 17)
+
+
+def test_rotation_runs_once_per_distinct_angle(monkeypatch):
+    """The 600-angle sweep computes the frame phases once per angle and
+    builds no rotated mixture or state per job."""
+    calls = Counter()
+
+    def count(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(optics, "_frame_phases")
+    count(optics, "rotate_frame")
+    count(cli.DetectionMixture, "rotated")
+    cfg = replace(cli.default_config("fidelity_vs_rotation"),
+                  rotation_angles=tuple(math.radians(i / 10) for i in range(600)))
+    table = cli._simulate(cfg, cli._jobs(cfg), cfg.seed)
+    assert calls == {"_frame_phases": 600}
+    assert len(table.states) == 600 * len(cfg.input_states)
+
+
+def test_repeated_and_signed_zero_angles_match_oracles(tmp_path, monkeypatch, capsys):
+    """Angles that repeat or differ only in the sign of zero share nothing
+    they should not: rows match the per-job pipeline, files and stdout the
+    per-row writers."""
+    angles = (0.0, -0.0, 0.3, -0.3, 0.3, -0.0, 0.0, 2.0, 0)
+    cfg = replace(_config("fidelity_vs_rotation", 150_000, 0.05, False), rotation_angles=angles)
+    batch, oracle = cli.run(cfg), oracles.run(cfg)
+    assert len(batch.rows) == len(oracle.rows) == len(angles) * len(ALL_STATES)
+    for got, want in zip(batch.rows, oracle.rows):
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps(cli.config_to_dict(cfg)))
+    outputs = {}
+    for name, main in (("cli", cli.main), ("oracle", oracles.main)):
+        assert main(["--config", "config.json", "--out", name]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in Path(name).iterdir()}
+        outputs[name]["stdout"] = capsys.readouterr().out.replace(name, "OUT").encode()
+    assert b"-0.0" in outputs["cli"]["results.csv"]
+    assert_same_text(outputs["cli"], outputs["oracle"])
 
 
 def test_one_job_run_is_row_zero_of_a_run_at_its_seed():

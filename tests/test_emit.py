@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from helpers import assert_same_text
@@ -75,3 +77,82 @@ def test_edge_values_match_per_row_writers(tmp_path):
     want["stdout"] = oracles.summary(report.rows).encode()
     assert_same_text(got, want)
     assert b"Infinity" in got["results.jsonl"] and b"nan" in got["results.csv"]
+
+
+
+_SIGN_BIT = 2**63
+_NEG_NAN = np.array([0xFFF8_0000_0000_0001], dtype=np.uint64).view(float)[0]
+
+
+# raw bit patterns, plus the floats hypothesis favours (NaN, infinities,
+# signed zeros, subnormals) as bit patterns
+_FLOAT_BITS = st.one_of(st.integers(-2**63, 2**63 - 1),
+                        st.floats().map(lambda f: np.float64(f).view(np.int64).item()))
+
+
+@given(bits=st.lists(_FLOAT_BITS, min_size=1, max_size=40), flipped=st.integers(0, 40))
+@settings(max_examples=300)
+def test_float_text_is_repr_of_every_bit_pattern(bits, flipped):
+    """Random float64 bit patterns, NaN payloads of either sign included; the
+    first few recur with the sign flipped, so many magnitudes occur with
+    both signs."""
+    values = np.array(bits, dtype=np.int64).view(float)
+    values = np.concatenate([values, -values[:flipped]])
+    _, text, inverse = cli._float_text(values)
+    assert text[inverse].tolist() == [repr(v) for v in values.tolist()]
+
+
+@pytest.mark.parametrize("values", [
+    [_NEG_NAN],
+    [_NEG_NAN, math.nan],
+    [0.0, -0.0],
+    [-0.0],
+    [5e-324, -5e-324],
+    [math.inf, -math.inf],
+    [-math.inf],
+    [1.5, -1.5, -2.5, 2.5e-300, -7.0, 7.0, -1e300, 1.5],
+], ids=["neg_nan", "both_nans", "zeros", "neg_zero_only", "subnormal", "infinities",
+        "neg_inf_only", "mixed"])
+def test_float_text_formats_each_magnitude_once(monkeypatch, values):
+    """repr runs once per distinct non-negative value and once per negative
+    value whose magnitude does not occur; every text is still the repr."""
+    values = np.array(values)
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(cli, "repr", counted, raising=False)
+    _, text, inverse = cli._float_text(values)
+    monkeypatch.undo()
+    assert text[inverse].tolist() == [repr(v) for v in values.tolist()]
+    bits = set(values.view(np.uint64).tolist())
+    positive = {b for b in bits if b < _SIGN_BIT}
+    negative_only = {b for b in bits if b >= _SIGN_BIT and b - _SIGN_BIT not in positive}
+    assert len(calls) == len(positive) + len(negative_only)
+
+
+def test_sign_folded_values_match_per_row_writers(tmp_path):
+    """A negative NaN and values present with both signs in every float
+    column the writers format."""
+    report = cli.run(replace(cli.default_config("store_tomography"), storage_times=(1.0,)))
+    table = report.table
+    n = len(table.states)
+    signed = np.array([_NEG_NAN, math.nan, -1.5, 1.5, -0.0, 0.0])[:n]
+    stokes = table.stokes.copy()
+    stokes[:, 0] = signed
+    stokes[:, 1] = -stokes[:, 2]
+    rho_raw = table.rho_raw.copy()
+    rho_raw.real[:, 1, 0] = -rho_raw.real[:, 0, 1]
+    rho_raw.imag[:, 0, 0] = signed[::-1]
+    report.table = replace(
+        table, stokes=stokes, rho_raw=rho_raw, angle_deg=signed, f_raw=-signed,
+        f_corr=np.where(np.arange(n) % 2 == 0, signed, table.f_corr),
+        snr=np.full_like(table.snr, _NEG_NAN), bound_efficiency=-table.bound_efficiency)
+    got = {p.name: p.read_bytes() for p in cli.emit(report, tmp_path / "cli")}
+    want = {p.name: p.read_bytes() for p in oracles.emit(report, tmp_path / "oracle")}
+    got["stdout"] = cli._summary(report.table).encode()
+    want["stdout"] = oracles.summary(report.rows).encode()
+    assert_same_text(got, want)
+    assert b"NaN" in got["results.jsonl"] and b"-1.5" in got["results.csv"]

@@ -182,6 +182,20 @@ class TestCheckDensities:
         assert len(s) > 15_000
         check_densities(densities_from_bloch(s))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("m", [
+        [[0.5, 1.5e308], [-1.5e308, 0.5]],
+        [[1.5e308, 0.0], [0.0, 1.5e308]],
+        [[0.5, 1.5e308], [1.5e308, 0.5]],
+        [[0.5, 1.5e308j], [-1.5e308j, 0.5]],
+    ], ids=["anti_hermitian", "diagonal", "hermitian", "imaginary"])
+    def test_huge_finite_elements_rejected_without_overflow(self, m):
+        m = np.array(m, dtype=complex)
+        with pytest.raises(NonPhysicalDensity, match="beyond 2"):
+            check_densities(m[None])
+        with pytest.raises(NonPhysicalDensity, match="beyond 2"):
+            conditional_fidelity(DensityMatrix(m), named_state("radial"))
+
     def test_bloch_length_past_the_eigen_tolerance_rejected(self):
         m = (np.eye(2) + (1.0 + 3e-10) * TAU3) / 2.0
         with pytest.raises(NonPhysicalDensity, match="negative eigenvalue -1.5"):
