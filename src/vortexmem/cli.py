@@ -680,7 +680,10 @@ def read_count_records(path: str | Path) -> list[photodetection.CountRecord]:
 
     Expected header: projector, clicks, trials, bg_expected.  Lets the
     reconstruction run on real experimental data via
-    ``tomography.tomograph(read_count_records(path))``.
+    ``tomography.tomograph(read_count_records(path))``.  A file without
+    those columns, or a row that is short, holds a non-integer count or
+    fails the CountRecord ranges, raises ConfigError naming the file and
+    line.
     """
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
@@ -689,12 +692,16 @@ def read_count_records(path: str | Path) -> list[photodetection.CountRecord]:
             raise ConfigError(f"count-record file lacks columns {sorted(missing)}")
         records = []
         for line in reader:
-            records.append(photodetection.CountRecord(
-                projector_id=line["projector"].strip(),
-                clicks=int(line["clicks"]),
-                trials=int(line["trials"]),
-                bg_clicks_expected=float(line["bg_expected"]),
-            ))
+            try:
+                records.append(photodetection.CountRecord(
+                    projector_id=line["projector"].strip(),
+                    clicks=int(line["clicks"]),
+                    trials=int(line["trials"]),
+                    bg_clicks_expected=float(line["bg_expected"]),
+                ))
+            except (AttributeError, TypeError, ValueError) as exc:
+                # a short row leaves None in the missing columns
+                raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
     return records
 
 
@@ -779,13 +786,19 @@ def _formatted(fmt: str, values) -> list[str]:
     return np.array([fmt % v for v in bits.view(float).tolist()], dtype=object)[inverse].tolist()
 
 
-def _float_cells(block: np.ndarray) -> tuple[list[list[str]], list[list[str]]]:
-    """CSV and JSON text of a 2-D float block, as one list per column."""
-    distinct, text, inverse = _float_text(block)
-    json_text = text.copy()
-    odd = ~np.isfinite(distinct)
-    json_text[odd] = [_JSON_NON_FINITE[t] for t in text[odd].tolist()]
-    return text[inverse.T].tolist(), json_text[inverse.T].tolist()
+def _float_cells(block: np.ndarray) -> list[list[str]]:
+    """The repr (CSV) text of a 2-D float block, as one list per column."""
+    _, text, inverse = _float_text(block)
+    return text[inverse.T].tolist()
+
+
+def _json_cells(block: np.ndarray, cells: list[list[str]]) -> list[list[str]]:
+    """The JSON text of the block whose CSV text is ``cells``: the two differ
+    only at NaN and infinities, so a column without one shares its list."""
+    json_cells = list(cells)
+    for k in np.flatnonzero(~np.isfinite(block).all(axis=0)).tolist():
+        json_cells[k] = [_JSON_NON_FINITE.get(t, t) for t in cells[k]]
+    return json_cells
 
 
 def _keep_ints(cells: list[str], values: list) -> None:
@@ -822,12 +835,14 @@ def _results_text(table: ResultTable) -> tuple[list[str], list[str]]:
         table.survival,                                           # 25
         np.array([0.0 if type(t) is int else t for t in table.times]),  # 26
     ])
-    csv_cols, json_cols = _float_cells(block)
-    for cols in (csv_cols, json_cols):
-        _keep_ints(cols[26], table.times)
+    csv_cols = _float_cells(block)
+    _keep_ints(csv_cols[26], table.times)
+    json_cols = _json_cells(block, csv_cols)
     # one text per row (no float text holds a line break), so that rows
-    # with nothing retrieved can take null instead
+    # with nothing retrieved can take null instead; their f_corr cell
+    # differs between the files, so the files must not share its list
     rho_corr = "".join(_fill(_JSON_RHO + "\n", json_cols[5:13])).splitlines()
+    csv_cols[3] = csv_cols[3].copy()
     for j in np.flatnonzero(~table.retrieved).tolist():
         csv_cols[3][j], json_cols[3][j], rho_corr[j] = "", "null", "null"
     if table.snr is None:
@@ -850,7 +865,7 @@ def _bounds_text(rows: list[dict]) -> list[str]:
     header = list(rows[0])
     values = [[row[key] for row in rows] for key in header]
     block = np.array([[0.0 if type(v) is int else v for v in col] for col in values]).T
-    cells, _ = _float_cells(block)
+    cells = _float_cells(block)
     for col, vals in zip(cells, values):
         _keep_ints(col, vals)
     return _csv_lines(header, cells)

@@ -98,6 +98,23 @@ TAU1 = np.array([[0, 1], [1, 0]], dtype=complex)
 TAU2 = np.array([[0, 1j], [-1j, 0]], dtype=complex)
 TAU3 = np.array([[1, 0], [0, -1]], dtype=complex)
 
+# (I + s . tau)/2 as one product on the float view (Re, Im) of [[a, b], [c, d]]:
+# row k of _TAU_PARTS is tau_k.  Each element has at most one nonzero term,
+# +-1 times a component, so the product is exact; adding _I_PARTS turns every
+# zero into +0.0, and halving comes last, as in the complex sum, so that a
+# subnormal component rounds the same.  The result has the bits of
+# (I + s1 tau1 + s2 tau2 + s3 tau3)/2 in complex arithmetic.
+_TAU_PARTS = np.stack([TAU1, TAU2, TAU3]).reshape(3, 4).view(float)
+_I_PARTS = np.eye(2, dtype=complex).reshape(4).view(float)
+
+# the bounds of the six check values of check_densities: |b - conj(c)|, Im a
+# and Im d (Hermitian; 2|x| <= tol is |x| <= tol/2 exactly), Re(a + d) - 1
+# and Im(a + d) (trace), and the smaller eigenvalue
+_CHECK_LOWER = np.array([[-np.inf], [-ATOL_HERMITIAN / 2.0], [-ATOL_HERMITIAN / 2.0],
+                         [-ATOL_TRACE], [-ATOL_TRACE], [-ATOL_EIGEN]])
+_CHECK_UPPER = np.array([[ATOL_HERMITIAN], [ATOL_HERMITIAN / 2.0], [ATOL_HERMITIAN / 2.0],
+                         [ATOL_TRACE], [ATOL_TRACE], [np.inf]])
+
 
 def make_state(c0: complex, c1: complex, tag: BasisTag) -> HybridState:
     """Normalizing constructor; raises ZeroVector on (0, 0) input."""
@@ -126,29 +143,38 @@ def check_densities(m: np.ndarray) -> None:
     beyond 2 in magnitude: no matrix that passes has one (its elements lie
     within 1 up to the tolerances), and on one near the float range the
     closed form would overflow.
+
+    All checks are decided by one comparison of the stack's check values
+    with their bounds; only a failing stack is searched for the first check
+    that fails, in the order above, to name it.
     """
+    elements = np.ascontiguousarray(m, dtype=complex).reshape(-1, 4)
     # real and imaginary parts side by side; NaN fails the comparison too
-    parts = np.ascontiguousarray(m, dtype=complex).view(float)
+    parts = elements.view(float)
     if not (np.abs(parts) <= 2.0).all():
         if not np.isfinite(parts).all():
             raise NonPhysicalDensity("matrix has a non-finite element")
         raise NonPhysicalDensity("matrix has an element beyond 2 in real or imaginary part")
-    a, b, c_bar, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0].conj(), m[..., 1, 1]
-    skew = np.maximum(np.abs(b - c_bar), 2.0 * np.maximum(np.abs(a.imag), np.abs(d.imag)))
-    if not (skew <= ATOL_HERMITIAN).all():
-        raise NonPhysicalDensity("matrix is not Hermitian")
+    a, b, c, d = elements.T
+    c_bar = c.conj()
     trace = a + d
-    bad = (np.abs(trace.real - 1.0) > ATOL_TRACE) | (np.abs(trace.imag) > ATOL_TRACE)
+    low = trace.real / 2.0 - np.hypot((a.real - d.real) / 2.0, np.abs((b + c_bar) / 2.0))
+    checks = np.array([np.abs(b - c_bar), a.imag, d.imag, trace.real - 1.0, trace.imag, low])
+    inside = (checks >= _CHECK_LOWER) & (checks <= _CHECK_UPPER)
+    if inside.all():
+        return
+    if not inside[:3].all():
+        raise NonPhysicalDensity("matrix is not Hermitian")
+    bad = ~inside[3:5].all(axis=0)
     if bad.any():
         raise NonPhysicalDensity(f"trace is {trace[bad][0]}, expected 1")
-    low = trace.real / 2.0 - np.hypot((a.real - d.real) / 2.0, np.abs((b + c_bar) / 2.0))
-    if (low < -ATOL_EIGEN).any():
-        raise NonPhysicalDensity(f"negative eigenvalue {low.min()}")
+    raise NonPhysicalDensity(f"negative eigenvalue {low.min()}")
 
 
 def fidelities(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Conditional fidelities <v|rho|v> of a stack of density matrices
-    (N, 2, 2) with state vectors (N, 2), each clamped to [0, 1]."""
+    (N, 2, 2) with state vectors (N, 2), or one vector (1, 2) for all of
+    them, each clamped to [0, 1]."""
     check_densities(m)
     f = (v.conj()[:, :, None] * m * v[:, None, :]).sum((1, 2)).real
     f = np.where(f > 0.0, f, 0.0)
@@ -175,8 +201,7 @@ def densities_from_bloch(s: np.ndarray) -> np.ndarray:
     length = np.linalg.norm(s, axis=-1)
     if (length > 1.0 + ATOL_BALL).any():
         raise OutsideBall(f"Bloch vector length {length.max()} > 1")
-    s1, s2, s3 = (s[:, i, None, None] for i in range(3))
-    return (np.eye(2, dtype=complex) + s1 * TAU1 + s2 * TAU2 + s3 * TAU3) / 2.0
+    return ((s @ _TAU_PARTS + _I_PARTS) / 2.0).view(complex).reshape(-1, 2, 2)
 
 
 def rho_of(b: BlochVector) -> DensityMatrix:

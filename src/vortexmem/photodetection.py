@@ -43,16 +43,24 @@ class CountRecord:
     bg_clicks_expected: float = 0.0
 
     def __post_init__(self):
+        # plain comparisons, which NaN fails: the ranges of check_counts
         if self.projector_id not in PROJECTOR_ORDER:
             raise ValueError(f"unknown projector {self.projector_id!r}")
-        check_counts(self.clicks, self.trials)
+        if not (1 <= self.trials and self.trials % 1 == 0):
+            raise ValueError("trials must be a whole number >= 1")
+        if not 0 <= self.clicks <= self.trials:
+            raise ValueError("clicks must lie in [0, trials]")
+        bg = self.bg_clicks_expected
+        if not (math.isfinite(bg) and 0 <= bg <= self.trials):
+            raise ValueError(f"bg_clicks_expected {bg} must be finite and lie in [0, trials]")
 
 
-def check_counts(clicks, trials) -> None:
-    """The CountRecord ranges, for one record or a stack of clicks."""
-    if np.any(np.less(trials, 1)):
-        raise ValueError("trials must be >= 1")
-    if np.any(np.less(clicks, 0) | np.greater(clicks, trials)):
+def check_counts(clicks: np.ndarray, trials) -> None:
+    """The CountRecord ranges of clicks and trials, for a stack of clicks at
+    one number of trials; a NaN fails them."""
+    if not (1 <= trials and trials % 1 == 0):
+        raise ValueError("trials must be a whole number >= 1")
+    if not ((clicks >= 0) & (clicks <= trials)).all():
         raise ValueError("clicks must lie in [0, trials]")
 
 

@@ -146,5 +146,5 @@ def bootstrap_fidelity(records: Iterable[CountRecord], target: HybridState,
     counts = draws[:, [column[k] for k in PROJECTOR_ORDER]]
     bg = np.array([table[k].bg_clicks_expected for k in PROJECTOR_ORDER], dtype=float)
     _, rho = reconstruct(counts, bg, subtract_bg)
-    fids = fidelities(rho, np.broadcast_to(target.vector(), (n_resamples, 2)))
+    fids = fidelities(rho, target.vector()[None])
     return float(fids.mean()), float(fids.std())

@@ -91,6 +91,14 @@ def density_from_stokes(stokes):
     s1, s2, s3 = vec
     if math.sqrt(s1**2 + s2**2 + s3**2) > 1.0 + ATOL_BALL:
         raise OutsideBall("Bloch vector outside the ball")
+    return densities_from_bloch(vec[None])[0]
+
+
+def densities_from_bloch(s):
+    """(I + s . tau)/2 of a stack of Bloch vectors (N, 3) as a sum of complex
+    matrices, with no ball check: the bits hilbert.densities_from_bloch
+    must give."""
+    s1, s2, s3 = (s[:, i, None, None] for i in range(3))
     return (np.eye(2, dtype=complex) + s1 * TAU1 + s2 * TAU2 + s3 * TAU3) / 2.0
 
 

@@ -363,3 +363,34 @@ class TestOfflineCountRecords:
         path.write_text("projector,clicks\nH,5\n")
         with pytest.raises(ConfigError):
             cli.read_count_records(path)
+
+    @pytest.mark.parametrize("clicks, trials", [
+        (math.nan, 10), (5, math.nan), (-1, 10), (11, 10), (0, 0), (5, 10.5), (5, math.inf),
+    ], ids=["nan_clicks", "nan_trials", "negative_clicks", "clicks_past_trials", "no_trials",
+            "fractional_trials", "infinite_trials"])
+    def test_out_of_range_counts_rejected(self, clicks, trials):
+        with pytest.raises(ValueError):
+            photodetection.CountRecord("H", clicks, trials)
+        # the stack form used by the pipeline gives the same verdict
+        with pytest.raises(ValueError):
+            photodetection.check_counts(np.array([[0.0, clicks]]), trials)
+
+    @pytest.mark.parametrize("bg", [-50.0, -1e-9, 10.5, math.inf, -math.inf, math.nan])
+    def test_background_outside_zero_to_trials_rejected(self, bg):
+        """A negative background would add clicks in corrected tomography."""
+        with pytest.raises(ValueError, match="bg_clicks_expected"):
+            photodetection.CountRecord("H", 5, 10, bg)
+
+    def test_background_at_the_range_ends_accepted(self):
+        for bg in (0.0, 10.0):
+            assert photodetection.CountRecord("H", 5, 10, bg).bg_clicks_expected == bg
+
+    @pytest.mark.parametrize("row", [
+        "H,5", "H,5.0,10,0.0", "H,5,10,x", "H,5,10,nan", "H,5,10,-50", "X,5,10,0.0", "H,11,10,0.0",
+    ], ids=["short", "float_clicks", "text_background", "nan_background",
+            "negative_background", "unknown_projector", "clicks_past_trials"])
+    def test_malformed_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"projector,clicks,trials,bg_expected\nV,5,10,0.0\n{row}\n")
+        with pytest.raises(ConfigError, match=r"counts\.csv, line 3: "):
+            cli.read_count_records(path)

@@ -201,8 +201,53 @@ class TestCheckDensities:
         with pytest.raises(NonPhysicalDensity, match="negative eigenvalue -1.5"):
             check_densities(m[None])
 
+    @pytest.mark.parametrize("rows, message", [
+        (["trace", "non_finite", "hermitian"], "matrix has a non-finite element"),
+        (["trace", "hermitian", "beyond_2"],
+         "matrix has an element beyond 2 in real or imaginary part"),
+        (["good", "trace", "good", "hermitian"], "matrix is not Hermitian"),
+        (["good", "eigen", "trace", "half_trace"], "trace is (1.125+0j), expected 1"),
+        (["good", "eigen", "good", "pole_eigen"], "negative eigenvalue -4.999999969612645e-09"),
+    ], ids=["non_finite", "beyond_2", "hermitian", "trace", "eigen"])
+    def test_mixed_stack_names_the_first_failing_check(self, rows, message):
+        """Checks run in order over the whole stack: a trace failure in an
+        earlier row gives way to a Hermiticity failure in a later one.  Each
+        message is pinned to the byte, the trace and eigenvalue included."""
+        good = oracles.densities_from_bloch(np.array([[0.6, 0.0, 0.8], [0.0, 0.3, 0.0]]))
+        hermitian = (np.eye(2) + 0.5 * TAU1) / 2.0
+        hermitian[0, 1] += 1e-9
+        matrices = {
+            "good": good[0],
+            "trace": np.diag([0.625, 0.5]).astype(complex),
+            "half_trace": np.diag([0.3125, 0.25]).astype(complex),
+            "hermitian": hermitian,
+            "eigen": (np.eye(2) + (1.0 + 3e-9) * (0.6 * TAU1 + 0.8 * TAU2)) / 2.0,
+            "pole_eigen": (np.eye(2) + (1.0 + 1e-8) * TAU3) / 2.0,
+            "non_finite": np.diag([math.nan, 0.5]).astype(complex),
+            "beyond_2": np.diag([3.0, -2.0]).astype(complex),
+        }
+        with pytest.raises(NonPhysicalDensity) as info:
+            check_densities(np.array([matrices[name] for name in rows]))
+        assert str(info.value) == message
+
 
 class TestBlochMaps:
+    def test_stack_has_the_bits_of_the_complex_sum(self):
+        """The one-product build gives the bits of (I + s . tau)/2 summed as
+        complex matrices, for signed zero, subnormal and NaN components too."""
+        rng = np.random.default_rng(11)
+        s = rng.normal(size=(20_000, 3))
+        s /= np.linalg.norm(s, axis=1, keepdims=True) * rng.uniform(1.0, 3.0, size=(20_000, 1))
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, -1e-310, 2.2250738585072014e-308,
+                            math.nan, 1.0, -1.0])
+        mask = rng.random(s.shape) < 0.2
+        s[mask] = rng.choice(special, size=mask.sum())
+        s = s[~(np.linalg.norm(s, axis=1) > 1.0 + ATOL_BALL)]   # NaN rows stay
+        assert np.isnan(s).any() and (s == 0.0).any() and (np.abs(s) < 2.3e-308).any()
+        got = densities_from_bloch(s)
+        assert got.shape == (len(s), 2, 2)
+        assert np.array_equal(got.view(np.int64), oracles.densities_from_bloch(s).view(np.int64))
+
     def test_pole_convention(self):
         assert bloch_of(DensityMatrix(np.diag([1.0, 0.0]))) == BlochVector(0.0, 0.0, 1.0)
 
