@@ -6,7 +6,7 @@ import argparse
 import math
 import sys
 
-from vortexmem import cli
+from vortexmem import config, pipeline, text
 from vortexmem.hilbert import HYBRID_SPHERE_NAMES
 
 
@@ -20,15 +20,15 @@ def main(argv=None):
                         help="detection-frame angles in degrees")
     args = parser.parse_args(argv)
 
-    cfg = cli.default_config("fidelity_vs_rotation")
-    payload = cli.config_to_dict(cfg)
+    cfg = config.default_config("fidelity_vs_rotation")
+    payload = config.config_to_dict(cfg)
     payload.update(
         rotation_angles=[math.radians(d) for d in args.angles],
         trials_per_projection=args.trials,
         seed=args.seed,
     )
-    report = cli.run(cli.config_from_dict(payload))
-    cli.emit(report, args.out)
+    report = pipeline.run(config.config_from_dict(payload))
+    text.emit(report, args.out)
 
     groups = {
         "hybrid": HYBRID_SPHERE_NAMES,

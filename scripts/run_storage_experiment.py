@@ -5,7 +5,7 @@ fidelity-vs-time table (raw, background-corrected, classical bounds)."""
 import argparse
 import sys
 
-from vortexmem import cli
+from vortexmem import config, pipeline, text
 
 
 def main(argv=None):
@@ -19,15 +19,15 @@ def main(argv=None):
                         help="storage times in microseconds")
     args = parser.parse_args(argv)
 
-    cfg = cli.default_config("fidelity_vs_time")
-    payload = cli.config_to_dict(cfg)
+    cfg = config.default_config("fidelity_vs_time")
+    payload = config.config_to_dict(cfg)
     payload.update(
         storage_times=args.times,
         trials_per_projection=args.trials,
         seed=args.seed,
     )
-    report = cli.run(cli.config_from_dict(payload))
-    cli.emit(report, args.out)
+    report = pipeline.run(config.config_from_dict(payload))
+    text.emit(report, args.out)
 
     all_rows = report.rows   # derived from the result table on each access
     print(f"\nsix-state averages ({args.trials or 'exact'} trials/projection):")

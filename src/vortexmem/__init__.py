@@ -10,19 +10,26 @@ photodetection  weak-coherent click statistics behind projective analyzers
 tomography      six-projector density-matrix reconstruction
 security        classical-memory (intercept-resend) fidelity benchmarks
 fields          transverse intensity and polarization maps
-cli             configuration-driven experiment runner and file formats
+config          experiment configuration, scenario presets and validation
+pipeline        batched job pipeline and scenario runs
+text            pixmaps, result files, stdout table and offline count records
+cli             command-line entry point
 """
 
-from . import cli, fields, hilbert, memory, optics, photodetection, security, tomography
+from . import (cli, config, fields, hilbert, memory, optics, photodetection, pipeline, security,
+               text, tomography)
 
 __all__ = [
     "cli",
+    "config",
     "fields",
     "hilbert",
     "memory",
     "optics",
     "photodetection",
+    "pipeline",
     "security",
+    "text",
     "tomography",
 ]
 

@@ -1,923 +1,33 @@
-"""Configuration-driven experiment runner and file formats.
+"""Command-line entry point: parse the flags, load the config, run the
+scenario, write its files and print the stdout table.
 
-Scenarios compose the full simulated apparatus: state preparation (with or
-without the encoding plate), dual-rail storage, detection-frame rotation,
-decoding, weak-coherent click statistics and tomography.  Every emitted
-fidelity row carries the matching classical-memory bounds and the
-key-distribution threshold verdict; runs are bit-reproducible for a fixed
-(config, seed) pair.
-
-Jobs are batched over a job axis: encode, storage and recombine run once
-per distinct (state, storage time), the frame rotation's phases once per
-distinct angle, and the click statistics, tomography and fidelities work on
-arrays with one row per job.  A run draws all its click counts from one
-stream, default_rng(seed): job by job in enumeration order, each job's six
-projectors in H, V, D, A, R, L order.  The job_seed of every row is that
-run seed.  Arithmetic on the job axis is elementwise, so row 0 of a run is
-bit for bit the one-job run simulate_point(..., job_seed=seed).  The batch
-is a ResultTable of columns; results.csv, results.jsonl and the stdout
-table are filled column by column from those columns, repr running once
-per distinct magnitude, with the bytes of per-row json.dumps and
-csv.writer.  In field_maps, states whose
-intensity (and, for the PPM, azimuth) arrays are bit-identical share their
-rendered text: each distinct array is rendered once per run.
-
-Config files are JSON documents mirroring ExperimentConfig; angles are in
-radians and storage times in microseconds.  trials_per_projection = 0
-selects exact (expectation-valued, linearized-detector) tomography instead
-of sampled counts.
+Exit codes: 0 on success, 2 for a config error (or too few counts for
+tomography), 3 for an i/o error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import sys
-from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
-import numpy as np
+from . import tomography
+from .config import (SCENARIOS, ConfigError, ExperimentConfig, config_from_dict, config_to_dict,
+                     default_config)
+from .pipeline import run
+from .text import _summary, emit
 
-from . import fields, hilbert, memory, optics, photodetection, security, tomography
-from .hilbert import BasisTag, HybridState, named_state
-from .memory import MemoryParams
-from .optics import QPlateParams
-from .photodetection import SourceParams
-
-CSV_COLUMNS = (
-    "scenario",
-    "state",
-    "angle_deg",
-    "time_us",
-    "fidelity_raw",
-    "fidelity_corrected",
-    "bound_poisson",
-    "bound_efficiency",
-    "pass_shor_preskill",
-)
-
-# Fig-style angle grid: 0..60 degrees in 10-degree steps plus 45
-DEFAULT_ANGLES_DEG = (0, 10, 20, 30, 40, 45, 50, 60)
-DEFAULT_TIMES_US = (0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0)
-BOUNDS_NBAR_GRID = (0.1, 0.5, 1.0)
-
-# scenario -> (preset fields over the measured-regime base config, job
-# enumeration: state outermost, then time, then angle; None without jobs)
-_SCENARIOS = {
-    "store_tomography": ({}, lambda cfg: [
-        (s, cfg.storage_times[0], 0.0) for s in cfg.input_states]),
-    "fidelity_vs_time": ({"storage_times": DEFAULT_TIMES_US}, lambda cfg: [
-        (s, t, 0.0) for s in cfg.input_states for t in cfg.storage_times]),
-    "fidelity_vs_rotation": ({
-        "rotation_angles": tuple(math.radians(d) for d in DEFAULT_ANGLES_DEG),
-        "input_states": hilbert.HYBRID_SPHERE_NAMES + hilbert.POLARIZATION_NAMES,
-        "encode_with_qplate": False,
-    }, lambda cfg: [(s, cfg.storage_times[0], a) for s in cfg.input_states
-                    for a in cfg.rotation_angles]),
-    "field_maps": ({"trials_per_projection": 0}, None),
-    "bounds_table": ({}, None),
-}
-SCENARIOS = tuple(_SCENARIOS)
-
-# click counts and their background subtraction are float64 arithmetic,
-# exact only up to 2**53
-TRIALS_MAX = 2**53
+# the benchmark (bench/workloads.py) reaches these, with config_to_dict,
+# default_config, load_config and main, through vortexmem.cli; every other
+# name is imported from its own module
+from .pipeline import detection_records, propagate  # noqa: F401
+from .text import COUNT_RECORD_COLUMNS, read_count_records  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-
-class ConfigError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    scenario: str
-    source: SourceParams = SourceParams()
-    memory: MemoryParams = MemoryParams()
-    qplate: QPlateParams = QPlateParams()
-    trials_per_projection: int = 150_000
-    rotation_angles: tuple[float, ...] = (0.0,)
-    storage_times: tuple[float, ...] = (1.0,)
-    input_states: tuple[str, ...] = hilbert.HYBRID_SPHERE_NAMES
-    seed: int = 12345
-    encode_with_qplate: bool = True
-
-    def validate(self) -> None:
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario: {self.scenario!r} not in {SCENARIOS}")
-        for name in self.input_states:
-            if name not in hilbert.STATE_NAMES:
-                raise ConfigError(f"input_states: unknown state {name!r}")
-        if not self.input_states and self.scenario != "bounds_table":
-            raise ConfigError("input_states: must not be empty")
-        for name in ("trials_per_projection", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name}: expected an integer, got {value!r}")
-        if not 0 <= self.trials_per_projection <= TRIALS_MAX:
-            raise ConfigError(f"trials_per_projection: must lie in [0, {TRIALS_MAX}]")
-        if self.seed < 0:
-            raise ConfigError("seed: must be >= 0")
-        for sub in ("source", "memory", "qplate"):
-            params = getattr(self, sub)
-            for f in dataclass_fields(params):
-                if f.type == "float":
-                    _check_finite(f"{sub}.{f.name}", getattr(params, f.name))
-        if self.source.nbar > security.NBAR_MAX:
-            raise ConfigError(f"source.nbar: must be <= {security.NBAR_MAX}")
-        if not math.isfinite(2.0 * self.qplate.alpha0):
-            raise ConfigError("qplate.alpha0: 2 * alpha0 overflows")
-        for t in self.storage_times:
-            _check_finite("storage_times", t)
-            if t < 0.0:
-                raise ConfigError(f"storage_times: invalid time {t}")
-            try:
-                memory.efficiency_at(self.memory, t)
-            except OverflowError as exc:
-                raise ConfigError(f"storage_times: (t/tau)^2 overflows at t = {t}") from exc
-        for a in self.rotation_angles:
-            _check_finite("rotation_angles", a)
-            if not math.isfinite(math.degrees(a)):
-                raise ConfigError(f"rotation_angles: {a} rad overflows in degrees")
-        if not isinstance(self.encode_with_qplate, bool):
-            raise ConfigError(
-                f"encode_with_qplate: expected true or false, got {self.encode_with_qplate!r}")
-        try:
-            optics._check_charge(self.qplate)
-        except optics.UnsupportedCharge as exc:
-            raise ConfigError(f"qplate.q: {exc}") from exc
-        if not self.storage_times:
-            raise ConfigError("storage_times: must not be empty")
-        if not self.rotation_angles:
-            raise ConfigError("rotation_angles: must not be empty")
-        if self.scenario != "field_maps" and self.source.nbar <= 0.0:
-            raise ConfigError(f"source.nbar: {self.scenario} needs nbar > 0")
-        if self.scenario == "bounds_table" and self.memory.eta0 <= 0.0:
-            raise ConfigError("memory.eta0: bounds_table needs eta0 > 0")
-        if self.scenario == "field_maps":
-            bad = [s for s in self.input_states if s not in hilbert.HYBRID_SPHERE_NAMES]
-            if bad:
-                raise ConfigError(f"input_states: field_maps needs hybrid-sphere states, got {bad}")
-
-
-def _check_finite(path: str, value) -> None:
-    """A JSON number that converts to a finite float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    try:
-        finite = math.isfinite(value)
-    except OverflowError:   # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-
-
-def default_config(scenario: str) -> ExperimentConfig:
-    """Scenario presets in the measured operating regime."""
-    try:
-        preset, _ = _SCENARIOS[scenario]
-    except (KeyError, TypeError):   # TypeError: an unhashable JSON value
-        raise ConfigError(f"scenario: {scenario!r} not in {SCENARIOS}") from None
-    mem = MemoryParams()
-    survival_1us = memory.efficiency_at(mem, 1.0)
-    # background pinned so the expected raw six-state average reproduces the
-    # measured 0.967 at 1 us storage
-    bg = photodetection.calibrate_background(
-        0.5, survival_1us, photodetection.snr_for_raw_fidelity(0.967)
-    )
-    return ExperimentConfig(scenario=scenario, memory=replace(mem, bg_click=bg), **preset)
-
-
-# --- config (de)serialization ----------------------------------------------
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    d["rotation_angles"] = list(cfg.rotation_angles)
-    d["storage_times"] = list(cfg.storage_times)
-    d["input_states"] = list(cfg.input_states)
-    return d
-
-
-def _build_sub(cls, raw: dict, path: str):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: expected an object, got {type(raw).__name__}")
-    allowed = cls.__dataclass_fields__
-    unknown = set(raw) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
-    try:
-        return cls(**raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    unknown = set(raw) - set(ExperimentConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown config fields {sorted(unknown)}")
-    if "scenario" not in raw:
-        raise ConfigError("scenario: required field is missing")
-    kwargs = dict(raw)
-    for key, cls in (("source", SourceParams), ("memory", MemoryParams), ("qplate", QPlateParams)):
-        if key in kwargs:
-            kwargs[key] = _build_sub(cls, kwargs[key], key)
-    for key in ("rotation_angles", "storage_times", "input_states"):
-        if key in kwargs:
-            if not isinstance(kwargs[key], (list, tuple)):
-                raise ConfigError(f"{key}: expected a list")
-            kwargs[key] = tuple(kwargs[key])
-    try:
-        cfg = ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    cfg.validate()
-    return cfg
-
-
-# --- batched job pipeline ---------------------------------------------------
-
-@dataclass(frozen=True)
-class DetectionMixture:
-    """Incoherent polarization components reaching the analyzers.
-
-    Rail imbalance or phase error pushes part of a hybrid state into the
-    orthogonal spin-orbit combinations; after decoding those arrive as
-    circularly polarized light in spatially distinct modes, so they add to
-    the click rates without interfering with the main beam.
-    ``rotates`` marks retrieved polarization light, whose components turn
-    with the detection frame; decoded hybrid states carry zero total
-    angular momentum and are the same at every angle.
-    """
-
-    components: tuple[tuple[float, HybridState], ...]
-    target: HybridState
-    rotates: bool = False
-
-    def rotated(self, theta: float) -> DetectionMixture:
-        """The light at the analyzers for a detection frame rotated by theta."""
-        if not self.rotates:
-            return self
-        return replace(self, components=tuple(
-            (w, optics.rotate_frame(pol, theta)) for w, pol in self.components))
-
-
-def _retrieve(state_name: str, cfg: ExperimentConfig, t_us: float) -> DetectionMixture:
-    """Run one state through encode, storage and recombine (and the decode
-    pass, for hybrid states)."""
-    psi = named_state(state_name)
-    if psi.basis_tag is BasisTag.POLARIZATION and cfg.encode_with_qplate:
-        psi = optics.qplate_apply(psi, cfg.qplate)
-    rails = memory.store_retrieve(optics.displacer_split(psi), cfg.memory, t_us)
-    hybrid = psi.basis_tag is BasisTag.HYBRID_POINCARE
-    target = optics.qplate_decode(psi, cfg.qplate) if hybrid else psi
-    if rails.power() == 0.0:
-        # the efficiency underflowed at a long storage time: nothing is
-        # retrieved and the analyzers see background clicks only
-        return DetectionMixture((), target, not hybrid)
-    rec = optics.displacer_recombine(rails)
-    if not hybrid:
-        return DetectionMixture(((rec.throughput, rec.state),), target, True)
-    conv = optics.conversion_probability(cfg.qplate) ** 2  # encode + decode pass
-    comps = [(conv * (rec.throughput - rec.leak_power), optics.qplate_decode(rec.state, cfg.qplate))]
-    if rec.leak_power > 0.0:
-        # |R,-1> decodes to L-polarized, |L,+1> to R-polarized light
-        comps.append((conv * abs(rec.leak[0]) ** 2, named_state("L")))
-        comps.append((conv * abs(rec.leak[1]) ** 2, named_state("R")))
-    return DetectionMixture(tuple(comps), target)
-
-
-def propagate(state_name: str, cfg: ExperimentConfig, t_us: float,
-              theta: float) -> DetectionMixture:
-    """Run one state through encode, storage, rotation and decode."""
-    return _retrieve(state_name, cfg, t_us).rotated(theta)
-
-
-def _components(mix: DetectionMixture) -> tuple[tuple[float, complex, complex], ...]:
-    """The (weight, c0, c1) of each component of a mixture."""
-    return tuple((w, pol.c0, pol.c1) for w, pol in mix.components)
-
-
-def _signal(light: list[Sequence[tuple[float, complex, complex]]]
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Signal weight per projector (J, 6) and survival (J,), the summed
-    component weights, of each job's (weight, c0, c1) components."""
-    signal = np.zeros((len(light), len(photodetection.PROJECTOR_ORDER)))
-    survival = np.zeros(len(light))
-    for k in range(max(map(len, light), default=0)):
-        rows = [j for j, comps in enumerate(light) if len(comps) > k]
-        weights, c0, c1 = zip(*[light[j][k] for j in rows])
-        weights = np.array(weights)
-        amps = np.array((c0, c1), dtype=complex).T.copy()   # (rows, 2), C order
-        signal[rows] += weights[:, None] * photodetection.projection_weights(amps)
-        survival[rows] += weights
-    return signal, survival
-
-
-def _detect(cfg: ExperimentConfig, signal: np.ndarray, survival: np.ndarray,
-            seed: int) -> tuple[np.ndarray, float, int]:
-    """Counts (J, 6), expected background clicks and trials per projector;
-    sampled counts come from one stream, default_rng(seed), in row order."""
-    nbar = cfg.source.nbar
-    bg = cfg.memory.bg_click
-    if cfg.trials_per_projection == 0:
-        # exact mode: expectation-valued counts for the linearized detector
-        scale = 1.0 / (1.0 + nbar)
-        counts, bg_expected, trials = (bg + nbar * signal) * scale, bg * scale, 1
-    else:
-        trials = cfg.trials_per_projection
-        lit = survival[:, None] > 0
-        proj = np.divide(signal, survival[:, None], out=np.zeros_like(signal), where=lit)
-        # the one clamp of click inputs, against round-off in the sums and
-        # ratios of component weights
-        probs = photodetection.click_probabilities(
-            nbar, np.minimum(1.0, survival), np.minimum(1.0, proj), bg)
-        counts, bg_expected = photodetection.sample_counts(probs, trials, seed), bg * trials
-    photodetection.check_counts(counts, trials)
-    return counts, bg_expected, trials
-
-
-def detection_records(mix: DetectionMixture, cfg: ExperimentConfig,
-                      job_seed: int) -> list[photodetection.CountRecord]:
-    counts, bg_expected, trials = _detect(cfg, *_signal([_components(mix)]), job_seed)
-    return [photodetection.CountRecord(name, c, trials, bg_expected)
-            for name, c in zip(photodetection.PROJECTOR_ORDER, counts[0].tolist())]
-
-
-@dataclass(frozen=True, eq=False)   # == on array fields has no single truth value
-class ResultTable:
-    """Results of a batch of jobs as columns, one row per job.
-
-    Bounds and SNR depend on a job only through its survival, so they are
-    kept once per distinct survival and ``level`` gives each job's entry.
-    A job with no retrieved signal (``retrieved`` false) has nothing to
-    correct: its ``f_corr`` and ``rho_corr`` entries are zero placeholders.
-    """
-
-    scenario: str
-    states: list[str]
-    times: list[float]          # storage times as given: int or float
-    seed: int                   # the stream all counts were drawn from
-    angle_deg: np.ndarray       # (J,) round(degrees(theta), 9)
-    f_raw: np.ndarray           # (J,)
-    f_corr: np.ndarray          # (J,)
-    retrieved: np.ndarray       # (J,) bool
-    stokes: np.ndarray          # (J, 3) raw Stokes vectors, before projection
-    rho_raw: np.ndarray         # (J, 2, 2)
-    rho_corr: np.ndarray        # (J, 2, 2)
-    survival: np.ndarray        # (J,) clamped to [1e-12, 1]
-    level: np.ndarray           # (J,) index into the per-survival columns
-    bound_poisson: np.ndarray   # (S,)
-    bound_efficiency: np.ndarray  # (S,)
-    snr: np.ndarray | None      # (S,); None without background clicks
-    secure: np.ndarray          # (J,) Shor-Preskill verdict on f_raw
-
-    def rows(self) -> list[dict]:
-        """One dict per job, with Python values: the row form that scripts
-        and tests read."""
-        def matrices(rho):
-            return [{"real": re, "imag": im}
-                    for re, im in zip(rho.real.tolist(), rho.imag.tolist())]
-
-        retrieved = self.retrieved.tolist()
-        f_corr = [f if ok else None for f, ok in zip(self.f_corr.tolist(), retrieved)]
-        rho_corr = [m if ok else None for m, ok in zip(matrices(self.rho_corr), retrieved)]
-        snr = [None] * len(retrieved) if self.snr is None else self.snr[self.level].tolist()
-        return [{
-            "scenario": self.scenario,
-            "state": state,
-            "angle_deg": angle,
-            "time_us": t_us,
-            "fidelity_raw": f,
-            "fidelity_corrected": f_corr[j],
-            "bound_poisson": poisson,
-            "bound_efficiency": efficiency,
-            "pass_shor_preskill": secure,
-            "_extras": {
-                "survival": surv,
-                "snr": snr[j],
-                "stokes_raw": stokes,
-                "rho_raw": rho,
-                "rho_corrected": rho_corr[j],
-                "job_seed": self.seed,
-            },
-        } for j, (state, t_us, angle, f, poisson, efficiency, secure, surv, stokes, rho)
-            in enumerate(zip(
-                self.states, self.times, self.angle_deg.tolist(),
-                self.f_raw.tolist(), self.bound_poisson[self.level].tolist(),
-                self.bound_efficiency[self.level].tolist(), self.secure.tolist(),
-                self.survival.tolist(), self.stokes.tolist(), matrices(self.rho_raw)))]
-
-
-def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
-              seed: int) -> ResultTable:
-    """Result table of (state, time, angle) jobs: the pipeline over a job axis.
-
-    Encode, storage and recombine run once per distinct (state, time) and
-    the frame phases once per distinct angle: a rotating component's
-    amplitudes times those phases are, in the same Python complex
-    arithmetic, the amplitudes of DetectionMixture.rotated.  The counts of
-    all jobs come from one stream, default_rng(seed), in job order.
-    """
-    slots: dict[tuple[str, float], int] = {}
-    slot = [slots.setdefault((state, t_us), len(slots)) for state, t_us, _ in jobs]
-    mixes = [_retrieve(state, cfg, t_us) for state, t_us in slots]
-    # angles told apart by bit pattern: -0.0 and 0.0 give phases with
-    # zeros of opposite sign
-    bits, angle = _distinct_bits([theta for _, _, theta in jobs])
-    angles = bits.view(float).tolist()
-    phases = [optics._frame_phases(theta) for theta in angles]
-    comps = [_components(m) for m in mixes]
-    light = []
-    for s, k in zip(slot, angle.tolist()):
-        if mixes[s].rotates:
-            p0, p1 = phases[k]
-            light.append([(w, c0 * p0, c1 * p1) for w, c0, c1 in comps[s]])
-        else:
-            light.append(comps[s])
-    signal, survival = _signal(light)
-    counts, bg_expected, _ = _detect(cfg, signal, survival, seed)
-    targets = np.array([(m.target.c0, m.target.c1) for m in mixes], dtype=complex)[slot]
-    stokes, rho_raw = tomography.reconstruct(counts, bg_expected)
-    f_raw = hilbert.fidelities(rho_raw, targets)
-    retrieved = survival > 0
-    f_corr, rho_corr = np.zeros_like(f_raw), np.zeros_like(rho_raw)
-    _, rho = tomography.reconstruct(counts[retrieved], bg_expected, subtract_bg=True)
-    f_corr[retrieved] = hilbert.fidelities(rho, targets[retrieved])
-    rho_corr[retrieved] = rho
-
-    nbar, bg = cfg.source.nbar, cfg.memory.bg_click
-    survival = np.minimum(1.0, np.maximum(1e-12, survival))
-    levels, level = np.unique(survival, return_inverse=True)
-    levels = levels.tolist()
-    return ResultTable(
-        scenario=cfg.scenario,
-        states=[state for state, _, _ in jobs],
-        times=[t_us for _, t_us, _ in jobs],
-        seed=seed,
-        angle_deg=np.array([round(math.degrees(theta), 9) for theta in angles],
-                           dtype=float)[angle],
-        f_raw=f_raw,
-        f_corr=f_corr,
-        retrieved=retrieved,
-        stokes=stokes,
-        rho_raw=rho_raw,
-        rho_corr=rho_corr,
-        survival=survival,
-        level=level,
-        bound_poisson=np.full(len(levels), security.classical_bound_poisson(nbar)),
-        bound_efficiency=np.array([
-            security.classical_bound_with_efficiency(security.BenchmarkInput(nbar, s))
-            for s in levels]),
-        snr=np.array([photodetection.snr_of(nbar, s, bg) for s in levels]) if bg > 0 else None,
-        secure=security.shor_preskill_passes(f_raw),
-    )
-
-
-def simulate_point(state_name: str, cfg: ExperimentConfig, t_us: float,
-                   theta: float, job_seed: int) -> dict:
-    """One (state, time, angle) job: full pipeline plus benchmark columns."""
-    return _simulate(cfg, [(state_name, t_us, theta)], job_seed).rows()[0]
-
-
-# --- scenario runners --------------------------------------------------------
-
-@dataclass
-class Report:
-    config: ExperimentConfig
-    table: ResultTable | None = None
-    bounds_rows: list[dict] = field(default_factory=list)
-    pixmaps: list[tuple[str, str]] = field(default_factory=list)  # (name, text)
-
-    @property
-    def rows(self) -> list[dict]:
-        """The job rows, derived from the table on each access."""
-        return [] if self.table is None else self.table.rows()
-
-    @property
-    def density(self) -> dict[str, dict]:
-        """Raw and corrected density matrix per state (store_tomography only)."""
-        if self.config.scenario != "store_tomography":
-            return {}
-        return {row["state"]: {
-            "rho_raw": row["_extras"]["rho_raw"],
-            "rho_corrected": row["_extras"]["rho_corrected"],
-            "fidelity_raw": row["fidelity_raw"],
-            "fidelity_corrected": row["fidelity_corrected"],
-        } for row in self.rows}
-
-
-def _jobs(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
-    """Canonical job enumeration of the scenario; empty without jobs."""
-    enumerate_jobs = _SCENARIOS[cfg.scenario][1]
-    return [] if enumerate_jobs is None else enumerate_jobs(cfg)
-
-
-def run(cfg: ExperimentConfig) -> Report:
-    cfg.validate()
-    report = Report(config=cfg)
-    if cfg.scenario == "bounds_table":
-        nbars = sorted(set(BOUNDS_NBAR_GRID) | {cfg.source.nbar})
-        for nbar in nbars:
-            bench = security.BenchmarkInput(nbar, cfg.memory.eta0)
-            report.bounds_rows.append({
-                "nbar": nbar,
-                "eta": cfg.memory.eta0,
-                "bound_nphoton_1": security.classical_bound_nphoton(1),
-                "bound_poisson": security.classical_bound_poisson(nbar),
-                "bound_efficiency": security.classical_bound_with_efficiency(bench),
-                "shor_preskill_threshold": security.SHOR_PRESKILL_THRESHOLD,
-            })
-        return report
-    if cfg.scenario == "field_maps":
-        import hashlib   # here rather than at the top: it slows every import of the cli
-
-        grid = fields.Grid()
-        # each text rendered once per run, keyed on the renderer and the SHA-256
-        # of its input arrays (all of one shape and dtype)
-        texts: dict[tuple, str] = {}
-        for name in cfg.input_states:
-            fmap = fields.vector_field_map(named_state(name), grid)
-            intensity = fmap.intensity()
-            hue = fields.polarization_azimuth(fmap) / math.pi
-            i, h = (hashlib.sha256(np.ascontiguousarray(a)).digest() for a in (intensity, hue))
-            for file, render, arrays, digests in (
-                (f"{name}_intensity.pgm", render_pgm, (intensity,), (i,)),
-                (f"{name}_polarization.ppm", render_ppm, (hue, intensity), (h, i)),
-                (f"{name}_intensity.csv", render_grid_csv, (intensity,), (i,)),
-            ):
-                key = (render, *digests)
-                if key not in texts:
-                    texts[key] = render(*arrays)
-                report.pixmaps.append((file, texts[key]))
-        return report
-    report.table = _simulate(cfg, _jobs(cfg), cfg.seed)
-    return report
-
-
-# --- output formats ----------------------------------------------------------
-
-def _scaled(intensity: np.ndarray) -> np.ndarray:
-    """Intensity divided by its peak: each pixel in [0, 1].
-
-    A pixmap cannot show a negative or non-finite intensity, so those raise
-    ValueError; this also bounds the samples of a scaled image to [0, maxval].
-    """
-    if not np.isfinite(intensity).all() or (intensity < 0.0).any():
-        raise ValueError("pixmap intensity must be finite and non-negative")
-    peak = float(intensity.max())
-    return np.zeros_like(intensity) if peak == 0.0 else intensity / peak
-
-
-def _pixmap_text(magic: str, width: int, height: int, maxval: int,
-                 samples: np.ndarray) -> str:
-    """ASCII netpbm file from integer samples in [0, maxval], one text row
-    per array row; each level that occurs is formatted once."""
-    if not 0 < maxval < 65536:
-        raise ValueError(f"pixmap maxval must be in [1, 65535], got {maxval}")
-    levels = np.flatnonzero(np.bincount(samples.ravel(), minlength=maxval + 1))
-    table = np.empty(maxval + 1, dtype=object)
-    table[levels] = [str(v) for v in levels.tolist()]
-    rows = "".join(" ".join(row) + "\n" for row in table[samples].tolist())
-    return f"{magic}\n{width} {height}\n{maxval}\n" + rows
-
-
-def render_pgm(intensity: np.ndarray, maxval: int = 65535) -> str:
-    """ASCII PGM (P2) with intensity scaled to the full gray range."""
-    pixels = np.rint(_scaled(intensity) * maxval).astype(int)
-    return _pixmap_text("P2", pixels.shape[1], pixels.shape[0], maxval, pixels)
-
-
-# (r, g, b) of each hue sector as indices into the corners (v, q, p, t)
-_HSV_SECTORS = np.array([[0, 3, 2], [1, 0, 2], [2, 0, 3], [2, 1, 0], [3, 2, 0], [0, 2, 1]],
-                        dtype=np.int8)
-
-
-def _hsv_to_rgb(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """RGB (..., 3) of hue h in [0, 1) and value v at full saturation."""
-    h6 = h * 6.0
-    sector = np.floor(h6)
-    f = h6 - sector
-    corners = np.zeros(v.shape + (4,))   # p = v * (1 - s) = 0
-    corners[..., 0] = v
-    corners[..., 1] = v * (1.0 - f)
-    corners[..., 3] = v * f
-    return np.take_along_axis(corners, _HSV_SECTORS[sector.astype(int) % 6], axis=-1)
-
-
-def render_ppm(hue: np.ndarray, intensity: np.ndarray, maxval: int = 255) -> str:
-    """ASCII PPM (P3): hue encodes polarization azimuth, value the intensity."""
-    if not np.isfinite(hue).all():
-        raise ValueError("pixmap hue must be finite")
-    rgb = _hsv_to_rgb(np.mod(hue, 1.0), _scaled(intensity))
-    pixels = np.rint(rgb * maxval).astype(int)
-    ny, nx = hue.shape
-    return _pixmap_text("P3", nx, ny, maxval, pixels.reshape(ny, 3 * nx))
-
-
-_MAGNITUDE_BITS = np.int64(2**63 - 1)   # every bit of a float64 but its sign
-
-
-def _distinct_bits(values) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct bit patterns of a float array as sorted int64, and the
-    index of every element's pattern (in the array's shape).  Patterns tell
-    -0.0 from 0.0."""
-    values = np.ascontiguousarray(values, dtype=float)
-    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
-    return bits, inverse.reshape(values.shape)
-
-
-def _float_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct values of a float array, the repr of each, and the index
-    of every element's value (in the array's shape).
-
-    Values are told apart by their bit pattern, so -0.0 and 0.0 keep their
-    own text, and repr runs once per distinct magnitude: a negative value
-    whose magnitude also occurs takes "-" and that magnitude's text, or the
-    text alone for a NaN, which repr prints without a sign.  For a float,
-    repr is also str, the text csv writes.
-    """
-    bits, inverse = _distinct_bits(values)
-    distinct = bits.view(float)
-    # sign bit set: the first `neg` patterns, as int64 sorts them
-    neg = int(np.searchsorted(bits, 0))
-    text = np.empty(len(bits), dtype=object)
-    text[neg:] = list(map(repr, distinct[neg:].tolist()))
-    if neg:
-        magnitude = bits[:neg] & _MAGNITUDE_BITS
-        at = np.minimum(np.searchsorted(bits, magnitude), len(bits) - 1)
-        shared = bits[at] == magnitude
-        signed = shared & ~np.isnan(distinct[:neg])
-        folded = text[at]
-        folded[signed] = ["-" + t for t in folded[signed].tolist()]
-        folded[~shared] = list(map(repr, distinct[:neg][~shared].tolist()))
-        text[:neg] = folded
-    return distinct, text, inverse
-
-
-def render_grid_csv(values: np.ndarray) -> str:
-    """CSV of a 2-D float grid, each cell the shortest round-trip repr.
-
-    A float repr holds no delimiter or quote, so the rows need no CSV quoting.
-    """
-    _, text, inverse = _float_text(values)
-    return "".join(",".join(row) + "\n" for row in text[inverse].tolist())
-
-
-COUNT_RECORD_COLUMNS = ("projector", "clicks", "trials", "bg_expected")
-
-
-def read_count_records(path: str | Path) -> list[photodetection.CountRecord]:
-    """Load offline count records for tomography from a CSV file.
-
-    Expected header: projector, clicks, trials, bg_expected.  Lets the
-    reconstruction run on real experimental data via
-    ``tomography.tomograph(read_count_records(path))``.  A file without
-    those columns, or a row that is short, holds a non-integer count or
-    fails the CountRecord ranges, raises ConfigError naming the file and
-    line.
-    """
-    with open(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(COUNT_RECORD_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ConfigError(f"count-record file lacks columns {sorted(missing)}")
-        records = []
-        for line in reader:
-            try:
-                records.append(photodetection.CountRecord(
-                    projector_id=line["projector"].strip(),
-                    clicks=int(line["clicks"]),
-                    trials=int(line["trials"]),
-                    bg_clicks_expected=float(line["bg_expected"]),
-                ))
-            except (AttributeError, TypeError, ValueError) as exc:
-                # a short row leaves None in the missing columns
-                raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
-    return records
-
-
-# --- result text -------------------------------------------------------------
-#
-# results.jsonl is the text json.dumps(row, sort_keys=True) gives and
-# results.csv the text of csv.writer: keys sorted, ", " and ": " separators,
-# floats as repr (json's NaN and Infinity, csv's nan and inf), None as null or
-# an empty cell.  State and scenario names come from fixed tables and hold no
-# character that JSON escapes or CSV quotes.
-#
-# Every text is built column by column.  The floats of a file go into one
-# block; repr runs once per distinct magnitude in it, and a negative value
-# whose magnitude also occurs is "-" and that text (the sign folding of
-# _float_text).  Each column then becomes a list of cell texts, and _fill
-# interleaves a line template's literal pieces with those lists, so no
-# line is formatted on its own.  emit writes the results files chunk by
-# chunk as _fill returns them.  The stdout table is filled the same way,
-# its state, angle and time cells formatted once per distinct value.
-
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_BOOL = np.array(["false", "true"], dtype=object)
-_CSV_BOOL = np.array(["False", "True"], dtype=object)
-_YES_NO = np.array(["no", "yes"], dtype=object)
-
-# line templates: _fill puts the cells of the k-th column at the k-th %s
-_JSON_RHO = '{"imag": [[%s, %s], [%s, %s]], "real": [[%s, %s], [%s, %s]]}'
-_JSON_ROW = (
-    '{"angle_deg": %s, "bound_efficiency": %s, "bound_poisson": %s, '
-    '"fidelity_corrected": %s, "fidelity_raw": %s, "job_seed": %s, '
-    '"pass_shor_preskill": %s, "rho_corrected": %s, "rho_raw": ' + _JSON_RHO + ', '
-    '"scenario": %s, "snr": %s, "state": %s, "stokes_raw": [%s, %s, %s], '
-    '"survival": %s, "time_us": %s}\n'
-)
-_SUMMARY_ROW = "%s  angle=%s deg  t=%s us  F_raw=%s  F_corr=%s  bound=%s  secure=%s\n"
-
-
-_FILL_CHUNK = 1024   # lines per text chunk
-
-
-def _fill(template: str, columns: list) -> list[str]:
-    """Lines of a template, one per row, the k-th %s of each line taking the
-    row's cell of columns[k]: a list of str, one per row, or a str that is
-    the same on every line.
-
-    The lines come as text chunks of up to _FILL_CHUNK lines, which emit
-    writes one after another: a results file never exists as one string.
-    Each chunk interleaves the literal pieces with the column cells in one
-    list of its final length, by slice assignment, and joins it once.
-    """
-    pieces = template.split("%s")
-    if len(pieces) != len(columns) + 1:
-        raise ValueError(f"template has {len(pieces) - 1} fields, got {len(columns)} columns")
-    # a constant column joins the literal text around it
-    texts, lists = [pieces[0]], []
-    for column, piece in zip(columns, pieces[1:]):
-        if isinstance(column, str):
-            texts[-1] += column + piece
-        else:
-            lists.append(column)
-            texts.append(piece)
-    n = len(lists[0])
-    if any(len(column) != n for column in lists):
-        raise ValueError("columns differ in length")
-    width = len(texts) + len(lists)
-    chunks = []
-    for start in range(0, n, _FILL_CHUNK):
-        rows = min(_FILL_CHUNK, n - start)
-        cells = [""] * (rows * width)
-        for k, text in enumerate(texts):
-            cells[2 * k::width] = [text] * rows
-        for k, column in enumerate(lists):
-            cells[2 * k + 1::width] = column[start:start + rows]
-        chunks.append("".join(cells))
-    return chunks
-
-
-def _formatted(fmt: str, values) -> list[str]:
-    """fmt % v of every element of a 1-D float array, each distinct value
-    formatted once."""
-    bits, inverse = _distinct_bits(values)
-    return np.array([fmt % v for v in bits.view(float).tolist()], dtype=object)[inverse].tolist()
-
-
-def _float_cells(block: np.ndarray) -> list[list[str]]:
-    """The repr (CSV) text of a 2-D float block, as one list per column."""
-    _, text, inverse = _float_text(block)
-    return text[inverse.T].tolist()
-
-
-def _json_cells(block: np.ndarray, cells: list[list[str]]) -> list[list[str]]:
-    """The JSON text of the block whose CSV text is ``cells``: the two differ
-    only at NaN and infinities, so a column without one shares its list."""
-    json_cells = list(cells)
-    for k in np.flatnonzero(~np.isfinite(block).all(axis=0)).tolist():
-        json_cells[k] = [_JSON_NON_FINITE.get(t, t) for t in cells[k]]
-    return json_cells
-
-
-def _keep_ints(cells: list[str], values: list) -> None:
-    """Give each integer value its integer text, as json and csv write it."""
-    for j, value in enumerate(values):
-        if type(value) is int:
-            cells[j] = str(value)
-
-
-def _csv_lines(header, columns: list) -> list[str]:
-    return [",".join(header) + "\n", *_fill(",".join(["%s"] * len(header)) + "\n", columns)]
-
-
-def _results_text(table: ResultTable) -> tuple[list[str], list[str]]:
-    """The text chunks of results.csv and of results.jsonl of a table.
-
-    Every float column goes into one block formatted by _float_text; the
-    lines are filled column by column from its cell texts.
-    """
-    n = len(table.states)
-    level = table.level
-    block = np.column_stack([
-        table.angle_deg,                                          # 0
-        table.bound_efficiency[level],                            # 1
-        table.bound_poisson[level],                               # 2
-        table.f_corr,                                             # 3
-        table.f_raw,                                              # 4
-        table.rho_corr.imag.reshape(n, 4),                        # 5-8
-        table.rho_corr.real.reshape(n, 4),                        # 9-12
-        table.rho_raw.imag.reshape(n, 4),                         # 13-16
-        table.rho_raw.real.reshape(n, 4),                         # 17-20
-        np.zeros(n) if table.snr is None else table.snr[level],   # 21
-        table.stokes,                                             # 22-24
-        table.survival,                                           # 25
-        np.array([0.0 if type(t) is int else t for t in table.times]),  # 26
-    ])
-    csv_cols = _float_cells(block)
-    _keep_ints(csv_cols[26], table.times)
-    json_cols = _json_cells(block, csv_cols)
-    # one text per row (no float text holds a line break), so that rows
-    # with nothing retrieved can take null instead; their f_corr cell
-    # differs between the files, so the files must not share its list
-    rho_corr = "".join(_fill(_JSON_RHO + "\n", json_cols[5:13])).splitlines()
-    csv_cols[3] = csv_cols[3].copy()
-    for j in np.flatnonzero(~table.retrieved).tolist():
-        csv_cols[3][j], json_cols[3][j], rho_corr[j] = "", "null", "null"
-    if table.snr is None:
-        json_cols[21] = ["null"] * n
-    secure = table.secure.astype(int)
-    names = {state: json.dumps(state) for state in set(table.states)}
-
-    csv_chunks = _csv_lines(CSV_COLUMNS, [
-        table.scenario, table.states, csv_cols[0], csv_cols[26], csv_cols[4],
-        csv_cols[3], csv_cols[2], csv_cols[1], _CSV_BOOL[secure].tolist()])
-    c = json_cols
-    jsonl_chunks = _fill(_JSON_ROW, [
-        c[0], c[1], c[2], c[3], c[4], str(table.seed), _JSON_BOOL[secure].tolist(),
-        rho_corr, *c[13:21], json.dumps(table.scenario), c[21],
-        [names[s] for s in table.states], *c[22:27]])
-    return csv_chunks, jsonl_chunks
-
-
-def _bounds_text(rows: list[dict]) -> list[str]:
-    header = list(rows[0])
-    values = [[row[key] for row in rows] for key in header]
-    block = np.array([[0.0 if type(v) is int else v for v in col] for col in values]).T
-    cells = _float_cells(block)
-    for col, vals in zip(cells, values):
-        _keep_ints(col, vals)
-    return _csv_lines(header, cells)
-
-
-def _summary(table: ResultTable) -> str:
-    """The stdout table: one line per job."""
-    names = {state: "%10s" % state for state in set(table.states)}
-    f_corr = ["%.4f" % f if ok else "  none"
-              for f, ok in zip(table.f_corr.tolist(), table.retrieved.tolist())]
-    bound = np.array(["%.4f" % b for b in table.bound_efficiency.tolist()], dtype=object)
-    return "".join(_fill(_SUMMARY_ROW, [
-        [names[s] for s in table.states],
-        _formatted("%6.1f", table.angle_deg),
-        _formatted("%5.2f", np.array(table.times, dtype=float)),
-        list(map("%.4f".__mod__, table.f_raw.tolist())),
-        f_corr,
-        bound[table.level].tolist(),
-        _YES_NO[table.secure.astype(int)].tolist()]))
-
-
-def emit(report: Report, out_dir: str | Path,
-         formats: tuple[str, ...] = ("csv", "json-lines", "pixmap")) -> list[Path]:
-    """Write the report; returns the written paths (deterministic content)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-
-    def _write(name: str, chunks: list[str]):
-        path = out / name
-        with path.open("w") as handle:
-            handle.writelines(chunks)
-        written.append(path)
-
-    if report.table is not None and ("csv" in formats or "json-lines" in formats):
-        csv_chunks, jsonl_chunks = _results_text(report.table)
-        if "csv" in formats:
-            _write("results.csv", csv_chunks)
-        if "json-lines" in formats:
-            _write("results.jsonl", jsonl_chunks)
-    if report.bounds_rows and "csv" in formats:
-        _write("bounds.csv", _bounds_text(report.bounds_rows))
-    density = report.density
-    if density and "json-lines" in formats:
-        _write("density_matrices.json", [json.dumps(density, sort_keys=True, indent=2) + "\n"])
-    if "pixmap" in formats:
-        for name, text in report.pixmaps:
-            _write(name, [text])
-    return written
-
-
-# --- entry point -------------------------------------------------------------
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

@@ -81,16 +81,6 @@ class DensityMatrix:
         check_densities(self.elements[None])
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    s1: float
-    s2: float
-    s3: float
-
-    def length(self) -> float:
-        return math.sqrt(self.s1**2 + self.s2**2 + self.s3**2)
-
-
 # Stokes-aligned Pauli triple.  tau2 carries the opposite sign of the
 # textbook sigma_y: forced by the fixed circular-basis convention together
 # with s2 being read off the D/A analyzer pair.
@@ -122,11 +112,6 @@ def make_state(c0: complex, c1: complex, tag: BasisTag) -> HybridState:
     if n == 0.0:
         raise ZeroVector("cannot normalize the zero vector")
     return HybridState(complex(c0) / n, complex(c1) / n, tag)
-
-
-def density_from_pure(psi: HybridState) -> DensityMatrix:
-    v = psi.vector()
-    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def check_densities(m: np.ndarray) -> None:
@@ -186,26 +171,14 @@ def conditional_fidelity(rho: DensityMatrix, psi: HybridState) -> float:
     return float(fidelities(rho.elements[None], psi.vector()[None])[0])
 
 
-def bloch_of(rho: DensityMatrix) -> BlochVector:
-    m = rho.elements
-    return BlochVector(
-        float(np.real(np.trace(m @ TAU1))),
-        float(np.real(np.trace(m @ TAU2))),
-        float(np.real(np.trace(m @ TAU3))),
-    )
-
-
 def densities_from_bloch(s: np.ndarray) -> np.ndarray:
     """Density matrices (I + s . tau)/2 for a stack of Bloch vectors (N, 3);
-    raises OutsideBall if any is longer than 1 beyond tolerance."""
+    raises OutsideBall if any is longer than 1 beyond tolerance or has a NaN
+    component."""
     length = np.linalg.norm(s, axis=-1)
-    if (length > 1.0 + ATOL_BALL).any():
+    if not (length <= 1.0 + ATOL_BALL).all():
         raise OutsideBall(f"Bloch vector length {length.max()} > 1")
     return ((s @ _TAU_PARTS + _I_PARTS) / 2.0).view(complex).reshape(-1, 2, 2)
-
-
-def rho_of(b: BlochVector) -> DensityMatrix:
-    return DensityMatrix(densities_from_bloch(np.array([[b.s1, b.s2, b.s3]], dtype=float))[0])
 
 
 # --- named state catalogue -------------------------------------------------

@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .hilbert import BasisTag, HybridState, RangeError, named_state
+from .hilbert import RangeError, named_state
 
 PROJECTOR_ORDER = ("H", "V", "D", "A", "R", "L")
 PROJECTOR_PAIRS = (("H", "V"), ("D", "A"), ("R", "L"))
+
+# click counts and their background subtraction are float64 arithmetic,
+# exact only up to 2**53
+TRIALS_MAX = 2**53
 
 _ANALYZERS = {name: named_state(name) for name in PROJECTOR_ORDER}
 
@@ -46,8 +49,8 @@ class CountRecord:
         # plain comparisons, which NaN fails: the ranges of check_counts
         if self.projector_id not in PROJECTOR_ORDER:
             raise ValueError(f"unknown projector {self.projector_id!r}")
-        if not (1 <= self.trials and self.trials % 1 == 0):
-            raise ValueError("trials must be a whole number >= 1")
+        if not (1 <= self.trials <= TRIALS_MAX and self.trials % 1 == 0):
+            raise ValueError(f"trials must be a whole number in [1, {TRIALS_MAX}]")
         if not 0 <= self.clicks <= self.trials:
             raise ValueError("clicks must lie in [0, trials]")
         bg = self.bg_clicks_expected
@@ -58,8 +61,8 @@ class CountRecord:
 def check_counts(clicks: np.ndarray, trials) -> None:
     """The CountRecord ranges of clicks and trials, for a stack of clicks at
     one number of trials; a NaN fails them."""
-    if not (1 <= trials and trials % 1 == 0):
-        raise ValueError("trials must be a whole number >= 1")
+    if not (1 <= trials <= TRIALS_MAX and trials % 1 == 0):
+        raise ValueError(f"trials must be a whole number in [1, {TRIALS_MAX}]")
     if not ((clicks >= 0) & (clicks <= trials)).all():
         raise ValueError("clicks must lie in [0, trials]")
 
@@ -79,10 +82,6 @@ def click_probabilities(nbar: float, survival: np.ndarray, proj_prob: np.ndarray
     return 1.0 - (1.0 - bg) * np.exp(-nbar * survival[:, None] * proj_prob)
 
 
-def click_probability(nbar: float, survival: float, proj_prob: float, bg: float) -> float:
-    return float(click_probabilities(nbar, np.array([survival]), np.array([[proj_prob]]), bg)[0, 0])
-
-
 # analyzer amplitudes, conjugated: row k gives <analyzer k| in the (|R>, |L>) basis
 _ANALYZER_BRAS = np.array([[a.c0, a.c1] for a in _ANALYZERS.values()]).conj()
 
@@ -99,13 +98,6 @@ def projection_weights(amps: np.ndarray) -> np.ndarray:
     return weights / (weights[:, 0::2] + weights[:, 1::2]).repeat(2, axis=1)
 
 
-def projection_probabilities(psi: HybridState) -> dict[str, float]:
-    """Probabilities of the six analyzer settings H, V, D, A, R, L."""
-    if psi.basis_tag is not BasisTag.POLARIZATION:
-        raise ValueError("projection_probabilities expects a polarization state")
-    return dict(zip(PROJECTOR_ORDER, projection_weights(psi.vector()[None])[0].tolist()))
-
-
 def sample_counts(probabilities: np.ndarray, trials: int, seed: int) -> np.ndarray:
     """Binomial click counts (N, k) for click probabilities (N, k).
 
@@ -117,19 +109,6 @@ def sample_counts(probabilities: np.ndarray, trials: int, seed: int) -> np.ndarr
     if trials < 1:
         raise ValueError("trials must be >= 1")
     return np.random.default_rng(seed).binomial(trials, probabilities)
-
-
-def simulate_counts(probabilities: Mapping[str, float], trials: int, seed: int,
-                    bg: float = 0.0) -> list[CountRecord]:
-    """Binomial click counts per projector from a seeded generator.
-
-    Projectors are drawn in the canonical H, V, D, A, R, L order so that a
-    given (probabilities, trials, seed) triple is bit-reproducible.
-    """
-    names = [name for name in PROJECTOR_ORDER if name in probabilities]
-    clicks = sample_counts(np.array([[probabilities[k] for k in names]], dtype=float),
-                           trials, seed)
-    return [CountRecord(name, c, trials, bg * trials) for name, c in zip(names, clicks[0].tolist())]
 
 
 def snr_of(nbar: float, survival: float, bg: float) -> float:

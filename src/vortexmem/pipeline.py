@@ -1,0 +1,352 @@
+"""The simulated apparatus as a batched job pipeline, and the scenario runs.
+
+Scenarios compose the full simulated apparatus: state preparation (with or
+without the encoding plate), dual-rail storage, detection-frame rotation,
+decoding, weak-coherent click statistics and tomography.  Every fidelity
+row carries the matching classical-memory bounds and the key-distribution
+threshold verdict; runs are bit-reproducible for a fixed (config, seed)
+pair.
+
+Jobs are batched over a job axis: encode, storage and recombine run once
+per distinct (state, storage time), the frame rotation's phases once per
+distinct angle, and the click statistics, tomography and fidelities work on
+arrays with one row per job.  A run draws all its click counts from one
+stream, default_rng(seed): job by job in enumeration order, each job's six
+projectors in H, V, D, A, R, L order.  The job_seed of every row is that
+run seed.  Arithmetic on the job axis is elementwise, so row 0 of a run is
+bit for bit the one-job run simulate_point(..., job_seed=seed).  The batch
+is a ResultTable of columns, which the text module writes.  In field_maps,
+states whose intensity (and, for the PPM, azimuth) arrays are bit-identical
+share their rendered text: each distinct array is rendered once per run.
+"""
+
+from __future__ import annotations
+
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
+
+import numpy as np
+
+from . import fields, hilbert, memory, optics, photodetection, security, tomography
+from .config import _SCENARIOS, BOUNDS_NBAR_GRID, ExperimentConfig
+from .hilbert import BasisTag, HybridState, named_state
+from .text import _distinct_bits, render_grid_csv, render_pgm, render_ppm
+
+
+@dataclass(frozen=True)
+class DetectionMixture:
+    """Incoherent polarization components reaching the analyzers.
+
+    Rail imbalance or phase error pushes part of a hybrid state into the
+    orthogonal spin-orbit combinations; after decoding those arrive as
+    circularly polarized light in spatially distinct modes, so they add to
+    the click rates without interfering with the main beam.
+    ``rotates`` marks retrieved polarization light, whose components turn
+    with the detection frame; decoded hybrid states carry zero total
+    angular momentum and are the same at every angle.
+    """
+
+    components: tuple[tuple[float, HybridState], ...]
+    target: HybridState
+    rotates: bool = False
+
+    def rotated(self, theta: float) -> DetectionMixture:
+        """The light at the analyzers for a detection frame rotated by theta."""
+        if not self.rotates:
+            return self
+        return replace(self, components=tuple(
+            (w, optics.rotate_frame(pol, theta)) for w, pol in self.components))
+
+
+def _retrieve(state_name: str, cfg: ExperimentConfig, t_us: float) -> DetectionMixture:
+    """Run one state through encode, storage and recombine (and the decode
+    pass, for hybrid states)."""
+    psi = named_state(state_name)
+    if psi.basis_tag is BasisTag.POLARIZATION and cfg.encode_with_qplate:
+        psi = optics.qplate_apply(psi, cfg.qplate)
+    rails = memory.store_retrieve(optics.displacer_split(psi), cfg.memory, t_us)
+    hybrid = psi.basis_tag is BasisTag.HYBRID_POINCARE
+    target = optics.qplate_decode(psi, cfg.qplate) if hybrid else psi
+    if rails.power() == 0.0:
+        # the efficiency underflowed at a long storage time: nothing is
+        # retrieved and the analyzers see background clicks only
+        return DetectionMixture((), target, not hybrid)
+    rec = optics.displacer_recombine(rails)
+    if not hybrid:
+        return DetectionMixture(((rec.throughput, rec.state),), target, True)
+    conv = optics.conversion_probability(cfg.qplate) ** 2  # encode + decode pass
+    comps = [(conv * (rec.throughput - rec.leak_power), optics.qplate_decode(rec.state, cfg.qplate))]
+    if rec.leak_power > 0.0:
+        # |R,-1> decodes to L-polarized, |L,+1> to R-polarized light
+        comps.append((conv * abs(rec.leak[0]) ** 2, named_state("L")))
+        comps.append((conv * abs(rec.leak[1]) ** 2, named_state("R")))
+    return DetectionMixture(tuple(comps), target)
+
+
+def propagate(state_name: str, cfg: ExperimentConfig, t_us: float,
+              theta: float) -> DetectionMixture:
+    """Run one state through encode, storage, rotation and decode."""
+    return _retrieve(state_name, cfg, t_us).rotated(theta)
+
+
+def _components(mix: DetectionMixture) -> tuple[tuple[float, complex, complex], ...]:
+    """The (weight, c0, c1) of each component of a mixture."""
+    return tuple((w, pol.c0, pol.c1) for w, pol in mix.components)
+
+
+def _signal(light: list[Sequence[tuple[float, complex, complex]]]
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Signal weight per projector (J, 6) and survival (J,), the summed
+    component weights, of each job's (weight, c0, c1) components."""
+    signal = np.zeros((len(light), len(photodetection.PROJECTOR_ORDER)))
+    survival = np.zeros(len(light))
+    for k in range(max(map(len, light), default=0)):
+        rows = [j for j, comps in enumerate(light) if len(comps) > k]
+        weights, c0, c1 = zip(*[light[j][k] for j in rows])
+        weights = np.array(weights)
+        amps = np.array((c0, c1), dtype=complex).T.copy()   # (rows, 2), C order
+        signal[rows] += weights[:, None] * photodetection.projection_weights(amps)
+        survival[rows] += weights
+    return signal, survival
+
+
+def _detect(cfg: ExperimentConfig, signal: np.ndarray, survival: np.ndarray,
+            seed: int) -> tuple[np.ndarray, float, int]:
+    """Counts (J, 6), expected background clicks and trials per projector;
+    sampled counts come from one stream, default_rng(seed), in row order."""
+    nbar = cfg.source.nbar
+    bg = cfg.memory.bg_click
+    if cfg.trials_per_projection == 0:
+        # exact mode: expectation-valued counts for the linearized detector
+        scale = 1.0 / (1.0 + nbar)
+        counts, bg_expected, trials = (bg + nbar * signal) * scale, bg * scale, 1
+    else:
+        trials = cfg.trials_per_projection
+        lit = survival[:, None] > 0
+        proj = np.divide(signal, survival[:, None], out=np.zeros_like(signal), where=lit)
+        # the one clamp of click inputs, against round-off in the sums and
+        # ratios of component weights
+        probs = photodetection.click_probabilities(
+            nbar, np.minimum(1.0, survival), np.minimum(1.0, proj), bg)
+        counts, bg_expected = photodetection.sample_counts(probs, trials, seed), bg * trials
+    photodetection.check_counts(counts, trials)
+    return counts, bg_expected, trials
+
+
+def detection_records(mix: DetectionMixture, cfg: ExperimentConfig,
+                      job_seed: int) -> list[photodetection.CountRecord]:
+    counts, bg_expected, trials = _detect(cfg, *_signal([_components(mix)]), job_seed)
+    return [photodetection.CountRecord(name, c, trials, bg_expected)
+            for name, c in zip(photodetection.PROJECTOR_ORDER, counts[0].tolist())]
+
+
+@dataclass(frozen=True, eq=False)   # == on array fields has no single truth value
+class ResultTable:
+    """Results of a batch of jobs as columns, one row per job.
+
+    Bounds and SNR depend on a job only through its survival, so they are
+    kept once per distinct survival and ``level`` gives each job's entry.
+    A job with no retrieved signal (``retrieved`` false) has nothing to
+    correct: its ``f_corr`` and ``rho_corr`` entries are zero placeholders.
+    """
+
+    scenario: str
+    states: list[str]
+    times: list[float]          # storage times as given: int or float
+    seed: int                   # the stream all counts were drawn from
+    angle_deg: np.ndarray       # (J,) round(degrees(theta), 9)
+    f_raw: np.ndarray           # (J,)
+    f_corr: np.ndarray          # (J,)
+    retrieved: np.ndarray       # (J,) bool
+    stokes: np.ndarray          # (J, 3) raw Stokes vectors, before projection
+    rho_raw: np.ndarray         # (J, 2, 2)
+    rho_corr: np.ndarray        # (J, 2, 2)
+    survival: np.ndarray        # (J,) clamped to [1e-12, 1]
+    level: np.ndarray           # (J,) index into the per-survival columns
+    bound_poisson: np.ndarray   # (S,)
+    bound_efficiency: np.ndarray  # (S,)
+    snr: np.ndarray | None      # (S,); None without background clicks
+    secure: np.ndarray          # (J,) Shor-Preskill verdict on f_raw
+
+    def rows(self) -> list[dict]:
+        """One dict per job, with Python values: the row form that scripts
+        and tests read."""
+        def matrices(rho):
+            return [{"real": re, "imag": im}
+                    for re, im in zip(rho.real.tolist(), rho.imag.tolist())]
+
+        retrieved = self.retrieved.tolist()
+        f_corr = [f if ok else None for f, ok in zip(self.f_corr.tolist(), retrieved)]
+        rho_corr = [m if ok else None for m, ok in zip(matrices(self.rho_corr), retrieved)]
+        snr = [None] * len(retrieved) if self.snr is None else self.snr[self.level].tolist()
+        return [{
+            "scenario": self.scenario,
+            "state": state,
+            "angle_deg": angle,
+            "time_us": t_us,
+            "fidelity_raw": f,
+            "fidelity_corrected": f_corr[j],
+            "bound_poisson": poisson,
+            "bound_efficiency": efficiency,
+            "pass_shor_preskill": secure,
+            "_extras": {
+                "survival": surv,
+                "snr": snr[j],
+                "stokes_raw": stokes,
+                "rho_raw": rho,
+                "rho_corrected": rho_corr[j],
+                "job_seed": self.seed,
+            },
+        } for j, (state, t_us, angle, f, poisson, efficiency, secure, surv, stokes, rho)
+            in enumerate(zip(
+                self.states, self.times, self.angle_deg.tolist(),
+                self.f_raw.tolist(), self.bound_poisson[self.level].tolist(),
+                self.bound_efficiency[self.level].tolist(), self.secure.tolist(),
+                self.survival.tolist(), self.stokes.tolist(), matrices(self.rho_raw)))]
+
+
+def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
+              seed: int) -> ResultTable:
+    """Result table of (state, time, angle) jobs: the pipeline over a job axis.
+
+    Encode, storage and recombine run once per distinct (state, time) and
+    the frame phases once per distinct angle: a rotating component's
+    amplitudes times those phases are, in the same Python complex
+    arithmetic, the amplitudes of DetectionMixture.rotated.  The counts of
+    all jobs come from one stream, default_rng(seed), in job order.
+    """
+    slots: dict[tuple[str, float], int] = {}
+    slot = [slots.setdefault((state, t_us), len(slots)) for state, t_us, _ in jobs]
+    mixes = [_retrieve(state, cfg, t_us) for state, t_us in slots]
+    # angles told apart by bit pattern: -0.0 and 0.0 give phases with
+    # zeros of opposite sign
+    bits, angle = _distinct_bits([theta for _, _, theta in jobs])
+    angles = bits.view(float).tolist()
+    phases = [optics._frame_phases(theta) for theta in angles]
+    comps = [_components(m) for m in mixes]
+    light = []
+    for s, k in zip(slot, angle.tolist()):
+        if mixes[s].rotates:
+            p0, p1 = phases[k]
+            light.append([(w, c0 * p0, c1 * p1) for w, c0, c1 in comps[s]])
+        else:
+            light.append(comps[s])
+    signal, survival = _signal(light)
+    counts, bg_expected, _ = _detect(cfg, signal, survival, seed)
+    targets = np.array([(m.target.c0, m.target.c1) for m in mixes], dtype=complex)[slot]
+    stokes, rho_raw = tomography.reconstruct(counts, bg_expected)
+    f_raw = hilbert.fidelities(rho_raw, targets)
+    retrieved = survival > 0
+    f_corr, rho_corr = np.zeros_like(f_raw), np.zeros_like(rho_raw)
+    _, rho = tomography.reconstruct(counts[retrieved], bg_expected, subtract_bg=True)
+    f_corr[retrieved] = hilbert.fidelities(rho, targets[retrieved])
+    rho_corr[retrieved] = rho
+
+    nbar, bg = cfg.source.nbar, cfg.memory.bg_click
+    survival = np.minimum(1.0, np.maximum(1e-12, survival))
+    levels, level = np.unique(survival, return_inverse=True)
+    levels = levels.tolist()
+    return ResultTable(
+        scenario=cfg.scenario,
+        states=[state for state, _, _ in jobs],
+        times=[t_us for _, t_us, _ in jobs],
+        seed=seed,
+        angle_deg=np.array([round(math.degrees(theta), 9) for theta in angles],
+                           dtype=float)[angle],
+        f_raw=f_raw,
+        f_corr=f_corr,
+        retrieved=retrieved,
+        stokes=stokes,
+        rho_raw=rho_raw,
+        rho_corr=rho_corr,
+        survival=survival,
+        level=level,
+        bound_poisson=np.full(len(levels), security.classical_bound_poisson(nbar)),
+        bound_efficiency=np.array([
+            security.classical_bound_with_efficiency(security.BenchmarkInput(nbar, s))
+            for s in levels]),
+        snr=np.array([photodetection.snr_of(nbar, s, bg) for s in levels]) if bg > 0 else None,
+        secure=security.shor_preskill_passes(f_raw),
+    )
+
+
+def simulate_point(state_name: str, cfg: ExperimentConfig, t_us: float,
+                   theta: float, job_seed: int) -> dict:
+    """One (state, time, angle) job: full pipeline plus benchmark columns."""
+    return _simulate(cfg, [(state_name, t_us, theta)], job_seed).rows()[0]
+
+
+# --- scenario runners --------------------------------------------------------
+
+@dataclass
+class Report:
+    config: ExperimentConfig
+    table: ResultTable | None = None
+    bounds_rows: list[dict] = field(default_factory=list)
+    pixmaps: list[tuple[str, str]] = field(default_factory=list)  # (name, text)
+
+    @property
+    def rows(self) -> list[dict]:
+        """The job rows, derived from the table on each access."""
+        return [] if self.table is None else self.table.rows()
+
+    @property
+    def density(self) -> dict[str, dict]:
+        """Raw and corrected density matrix per state (store_tomography only)."""
+        if self.config.scenario != "store_tomography":
+            return {}
+        return {row["state"]: {
+            "rho_raw": row["_extras"]["rho_raw"],
+            "rho_corrected": row["_extras"]["rho_corrected"],
+            "fidelity_raw": row["fidelity_raw"],
+            "fidelity_corrected": row["fidelity_corrected"],
+        } for row in self.rows}
+
+
+def _jobs(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
+    """Canonical job enumeration of the scenario; empty without jobs."""
+    enumerate_jobs = _SCENARIOS[cfg.scenario][1]
+    return [] if enumerate_jobs is None else enumerate_jobs(cfg)
+
+
+def run(cfg: ExperimentConfig) -> Report:
+    cfg.validate()
+    report = Report(config=cfg)
+    if cfg.scenario == "bounds_table":
+        nbars = sorted(set(BOUNDS_NBAR_GRID) | {cfg.source.nbar})
+        for nbar in nbars:
+            bench = security.BenchmarkInput(nbar, cfg.memory.eta0)
+            report.bounds_rows.append({
+                "nbar": nbar,
+                "eta": cfg.memory.eta0,
+                "bound_nphoton_1": security.classical_bound_nphoton(1),
+                "bound_poisson": security.classical_bound_poisson(nbar),
+                "bound_efficiency": security.classical_bound_with_efficiency(bench),
+                "shor_preskill_threshold": security.SHOR_PRESKILL_THRESHOLD,
+            })
+        return report
+    if cfg.scenario == "field_maps":
+        import hashlib   # here rather than at the top: it slows every import of the cli
+
+        grid = fields.Grid()
+        # each text rendered once per run, keyed on the renderer and the SHA-256
+        # of its input arrays (all of one shape and dtype)
+        texts: dict[tuple, str] = {}
+        for name in cfg.input_states:
+            fmap = fields.vector_field_map(named_state(name), grid)
+            intensity = fmap.intensity()
+            hue = fields.polarization_azimuth(fmap) / math.pi
+            i, h = (hashlib.sha256(np.ascontiguousarray(a)).digest() for a in (intensity, hue))
+            for file, render, arrays, digests in (
+                (f"{name}_intensity.pgm", render_pgm, (intensity,), (i,)),
+                (f"{name}_polarization.ppm", render_ppm, (hue, intensity), (h, i)),
+                (f"{name}_intensity.csv", render_grid_csv, (intensity,), (i,)),
+            ):
+                key = (render, *digests)
+                if key not in texts:
+                    texts[key] = render(*arrays)
+                report.pixmaps.append((file, texts[key]))
+        return report
+    report.table = _simulate(cfg, _jobs(cfg), cfg.seed)
+    return report

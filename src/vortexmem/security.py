@@ -116,8 +116,3 @@ def shor_preskill_passes(f: np.ndarray) -> np.ndarray:
     if outside.any():
         raise RangeError(f"fidelity {f[outside][0]} outside [0, 1]")
     return f > SHOR_PRESKILL_THRESHOLD
-
-
-def shor_preskill_pass(f: float) -> bool:
-    """Strictly above the BB84 security-proof threshold F_T = 0.89."""
-    return bool(shor_preskill_passes(np.array([f], dtype=float))[0])

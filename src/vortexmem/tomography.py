@@ -104,24 +104,10 @@ def _estimate(stokes: np.ndarray) -> StokesEstimate:
     return StokesEstimate(*stokes[0].tolist())
 
 
-def stokes_from_counts(records: Iterable[CountRecord]) -> StokesEstimate:
-    """Stokes vector from the three basis-pair count asymmetries."""
-    counts, _ = _count_arrays(records)
-    return _estimate(stokes_of(counts))
-
-
-def density_from_stokes(s: StokesEstimate) -> DensityMatrix:
-    """Linear inversion with radial projection onto the Bloch ball."""
-    stokes = np.array([[s.s1, s.s2, s.s3]], dtype=float)
-    return DensityMatrix(densities_from_bloch(project_to_ball(stokes))[0])
-
-
 def tomograph(records: Iterable[CountRecord], subtract_bg: bool = False) -> TomographyResult:
     """Reconstruct a physical density matrix from six count records."""
     counts, bg = _count_arrays(records)
-    if subtract_bg:
-        counts, bg = subtract_background(counts, bg), 0.0
-    stokes, rho = reconstruct(counts, bg)
+    stokes, rho = reconstruct(counts, bg, subtract_bg)
     return TomographyResult(DensityMatrix(rho[0]), _estimate(stokes))
 
 

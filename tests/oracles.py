@@ -25,11 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from vortexmem import cli, memory, optics, security
+from vortexmem import cli, memory, optics, pipeline, security
 from vortexmem.hilbert import (ATOL_BALL, ATOL_EIGEN, ATOL_HERMITIAN, ATOL_TRACE, TAU1,
-                               TAU2, TAU3, BasisTag, NonPhysicalDensity, OutsideBall,
-                               named_state)
+                               TAU2, TAU3, BasisTag, DensityMatrix, HybridState,
+                               NonPhysicalDensity, OutsideBall, named_state)
 from vortexmem.photodetection import PROJECTOR_ORDER, PROJECTOR_PAIRS, CountRecord, snr_of
+from vortexmem.text import CSV_COLUMNS
 from vortexmem.tomography import InsufficientCounts
 
 _ANALYZERS = {name: named_state(name) for name in PROJECTOR_ORDER}
@@ -100,6 +101,33 @@ def densities_from_bloch(s):
     must give."""
     s1, s2, s3 = (s[:, i, None, None] for i in range(3))
     return (np.eye(2, dtype=complex) + s1 * TAU1 + s2 * TAU2 + s3 * TAU3) / 2.0
+
+
+# one-state maps between pure states, density matrices and Bloch vectors,
+# as the package had them before it kept only the stack forms
+
+@dataclass(frozen=True)
+class BlochVector:
+    s1: float
+    s2: float
+    s3: float
+
+    def length(self) -> float:
+        return math.sqrt(self.s1**2 + self.s2**2 + self.s3**2)
+
+
+def density_from_pure(psi: HybridState) -> DensityMatrix:
+    v = psi.vector()
+    return DensityMatrix(np.outer(v, v.conj()))
+
+
+def bloch_of(rho: DensityMatrix) -> BlochVector:
+    m = rho.elements
+    return BlochVector(
+        float(np.real(np.trace(m @ TAU1))),
+        float(np.real(np.trace(m @ TAU2))),
+        float(np.real(np.trace(m @ TAU3))),
+    )
 
 
 def check_densities(m):
@@ -194,6 +222,11 @@ def detection_records(comps, cfg, rng):
     return simulate_counts(probs, cfg.trials_per_projection, rng, bg=bg)
 
 
+def shor_preskill_pass(f: float) -> bool:
+    """Strictly above the BB84 security-proof threshold F_T = 0.89."""
+    return bool(security.shor_preskill_passes(np.array([f], dtype=float))[0])
+
+
 def _rho_to_lists(m):
     return {"real": np.real(m).tolist(), "imag": np.imag(m).tolist()}
 
@@ -218,7 +251,7 @@ def simulate_point(state_name, cfg, t_us, theta, job_seed, rng=None):
         "bound_poisson": security.classical_bound_poisson(nbar),
         "bound_efficiency": security.classical_bound_with_efficiency(
             security.BenchmarkInput(nbar, survival)),
-        "pass_shor_preskill": security.shor_preskill_pass(f_raw),
+        "pass_shor_preskill": shor_preskill_pass(f_raw),
         "_extras": {
             "survival": survival,
             "snr": snr_of(nbar, survival, cfg.memory.bg_click) if cfg.memory.bg_click > 0 else None,
@@ -240,10 +273,10 @@ class Report:
 
 
 def run(cfg):
-    """cli.run for the three job scenarios, one job at a time."""
+    """pipeline.run for the three job scenarios, one job at a time."""
     report = Report()
     rng = np.random.default_rng(cfg.seed)
-    for state, t_us, theta in cli._jobs(cfg):
+    for state, t_us, theta in pipeline._jobs(cfg):
         row = simulate_point(state, cfg, t_us, theta, cfg.seed, rng)
         report.rows.append(row)
         if cfg.scenario == "store_tomography":
@@ -269,7 +302,7 @@ def _csv_text(rows, columns):
 
 
 def emit(report, out_dir, formats=("csv", "json-lines", "pixmap")):
-    """cli.emit with one json.dumps and one csv row per result row; reads
+    """text.emit with one json.dumps and one csv row per result row; reads
     ``rows``, ``bounds_rows``, ``density`` and ``pixmaps`` of any report."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -282,7 +315,7 @@ def emit(report, out_dir, formats=("csv", "json-lines", "pixmap")):
 
     if report.rows:
         if "csv" in formats:
-            _write("results.csv", _csv_text(report.rows, cli.CSV_COLUMNS))
+            _write("results.csv", _csv_text(report.rows, CSV_COLUMNS))
         if "json-lines" in formats:
             lines = []
             for row in report.rows:
@@ -320,7 +353,7 @@ def summary(rows):
 def main(argv):
     """cli.main with the per-row writers: emit and summary above."""
     args = cli._parser().parse_args(argv)
-    report = cli.run(cli.load_config(args.config, args.scenario, args.seed))
+    report = pipeline.run(cli.load_config(args.config, args.scenario, args.seed))
     for path in emit(report, args.out):
         print(f"wrote {path}")
     print(summary(report.rows), end="")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from helpers import assert_same_text
-from vortexmem import cli, memory, photodetection, security, tomography
+from vortexmem import cli, config, memory, photodetection, pipeline, security, tomography
 from vortexmem.fields import Grid, lg_amplitude, peak_radius, project_polarization, vector_field_map
 from vortexmem.hilbert import HYBRID_SPHERE_NAMES, named_state
 from vortexmem.memory import MemoryParams, efficiency_at
@@ -34,7 +34,7 @@ def _noiseless_config(**overrides):
         "trials_per_projection": 0,
     }
     base.update(overrides)
-    return cli.config_from_dict(base)
+    return config.config_from_dict(base)
 
 
 def test_criterion_1_noiseless_end_to_end_identity():
@@ -42,7 +42,7 @@ def test_criterion_1_noiseless_end_to_end_identity():
     cfg = _noiseless_config(storage_times=[3.7])
     worst = 1.0
     for name in SIX:
-        row = cli.simulate_point(name, cfg, 3.7, 0.0, 0)
+        row = pipeline.simulate_point(name, cfg, 3.7, 0.0, 0)
         worst = min(worst, row["fidelity_raw"])
     elapsed = time.perf_counter() - start
     assert worst >= 1 - 1e-9
@@ -58,7 +58,7 @@ def test_criterion_2_rotational_invariance_with_noise():
     mem = MemoryParams()
     survival = efficiency_at(mem, 1.0)
     bg = calibrate_background(0.5, survival, snr=12.0)
-    cfg = cli.config_from_dict({
+    cfg = config.config_from_dict({
         "scenario": "fidelity_vs_rotation",
         "memory": {"eta0": 0.26, "tau": 7.0, "bg_click": bg},
         "trials_per_projection": 150_000,
@@ -68,7 +68,7 @@ def test_criterion_2_rotational_invariance_with_noise():
         for ia, theta in enumerate(ANGLES):
             for istate, name in enumerate(SIX):
                 job_seed = seed * 10_000 + ia * 100 + istate
-                row = cli.simulate_point(name, cfg, 1.0, theta, job_seed)
+                row = pipeline.simulate_point(name, cfg, 1.0, theta, job_seed)
                 worst = min(worst, row["fidelity_raw"])
                 assert row["fidelity_raw"] > 0.89
     elapsed = time.perf_counter() - start
@@ -80,18 +80,18 @@ def test_criterion_2_rotational_invariance_with_noise():
 def test_criterion_3_malus_law_for_polarization_encoding():
     start = time.perf_counter()
     cfg = _noiseless_config(scenario="fidelity_vs_rotation", encode_with_qplate=False)
-    f0 = {name: cli.simulate_point(name, cfg, 0.0, 0.0, 0)["fidelity_raw"]
+    f0 = {name: pipeline.simulate_point(name, cfg, 0.0, 0.0, 0)["fidelity_raw"]
           for name in ("H", "V", "D", "A")}
     worst_dev = 0.0
     for theta_deg in (0, 10, 20, 30, 40, 45, 50, 60):
         theta = math.radians(theta_deg)
         for name in ("H", "V", "D", "A"):
-            f = cli.simulate_point(name, cfg, 0.0, theta, 0)["fidelity_raw"]
+            f = pipeline.simulate_point(name, cfg, 0.0, theta, 0)["fidelity_raw"]
             dev = abs(f - f0[name] * math.cos(theta) ** 2)
             worst_dev = max(worst_dev, dev)
             assert dev <= 0.005
         for name in ("R", "L"):
-            f = cli.simulate_point(name, cfg, 0.0, theta, 0)["fidelity_raw"]
+            f = pipeline.simulate_point(name, cfg, 0.0, theta, 0)["fidelity_raw"]
             assert f >= 0.999
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -110,7 +110,7 @@ def test_criterion_4_measured_fidelity_regime():
     mem = MemoryParams(rail_phase_error=phase_err)
     survival = efficiency_at(mem, 1.0)
     bg = calibrate_background(0.5, survival, snr_for_raw_fidelity(0.967, state_fidelity=floor))
-    cfg = cli.config_from_dict({
+    cfg = config.config_from_dict({
         "scenario": "store_tomography",
         "memory": {"eta0": 0.26, "tau": 7.0, "bg_click": bg,
                    "rail_phase_error": phase_err},
@@ -119,7 +119,7 @@ def test_criterion_4_measured_fidelity_regime():
     raw, corrected = [], []
     for seed in range(20):
         for istate, name in enumerate(SIX):
-            row = cli.simulate_point(name, cfg, 1.0, 0.0, seed * 100 + istate)
+            row = pipeline.simulate_point(name, cfg, 1.0, 0.0, seed * 100 + istate)
             raw.append(row["fidelity_raw"])
             corrected.append(row["fidelity_corrected"])
     raw_avg = float(np.mean(raw))
@@ -174,7 +174,7 @@ def test_criterion_6_efficiency_decay_and_loss_invariance():
     p = MemoryParams(eta0=0.26, tau=7.0)
     assert efficiency_at(p, 0.0) == pytest.approx(0.26, abs=1e-12)
     assert efficiency_at(p, 7.0) == pytest.approx(0.26 * math.exp(-1), abs=1e-12)
-    cfg = cli.config_from_dict({
+    cfg = config.config_from_dict({
         "scenario": "fidelity_vs_time",
         "memory": {"eta0": 0.26, "tau": 7.0, "bg_click": 0.0},
         "trials_per_projection": 0,
@@ -182,7 +182,7 @@ def test_criterion_6_efficiency_decay_and_loss_invariance():
     })
     for t in cfg.storage_times:
         for name in SIX:
-            row = cli.simulate_point(name, cfg, t, 0.0, 0)
+            row = pipeline.simulate_point(name, cfg, t, 0.0, 0)
             assert row["fidelity_raw"] == pytest.approx(1.0, abs=1e-9)
     elapsed = time.perf_counter() - start
     _passline(6, f"Gaussian efficiency decay anchored at eta0 and eta0/e; balanced "

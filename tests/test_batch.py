@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from helpers import assert_same_text
-from vortexmem import cli, hilbert, optics, photodetection, tomography
+from vortexmem import cli, config, hilbert, optics, photodetection, pipeline, text, tomography
 from vortexmem.hilbert import NonPhysicalDensity, OutsideBall
 from vortexmem.photodetection import RangeError
 from vortexmem.tomography import InsufficientCounts
@@ -21,14 +21,14 @@ ANGLES = [math.radians(d) for d in (0.0, 7.3, 22.5, 45.0, 60.0, 90.0, 123.4, -20
 
 
 def _config(scenario, trials, imperfection, encode, seed=4242):
-    raw = cli.config_to_dict(cli.default_config(scenario))
+    raw = config.config_to_dict(config.default_config(scenario))
     raw.update(trials_per_projection=trials, seed=seed, encode_with_qplate=encode,
                input_states=ALL_STATES, rotation_angles=ANGLES)
     raw["memory"]["rail_imbalance"] = imperfection
     raw["memory"]["rail_phase_error"] = imperfection
     if scenario == "fidelity_vs_time":
         raw["storage_times"] = [0.0, 1, 2.5, 7.0]
-    return cli.config_from_dict(raw)
+    return config.config_from_dict(raw)
 
 
 def _emitted(write, report, out):
@@ -42,12 +42,12 @@ def _emitted(write, report, out):
                                       "fidelity_vs_time"])
 def test_run_matches_per_job_oracle(tmp_path, scenario, trials, imperfection, encode):
     cfg = _config(scenario, trials, imperfection, encode)
-    batch, oracle = cli.run(cfg), oracles.run(cfg)
+    batch, oracle = pipeline.run(cfg), oracles.run(cfg)
     assert len(batch.rows) == len(oracle.rows) > 0
     for got, want in zip(batch.rows, oracle.rows):
         # json text also tells -0.0 from 0.0 and int from float
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-    assert_same_text(_emitted(cli.emit, batch, tmp_path / "batch"),
+    assert_same_text(_emitted(text.emit, batch, tmp_path / "batch"),
                      _emitted(oracles.emit, oracle, tmp_path / "oracle"))
 
 
@@ -55,13 +55,13 @@ def test_single_job_api_matches_oracle():
     cfg = _config("fidelity_vs_rotation", 150_000, 0.05, False)
     for state in ("radial", "H", "D", "L"):
         for theta in ANGLES[:3]:
-            got = cli.simulate_point(state, cfg, 1.0, theta, 17)
+            got = pipeline.simulate_point(state, cfg, 1.0, theta, 17)
             want = oracles.simulate_point(state, cfg, 1.0, theta, 17)
             assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-            mix = cli.propagate(state, cfg, 1.0, theta)
+            mix = pipeline.propagate(state, cfg, 1.0, theta)
             comps, target = oracles.propagate(state, cfg, 1.0, theta)
             assert mix.components == tuple(comps) and mix.target == target
-            assert cli.detection_records(mix, cfg, 17) == oracles.detection_records(comps, cfg, 17)
+            assert pipeline.detection_records(mix, cfg, 17) == oracles.detection_records(comps, cfg, 17)
 
 
 def test_rotation_runs_once_per_distinct_angle(monkeypatch):
@@ -80,10 +80,10 @@ def test_rotation_runs_once_per_distinct_angle(monkeypatch):
 
     count(optics, "_frame_phases")
     count(optics, "rotate_frame")
-    count(cli.DetectionMixture, "rotated")
-    cfg = replace(cli.default_config("fidelity_vs_rotation"),
+    count(pipeline.DetectionMixture, "rotated")
+    cfg = replace(config.default_config("fidelity_vs_rotation"),
                   rotation_angles=tuple(math.radians(i / 10) for i in range(600)))
-    table = cli._simulate(cfg, cli._jobs(cfg), cfg.seed)
+    table = pipeline._simulate(cfg, pipeline._jobs(cfg), cfg.seed)
     assert calls == {"_frame_phases": 600}
     assert len(table.states) == 600 * len(cfg.input_states)
 
@@ -94,12 +94,12 @@ def test_repeated_and_signed_zero_angles_match_oracles(tmp_path, monkeypatch, ca
     per-row writers."""
     angles = (0.0, -0.0, 0.3, -0.3, 0.3, -0.0, 0.0, 2.0, 0)
     cfg = replace(_config("fidelity_vs_rotation", 150_000, 0.05, False), rotation_angles=angles)
-    batch, oracle = cli.run(cfg), oracles.run(cfg)
+    batch, oracle = pipeline.run(cfg), oracles.run(cfg)
     assert len(batch.rows) == len(oracle.rows) == len(angles) * len(ALL_STATES)
     for got, want in zip(batch.rows, oracle.rows):
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     monkeypatch.chdir(tmp_path)
-    Path("config.json").write_text(json.dumps(cli.config_to_dict(cfg)))
+    Path("config.json").write_text(json.dumps(config.config_to_dict(cfg)))
     outputs = {}
     for name, main in (("cli", cli.main), ("oracle", oracles.main)):
         assert main(["--config", "config.json", "--out", name]) == 0
@@ -114,10 +114,10 @@ def test_one_job_run_is_row_zero_of_a_run_at_its_seed():
     # the job axis: the first job of any run is the one-job run at its seed
     for scenario in ("fidelity_vs_rotation", "store_tomography", "fidelity_vs_time"):
         cfg = _config(scenario, 150_000, 0.05, True, seed=17)
-        state, t_us, theta = cli._jobs(cfg)[0]
-        got = cli.simulate_point(state, cfg, t_us, theta, 17)
-        want = cli.run(cfg).rows[0]
-        assert len(cli._jobs(cfg)) > 1
+        state, t_us, theta = pipeline._jobs(cfg)[0]
+        got = pipeline.simulate_point(state, cfg, t_us, theta, 17)
+        want = pipeline.run(cfg).rows[0]
+        assert len(pipeline._jobs(cfg)) > 1
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 

@@ -5,17 +5,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vortexmem import cli, hilbert, photodetection, tomography
-from vortexmem.cli import (
-    CSV_COLUMNS,
+from vortexmem import cli, hilbert, photodetection, pipeline, text, tomography
+from vortexmem.cli import load_config
+from vortexmem.config import (
     ConfigError,
     ExperimentConfig,
     SCENARIOS,
     config_from_dict,
     config_to_dict,
     default_config,
-    load_config,
 )
+from vortexmem.text import CSV_COLUMNS
 
 NOISELESS_ROTATION = {
     "scenario": "fidelity_vs_rotation",
@@ -167,7 +167,7 @@ class TestMainExitCodes:
 class TestScenarios:
     def test_noiseless_rotation_curves(self):
         cfg = config_from_dict(dict(NOISELESS_ROTATION))
-        report = cli.run(cfg)
+        report = pipeline.run(cfg)
         # hybrid states: flat at 1 (rotational invariance)
         for name in ("zero", "radial", "plus_i"):
             for row in _rows_by(report, state=name):
@@ -191,7 +191,7 @@ class TestScenarios:
             "memory": {"eta0": 1.0, "bg_click": 0.0},
             "trials_per_projection": 0,
         })
-        report = cli.run(cfg)
+        report = pipeline.run(cfg)
         rho = np.array(report.density["radial"]["rho_raw"]["real"]) + 1j * np.array(
             report.density["radial"]["rho_raw"]["imag"]
         )
@@ -227,7 +227,7 @@ class TestScenarios:
             "storage_times": [0.0, 1.0],
             "input_states": ["zero", "radial"],
         })
-        report = cli.run(cfg)
+        report = pipeline.run(cfg)
         assert report.rows
         for row in report.rows:
             assert 2 / 3 < row["bound_poisson"] < 1
@@ -268,7 +268,7 @@ class TestScenarios:
         cfg = config_from_dict({**config_to_dict(cfg),
                                 "storage_times": [0.0, 7.0],
                                 "input_states": ["zero"]})
-        report = cli.run(cfg)
+        report = pipeline.run(cfg)
         early = _rows_by(report, time_us=0.0)[0]["fidelity_raw"]
         late = _rows_by(report, time_us=7.0)[0]["fidelity_raw"]
         assert late < early  # lower SNR after memory decay
@@ -299,8 +299,8 @@ class TestDeterminism:
             "trials_per_projection": 5000,
             "input_states": ["radial"],
         }
-        r1 = cli.run(config_from_dict({**base, "seed": 1}))
-        r2 = cli.run(config_from_dict({**base, "seed": 2}))
+        r1 = pipeline.run(config_from_dict({**base, "seed": 1}))
+        r2 = pipeline.run(config_from_dict({**base, "seed": 2}))
         assert r1.rows[0]["fidelity_raw"] != r2.rows[0]["fidelity_raw"]
 
     def test_streams_of_neighbouring_seeds_share_no_counts(self):
@@ -308,7 +308,7 @@ class TestDeterminism:
         # at seed 1; one stream per run keeps every row of the two runs apart
         base = {"scenario": "store_tomography", "input_states": ["radial", "radial"]}
         rows = [tuple(row["_extras"]["stokes_raw"])
-                for seed in (0, 1) for row in cli.run(config_from_dict({**base, "seed": seed})).rows]
+                for seed in (0, 1) for row in pipeline.run(config_from_dict({**base, "seed": seed})).rows]
         assert len(set(rows)) == 4
 
 
@@ -318,7 +318,7 @@ class TestConvergence:
         # the infinite-trial limit of the sampled pipeline: tomography on the
         # click probabilities of the threshold detector
         cfg = default_config("store_tomography")
-        mix = cli.propagate("radial", cfg, cfg.storage_times[0], 0.0)
+        mix = pipeline.propagate("radial", cfg, cfg.storage_times[0], 0.0)
         (weight, pol), = mix.components
         probs = photodetection.click_probabilities(
             cfg.source.nbar, np.array([weight]),
@@ -330,7 +330,7 @@ class TestConvergence:
         for trials in (10**4, 10**5, 10**6):
             raw = config_to_dict(cfg)
             raw.update(trials_per_projection=trials, seed=seed, input_states=["radial"] * 200)
-            f = cli.run(config_from_dict(raw)).table.f_raw
+            f = pipeline.run(config_from_dict(raw)).table.f_raw
             se = f.std(ddof=1) / math.sqrt(len(f))
             assert abs(f.mean() - f_inf) <= 4 * se
             errors.append(se)
@@ -340,12 +340,12 @@ class TestConvergence:
 
 class TestOfflineCountRecords:
     def test_round_trip_through_csv(self, tmp_path):
-        from vortexmem.photodetection import projection_probabilities, simulate_counts
+        from oracles import projection_probabilities, simulate_counts
         from vortexmem.hilbert import named_state
         from vortexmem.tomography import tomograph
 
         records = simulate_counts(
-            projection_probabilities(named_state("D")), 50_000, seed=2, bg=0.001
+            projection_probabilities(named_state("D")), 50_000, 2, bg=0.001
         )
         path = tmp_path / "counts.csv"
         lines = ["projector,clicks,trials,bg_expected"]
@@ -354,7 +354,7 @@ class TestOfflineCountRecords:
             for r in records
         ]
         path.write_text("\n".join(lines) + "\n")
-        loaded = cli.read_count_records(path)
+        loaded = text.read_count_records(path)
         assert loaded == records
         assert tomograph(loaded).fidelity_vs(named_state("D")) > 0.98
 
@@ -362,7 +362,7 @@ class TestOfflineCountRecords:
         path = tmp_path / "counts.csv"
         path.write_text("projector,clicks\nH,5\n")
         with pytest.raises(ConfigError):
-            cli.read_count_records(path)
+            text.read_count_records(path)
 
     @pytest.mark.parametrize("clicks, trials", [
         (math.nan, 10), (5, math.nan), (-1, 10), (11, 10), (0, 0), (5, 10.5), (5, math.inf),
@@ -381,16 +381,40 @@ class TestOfflineCountRecords:
         with pytest.raises(ValueError, match="bg_clicks_expected"):
             photodetection.CountRecord("H", 5, 10, bg)
 
+    @pytest.mark.parametrize("trials", [2**53 + 1, 10**400, 1e300],
+                             ids=["past_2_53", "ten_to_400", "float_1e300"])
+    def test_trials_past_float_exactness_rejected(self, trials):
+        """Counts are float64 arithmetic, exact only up to 2**53 trials."""
+        with pytest.raises(ValueError, match="trials"):
+            photodetection.CountRecord("H", 5, trials)
+        with pytest.raises(ValueError, match="trials"):
+            photodetection.check_counts(np.array([[0.0, 5.0]]), trials)
+
+    def test_trials_at_2_53_accepted(self):
+        assert photodetection.CountRecord("H", 5, 2**53).trials == photodetection.TRIALS_MAX
+        photodetection.check_counts(np.array([[0.0, 5.0]]), 2**53)
+
     def test_background_at_the_range_ends_accepted(self):
         for bg in (0.0, 10.0):
             assert photodetection.CountRecord("H", 5, 10, bg).bg_clicks_expected == bg
 
     @pytest.mark.parametrize("row", [
         "H,5", "H,5.0,10,0.0", "H,5,10,x", "H,5,10,nan", "H,5,10,-50", "X,5,10,0.0", "H,11,10,0.0",
+        f"H,5,{10**400},0.0",
     ], ids=["short", "float_clicks", "text_background", "nan_background",
-            "negative_background", "unknown_projector", "clicks_past_trials"])
+            "negative_background", "unknown_projector", "clicks_past_trials", "huge_trials"])
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "counts.csv"
         path.write_text(f"projector,clicks,trials,bg_expected\nV,5,10,0.0\n{row}\n")
         with pytest.raises(ConfigError, match=r"counts\.csv, line 3: "):
-            cli.read_count_records(path)
+            text.read_count_records(path)
+
+
+def test_bench_entry_points_stay_on_cli():
+    """The benchmark reaches these names through vortexmem.cli."""
+    for name in ("config_to_dict", "default_config", "load_config", "main", "propagate",
+                 "detection_records", "read_count_records"):
+        assert callable(getattr(cli, name)), name
+    assert cli.COUNT_RECORD_COLUMNS == ("projector", "clicks", "trials", "bg_expected")
+    assert cli.read_count_records is text.read_count_records
+    assert cli.propagate is pipeline.propagate

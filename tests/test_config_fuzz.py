@@ -14,9 +14,9 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vortexmem import cli, hilbert
+from vortexmem import cli, config, hilbert
 
-_NAMES = st.sampled_from(cli.SCENARIOS + hilbert.STATE_NAMES)
+_NAMES = st.sampled_from(config.SCENARIOS + hilbert.STATE_NAMES)
 _NUMBERS = st.one_of(
     st.integers(min_value=-10**30, max_value=10**30),
     st.sampled_from([0, 1, -1, 2**53, 2**53 + 1, 2**63, 10**20, 10**400]),
@@ -57,8 +57,8 @@ def _put(raw, path, value):
 
 @st.composite
 def configs(draw):
-    scenario = draw(st.sampled_from(cli.SCENARIOS))
-    raw = cli.config_to_dict(cli.default_config(scenario))
+    scenario = draw(st.sampled_from(config.SCENARIOS))
+    raw = config.config_to_dict(config.default_config(scenario))
     raw["trials_per_projection"] = draw(st.sampled_from([0, 300, 2000]))
     for key in ("rotation_angles", "storage_times", "input_states"):
         raw[key] = raw[key][:2]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import assert_same_text
-from vortexmem import cli
+from vortexmem import cli, config, pipeline, text
 
 JOB_SCENARIOS = ("store_tomography", "fidelity_vs_time", "fidelity_vs_rotation")
 
@@ -57,8 +57,8 @@ def test_main_matches_per_row_writers(tmp_path, monkeypatch, capsys, payload):
 
 def test_edge_values_match_per_row_writers(tmp_path):
     """-0.0, NaN and infinities in every float column the writers format."""
-    cfg = replace(cli.default_config("store_tomography"), storage_times=(1.0,))
-    report = cli.run(cfg)
+    cfg = replace(config.default_config("store_tomography"), storage_times=(1.0,))
+    report = pipeline.run(cfg)
     table = report.table
     odd = np.array([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300])
     n = len(table.states)
@@ -71,9 +71,9 @@ def test_edge_values_match_per_row_writers(tmp_path):
     report.table = replace(
         table, stokes=stokes, rho_raw=rho_raw, angle_deg=odd[:n], f_raw=odd[::-1][:n].copy(),
         snr=np.full_like(table.snr, math.inf), bound_efficiency=np.full_like(table.snr, math.nan))
-    got = {p.name: p.read_bytes() for p in cli.emit(report, tmp_path / "cli")}
+    got = {p.name: p.read_bytes() for p in text.emit(report, tmp_path / "cli")}
     want = {p.name: p.read_bytes() for p in oracles.emit(report, tmp_path / "oracle")}
-    got["stdout"] = cli._summary(report.table).encode()
+    got["stdout"] = text._summary(report.table).encode()
     want["stdout"] = oracles.summary(report.rows).encode()
     assert_same_text(got, want)
     assert b"Infinity" in got["results.jsonl"] and b"nan" in got["results.csv"]
@@ -98,8 +98,8 @@ def test_float_text_is_repr_of_every_bit_pattern(bits, flipped):
     both signs."""
     values = np.array(bits, dtype=np.int64).view(float)
     values = np.concatenate([values, -values[:flipped]])
-    _, text, inverse = cli._float_text(values)
-    assert text[inverse].tolist() == [repr(v) for v in values.tolist()]
+    _, texts, inverse = text._float_text(values)
+    assert texts[inverse].tolist() == [repr(v) for v in values.tolist()]
 
 
 @pytest.mark.parametrize("values", [
@@ -123,10 +123,10 @@ def test_float_text_formats_each_magnitude_once(monkeypatch, values):
         calls.append(value)
         return repr(value)
 
-    monkeypatch.setattr(cli, "repr", counted, raising=False)
-    _, text, inverse = cli._float_text(values)
+    monkeypatch.setattr(text, "repr", counted, raising=False)
+    _, texts, inverse = text._float_text(values)
     monkeypatch.undo()
-    assert text[inverse].tolist() == [repr(v) for v in values.tolist()]
+    assert texts[inverse].tolist() == [repr(v) for v in values.tolist()]
     bits = set(values.view(np.uint64).tolist())
     positive = {b for b in bits if b < _SIGN_BIT}
     negative_only = {b for b in bits if b >= _SIGN_BIT and b - _SIGN_BIT not in positive}
@@ -136,7 +136,7 @@ def test_float_text_formats_each_magnitude_once(monkeypatch, values):
 def test_sign_folded_values_match_per_row_writers(tmp_path):
     """A negative NaN and values present with both signs in every float
     column the writers format."""
-    report = cli.run(replace(cli.default_config("store_tomography"), storage_times=(1.0,)))
+    report = pipeline.run(replace(config.default_config("store_tomography"), storage_times=(1.0,)))
     table = report.table
     n = len(table.states)
     signed = np.array([_NEG_NAN, math.nan, -1.5, 1.5, -0.0, 0.0])[:n]
@@ -150,9 +150,9 @@ def test_sign_folded_values_match_per_row_writers(tmp_path):
         table, stokes=stokes, rho_raw=rho_raw, angle_deg=signed, f_raw=-signed,
         f_corr=np.where(np.arange(n) % 2 == 0, signed, table.f_corr),
         snr=np.full_like(table.snr, _NEG_NAN), bound_efficiency=-table.bound_efficiency)
-    got = {p.name: p.read_bytes() for p in cli.emit(report, tmp_path / "cli")}
+    got = {p.name: p.read_bytes() for p in text.emit(report, tmp_path / "cli")}
     want = {p.name: p.read_bytes() for p in oracles.emit(report, tmp_path / "oracle")}
-    got["stdout"] = cli._summary(report.table).encode()
+    got["stdout"] = text._summary(report.table).encode()
     want["stdout"] = oracles.summary(report.rows).encode()
     assert_same_text(got, want)
     assert b"NaN" in got["results.jsonl"] and b"-1.5" in got["results.csv"]

@@ -25,7 +25,7 @@ from dataclasses import replace
 
 import pytest
 
-from vortexmem import cli
+from vortexmem import config, pipeline, text
 
 SEED = 12345
 RUN_BUDGET_S = 2.0   # the slowest preset, field_maps, takes ~0.4 s on a 2-vCPU VM
@@ -96,11 +96,11 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("scenario", cli.SCENARIOS)
+@pytest.mark.parametrize("scenario", config.SCENARIOS)
 def test_preset_output_digests(scenario, tmp_path):
-    cfg = replace(cli.default_config(scenario), seed=SEED)
+    cfg = replace(config.default_config(scenario), seed=SEED)
     start = time.perf_counter()
-    written = cli.emit(cli.run(cfg), tmp_path)
+    written = text.emit(pipeline.run(cfg), tmp_path)
     elapsed = time.perf_counter() - start
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written}
     assert digests == GOLDEN[scenario]

@@ -14,22 +14,19 @@ from vortexmem.hilbert import (
     TAU2,
     TAU3,
     BasisTag,
-    BlochVector,
     DensityMatrix,
     HYBRID_SPHERE_NAMES,
     NonPhysicalDensity,
     OutsideBall,
     POLARIZATION_NAMES,
     ZeroVector,
-    bloch_of,
     check_densities,
     conditional_fidelity,
     densities_from_bloch,
-    density_from_pure,
     make_state,
     named_state,
-    rho_of,
 )
+from oracles import BlochVector, bloch_of, density_from_pure
 
 SQ2 = math.sqrt(2.0)
 
@@ -110,7 +107,7 @@ class TestConditionalFidelity:
     @settings(max_examples=50)
     def test_linear_in_rho(self, s_a, s_b, lam):
         psi = named_state("radial")
-        rho_a, rho_b = rho_of(BlochVector(*s_a)), rho_of(BlochVector(*s_b))
+        rho_a, rho_b = map(DensityMatrix, densities_from_bloch(np.array([s_a, s_b], dtype=float)))
         mixed = DensityMatrix(lam * rho_a.elements + (1 - lam) * rho_b.elements)
         f_mix = conditional_fidelity(mixed, psi)
         f_parts = lam * conditional_fidelity(rho_a, psi) + (1 - lam) * conditional_fidelity(rho_b, psi)
@@ -234,7 +231,8 @@ class TestCheckDensities:
 class TestBlochMaps:
     def test_stack_has_the_bits_of_the_complex_sum(self):
         """The one-product build gives the bits of (I + s . tau)/2 summed as
-        complex matrices, for signed zero, subnormal and NaN components too."""
+        complex matrices, for signed zero and subnormal components too; a
+        stack with a NaN component is rejected."""
         rng = np.random.default_rng(11)
         s = rng.normal(size=(20_000, 3))
         s /= np.linalg.norm(s, axis=1, keepdims=True) * rng.uniform(1.0, 3.0, size=(20_000, 1))
@@ -244,6 +242,9 @@ class TestBlochMaps:
         s[mask] = rng.choice(special, size=mask.sum())
         s = s[~(np.linalg.norm(s, axis=1) > 1.0 + ATOL_BALL)]   # NaN rows stay
         assert np.isnan(s).any() and (s == 0.0).any() and (np.abs(s) < 2.3e-308).any()
+        with pytest.raises(OutsideBall):
+            densities_from_bloch(s)
+        s = s[~np.isnan(s).any(axis=1)]
         got = densities_from_bloch(s)
         assert got.shape == (len(s), 2, 2)
         assert np.array_equal(got.view(np.int64), oracles.densities_from_bloch(s).view(np.int64))
@@ -256,16 +257,23 @@ class TestBlochMaps:
         assert (b.s1, b.s2, b.s3) == (0.0, 0.0, 0.0)
 
     def test_rho_of_pole(self):
-        assert np.allclose(rho_of(BlochVector(0, 0, 1)).elements, np.diag([1, 0]))
+        assert np.allclose(densities_from_bloch(np.array([[0.0, 0.0, 1.0]]))[0], np.diag([1, 0]))
 
     def test_outside_ball_rejected(self):
         with pytest.raises(OutsideBall):
-            rho_of(BlochVector(0.8, 0.8, 0.8))
+            densities_from_bloch(np.array([[0.8, 0.8, 0.8]]))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_nan_component_rejected(self, axis):
+        s = np.zeros((2, 3))
+        s[1, axis] = math.nan
+        with pytest.raises(OutsideBall):
+            densities_from_bloch(s)
 
     @given(bloch_vectors())
     @settings(max_examples=100)
     def test_round_trip(self, s):
-        back = bloch_of(rho_of(BlochVector(*s)))
+        back = bloch_of(DensityMatrix(densities_from_bloch(np.array([s], dtype=float))[0]))
         assert back.s1 == pytest.approx(s[0], abs=1e-12)
         assert back.s2 == pytest.approx(s[1], abs=1e-12)
         assert back.s3 == pytest.approx(s[2], abs=1e-12)

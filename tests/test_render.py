@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from helpers import assert_same_text
-from vortexmem import cli, fields, hilbert
+from vortexmem import config, fields, hilbert, pipeline, text
 from vortexmem.fields import Grid, lg_amplitude, polarization_azimuth, vector_field_map
 from vortexmem.hilbert import named_state
 
@@ -21,7 +21,7 @@ def _assert_same_renders(hue, intensity, **maxval):
                 "ppm": renderer.render_ppm(hue, intensity, **maxval),
                 "csv": renderer.render_grid_csv(intensity)}
 
-    assert_same_text(renders(cli), renders(oracles))
+    assert_same_text(renders(text), renders(oracles))
 
 
 def _field_map(name, grid):
@@ -43,7 +43,7 @@ def test_odd_non_square_grid_matches_oracle():
 def test_all_zero_intensity_matches_oracle():
     zero = np.zeros((5, 7))
     _assert_same_renders(np.linspace(0.0, 2.0, 35).reshape(5, 7), zero)
-    assert set(cli.render_pgm(zero).split("\n")[3:-1]) == {" ".join(["0"] * 7)}
+    assert set(text.render_pgm(zero).split("\n")[3:-1]) == {" ".join(["0"] * 7)}
 
 
 @pytest.mark.parametrize("maxval", [1, 255, 65535])
@@ -55,36 +55,36 @@ def test_maxval_matches_oracle(maxval):
 @pytest.mark.parametrize("maxval", [0, -1, 65536])
 def test_maxval_outside_netpbm_range_raises(maxval):
     with pytest.raises(ValueError, match="maxval"):
-        cli.render_pgm(np.ones((2, 2)), maxval=maxval)
+        text.render_pgm(np.ones((2, 2)), maxval=maxval)
     with pytest.raises(ValueError, match="maxval"):
-        cli.render_ppm(np.zeros((2, 2)), np.ones((2, 2)), maxval=maxval)
+        text.render_ppm(np.zeros((2, 2)), np.ones((2, 2)), maxval=maxval)
 
 
 def test_csv_special_values_match_oracle():
     row = [-0.0, 0.0, 5e-324, 1e-300, 1e300, math.nan, 0.1, -2.5]
     values = np.array([row, row[::-1], row])
-    text = cli.render_grid_csv(values)
-    assert_same_text({"csv": text}, {"csv": oracles.render_grid_csv(values)})
-    assert text.split("\n")[0] == "-0.0,0.0,5e-324,1e-300,1e+300,nan,0.1,-2.5"
+    csv_text = text.render_grid_csv(values)
+    assert_same_text({"csv": csv_text}, {"csv": oracles.render_grid_csv(values)})
+    assert csv_text.split("\n")[0] == "-0.0,0.0,5e-324,1e-300,1e+300,nan,0.1,-2.5"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
 def test_invalid_intensity_raises(bad):
     intensity = np.array([[1.0, bad], [0.5, 0.2]])
     with pytest.raises(ValueError, match="intensity"):
-        cli.render_pgm(intensity)
+        text.render_pgm(intensity)
     with pytest.raises(ValueError, match="intensity"):
-        cli.render_ppm(np.zeros((2, 2)), intensity)
+        text.render_ppm(np.zeros((2, 2)), intensity)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
 def test_non_finite_hue_raises(bad):
     with pytest.raises(ValueError, match="hue"):
-        cli.render_ppm(np.array([[0.1, bad]]), np.array([[1.0, 0.5]]))
+        text.render_ppm(np.array([[0.1, bad]]), np.array([[1.0, 0.5]]))
 
 
 def test_csv_keeps_writing_non_finite_values():
-    assert cli.render_grid_csv(np.array([[math.nan, -math.inf], [-0.0, 1.0]])) == \
+    assert text.render_grid_csv(np.array([[math.nan, -math.inf], [-0.0, 1.0]])) == \
         "nan,-inf\n-0.0,1.0\n"
 
 
@@ -117,7 +117,7 @@ def test_field_maps_render_each_distinct_array_once(monkeypatch):
     """zero/one, radial/azimuthal and plus_i/minus_i have bit-identical
     intensities; zero/one also share their azimuths."""
     calls = {"render_pgm": 0, "render_ppm": 0, "render_grid_csv": 0}
-    originals = {name: getattr(cli, name) for name in calls}
+    originals = {name: getattr(pipeline, name) for name in calls}
 
     def counted(name):
         def render(*args):
@@ -126,9 +126,9 @@ def test_field_maps_render_each_distinct_array_once(monkeypatch):
         return render
 
     for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
-    cfg = cli.default_config("field_maps")
-    pixmaps = dict(cli.run(cfg).pixmaps)
+        monkeypatch.setattr(pipeline, name, counted(name))
+    cfg = config.default_config("field_maps")
+    pixmaps = dict(pipeline.run(cfg).pixmaps)
     assert calls == {"render_pgm": 3, "render_ppm": 5, "render_grid_csv": 3}
     for state in cfg.input_states:
         hue, intensity = _field_map(state, Grid())

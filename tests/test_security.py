@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,7 @@ from vortexmem.security import (
     classical_bound_nphoton,
     classical_bound_poisson,
     classical_bound_with_efficiency,
-    shor_preskill_pass,
+    shor_preskill_passes,
 )
 
 mp.mp.dps = 40
@@ -165,17 +166,17 @@ class TestEfficiencyBound:
 
 class TestShorPreskill:
     def test_measured_average_passes(self):
-        assert shor_preskill_pass(0.967) is True
+        assert shor_preskill_passes(np.array([0.967])).tolist() == [True]
 
     def test_threshold_is_strict(self):
-        assert shor_preskill_pass(0.89) is False
+        assert shor_preskill_passes(np.array([0.89])).tolist() == [False]
         assert SHOR_PRESKILL_THRESHOLD == 0.89
 
     def test_classical_limit_fails(self):
-        assert shor_preskill_pass(0.667) is False
+        assert shor_preskill_passes(np.array([0.667])).tolist() == [False]
 
     def test_range_error(self):
         with pytest.raises(RangeError):
-            shor_preskill_pass(1.5)
+            shor_preskill_passes(np.array([1.5]))
         with pytest.raises(RangeError):
-            shor_preskill_pass(-0.1)
+            shor_preskill_passes(np.array([-0.1]))

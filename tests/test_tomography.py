@@ -7,27 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import states
-from vortexmem import cli
+from oracles import (bloch_of, click_probability, density_from_pure, projection_probabilities,
+                     simulate_counts)
+from vortexmem import config, pipeline
 from vortexmem.hilbert import (
     BasisTag,
+    DensityMatrix,
     HYBRID_SPHERE_NAMES,
-    bloch_of,
-    density_from_pure,
+    densities_from_bloch,
     named_state,
 )
 from vortexmem.photodetection import (
     PROJECTOR_ORDER,
     CountRecord,
-    click_probability,
-    projection_probabilities,
-    simulate_counts,
 )
 from vortexmem.tomography import (
     InsufficientCounts,
-    StokesEstimate,
     bootstrap_fidelity,
-    density_from_stokes,
-    stokes_from_counts,
+    project_to_ball,
     stokes_of,
     subtract_background,
     tomograph,
@@ -38,9 +35,10 @@ def _records(clicks: dict[str, float], trials: int = 1000, bg: float = 0.0):
     return [CountRecord(k, v, trials, bg * trials) for k, v in clicks.items()]
 
 
-def _exact_records(psi, trials=100_000):
-    probs = projection_probabilities(psi)
-    return [CountRecord(k, probs[k] * trials, trials) for k in PROJECTOR_ORDER]
+def _density(s1, s2, s3):
+    """Linear inversion of one Stokes vector, projected onto the Bloch ball."""
+    return DensityMatrix(densities_from_bloch(project_to_ball(np.array([[s1, s2, s3]],
+                                                                       dtype=float)))[0])
 
 
 class TestBackgroundSubtract:
@@ -68,7 +66,7 @@ class TestBackgroundSubtract:
             k: click_probability(nbar, survival, p, bg) for k, p in target_probs.items()
         }
         for seed in range(100):
-            records = simulate_counts(click_probs, 150_000, seed=seed, bg=bg)
+            records = simulate_counts(click_probs, 150_000, seed, bg=bg)
             f_raw = tomograph(records).fidelity_vs(psi)
             f_corr = tomograph(records, subtract_bg=True).fidelity_vs(psi)
             assert f_corr >= f_raw
@@ -76,52 +74,52 @@ class TestBackgroundSubtract:
 
 class TestStokesFromCounts:
     def test_h_state_exact(self):
-        s = stokes_from_counts(_records({"H": 1000, "V": 0, "D": 500, "A": 500, "R": 500, "L": 500}))
+        s = tomograph(_records({"H": 1000, "V": 0, "D": 500, "A": 500, "R": 500, "L": 500})).stokes
         assert (s.s1, s.s2, s.s3) == (1.0, 0.0, 0.0)
 
     def test_maximally_mixed(self):
-        s = stokes_from_counts(_records({k: 500 for k in PROJECTOR_ORDER}))
+        s = tomograph(_records({k: 500 for k in PROJECTOR_ORDER})).stokes
         assert (s.s1, s.s2, s.s3) == (0.0, 0.0, 0.0)
 
     def test_d_state_sampled(self):
         probs = projection_probabilities(named_state("D"))
-        records = simulate_counts(probs, 150_000, seed=21)
+        records = simulate_counts(probs, 150_000, 21)
         result = tomograph(records)
         assert bloch_of(result.rho).s2 == pytest.approx(1.0, abs=0.02)
 
     def test_missing_projector_rejected(self):
         with pytest.raises(ValueError):
-            stokes_from_counts(_records({"H": 10, "V": 10}))
+            tomograph(_records({"H": 10, "V": 10}))
 
     def test_zero_pair_rejected(self):
         with pytest.raises(InsufficientCounts):
-            stokes_from_counts(_records({"H": 0, "V": 0, "D": 5, "A": 5, "R": 5, "L": 5}))
+            tomograph(_records({"H": 0, "V": 0, "D": 5, "A": 5, "R": 5, "L": 5}))
 
     def test_pairwise_normalization_immune_to_pair_gain(self):
         base = {"H": 800, "V": 200, "D": 500, "A": 500, "R": 300, "L": 700}
         scaled = dict(base, D=50, A=50)  # 10x lower gain on the D/A pair
-        s1 = stokes_from_counts(_records(base))
-        s2 = stokes_from_counts(_records(scaled))
+        s1 = tomograph(_records(base)).stokes
+        s2 = tomograph(_records(scaled)).stokes
         assert (s1.s1, s1.s2, s1.s3) == (s2.s1, s2.s2, s2.s3)
 
 
 class TestDensityFromStokes:
     def test_pole(self):
-        rho = density_from_stokes(StokesEstimate(0, 0, 1))
+        rho = _density(0, 0, 1)
         assert np.allclose(rho.elements, np.diag([1, 0]), atol=1e-15)
 
     def test_mixed(self):
-        rho = density_from_stokes(StokesEstimate(0, 0, 0))
+        rho = _density(0, 0, 0)
         assert np.allclose(rho.elements, np.eye(2) / 2, atol=1e-15)
 
     def test_radial_projection_of_overlong_vector(self):
-        rho = density_from_stokes(StokesEstimate(0, 0, 1.04))
+        rho = _density(0, 0, 1.04)
         assert np.allclose(rho.elements, np.diag([1, 0]), atol=1e-12)
 
     @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3))
     @settings(max_examples=100)
     def test_always_physical(self, s1, s2, s3):
-        rho = density_from_stokes(StokesEstimate(s1, s2, s3))
+        rho = _density(s1, s2, s3)
         rho.validate()
 
 
@@ -131,7 +129,7 @@ class TestTomograph:
         # components are identical under the project conventions
         for i, name in enumerate(HYBRID_SPHERE_NAMES):
             probs = projection_probabilities(_decoded(name))
-            records = simulate_counts(probs, 150_000, seed=100 + i)
+            records = simulate_counts(probs, 150_000, 100 + i)
             result = tomograph(records)
             assert result.fidelity_vs(_decoded(name)) > 0.99
 
@@ -140,7 +138,7 @@ class TestTomograph:
     def test_exact_round_trip(self, psi):
         probs = projection_probabilities(psi)
         s = stokes_of(np.array([[probs[k] for k in PROJECTOR_ORDER]]))[0]
-        rho = density_from_stokes(StokesEstimate(*s.tolist()))
+        rho = _density(*s.tolist())
         target = density_from_pure(psi)
         assert np.allclose(rho.elements, target.elements, atol=1e-12)
 
@@ -151,8 +149,8 @@ class TestTomograph:
         trials = 10_000
         estimates = []
         for seed in range(200):
-            records = simulate_counts(probs, trials, seed=seed)
-            s = stokes_from_counts(records)
+            records = simulate_counts(probs, trials, seed)
+            s = tomograph(records).stokes
             estimates.append([s.s1, s.s2, s.s3])
         est = np.array(estimates)
         truth = bloch_of(density_from_pure(pol))
@@ -172,7 +170,7 @@ class TestBootstrap:
     def test_interval_brackets_point_estimate(self):
         pol = _decoded("radial")
         probs = projection_probabilities(pol)
-        records = simulate_counts(probs, 20_000, seed=3)
+        records = simulate_counts(probs, 20_000, 3)
         point = tomograph(records).fidelity_vs(pol)
         mean, std = bootstrap_fidelity(records, pol, n_resamples=100, seed=5)
         assert std > 0.0
@@ -180,7 +178,7 @@ class TestBootstrap:
 
     def test_deterministic(self):
         pol = _decoded("one")
-        records = simulate_counts(projection_probabilities(pol), 5000, seed=8)
+        records = simulate_counts(projection_probabilities(pol), 5000, 8)
         assert bootstrap_fidelity(records, pol, seed=1) == bootstrap_fidelity(records, pol, seed=1)
 
     @pytest.mark.parametrize("subtract_bg", [False, True], ids=["raw", "corrected"])
@@ -190,11 +188,11 @@ class TestBootstrap:
         # runs against the std of the point fidelity over 120 independent
         # runs, which itself has a relative standard error of ~6.5 %
         # (1/sqrt(2 * 119)); the band allows about three of those
-        cfg = cli.default_config("store_tomography")
-        mix = cli.propagate(state, cfg, 1.0, 0.0)
+        cfg = config.default_config("store_tomography")
+        mix = pipeline.propagate(state, cfg, 1.0, 0.0)
         points, stds = [], []
         for seed in range(120):
-            records = cli.detection_records(mix, cfg, seed)
+            records = pipeline.detection_records(mix, cfg, seed)
             points.append(tomograph(records, subtract_bg).fidelity_vs(mix.target))
             _, std = bootstrap_fidelity(records, mix.target, 200, 100_000 + seed, subtract_bg)
             stds.append(std)
