@@ -16,8 +16,10 @@ text            pixmaps, result files, stdout table and offline count records
 cli             command-line entry point
 """
 
-from . import (cli, config, fields, hilbert, memory, optics, photodetection, pipeline, security,
-               text, tomography)
+import importlib
+
+from . import (config, fields, hilbert, memory, optics, photodetection, pipeline, security, text,
+               tomography)
 
 __all__ = [
     "cli",
@@ -34,3 +36,11 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # cli is imported on first use, so that ``python -m vortexmem.cli`` finds
+    # it not yet imported and runs the one copy, as __main__
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

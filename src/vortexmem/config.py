@@ -101,7 +101,7 @@ class ExperimentConfig:
                 f"encode_with_qplate: expected true or false, got {self.encode_with_qplate!r}")
         try:
             optics._check_charge(self.qplate)
-        except optics.UnsupportedCharge as exc:
+        except hilbert.RangeError as exc:
             raise ConfigError(f"qplate.q: {exc}") from exc
         if not self.storage_times:
             raise ConfigError("storage_times: must not be empty")

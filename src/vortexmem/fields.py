@@ -9,7 +9,7 @@ lobes.  Only the waist plane is modelled; all observables of interest live
 at conjugate planes, so propagation and Gouy phase add nothing testable.
 
 Every hybrid state is built from the same two carriers, so each carrier is
-computed once per (charge, grid, waist) and shared as a read-only array.
+computed once per (charge, grid) and shared as a read-only array.
 """
 
 from __future__ import annotations
@@ -20,17 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import BasisTag, HybridState
+from .hilbert import BasisTag, HybridState, RangeError
 
 MAX_CHARGE = 50  # largest OAM order the ensemble aperture supports
 
 # circular unit vectors in (H, V) Jones components
 E_R = np.array([1.0, -1.0j]) / math.sqrt(2.0)
 E_L = np.array([1.0, +1.0j]) / math.sqrt(2.0)
-
-
-class ChargeOutOfRange(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,6 @@ class VectorFieldMap:
     e_h: np.ndarray
     e_v: np.ndarray
     grid: Grid
-    waist: float = 1.0
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.e_h) ** 2 + np.abs(self.e_v) ** 2
@@ -84,26 +79,26 @@ class VectorFieldMap:
         return float(self.intensity().sum() * self.grid.pixel_area())
 
 
-def lg_amplitude(l: int, grid: Grid, waist: float = 1.0) -> np.ndarray:
+def lg_amplitude(l: int, grid: Grid) -> np.ndarray:
     """Laguerre-Gaussian LG_{0,l} amplitude at the waist plane, unit power.
 
-    Amplitude ~ (r*sqrt2/w0)^|l| * exp(-r^2/w0^2) * exp(i*l*phi); the ring
-    of maximum intensity sits at r = w0*sqrt(|l|/2), so the mode size grows
-    like the square root of the charge.  The returned array is shared
-    between calls and read-only.
+    Amplitude ~ (r*sqrt2/w0)^|l| * exp(-r^2/w0^2) * exp(i*l*phi), r in waist
+    units (w0 = 1); the ring of maximum intensity sits at r = w0*sqrt(|l|/2),
+    so the mode size grows like the square root of the charge.  The returned
+    array is shared between calls and read-only.
     """
     if abs(l) > MAX_CHARGE:
-        raise ChargeOutOfRange(f"|l| = {abs(l)} exceeds supported {MAX_CHARGE}")
-    return _lg_carrier(l, grid, waist)
+        raise RangeError(f"|l| = {abs(l)} exceeds supported {MAX_CHARGE}")
+    return _lg_carrier(l, grid)
 
 
 # bounded, since each entry holds a full complex grid
 @functools.lru_cache(maxsize=8)
-def _lg_carrier(l: int, grid: Grid, waist: float) -> np.ndarray:
+def _lg_carrier(l: int, grid: Grid) -> np.ndarray:
     xx, yy = grid.mesh()
     r = np.hypot(xx, yy)
     phi = np.arctan2(yy, xx)
-    amp = (r * math.sqrt(2.0) / waist) ** abs(l) * np.exp(-(r / waist) ** 2)
+    amp = (r * math.sqrt(2.0)) ** abs(l) * np.exp(-r ** 2)
     field = amp * np.exp(1j * l * phi)
     power = (np.abs(field) ** 2).sum() * grid.pixel_area()
     field = field / math.sqrt(power)
@@ -111,15 +106,15 @@ def _lg_carrier(l: int, grid: Grid, waist: float) -> np.ndarray:
     return field
 
 
-def vector_field_map(psi: HybridState, grid: Grid, waist: float = 1.0) -> VectorFieldMap:
+def vector_field_map(psi: HybridState, grid: Grid) -> VectorFieldMap:
     """Transverse Jones-vector map of a hybrid-sphere state."""
     if psi.basis_tag is not BasisTag.HYBRID_POINCARE:
         raise ValueError("vector_field_map expects a hybrid-basis state")
-    lg_m = lg_amplitude(-1, grid, waist)
-    lg_p = lg_amplitude(+1, grid, waist)
+    lg_m = lg_amplitude(-1, grid)
+    lg_p = lg_amplitude(+1, grid)
     e_h = psi.c0 * lg_m * E_L[0] + psi.c1 * lg_p * E_R[0]
     e_v = psi.c0 * lg_m * E_L[1] + psi.c1 * lg_p * E_R[1]
-    return VectorFieldMap(e_h, e_v, grid, waist)
+    return VectorFieldMap(e_h, e_v, grid)
 
 
 def project_polarization(m: VectorFieldMap, analyzer: np.ndarray) -> np.ndarray:

@@ -13,14 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+from .hilbert import RangeError
 from .optics import DualRailState
 
 DEFAULT_ETA0 = 0.26      # measured peak storage-retrieval efficiency
 DEFAULT_TAU_US = 7.0     # motional-dephasing coherence time, microseconds
-
-
-class NegativeTime(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,7 @@ class MemoryParams:
 def efficiency_at(p: MemoryParams, t: float) -> float:
     """Storage-retrieval efficiency after t microseconds in memory."""
     if t < 0.0:
-        raise NegativeTime(f"storage time {t} < 0")
+        raise RangeError(f"storage time {t} < 0")
     return p.eta0 * math.exp(-((t / p.tau) ** 2))
 
 
@@ -71,24 +68,3 @@ def store_retrieve(d: DualRailState, p: MemoryParams, t: float) -> DualRailState
         rail_v=tuple(a * sv for a in d.rail_v),
         rail_phase=d.rail_phase + p.rail_phase_error,
     )
-
-
-def retrieval_fidelity(d: DualRailState, p: MemoryParams, t: float) -> float:
-    """Closed-form overlap fidelity of the full retrieved field with the input.
-
-    For an input occupying the two rails with powers (u_h, u_v) and the
-    diagonal rail map M = diag(m_h, m_v e^{i phi}), this is
-    |<psi|M psi>|^2 / <M psi|M psi>, i.e. the leaked component counts
-    against fidelity rather than being heralded away.  ``d`` is the rail
-    decomposition of the input, before storage.
-    """
-    u_h = sum(abs(a) ** 2 for a in d.rail_h)
-    u_v = sum(abs(a) ** 2 for a in d.rail_v)
-    eta_h, eta_v = rail_efficiencies(p, t)
-    m_h, m_v = math.sqrt(eta_h), math.sqrt(eta_v)
-    phi = p.rail_phase_error
-    num = abs(m_h * u_h + m_v * complex(math.cos(phi), math.sin(phi)) * u_v) ** 2
-    den = (eta_h * u_h + eta_v * u_v) * (u_h + u_v)
-    if den == 0.0:
-        return 0.0
-    return num / den

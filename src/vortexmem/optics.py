@@ -17,13 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import BasisTag, HybridState, make_state, jones_of
+from .hilbert import BasisTag, HybridState, RangeError, make_state, jones_of
 
 _SQRT2 = math.sqrt(2.0)
-
-
-class UnsupportedCharge(ValueError):
-    """q-plate charge does not map onto the two-dimensional hybrid space."""
 
 
 class VacuumOutput(ValueError):
@@ -88,9 +84,7 @@ class RecombineResult:
 
 def _check_charge(p: QPlateParams):
     if abs(abs(2 * p.q) - 1) > 1e-9:
-        raise UnsupportedCharge(
-            f"charge q={p.q} does not map onto the two-dimensional hybrid basis"
-        )
+        raise RangeError(f"charge q={p.q} does not map onto the two-dimensional hybrid basis")
 
 
 def qplate_apply(psi: HybridState, p: QPlateParams) -> HybridState:

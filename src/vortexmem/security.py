@@ -25,10 +25,6 @@ _TAIL_MASS_CUTOFF = 1e-14   # relative to the non-vacuum mass
 NBAR_MAX = 700.0            # exp(-nbar) underflows past this
 
 
-class DomainError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class BenchmarkInput:
     nbar: float
@@ -36,15 +32,15 @@ class BenchmarkInput:
 
     def __post_init__(self):
         if self.nbar <= 0.0:
-            raise DomainError("nbar must be > 0")
+            raise RangeError("nbar must be > 0")
         if not 0.0 < self.eta <= 1.0:
-            raise DomainError("eta must lie in (0, 1]")
+            raise RangeError("eta must lie in (0, 1]")
 
 
 def classical_bound_nphoton(n: int) -> float:
     """Best intercept-resend fidelity on an N-photon state: (N+1)/(N+2)."""
     if n < 1:
-        raise DomainError(f"photon number {n} < 1")
+        raise RangeError(f"photon number {n} < 1")
     return (n + 1) / (n + 2)
 
 
@@ -52,7 +48,7 @@ def _nonvacuum_terms(nbar: float) -> tuple[float, list[float]]:
     """Non-vacuum mass 1 - P(0) and the terms P(1), P(2), ... until the
     remaining tail is below the relative cutoff."""
     if nbar > NBAR_MAX:
-        raise DomainError(f"nbar {nbar} too large for the double-precision series")
+        raise RangeError(f"nbar {nbar} too large for the double-precision series")
     nonvac = -math.expm1(-nbar)   # accurate 1 - exp(-nbar) for tiny nbar
     terms = [math.exp(-nbar) * nbar]
     cum = terms[0]
@@ -68,7 +64,7 @@ def classical_bound_poisson(nbar: float) -> float:
     """Poisson-averaged classical bound for a weak coherent pulse,
     conditioned on non-vacuum input."""
     if nbar <= 0.0:
-        raise DomainError("nbar must be > 0")
+        raise RangeError("nbar must be > 0")
     nonvac, terms = _nonvacuum_terms(nbar)
     if nonvac == 0.0:   # nbar below double resolution: single-photon limit
         return 2.0 / 3.0

@@ -59,8 +59,6 @@ def _pixmap_text(magic: str, width: int, height: int, maxval: int,
                  samples: np.ndarray) -> str:
     """ASCII netpbm file from integer samples in [0, maxval], one text row
     per array row; each level that occurs is formatted once."""
-    if not 0 < maxval < 65536:
-        raise ValueError(f"pixmap maxval must be in [1, 65535], got {maxval}")
     levels = np.flatnonzero(np.bincount(samples.ravel(), minlength=maxval + 1))
     table = np.empty(maxval + 1, dtype=object)
     table[levels] = [str(v) for v in levels.tolist()]
@@ -68,10 +66,10 @@ def _pixmap_text(magic: str, width: int, height: int, maxval: int,
     return f"{magic}\n{width} {height}\n{maxval}\n" + rows
 
 
-def render_pgm(intensity: np.ndarray, maxval: int = 65535) -> str:
-    """ASCII PGM (P2) with intensity scaled to the full gray range."""
-    pixels = np.rint(_scaled(intensity) * maxval).astype(int)
-    return _pixmap_text("P2", pixels.shape[1], pixels.shape[0], maxval, pixels)
+def render_pgm(intensity: np.ndarray) -> str:
+    """ASCII PGM (P2) at maxval 65535, intensity scaled to the full gray range."""
+    pixels = np.rint(_scaled(intensity) * 65535).astype(int)
+    return _pixmap_text("P2", pixels.shape[1], pixels.shape[0], 65535, pixels)
 
 
 # (r, g, b) of each hue sector as indices into the corners (v, q, p, t)
@@ -91,14 +89,14 @@ def _hsv_to_rgb(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.take_along_axis(corners, _HSV_SECTORS[sector.astype(int) % 6], axis=-1)
 
 
-def render_ppm(hue: np.ndarray, intensity: np.ndarray, maxval: int = 255) -> str:
-    """ASCII PPM (P3): hue encodes polarization azimuth, value the intensity."""
+def render_ppm(hue: np.ndarray, intensity: np.ndarray) -> str:
+    """ASCII PPM (P3) at maxval 255: hue encodes polarization azimuth, value the intensity."""
     if not np.isfinite(hue).all():
         raise ValueError("pixmap hue must be finite")
     rgb = _hsv_to_rgb(np.mod(hue, 1.0), _scaled(intensity))
-    pixels = np.rint(rgb * maxval).astype(int)
+    pixels = np.rint(rgb * 255).astype(int)
     ny, nx = hue.shape
-    return _pixmap_text("P3", nx, ny, maxval, pixels.reshape(ny, 3 * nx))
+    return _pixmap_text("P3", nx, ny, 255, pixels.reshape(ny, 3 * nx))
 
 
 _MAGNITUDE_BITS = np.int64(2**63 - 1)   # every bit of a float64 but its sign
@@ -157,28 +155,37 @@ def read_count_records(path: str | Path) -> list[photodetection.CountRecord]:
 
     Expected header: projector, clicks, trials, bg_expected.  Lets the
     reconstruction run on real experimental data via
-    ``tomography.tomograph(read_count_records(path))``.  A file without
-    those columns, or a row that is short, holds a non-integer count or
-    fails the CountRecord ranges, raises ConfigError naming the file and
-    line.
+    ``tomography.tomograph(read_count_records(path))``.  A row that is
+    short or long, holds a field past csv.field_size_limit() or a
+    non-integer count, or fails the CountRecord ranges, raises ConfigError
+    naming the file and line; a file without those columns, or not UTF-8
+    text, raises ConfigError naming the file.
     """
-    with open(path, newline="") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        missing = set(COUNT_RECORD_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ConfigError(f"count-record file lacks columns {sorted(missing)}")
         records = []
-        for line in reader:
-            try:
-                records.append(photodetection.CountRecord(
-                    projector_id=line["projector"].strip(),
-                    clicks=int(line["clicks"]),
-                    trials=int(line["trials"]),
-                    bg_clicks_expected=float(line["bg_expected"]),
-                ))
-            except (AttributeError, TypeError, ValueError) as exc:
-                # a short row leaves None in the missing columns
-                raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
+        try:
+            missing = set(COUNT_RECORD_COLUMNS) - set(reader.fieldnames or ())
+            if missing:
+                raise ConfigError(f"{path}: count-record file lacks columns {sorted(missing)}")
+            for line in reader:
+                if None in line:   # DictReader keeps the cells past the header under None
+                    raise ConfigError(f"{path}, line {reader.line_num}: more cells than the header")
+                try:
+                    records.append(photodetection.CountRecord(
+                        projector_id=line["projector"].strip(),
+                        clicks=int(line["clicks"]),
+                        trials=int(line["trials"]),
+                        bg_clicks_expected=float(line["bg_expected"]),
+                    ))
+                except (AttributeError, TypeError, ValueError) as exc:
+                    # a short row leaves None in the missing columns
+                    raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
+        except csv.Error as exc:
+            # DictReader.line_num moves only once a whole row is read
+            raise ConfigError(f"{path}, line {reader.reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     return records
 
 
@@ -350,8 +357,7 @@ def _summary(table) -> str:
         _YES_NO[table.secure.astype(int)].tolist()]))
 
 
-def emit(report, out_dir: str | Path,
-         formats: tuple[str, ...] = ("csv", "json-lines", "pixmap")) -> list[Path]:
+def emit(report, out_dir: str | Path) -> list[Path]:
     """Write a pipeline.Report; returns the written paths (deterministic
     content)."""
     out = Path(out_dir)
@@ -364,18 +370,15 @@ def emit(report, out_dir: str | Path,
             handle.writelines(chunks)
         written.append(path)
 
-    if report.table is not None and ("csv" in formats or "json-lines" in formats):
+    if report.table is not None:
         csv_chunks, jsonl_chunks = _results_text(report.table)
-        if "csv" in formats:
-            _write("results.csv", csv_chunks)
-        if "json-lines" in formats:
-            _write("results.jsonl", jsonl_chunks)
-    if report.bounds_rows and "csv" in formats:
+        _write("results.csv", csv_chunks)
+        _write("results.jsonl", jsonl_chunks)
+    if report.bounds_rows:
         _write("bounds.csv", _bounds_text(report.bounds_rows))
     density = report.density
-    if density and "json-lines" in formats:
+    if density:
         _write("density_matrices.json", [json.dumps(density, sort_keys=True, indent=2) + "\n"])
-    if "pixmap" in formats:
-        for name, text in report.pixmaps:
-            _write(name, [text])
+    for name, text in report.pixmaps:
+        _write(name, [text])
     return written

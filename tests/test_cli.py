@@ -1,5 +1,9 @@
+import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +136,18 @@ class TestMainExitCodes:
     def test_missing_scenario_is_2(self, tmp_path):
         rc = cli.main(["--out", str(tmp_path / "o")])
         assert rc == 2
+
+    def test_python_dash_m_runs_under_runtime_warnings_as_errors(self, tmp_path):
+        """runpy warns when the module it runs was imported with its
+        package, and that warning must not fire for ``python -m vortexmem.cli``."""
+        src = Path(cli.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "vortexmem.cli",
+             "--scenario", "bounds_table", "--out", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "o" / "bounds.csv").is_file()
 
     def test_long_storage_gives_background_rows(self, tmp_path):
         # exp(-(t/tau)^2) underflows to 0: nothing is retrieved
@@ -361,7 +377,7 @@ class TestOfflineCountRecords:
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "counts.csv"
         path.write_text("projector,clicks\nH,5\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"counts\.csv: .*lacks columns"):
             text.read_count_records(path)
 
     @pytest.mark.parametrize("clicks, trials", [
@@ -400,13 +416,21 @@ class TestOfflineCountRecords:
 
     @pytest.mark.parametrize("row", [
         "H,5", "H,5.0,10,0.0", "H,5,10,x", "H,5,10,nan", "H,5,10,-50", "X,5,10,0.0", "H,11,10,0.0",
-        f"H,5,{10**400},0.0",
+        f"H,5,{10**400},0.0", "H,5,10,0.0,extra", "H,5,10," + "0" * (csv.field_size_limit() + 1),
     ], ids=["short", "float_clicks", "text_background", "nan_background",
-            "negative_background", "unknown_projector", "clicks_past_trials", "huge_trials"])
+            "negative_background", "unknown_projector", "clicks_past_trials", "huge_trials",
+            "long", "field_past_size_limit"])
     def test_malformed_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "counts.csv"
         path.write_text(f"projector,clicks,trials,bg_expected\nV,5,10,0.0\n{row}\n")
         with pytest.raises(ConfigError, match=r"counts\.csv, line 3: "):
+            text.read_count_records(path)
+
+    def test_non_utf8_file_names_file(self, tmp_path):
+        # a small file is decoded on its first read, before any line is known
+        path = tmp_path / "counts.csv"
+        path.write_bytes(b"projector,clicks,trials,bg_expected\nV,5,10,0.0\nH\xff,5,10,0.0\n")
+        with pytest.raises(ConfigError, match=r"counts\.csv: .*utf-8"):
             text.read_count_records(path)
 
 

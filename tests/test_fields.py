@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vortexmem.fields import (
-    ChargeOutOfRange,
     Grid,
     lg_amplitude,
     peak_radius,
@@ -12,7 +11,7 @@ from vortexmem.fields import (
     project_polarization,
     vector_field_map,
 )
-from vortexmem.hilbert import HYBRID_SPHERE_NAMES, named_state
+from vortexmem.hilbert import HYBRID_SPHERE_NAMES, RangeError, named_state
 
 # odd pixel counts place samples exactly on the coordinate axes
 GRID = Grid(nx=257, ny=257, extent=3.0)
@@ -64,7 +63,7 @@ class TestLGModes:
             assert winding == pytest.approx(l, abs=1e-9)
 
     def test_charge_out_of_range(self):
-        with pytest.raises(ChargeOutOfRange):
+        with pytest.raises(RangeError):
             lg_amplitude(51, GRID)
 
 

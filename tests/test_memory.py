@@ -7,18 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import fidelity, states
-from vortexmem.hilbert import BasisTag, jones_of, make_state, named_state
-from vortexmem.memory import (
-    MemoryParams,
-    NegativeTime,
-    efficiency_at,
-    rail_efficiencies,
-    retrieval_fidelity,
-    store_retrieve,
-)
+from vortexmem.hilbert import BasisTag, RangeError, jones_of, make_state, named_state
+from vortexmem.memory import MemoryParams, efficiency_at, rail_efficiencies, store_retrieve
 from vortexmem.optics import displacer_recombine, displacer_split
 
 MEASURED = MemoryParams(eta0=0.26, tau=7.0)
+
+
+def _kept_fidelity(psi, p, t):
+    """Fidelity of the whole retrieved field with the input: the recombined
+    state's fidelity times the share of the throughput left in the logical
+    space, so the leaked component counts against it."""
+    rec = displacer_recombine(store_retrieve(displacer_split(psi), p, t))
+    return fidelity(rec.state, psi) * (rec.throughput - rec.leak_power) / rec.throughput
 
 
 class TestEfficiencyDecay:
@@ -32,7 +33,7 @@ class TestEfficiencyDecay:
         assert efficiency_at(MEASURED, 200.0) < 1e-10
 
     def test_negative_time_rejected(self):
-        with pytest.raises(NegativeTime):
+        with pytest.raises(RangeError):
             efficiency_at(MEASURED, -0.1)
 
     @given(st.floats(0, 50, allow_nan=False), st.floats(0, 50, allow_nan=False))
@@ -109,31 +110,10 @@ class TestChannelInvariants:
     def test_imbalance_damages_two_rail_states(self):
         p = MemoryParams(eta0=0.8, tau=7.0, rail_imbalance=0.4)
         for name in ("zero", "radial", "D"):
-            rails = displacer_split(named_state(name))
-            assert retrieval_fidelity(rails, p, 1.0) < 1 - 1e-4
+            assert _kept_fidelity(named_state(name), p, 1.0) < 1 - 1e-4
 
-
-class TestRetrievalFidelityOracle:
-    """The adopted testable form: fidelity of the full retrieved field equals
-    |<psi|M psi>|^2 / <M psi|M psi> with M the diagonal rail-loss map."""
-
-    @pytest.mark.parametrize("imbalance,phase", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.4), (0.25, 0.6)])
-    def test_matches_pipeline_for_every_named_state(self, imbalance, phase):
-        p = MemoryParams(eta0=0.8, tau=7.0, rail_imbalance=imbalance, rail_phase_error=phase)
-        t = 1.3
-        for name in ("zero", "one", "radial", "azimuthal", "plus_i", "minus_i",
-                     "H", "V", "D", "A", "R", "L"):
-            psi = named_state(name)
-            rails = displacer_split(psi)
-            rec = displacer_recombine(store_retrieve(rails, p, t))
-            oracle = (
-                fidelity(rec.state, psi)
-                * (rec.throughput - rec.leak_power)
-                / rec.throughput
-            )
-            assert retrieval_fidelity(rails, p, t) == pytest.approx(oracle, abs=1e-12)
-
-    def test_matches_direct_2x2_oracle_for_polarization_states(self):
+    def test_polarization_kept_fidelity_matches_2x2_rail_map(self):
+        # |<psi|M psi>|^2 / <M psi|M psi> with M the diagonal rail-loss map
         p = MemoryParams(eta0=0.7, tau=7.0, rail_imbalance=0.2, rail_phase_error=0.3)
         t = 0.8
         eta_h, eta_v = rail_efficiencies(p, t)
@@ -146,19 +126,18 @@ class TestRetrievalFidelityOracle:
             jones = np.array(jones_of(psi))
             num = abs(np.conj(jones) @ m @ jones) ** 2
             den = float(np.real(np.conj(m @ jones) @ (m @ jones)))
-            assert retrieval_fidelity(displacer_split(psi), p, t) == pytest.approx(
-                num / den, abs=1e-12
-            )
+            assert _kept_fidelity(psi, p, t) == pytest.approx(num / den, abs=1e-12)
 
     def test_hybrid_states_share_one_fidelity_curve(self):
         # every hybrid-sphere state splits half-and-half over the rails, so
         # imbalance and phase error hit the whole sphere uniformly
         p = MemoryParams(eta0=0.9, tau=7.0, rail_imbalance=0.3, rail_phase_error=0.2)
         values = {
-            name: retrieval_fidelity(displacer_split(named_state(name)), p, 2.0)
+            name: _kept_fidelity(named_state(name), p, 2.0)
             for name in ("zero", "one", "radial", "azimuthal", "plus_i", "minus_i")
         }
         ref = values["zero"]
+        assert ref < 1 - 1e-4
         assert all(abs(v - ref) < 1e-12 for v in values.values())
 
 

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import fidelity, haar_states, states
-from vortexmem.hilbert import BasisTag, make_state, named_state
+from vortexmem.hilbert import BasisTag, RangeError, make_state, named_state
 from vortexmem.optics import (
     DualRailState,
     QPlateParams,
-    UnsupportedCharge,
     VacuumOutput,
     conversion_probability,
     displacer_recombine,
@@ -65,7 +64,7 @@ class TestQPlate:
 
     def test_unsupported_charge(self):
         for q in (0.0, 1.0, 1.5, -2.0):
-            with pytest.raises(UnsupportedCharge):
+            with pytest.raises(RangeError):
                 qplate_apply(named_state("H"), QPlateParams(q=q))
 
     def test_negative_half_charge_accepted(self):

@@ -15,10 +15,10 @@ from vortexmem.fields import Grid, lg_amplitude, polarization_azimuth, vector_fi
 from vortexmem.hilbert import named_state
 
 
-def _assert_same_renders(hue, intensity, **maxval):
+def _assert_same_renders(hue, intensity):
     def renders(renderer):
-        return {"pgm": renderer.render_pgm(intensity, **maxval),
-                "ppm": renderer.render_ppm(hue, intensity, **maxval),
+        return {"pgm": renderer.render_pgm(intensity),
+                "ppm": renderer.render_ppm(hue, intensity),
                 "csv": renderer.render_grid_csv(intensity)}
 
     assert_same_text(renders(text), renders(oracles))
@@ -44,20 +44,6 @@ def test_all_zero_intensity_matches_oracle():
     zero = np.zeros((5, 7))
     _assert_same_renders(np.linspace(0.0, 2.0, 35).reshape(5, 7), zero)
     assert set(text.render_pgm(zero).split("\n")[3:-1]) == {" ".join(["0"] * 7)}
-
-
-@pytest.mark.parametrize("maxval", [1, 255, 65535])
-def test_maxval_matches_oracle(maxval):
-    hue, intensity = _field_map("plus_i", Grid(nx=23, ny=19))
-    _assert_same_renders(hue, intensity, maxval=maxval)
-
-
-@pytest.mark.parametrize("maxval", [0, -1, 65536])
-def test_maxval_outside_netpbm_range_raises(maxval):
-    with pytest.raises(ValueError, match="maxval"):
-        text.render_pgm(np.ones((2, 2)), maxval=maxval)
-    with pytest.raises(ValueError, match="maxval"):
-        text.render_ppm(np.zeros((2, 2)), np.ones((2, 2)), maxval=maxval)
 
 
 def test_csv_special_values_match_oracle():
@@ -108,9 +94,9 @@ def test_lg_carrier_is_shared_read_only_and_exact():
     assert not first.flags.writeable
     with pytest.raises(ValueError):
         first[0, 0] = 0.0
-    fresh = fields._lg_carrier.__wrapped__(1, grid, 1.0)
+    fresh = fields._lg_carrier.__wrapped__(1, grid)
     assert fresh.tobytes() == first.tobytes()
-    assert lg_amplitude(-1, grid).tobytes() == fields._lg_carrier.__wrapped__(-1, grid, 1.0).tobytes()
+    assert lg_amplitude(-1, grid).tobytes() == fields._lg_carrier.__wrapped__(-1, grid).tobytes()
 
 
 def test_field_maps_render_each_distinct_array_once(monkeypatch):

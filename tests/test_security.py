@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from vortexmem.security import (
     SHOR_PRESKILL_THRESHOLD,
     BenchmarkInput,
-    DomainError,
     RangeError,
     classical_bound_nphoton,
     classical_bound_poisson,
@@ -60,7 +59,7 @@ class TestNPhotonBound:
         assert classical_bound_nphoton(10_000) > 0.999
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RangeError):
             classical_bound_nphoton(0)
 
 
@@ -82,7 +81,7 @@ class TestPoissonBound:
         assert classical_bound_poisson(1e-300) == pytest.approx(2 / 3, abs=1e-12)
         # bright-pulse side stays finite and close to 1 within the guard
         assert classical_bound_poisson(600.0) > 0.995
-        with pytest.raises(DomainError):
+        with pytest.raises(RangeError):
             classical_bound_poisson(800.0)
 
     def test_monotone_in_nbar(self):
@@ -107,9 +106,9 @@ class TestPoissonBound:
         assert classical_bound_poisson(nbar) == pytest.approx(partial(80), abs=1e-12)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RangeError):
             classical_bound_poisson(0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(RangeError):
             classical_bound_poisson(-0.5)
 
 
@@ -156,11 +155,11 @@ class TestEfficiencyBound:
         assert tiny == pytest.approx(2 / 3, abs=1e-12)
 
     def test_invalid_inputs(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(RangeError):
             BenchmarkInput(0.0, 0.26)
-        with pytest.raises(DomainError):
+        with pytest.raises(RangeError):
             BenchmarkInput(0.5, 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(RangeError):
             BenchmarkInput(0.5, 1.2)
 
 
