@@ -10,13 +10,17 @@ acts on counts, before any Stokes arithmetic.
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .hilbert import (DensityMatrix, HybridState, conditional_fidelity, densities_from_bloch,
-                      fidelities)
+from .hilbert import (DensityMatrix, HybridState, RangeError, conditional_fidelity,
+                      densities_from_bloch, fidelities)
 from .photodetection import PROJECTOR_ORDER, PROJECTOR_PAIRS, CountRecord
 
 class InsufficientCounts(ValueError):
@@ -111,26 +115,47 @@ def tomograph(records: Iterable[CountRecord], subtract_bg: bool = False) -> Tomo
     return TomographyResult(DensityMatrix(rho[0]), _estimate(stokes))
 
 
+@functools.lru_cache(maxsize=1)
+def _resample(trials: tuple, clicks: tuple, n_resamples: int, seed: int) -> np.ndarray:
+    """Binomial redraws (n_resamples, records) of every record's clicks, read-only.
+
+    One draw fills (resample, record) in row-major order, the order of a loop
+    over resamples with the records in their given order inside.  The one
+    cached draw serves the next call on the same values, such as the
+    background-corrected bootstrap after the raw one.
+    """
+    draws = np.random.default_rng(seed).binomial(
+        trials, [c / t for c, t in zip(clicks, trials)], size=(n_resamples, len(trials)))
+    draws.setflags(write=False)
+    return draws
+
+
 def bootstrap_fidelity(records: Iterable[CountRecord], target: HybridState,
                        n_resamples: int = 200, seed: int = 0,
                        subtract_bg: bool = False) -> tuple[float, float]:
     """Shot-noise fidelity interval by parametric bootstrap over the counts.
 
-    Each resample redraws every projector's clicks from
-    Binomial(trials, clicks/trials) and re-runs the reconstruction.
-    Returns (mean, standard deviation) of the resampled fidelities.
+    Each of ``n_resamples`` (an integer >= 1) resamples redraws every
+    projector's clicks from Binomial(trials, clicks/trials) and re-runs the
+    reconstruction.  The draw is a pure function of the records' trials and
+    clicks, ``n_resamples`` and the integer ``seed``, so consecutive calls on
+    one record set and seed share it: the raw and background-corrected
+    bootstraps are paired resamples.  Returns (mean, standard deviation) of
+    the resampled fidelities.
     """
+    if not (isinstance(n_resamples, numbers.Integral) and n_resamples >= 1):
+        raise RangeError(f"n_resamples {n_resamples!r} is not an integer >= 1")
     records = list(records)
     table = _by_projector(records)
-    rng = np.random.default_rng(seed)
-    # one draw fills (resample, record) in row-major order, the order of a
-    # loop over resamples with the records in their given order inside
-    draws = rng.binomial([r.trials for r in records],
-                         [r.clicks / r.trials for r in records],
-                         size=(n_resamples, len(records)))
+    draws = _resample(tuple(r.trials for r in records), tuple(r.clicks for r in records),
+                      n_resamples, operator.index(seed))
     column = {r.projector_id: i for i, r in enumerate(records)}
     counts = draws[:, [column[k] for k in PROJECTOR_ORDER]]
     bg = np.array([table[k].bg_clicks_expected for k in PROJECTOR_ORDER], dtype=float)
     _, rho = reconstruct(counts, bg, subtract_bg)
     fids = fidelities(rho, target.vector()[None])
-    return float(fids.mean()), float(fids.std())
+    # the ufunc reductions of ndarray.mean and ndarray.std, without their wrappers
+    n = len(fids)
+    mean = np.add.reduce(fids) / n
+    spread = fids - mean
+    return float(mean), math.sqrt(np.add.reduce(spread * spread) / n)

@@ -121,14 +121,15 @@ def test_one_job_run_is_row_zero_of_a_run_at_its_seed():
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
+@pytest.mark.parametrize("n_resamples", [1, 9, 150, 1000])
 @pytest.mark.parametrize("subtract_bg", [False, True], ids=["raw", "corrected"])
-def test_bootstrap_matches_resample_loop(subtract_bg):
+def test_bootstrap_matches_resample_loop(subtract_bg, n_resamples):
     cfg = _config("fidelity_vs_time", 150_000, 0.05, True)
     for index, state in enumerate(("zero", "radial", "plus_i", "minus_i")):
         comps, target = oracles.propagate(state, cfg, 2.5, 0.0)
         records = oracles.detection_records(comps, cfg, 900 + index)
-        got = tomography.bootstrap_fidelity(records, target, 150, 31 + index, subtract_bg)
-        want = oracles.bootstrap_fidelity(records, target, 150, 31 + index, subtract_bg)
+        got = tomography.bootstrap_fidelity(records, target, n_resamples, 31 + index, subtract_bg)
+        want = oracles.bootstrap_fidelity(records, target, n_resamples, 31 + index, subtract_bg)
         assert got == want
         point = tomography.tomograph(records, subtract_bg)
         stokes, rho = oracles.tomograph(records, subtract_bg)

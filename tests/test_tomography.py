@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from helpers import states
 from oracles import (bloch_of, click_probability, density_from_pure, projection_probabilities,
                      simulate_counts)
-from vortexmem import config, pipeline
+from vortexmem import config, pipeline, tomography
 from vortexmem.hilbert import (
     BasisTag,
     DensityMatrix,
     HYBRID_SPHERE_NAMES,
+    RangeError,
     densities_from_bloch,
     named_state,
 )
@@ -198,6 +199,69 @@ class TestBootstrap:
             stds.append(std)
         ratio = statistics.median(stds) / statistics.stdev(points)
         assert 0.8 <= ratio <= 1.25
+
+    @pytest.mark.parametrize("n_resamples", [0, -1, 2.5])
+    def test_unusable_resample_count_rejected_before_drawing(self, n_resamples):
+        # 0 gave (nan, nan) with a RuntimeWarning, -1 a numpy shape error
+        pol = _decoded("one")
+        records = simulate_counts(projection_probabilities(pol), 5000, 8)
+        tomography._resample.cache_clear()
+        with pytest.raises(RangeError, match=rf"n_resamples {n_resamples}\b"):
+            bootstrap_fidelity(records, pol, n_resamples=n_resamples)
+        assert tomography._resample.cache_info().misses == 0
+
+
+class TestBootstrapDraw:
+    """One binomial draw per (trials, clicks, n_resamples, seed), shared by
+    consecutive calls and identical to an uncached draw."""
+
+    @staticmethod
+    def _bits(result):
+        return [v.hex() for v in result]
+
+    def test_corrected_call_reuses_the_raw_draw(self):
+        pol = _decoded("radial")
+        records = simulate_counts(projection_probabilities(pol), 20_000, 3, bg=0.002)
+        tomography._resample.cache_clear()
+        bootstrap_fidelity(records, pol, 50, 9, subtract_bg=False)
+        bootstrap_fidelity(records, pol, 50, 9, subtract_bg=True)
+        info = tomography._resample.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_interleaved_record_sets_match_cold_calls(self):
+        pol = _decoded("radial")
+        a = simulate_counts(projection_probabilities(pol), 20_000, 3, bg=0.002)
+        b = simulate_counts(projection_probabilities(pol), 20_000, 4, bg=0.002)
+        calls = [(a, False), (a, True), (b, False), (b, True), (a, False), (a, True)]
+        tomography._resample.cache_clear()
+        warm = [self._bits(bootstrap_fidelity(r, pol, 60, 5, bg)) for r, bg in calls]
+        cold = []
+        for r, bg in calls:
+            tomography._resample.cache_clear()
+            cold.append(self._bits(bootstrap_fidelity(r, pol, 60, 5, bg)))
+        assert warm == cold
+
+    def test_cached_draw_is_read_only(self):
+        draws = tomography._resample((1000, 1000), (400, 900), 4, 2)
+        assert tomography._resample((1000, 1000), (400, 900), 4, 2) is draws
+        with pytest.raises(ValueError, match="read-only"):
+            draws[0, 0] = 0
+
+    @pytest.mark.parametrize("seed", [np.random.default_rng(7), np.random.SeedSequence(7)],
+                             ids=["generator", "seed_sequence"])
+    def test_non_integer_seed_rejected(self, seed):
+        pol = _decoded("one")
+        records = simulate_counts(projection_probabilities(pol), 5000, 8)
+        with pytest.raises(TypeError):
+            bootstrap_fidelity(records, pol, 20, seed)
+
+    def test_numpy_integer_seed_draws_as_python_int(self):
+        pol = _decoded("one")
+        records = simulate_counts(projection_probabilities(pol), 5000, 8)
+        tomography._resample.cache_clear()
+        got = bootstrap_fidelity(records, pol, 20, np.int64(7))
+        tomography._resample.cache_clear()
+        assert self._bits(got) == self._bits(bootstrap_fidelity(records, pol, 20, 7))
 
 
 class TestAdversarialPhysicality:
