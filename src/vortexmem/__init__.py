@@ -4,8 +4,8 @@ atomic quantum memory.
 Modules
 -------
 hilbert         state algebra for hybrid polarization-OAM and polarization qubits
-optics          q-plate encode/decode, frame rotation, beam displacers
-memory          phenomenological storage-and-retrieval channel
+optics          q-plate encode/decode and detection-frame rotation
+memory          dual-rail storage-and-retrieval channel, in closed form
 photodetection  weak-coherent click statistics behind projective analyzers
 tomography      six-projector density-matrix reconstruction
 security        classical-memory (intercept-resend) fidelity benchmarks

@@ -192,13 +192,6 @@ def _pol_from_jones(h: complex, v: complex) -> HybridState:
     return make_state((h + 1j * v) / _SQRT2, (h - 1j * v) / _SQRT2, BasisTag.POLARIZATION)
 
 
-def jones_of(psi: HybridState) -> tuple[complex, complex]:
-    """H/V Jones components of a polarization-basis state."""
-    if psi.basis_tag is not BasisTag.POLARIZATION:
-        raise ValueError("jones_of expects a polarization-basis state")
-    return ((psi.c0 + psi.c1) / _SQRT2, 1j * (psi.c1 - psi.c0) / _SQRT2)
-
-
 _HYBRID_NAMES = {
     "zero": (1, 0),
     "one": (0, 1),

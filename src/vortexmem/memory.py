@@ -6,15 +6,23 @@ Gaussian envelope eta(t) = eta0 * exp(-t^2/tau^2), a background click
 probability per detection window (consumed by the photodetection module,
 not applied to the state), and two rail imperfections (fractional
 efficiency imbalance and relative phase error between the H and V paths).
+
+Beam displacers split the light into an H and a V rail, the memory scales
+them by sqrt(eta_H) and sqrt(eta_V) e^{i phi}, and the displacers
+recombine them.  The channel is that map in closed form: the amplitude
+factors g, h = (sqrt(eta_H) +- sqrt(eta_V) e^{i phi})/2 of rail_gains.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
+
+import numpy as np
 
 from .hilbert import RangeError
-from .optics import DualRailState
 
 DEFAULT_ETA0 = 0.26      # measured peak storage-retrieval efficiency
 DEFAULT_TAU_US = 7.0     # motional-dephasing coherence time, microseconds
@@ -53,18 +61,15 @@ def rail_efficiencies(p: MemoryParams, t: float) -> tuple[float, float]:
     return eta_h, eta_v
 
 
-def store_retrieve(d: DualRailState, p: MemoryParams, t: float) -> DualRailState:
-    """Map rail amplitudes through the memory for a storage time t (us).
+def rail_gains(p: MemoryParams, times: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitude factors (g, h) of the retrieval, one per storage time.
 
-    Each rail is scaled by sqrt of its efficiency, the rail phase error is
-    accumulated, and the OAM content rides along unchanged (the ensemble is
-    spatially multimode and mode-preserving).
+    A hybrid state c0|L,-1> + c1|R,+1> comes back as g times itself plus h
+    times its spin-orbit partner c0|R,-1> + c1|L,+1>, which lies outside the
+    logical space: |g|^2 is kept and |h|^2 leaks.  A polarization state
+    (c0, c1) in the (|R>, |L>) basis comes back as (g c0 + h c1, h c0 + g c1),
+    the Jones matrix diag(sqrt(eta_H), sqrt(eta_V) e^{i phi}) in that basis.
     """
-    eta_h, eta_v = rail_efficiencies(p, t)
-    sh, sv = math.sqrt(eta_h), math.sqrt(eta_v)
-    return replace(
-        d,
-        rail_h=tuple(a * sh for a in d.rail_h),
-        rail_v=tuple(a * sv for a in d.rail_v),
-        rail_phase=d.rail_phase + p.rail_phase_error,
-    )
+    sh, sv = np.sqrt(np.array([rail_efficiencies(p, t) for t in times]).reshape(-1, 2)).T
+    v = sv * cmath.exp(1j * p.rail_phase_error)
+    return (sh + v) / 2.0, (sh - v) / 2.0

@@ -7,24 +7,26 @@ row carries the matching classical-memory bounds and the key-distribution
 threshold verdict; runs are bit-reproducible for a fixed (config, seed)
 pair.
 
-Jobs are batched over a job axis: encode, storage and recombine run once
-per distinct (state, storage time), the frame rotation's phases once per
-distinct angle, and the click statistics, tomography and fidelities work on
-arrays with one row per job.  A run draws all its click counts from one
-stream, default_rng(seed): job by job in enumeration order, each job's six
-projectors in H, V, D, A, R, L order.  The job_seed of every row is that
-run seed.  Arithmetic on the job axis is elementwise, so row 0 of a run is
-bit for bit the one-job run simulate_point(..., job_seed=seed).  The batch
-is a ResultTable of columns, which the text module writes.  In field_maps,
-states whose intensity (and, for the PPM, azimuth) arrays are bit-identical
-share their rendered text: each distinct array is rendered once per run.
+Jobs are batched over a job axis: states are prepared once per distinct
+(state, storage time), the memory's closed-form gains (memory.rail_gains)
+once per distinct storage time and the frame rotation's phases once per
+distinct angle; the light at the analyzers, the click statistics,
+tomography and fidelities work on arrays with one row per job.  A run
+draws all its click counts from one stream, default_rng(seed): job by job
+in enumeration order, each job's six projectors in H, V, D, A, R, L order.
+The job_seed of every row is that run seed.  Arithmetic on the job axis is
+elementwise, so row 0 of a run is bit for bit the one-job run
+simulate_point(..., job_seed=seed).  The batch is a ResultTable of
+columns, which the text module writes.  In field_maps, states whose
+intensity (and, for the PPM, azimuth) arrays are bit-identical share their
+rendered text: each distinct array is rendered once per run.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,99 +36,93 @@ from .hilbert import BasisTag, HybridState, named_state
 from .text import _distinct_bits, render_grid_csv, render_pgm, render_ppm
 
 
-@dataclass(frozen=True)
-class DetectionMixture:
-    """Incoherent polarization components reaching the analyzers.
+# the six projection weights of L- and R-polarized light: the leak of the
+# memory after the decoding plate
+_LEAK_WEIGHTS = photodetection.projection_weights(
+    np.array([(psi.c0, psi.c1) for psi in map(named_state, "LR")]))
 
-    Rail imbalance or phase error pushes part of a hybrid state into the
-    orthogonal spin-orbit combinations; after decoding those arrive as
-    circularly polarized light in spatially distinct modes, so they add to
-    the click rates without interfering with the main beam.
-    ``rotates`` marks retrieved polarization light, whose components turn
-    with the detection frame; decoded hybrid states carry zero total
-    angular momentum and are the same at every angle.
+
+def _light(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]]
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signal weight per projector (J, 6), survival (J,) and decoded target
+    amplitudes (J, 2) of the light of each (state, time, angle) job at the
+    analyzers.  Rows are computed once per slot, a distinct (state, time),
+    and gathered per job.
+
+    The memory is its closed form, memory.rail_gains.  A hybrid state comes
+    back as itself with weight |g|^2, times the two plate passes; its leak
+    decodes to L-polarized light of weight |c0 h|^2 and R-polarized light of
+    weight |c1 h|^2, in modes of their own, which add to the click rates
+    without interfering.  Retrieved polarization light, (g c0 + h c1,
+    h c0 + g c1), turns with the detection frame: its amplitudes times the
+    frame phases of the job's angle, in Python's complex-product arithmetic
+    on the real and imaginary parts.  Decoded hybrid states carry zero total
+    angular momentum and do not turn.
     """
-
-    components: tuple[tuple[float, HybridState], ...]
-    target: HybridState
-    rotates: bool = False
-
-    def rotated(self, theta: float) -> DetectionMixture:
-        """The light at the analyzers for a detection frame rotated by theta."""
-        if not self.rotates:
-            return self
-        return replace(self, components=tuple(
-            (w, optics.rotate_frame(pol, theta)) for w, pol in self.components))
-
-
-def _retrieve(state_name: str, cfg: ExperimentConfig, t_us: float) -> DetectionMixture:
-    """Run one state through encode, storage and recombine (and the decode
-    pass, for hybrid states)."""
-    psi = named_state(state_name)
-    if psi.basis_tag is BasisTag.POLARIZATION and cfg.encode_with_qplate:
-        psi = optics.qplate_apply(psi, cfg.qplate)
-    rails = memory.store_retrieve(optics.displacer_split(psi), cfg.memory, t_us)
-    hybrid = psi.basis_tag is BasisTag.HYBRID_POINCARE
-    target = optics.qplate_decode(psi, cfg.qplate) if hybrid else psi
-    if rails.power() == 0.0:
-        # the efficiency underflowed at a long storage time: nothing is
-        # retrieved and the analyzers see background clicks only
-        return DetectionMixture((), target, not hybrid)
-    rec = optics.displacer_recombine(rails)
-    if not hybrid:
-        return DetectionMixture(((rec.throughput, rec.state),), target, True)
-    conv = optics.conversion_probability(cfg.qplate) ** 2  # encode + decode pass
-    comps = [(conv * (rec.throughput - rec.leak_power), optics.qplate_decode(rec.state, cfg.qplate))]
-    if rec.leak_power > 0.0:
-        # |R,-1> decodes to L-polarized, |L,+1> to R-polarized light
-        comps.append((conv * abs(rec.leak[0]) ** 2, named_state("L")))
-        comps.append((conv * abs(rec.leak[1]) ** 2, named_state("R")))
-    return DetectionMixture(tuple(comps), target)
+    slots: dict[tuple[str, float], int] = {}
+    slot = np.array([slots.setdefault((state, t_us), len(slots)) for state, t_us, _ in jobs])
+    times: dict[float, int] = {}
+    time = [times.setdefault(t_us, len(times)) for _, t_us in slots]
+    inputs = [named_state(state) for state, _ in slots]
+    if cfg.encode_with_qplate:
+        inputs = [optics.qplate_apply(psi, cfg.qplate)
+                  if psi.basis_tag is BasisTag.POLARIZATION else psi for psi in inputs]
+    hybrid = np.array([psi.basis_tag is BasisTag.HYBRID_POINCARE for psi in inputs])
+    decoded = [optics.qplate_decode(psi, cfg.qplate) if hyb else psi
+               for psi, hyb in zip(inputs, hybrid.tolist())]
+    c, targets = (np.array([(psi.c0, psi.c1) for psi in states], dtype=complex)
+                  for states in (inputs, decoded))
+    g, h = (x[time, None] for x in memory.rail_gains(cfg.memory, list(times)))
+    pol = g * c + h * c[:, ::-1]
+    power = (np.abs(pol) ** 2).sum(1)
+    conv = optics.conversion_probability(cfg.qplate) ** 2   # encode and decode pass
+    weights = np.where(hybrid[:, None], conv * np.abs(np.hstack([g, c * h])) ** 2,
+                       np.pad(power[:, None], ((0, 0), (0, 2))))
+    # a slot that retrieves nothing keeps its target as the (weightless) light
+    amps = np.divide(pol, np.sqrt(power)[:, None], out=targets.copy(),
+                     where=(~hybrid & (power > 0))[:, None])[slot]
+    # angles told apart by bit pattern: -0.0 and 0.0 give phases with
+    # zeros of opposite sign
+    bits, angle = _distinct_bits([theta for _, _, theta in jobs])
+    phases = np.array([optics._frame_phases(theta) for theta in bits.view(float).tolist()])[angle]
+    turned = np.empty_like(amps)
+    turned.real = amps.real * phases.real - amps.imag * phases.imag
+    turned.imag = amps.real * phases.imag + amps.imag * phases.real
+    w = weights[slot]
+    signal = (w[:, :1] * photodetection.projection_weights(
+        np.where(hybrid[slot, None], amps, turned))
+        + w[:, 1:2] * _LEAK_WEIGHTS[0] + w[:, 2:] * _LEAK_WEIGHTS[1])
+    return signal, w[:, 0] + w[:, 1] + w[:, 2], targets[slot]
 
 
 def propagate(state_name: str, cfg: ExperimentConfig, t_us: float,
-              theta: float) -> DetectionMixture:
-    """Run one state through encode, storage, rotation and decode."""
-    return _retrieve(state_name, cfg, t_us).rotated(theta)
-
-
-def _components(mix: DetectionMixture) -> tuple[tuple[float, complex, complex], ...]:
-    """The (weight, c0, c1) of each component of a mixture."""
-    return tuple((w, pol.c0, pol.c1) for w, pol in mix.components)
-
-
-def _signal(light: list[Sequence[tuple[float, complex, complex]]]
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Signal weight per projector (J, 6) and survival (J,), the summed
-    component weights, of each job's (weight, c0, c1) components."""
-    signal = np.zeros((len(light), len(photodetection.PROJECTOR_ORDER)))
-    survival = np.zeros(len(light))
-    for k in range(max(map(len, light), default=0)):
-        rows = [j for j, comps in enumerate(light) if len(comps) > k]
-        weights, c0, c1 = zip(*[light[j][k] for j in rows])
-        weights = np.array(weights)
-        amps = np.array((c0, c1), dtype=complex).T.copy()   # (rows, 2), C order
-        signal[rows] += weights[:, None] * photodetection.projection_weights(amps)
-        survival[rows] += weights
-    return signal, survival
+              theta: float) -> SimpleNamespace:
+    """The light of one job at the analyzers: its ``signal`` (1, 6) and
+    ``survival`` (1,), and its decoded ``target`` state."""
+    signal, survival, targets = _light(cfg, [(state_name, t_us, theta)])
+    target = HybridState(*targets[0].tolist(), BasisTag.POLARIZATION)
+    return SimpleNamespace(signal=signal, survival=survival, target=target)
 
 
 def _detect(cfg: ExperimentConfig, signal: np.ndarray, survival: np.ndarray,
             seed: int) -> tuple[np.ndarray, float, int]:
     """Counts (J, 6), expected background clicks and trials per projector;
-    sampled counts come from one stream, default_rng(seed), in row order."""
+    sampled counts come from one stream, default_rng(seed), in row order.
+
+    The clamps of click inputs at 1 are against round-off in the sums and
+    ratios of weights: at eta_H = 1 the closed form gives a survival or
+    signal of 1 as up to 1 + 4.4e-16.
+    """
     nbar = cfg.source.nbar
     bg = cfg.memory.bg_click
     if cfg.trials_per_projection == 0:
         # exact mode: expectation-valued counts for the linearized detector
         scale = 1.0 / (1.0 + nbar)
-        counts, bg_expected, trials = (bg + nbar * signal) * scale, bg * scale, 1
+        counts, bg_expected, trials = (bg + nbar * np.minimum(1.0, signal)) * scale, bg * scale, 1
     else:
         trials = cfg.trials_per_projection
         lit = survival[:, None] > 0
         proj = np.divide(signal, survival[:, None], out=np.zeros_like(signal), where=lit)
-        # the one clamp of click inputs, against round-off in the sums and
-        # ratios of component weights
         probs = photodetection.click_probabilities(
             nbar, np.minimum(1.0, survival), np.minimum(1.0, proj), bg)
         counts, bg_expected = photodetection.sample_counts(probs, trials, seed), bg * trials
@@ -134,9 +130,10 @@ def _detect(cfg: ExperimentConfig, signal: np.ndarray, survival: np.ndarray,
     return counts, bg_expected, trials
 
 
-def detection_records(mix: DetectionMixture, cfg: ExperimentConfig,
+def detection_records(light: SimpleNamespace, cfg: ExperimentConfig,
                       job_seed: int) -> list[photodetection.CountRecord]:
-    counts, bg_expected, trials = _detect(cfg, *_signal([_components(mix)]), job_seed)
+    """The six count records of the light of one job (see propagate)."""
+    counts, bg_expected, trials = _detect(cfg, light.signal, light.survival, job_seed)
     return [photodetection.CountRecord(name, c, trials, bg_expected)
             for name, c in zip(photodetection.PROJECTOR_ORDER, counts[0].tolist())]
 
@@ -210,31 +207,11 @@ def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
               seed: int) -> ResultTable:
     """Result table of (state, time, angle) jobs: the pipeline over a job axis.
 
-    Encode, storage and recombine run once per distinct (state, time) and
-    the frame phases once per distinct angle: a rotating component's
-    amplitudes times those phases are, in the same Python complex
-    arithmetic, the amplitudes of DetectionMixture.rotated.  The counts of
-    all jobs come from one stream, default_rng(seed), in job order.
+    The counts of all jobs come from one stream, default_rng(seed), in job
+    order.
     """
-    slots: dict[tuple[str, float], int] = {}
-    slot = [slots.setdefault((state, t_us), len(slots)) for state, t_us, _ in jobs]
-    mixes = [_retrieve(state, cfg, t_us) for state, t_us in slots]
-    # angles told apart by bit pattern: -0.0 and 0.0 give phases with
-    # zeros of opposite sign
-    bits, angle = _distinct_bits([theta for _, _, theta in jobs])
-    angles = bits.view(float).tolist()
-    phases = [optics._frame_phases(theta) for theta in angles]
-    comps = [_components(m) for m in mixes]
-    light = []
-    for s, k in zip(slot, angle.tolist()):
-        if mixes[s].rotates:
-            p0, p1 = phases[k]
-            light.append([(w, c0 * p0, c1 * p1) for w, c0, c1 in comps[s]])
-        else:
-            light.append(comps[s])
-    signal, survival = _signal(light)
+    signal, survival, targets = _light(cfg, jobs)
     counts, bg_expected, _ = _detect(cfg, signal, survival, seed)
-    targets = np.array([(m.target.c0, m.target.c1) for m in mixes], dtype=complex)[slot]
     stokes, rho_raw = tomography.reconstruct(counts, bg_expected)
     f_raw = hilbert.fidelities(rho_raw, targets)
     retrieved = survival > 0
@@ -245,6 +222,8 @@ def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
 
     nbar, bg = cfg.source.nbar, cfg.memory.bg_click
     survival = np.minimum(1.0, np.maximum(1e-12, survival))
+    bits, angle = _distinct_bits([theta for _, _, theta in jobs])
+    angles = bits.view(float).tolist()
     levels, level = np.unique(survival, return_inverse=True)
     levels = levels.tolist()
     return ResultTable(

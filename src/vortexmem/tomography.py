@@ -138,13 +138,17 @@ def bootstrap_fidelity(records: Iterable[CountRecord], target: HybridState,
     Each of ``n_resamples`` (an integer >= 1) resamples redraws every
     projector's clicks from Binomial(trials, clicks/trials) and re-runs the
     reconstruction.  The draw is a pure function of the records' trials and
-    clicks, ``n_resamples`` and the integer ``seed``, so consecutive calls on
+    clicks, ``n_resamples`` and the integer ``seed`` >= 0, so consecutive calls on
     one record set and seed share it: the raw and background-corrected
     bootstraps are paired resamples.  Returns (mean, standard deviation) of
     the resampled fidelities.
     """
     if not (isinstance(n_resamples, numbers.Integral) and n_resamples >= 1):
         raise RangeError(f"n_resamples {n_resamples!r} is not an integer >= 1")
+    if isinstance(seed, bool):   # operator.index would take it as 0 or 1
+        raise TypeError(f"seed {seed!r} is not an integer")
+    if operator.index(seed) < 0:
+        raise RangeError(f"seed {seed} is negative")
     records = list(records)
     table = _by_projector(records)
     draws = _resample(tuple(r.trials for r in records), tuple(r.clicks for r in records),

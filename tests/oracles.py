@@ -4,7 +4,13 @@ The package runs jobs, reconstructions and bootstrap resamples as arrays
 over a leading job axis.  These are the one-job-at-a-time compositions it
 replaced, built from the package's unchanged scalar pieces (states, optics,
 memory, bounds), so the tests can require the batch to reproduce them bit
-for bit.  Real arithmetic is plain Python; complex products, magnitudes and
+for bit.
+
+The memory's physics reference is the dual-rail chain the package's
+closed form (memory.rail_gains) replaced: beam-displacer split into H and
+V rails resolved over OAM labels, rail scaling by the memory, and
+recombination into a logical state plus leak.  Tests check the closed
+form against it to round-off.  Real arithmetic is plain Python; complex products, magnitudes and
 exponentials are numpy ufuncs on one state's amplitudes, since numpy's
 complex multiply, abs and exp round differently from Python's.  Counts are
 scalar draws, job by job and projector by projector, from one generator per
@@ -16,6 +22,7 @@ distinct value once; the per-pixel renderers and the per-row writers
 this file as the byte-exact reference.
 """
 
+import cmath
 import csv
 import io
 import json
@@ -28,12 +35,146 @@ import numpy as np
 from vortexmem import cli, memory, optics, pipeline, security
 from vortexmem.hilbert import (ATOL_BALL, ATOL_EIGEN, ATOL_HERMITIAN, ATOL_TRACE, TAU1,
                                TAU2, TAU3, BasisTag, DensityMatrix, HybridState,
-                               NonPhysicalDensity, OutsideBall, named_state)
+                               NonPhysicalDensity, OutsideBall, make_state, named_state)
 from vortexmem.photodetection import PROJECTOR_ORDER, PROJECTOR_PAIRS, CountRecord, snr_of
 from vortexmem.text import CSV_COLUMNS
 from vortexmem.tomography import InsufficientCounts
 
 _ANALYZERS = {name: named_state(name) for name in PROJECTOR_ORDER}
+_SQRT2 = math.sqrt(2.0)
+
+
+# --- the dual-rail chain -----------------------------------------------------
+
+class VacuumOutput(ValueError):
+    """Both rail amplitudes are zero; recombination has no state to return."""
+
+
+@dataclass(frozen=True)
+class DualRailState:
+    """Amplitudes of the H and V displacer rails, resolved over OAM labels.
+
+    ``rail_h[k]`` is the amplitude of OAM mode ``oam_labels[k]`` in the H
+    rail.  ``rail_phase`` is the relative phase imparted between the two
+    interferometric paths; it is applied to the V rail on recombination.
+    Total power may drop below 1 after a lossy channel.
+    """
+
+    rail_h: tuple[complex, ...]
+    rail_v: tuple[complex, ...]
+    oam_labels: tuple[int, ...]
+    rail_phase: float = 0.0
+
+    def __post_init__(self):
+        if not (len(self.rail_h) == len(self.rail_v) == len(self.oam_labels)):
+            raise ValueError("rail amplitude vectors must match the OAM labels")
+
+    def power(self) -> float:
+        return float(sum(abs(a) ** 2 for a in self.rail_h + self.rail_v))
+
+
+def scalar_rails(h: complex, v: complex, rail_phase: float = 0.0) -> DualRailState:
+    """Rail pair for a polarization state (single OAM-0 mode per rail)."""
+    return DualRailState((complex(h),), (complex(v),), (0,), rail_phase)
+
+
+@dataclass(frozen=True)
+class RecombineResult:
+    state: HybridState
+    throughput: float                         # total recombined power, leak included
+    leak: tuple[complex, complex] = (0j, 0j)  # amplitudes on (|R,-1>, |L,+1>)
+
+    @property
+    def leak_power(self) -> float:
+        """Power diverted outside the logical two-space."""
+        return abs(self.leak[0]) ** 2 + abs(self.leak[1]) ** 2
+
+
+def jones_of(psi: HybridState) -> tuple[complex, complex]:
+    """H/V Jones components of a polarization-basis state."""
+    if psi.basis_tag is not BasisTag.POLARIZATION:
+        raise ValueError("jones_of expects a polarization-basis state")
+    return ((psi.c0 + psi.c1) / _SQRT2, 1j * (psi.c1 - psi.c0) / _SQRT2)
+
+
+def displacer_split(psi: HybridState) -> DualRailState:
+    """Split a state into H and V rails, OAM content carried per rail.
+
+    Polarization states occupy a single OAM-0 mode per rail; hybrid states
+    spread |L,-1> and |R,+1> polarization content over both rails:
+    |0> = |L,-1> lands on rails (1/sqrt2, +i/sqrt2), both in OAM -1.
+    """
+    if psi.basis_tag is BasisTag.POLARIZATION:
+        h, v = jones_of(psi)
+        return scalar_rails(h, v)
+    # |L> = (|H> + i|V>)/sqrt2 and |R> = (|H> - i|V>)/sqrt2, applied to the
+    # OAM -1 and +1 logical components respectively.
+    rail_h = (psi.c0 / _SQRT2, psi.c1 / _SQRT2)
+    rail_v = (1j * psi.c0 / _SQRT2, -1j * psi.c1 / _SQRT2)
+    return DualRailState(rail_h, rail_v, (-1, +1), 0.0)
+
+
+def store_retrieve(d: DualRailState, p, t: float) -> DualRailState:
+    """Map rail amplitudes through the memory for a storage time t (us).
+
+    Each rail is scaled by sqrt of its efficiency, the rail phase error is
+    accumulated, and the OAM content rides along unchanged (the ensemble is
+    spatially multimode and mode-preserving).
+    """
+    eta_h, eta_v = memory.rail_efficiencies(p, t)
+    sh, sv = math.sqrt(eta_h), math.sqrt(eta_v)
+    return replace(
+        d,
+        rail_h=tuple(a * sh for a in d.rail_h),
+        rail_v=tuple(a * sv for a in d.rail_v),
+        rail_phase=d.rail_phase + p.rail_phase_error,
+    )
+
+
+def displacer_recombine(d: DualRailState) -> RecombineResult:
+    """Recombine the rails into a logical state plus throughput.
+
+    Inverse of displacer_split at rail_phase = 0 and no loss.  Rail
+    imbalance or phase error on hybrid states populates the orthogonal
+    spin-orbit combinations (|R,-1>, |L,+1>); that weight is reported as
+    leak_power and the returned state is the renormalized logical part.
+    Throughput is the full recombined power, leak included.
+    """
+    total = d.power()
+    if total == 0.0:
+        raise VacuumOutput("both rails are empty")
+    phase = cmath.exp(1j * d.rail_phase)
+    if d.oam_labels == (0,):
+        h = d.rail_h[0]
+        v = d.rail_v[0] * phase
+        c0 = (h + 1j * v) / _SQRT2   # |R> component
+        c1 = (h - 1j * v) / _SQRT2   # |L> component
+        state = make_state(c0, c1, BasisTag.POLARIZATION)
+        return RecombineResult(state, total)
+    a_h = np.asarray(d.rail_h, dtype=complex)
+    a_v = np.asarray(d.rail_v, dtype=complex) * phase
+    keep0 = (a_h[0] - 1j * a_v[0]) / _SQRT2   # <L,-1|
+    keep1 = (a_h[1] + 1j * a_v[1]) / _SQRT2   # <R,+1|
+    leak0 = (a_h[0] + 1j * a_v[0]) / _SQRT2   # <R,-1|
+    leak1 = (a_h[1] - 1j * a_v[1]) / _SQRT2   # <L,+1|
+    if abs(keep0) ** 2 + abs(keep1) ** 2 == 0.0:
+        raise VacuumOutput("recombined state has no logical component")
+    state = make_state(keep0, keep1, BasisTag.HYBRID_POINCARE)
+    return RecombineResult(state, total, (complex(leak0), complex(leak1)))
+
+
+def rail_chain_light(psi: HybridState, cfg, t_us: float, theta: float):
+    """(weight, polarization state) of each part of the light that reaches
+    the analyzers, through the dual-rail chain, for an encoded input psi:
+    the decoded logical state and, for hybrid states, the L- and R-polarized
+    light their leak decodes to."""
+    rec = displacer_recombine(store_retrieve(displacer_split(psi), cfg.memory, t_us))
+    if psi.basis_tag is BasisTag.POLARIZATION:
+        return [(rec.throughput, optics.rotate_frame(rec.state, theta))]
+    conv = optics.conversion_probability(cfg.qplate) ** 2
+    return [(conv * (rec.throughput - rec.leak_power), optics.qplate_decode(rec.state, cfg.qplate)),
+            (conv * abs(rec.leak[0]) ** 2, named_state("L")),
+            (conv * abs(rec.leak[1]) ** 2, named_state("R"))]
 
 
 # --- detection ---------------------------------------------------------------
@@ -184,36 +325,48 @@ def bootstrap_fidelity(records, target, n_resamples=200, seed=0, subtract_bg=Fal
 # --- one job -----------------------------------------------------------------
 
 def propagate(state_name, cfg, t_us, theta):
-    """(components, target) of the light reaching the analyzers."""
+    """(components, target) of the light reaching the analyzers: the
+    closed-form memory on one state's amplitudes, with numpy ufuncs on them
+    as the package's arrays, and the frame rotation as a Python complex
+    product."""
     psi = named_state(state_name)
     if psi.basis_tag is BasisTag.POLARIZATION and cfg.encode_with_qplate:
         psi = optics.qplate_apply(psi, cfg.qplate)
-    rails = optics.displacer_split(psi)
-    rails = memory.store_retrieve(rails, cfg.memory, t_us)
-    rec = optics.displacer_recombine(rails)
+    g, h = memory.rail_gains(cfg.memory, [t_us])
+    c = psi.vector()
     if psi.basis_tag is BasisTag.HYBRID_POINCARE:
         conv = optics.conversion_probability(cfg.qplate) ** 2
-        pol = optics.qplate_decode(optics.rotate_frame(rec.state, theta), cfg.qplate)
-        comps = [(conv * (rec.throughput - rec.leak_power), pol)]
-        if rec.leak_power > 0.0:
-            comps.append((conv * abs(rec.leak[0]) ** 2, named_state("L")))
-            comps.append((conv * abs(rec.leak[1]) ** 2, named_state("R")))
-        return comps, optics.qplate_decode(psi, cfg.qplate)
-    return [(rec.throughput, optics.rotate_frame(rec.state, theta))], psi
+        kept, leak_l, leak_r = (conv * np.abs(x) ** 2 for x in (g, c[0] * h, c[1] * h))
+        target = optics.qplate_decode(psi, cfg.qplate)
+        return [(kept.item(), target), (leak_l.item(), named_state("L")),
+                (leak_r.item(), named_state("R"))], target
+    light = g * c + h * c[::-1]
+    power = (np.abs(light) ** 2).sum()
+    if power > 0.0:
+        psi_out = HybridState(*(light / np.sqrt(power)).tolist(), BasisTag.POLARIZATION)
+    else:
+        psi_out = psi   # nothing retrieved: weightless light
+    return [(power.item(), optics.rotate_frame(psi_out, theta))], psi
+
+
+def signal(comps):
+    """Signal weight per projector, summed over the components in order, and
+    the survival, their summed weight."""
+    sig = dict.fromkeys(PROJECTOR_ORDER, 0.0)
+    for weight, pol in comps:
+        for name, p in projection_probabilities(pol).items():
+            sig[name] += weight * p
+    return sig, sum(w for w, _ in comps)
 
 
 def detection_records(comps, cfg, rng):
     nbar = cfg.source.nbar
     bg = cfg.memory.bg_click
-    sig = dict.fromkeys(PROJECTOR_ORDER, 0.0)
-    for weight, pol in comps:
-        for name, p in projection_probabilities(pol).items():
-            sig[name] += weight * p
+    sig, survival = signal(comps)
     if cfg.trials_per_projection == 0:
         scale = 1.0 / (1.0 + nbar)
-        return [CountRecord(k, (bg + nbar * s) * scale * 1, 1, bg * scale * 1)
+        return [CountRecord(k, (bg + nbar * min(1.0, s)) * scale * 1, 1, bg * scale * 1)
                 for k, s in sig.items()]
-    survival = sum(w for w, _ in comps)
     probs = {
         k: click_probability(nbar, min(1.0, survival),
                              min(1.0, s / survival) if survival > 0 else 0.0, bg)

@@ -58,15 +58,19 @@ def test_single_job_api_matches_oracle():
             got = pipeline.simulate_point(state, cfg, 1.0, theta, 17)
             want = oracles.simulate_point(state, cfg, 1.0, theta, 17)
             assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-            mix = pipeline.propagate(state, cfg, 1.0, theta)
+            light = pipeline.propagate(state, cfg, 1.0, theta)
             comps, target = oracles.propagate(state, cfg, 1.0, theta)
-            assert mix.components == tuple(comps) and mix.target == target
-            assert pipeline.detection_records(mix, cfg, 17) == oracles.detection_records(comps, cfg, 17)
+            signal, survival = oracles.signal(comps)
+            assert light.signal.tolist() == [list(signal.values())]
+            assert light.survival.tolist() == [survival] and light.target == target
+            assert (pipeline.detection_records(light, cfg, 17)
+                    == oracles.detection_records(comps, cfg, 17))
 
 
 def test_rotation_runs_once_per_distinct_angle(monkeypatch):
-    """The 600-angle sweep computes the frame phases once per angle and
-    builds no rotated mixture or state per job."""
+    """The 600-angle sweep computes the frame phases once per angle, rotates
+    no state object per job, and projects the light of all jobs in at most
+    three calls: target, L and R light."""
     calls = Counter()
 
     def count(owner, name):
@@ -80,11 +84,13 @@ def test_rotation_runs_once_per_distinct_angle(monkeypatch):
 
     count(optics, "_frame_phases")
     count(optics, "rotate_frame")
-    count(pipeline.DetectionMixture, "rotated")
+    count(photodetection, "projection_weights")
     cfg = replace(config.default_config("fidelity_vs_rotation"),
                   rotation_angles=tuple(math.radians(i / 10) for i in range(600)))
     table = pipeline._simulate(cfg, pipeline._jobs(cfg), cfg.seed)
-    assert calls == {"_frame_phases": 600}
+    assert calls["_frame_phases"] == 600
+    assert 1 <= calls["projection_weights"] <= 3
+    assert set(calls) == {"_frame_phases", "projection_weights"}
     assert len(table.states) == 600 * len(cfg.input_states)
 
 
@@ -107,6 +113,22 @@ def test_repeated_and_signed_zero_angles_match_oracles(tmp_path, monkeypatch, ca
         outputs[name]["stdout"] = capsys.readouterr().out.replace(name, "OUT").encode()
     assert b"-0.0" in outputs["cli"]["results.csv"]
     assert_same_text(outputs["cli"], outputs["oracle"])
+
+
+@pytest.mark.parametrize("trials, bg", [(150_000, 0.01), (0, 1.0 - 2.0**-53)],
+                         ids=["sampled", "exact"])
+def test_survival_above_one_by_round_off_is_clamped(trials, bg):
+    # at eta_H = 1 the closed form gives H light a survival of 1 + 2.2e-16,
+    # outside click_probabilities' range; with a background of 1 - 2**-53 an
+    # unclamped exact count exceeded its one trial
+    cfg = _config("store_tomography", trials, 0.0, False)
+    cfg = replace(cfg, storage_times=(0.0,), source=replace(cfg.source, nbar=10.0),
+                  memory=replace(cfg.memory, eta0=1.0, bg_click=bg))
+    assert pipeline.propagate("H", cfg, 0.0, 0.0).survival[0] > 1.0
+    batch, oracle = pipeline.run(cfg), oracles.run(cfg)
+    for got, want in zip(batch.rows, oracle.rows):
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        assert got["_extras"]["survival"] == 1.0
 
 
 def test_one_job_run_is_row_zero_of_a_run_at_its_seed():

@@ -334,13 +334,12 @@ class TestConvergence:
         # the infinite-trial limit of the sampled pipeline: tomography on the
         # click probabilities of the threshold detector
         cfg = default_config("store_tomography")
-        mix = pipeline.propagate("radial", cfg, cfg.storage_times[0], 0.0)
-        (weight, pol), = mix.components
+        light = pipeline.propagate("radial", cfg, cfg.storage_times[0], 0.0)
         probs = photodetection.click_probabilities(
-            cfg.source.nbar, np.array([weight]),
-            photodetection.projection_weights(np.array([[pol.c0, pol.c1]])), cfg.memory.bg_click)
+            cfg.source.nbar, light.survival, light.signal / light.survival[:, None],
+            cfg.memory.bg_click)
         _, rho = tomography.reconstruct(probs, 0.0)
-        f_inf = hilbert.fidelities(rho, np.array([[mix.target.c0, mix.target.c1]]))[0]
+        f_inf = hilbert.fidelities(rho, light.target.vector()[None])[0]
         assert f_inf == pytest.approx(0.96700, abs=5e-6)
         errors = []
         for trials in (10**4, 10**5, 10**6):

@@ -5,8 +5,14 @@ The field-map and bounds digests date from before the field-map renderers
 were rewritten.  The digests of the three sampled presets (store_tomography,
 fidelity_vs_time, fidelity_vs_rotation) were regenerated once when a run
 came to draw all its counts from one stream, default_rng(seed), and the
-batch arithmetic became plain numpy ufuncs.  A change that alters output
-bytes has to update the digests here and say why.  Each scenario run must
+batch arithmetic became plain numpy ufuncs.  Their results files (not
+density_matrices.json) changed once more when the dual-rail memory became
+its closed form (memory.rail_gains): the survival, the snr and
+bound_efficiency computed from it moved in their last bits (at most
+2.5e-15 relative; 4, 40 and 64 survivals of the three presets), while
+every count, fidelity, Stokes vector and density matrix kept its bits.  A
+change that alters output bytes has to update the digests here and say
+why.  Each scenario run must
 also stay fast enough for the tier-1 suite.
 
 The field_maps digests assume numpy's AVX-512 loops (recorded with numpy
@@ -33,23 +39,23 @@ RUN_BUDGET_S = 2.0   # the slowest preset, field_maps, takes ~0.4 s on a 2-vCPU 
 GOLDEN = {
     "store_tomography": {
         "results.csv":
-            "5b4a6fbd289eee5f59f14c3ed0f04f745228e7d14d952e5ff3dede54b9d7f4d6",
+            "7f187352547649337ec4bb44254f6599bef7c4c47f2d6d4c3cb35c7c3212d87e",
         "results.jsonl":
-            "d96bab25bea50f15a749ed9b3dc5b05531ba1b21faf67d0591b3cf5131e72a5a",
+            "ce62b0a8142ad8bf4dd604dba33c4ca30c99133b5e7ce1aa62400bb2bf4d0076",
         "density_matrices.json":
             "5614d19f70ad2067eab69fed04c0d88247f122bd4677d0587f38945181f2a465",
     },
     "fidelity_vs_time": {
         "results.csv":
-            "0f229fd117172aba41e3c25b7a9a251e9e354e71b05925e06034c659744cf867",
+            "dd358ceaccf0032a0a08fb09c42aa31da2b223fc88d18c4c4b39dc425ac3594f",
         "results.jsonl":
-            "016b2a1c98d918bc9ca6188140dc8d5037d14a269036a6b5203815c1b7235b99",
+            "9f8e133adc3d2d2c5ca0ee6404895b0057dc079931dee820ef7876fefaf634f2",
     },
     "fidelity_vs_rotation": {
         "results.csv":
-            "cd8c9e4b89fb249f4a45128035758b1460686bbb8457f04d4cfc94a9aec979dc",
+            "36449ec1501c28edb5f8f677dd97215908e419ccda0e06699d4241862ed008f7",
         "results.jsonl":
-            "36f9e204632f475cbe3b3aeb7224fd0fe460d0bfb140f8eb08348fe0d802f945",
+            "00893f3c0de0120c7f3398fbba5fbb9154930bad92cf7de0fee92003134c3f45",
     },
     "field_maps": {
         "zero_intensity.pgm":

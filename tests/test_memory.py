@@ -1,17 +1,27 @@
 import cmath
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fidelity, states
-from vortexmem.hilbert import BasisTag, RangeError, jones_of, make_state, named_state
-from vortexmem.memory import MemoryParams, efficiency_at, rail_efficiencies, store_retrieve
-from vortexmem.optics import displacer_recombine, displacer_split
+import oracles
+from helpers import fidelity, haar_states, states
+from oracles import displacer_recombine, displacer_split, jones_of, store_retrieve
+from vortexmem import config, pipeline
+from vortexmem.hilbert import (HYBRID_SPHERE_NAMES, POLARIZATION_NAMES, BasisTag, RangeError,
+                               make_state, named_state)
+from vortexmem.memory import MemoryParams, efficiency_at, rail_efficiencies, rail_gains
+from vortexmem.optics import QPlateParams, qplate_apply
 
 MEASURED = MemoryParams(eta0=0.26, tau=7.0)
+# the rail imbalance x phase error grid of the closed-form checks: the
+# values of the rail-chain tests, their neighbours and a phase error of pi
+IMBALANCES = (0.0, 0.05, 0.2, 0.3, 0.4, 0.5)
+PHASE_ERRORS = (0.0, 0.05, 0.2, 0.25, 0.3, 0.7, math.pi)
+ROUND_OFF = 1e-15
 
 
 def _kept_fidelity(psi, p, t):
@@ -48,6 +58,8 @@ class TestEfficiencyDecay:
 
 
 class TestStoreRetrieve:
+    """The memory step of the dual-rail chain (tests/oracles.py)."""
+
     def test_identity_when_noise_free(self):
         p = MemoryParams(eta0=1.0, tau=7.0)
         d = displacer_split(named_state("plus_i"))
@@ -139,6 +151,73 @@ class TestChannelInvariants:
         ref = values["zero"]
         assert ref < 1 - 1e-4
         assert all(abs(v - ref) < 1e-12 for v in values.values())
+
+
+class TestClosedForm:
+    """memory.rail_gains and the pipeline's light against the dual-rail
+    chain: kept weight, leak split and state overlap agree to round-off.
+    The overlap is weighted by the kept power: where almost nothing is kept
+    (a phase error of pi on balanced rails), the chain's renormalized state
+    is round-off and says nothing."""
+
+    @pytest.mark.parametrize("phase_error", PHASE_ERRORS)
+    @pytest.mark.parametrize("imbalance", IMBALANCES)
+    def test_gains_match_rail_chain(self, imbalance, phase_error):
+        rng = np.random.default_rng(29)
+        times = (0.0, 1.0, 2.5, 7.0)
+        for eta0 in (0.26, 0.8, 1.0):
+            p = MemoryParams(eta0=eta0, tau=7.0, rail_imbalance=imbalance,
+                             rail_phase_error=phase_error)
+            gains = zip(*rail_gains(p, times))
+            for t, (g, h) in zip(times, gains):
+                for psi in haar_states(rng, 5, BasisTag.HYBRID_POINCARE):
+                    rec = displacer_recombine(store_retrieve(displacer_split(psi), p, t))
+                    assert abs(abs(g) ** 2 - (rec.throughput - rec.leak_power)) <= ROUND_OFF
+                    for c, leak in zip((psi.c0, psi.c1), rec.leak):
+                        assert abs(abs(c * h) ** 2 - abs(leak) ** 2) <= ROUND_OFF
+                    assert abs(g) ** 2 * abs(fidelity(rec.state, psi) - 1.0) <= ROUND_OFF
+                for psi in haar_states(rng, 5, BasisTag.POLARIZATION):
+                    rec = displacer_recombine(store_retrieve(displacer_split(psi), p, t))
+                    c0, c1 = g * psi.c0 + h * psi.c1, h * psi.c0 + g * psi.c1
+                    power = abs(c0) ** 2 + abs(c1) ** 2
+                    assert abs(power - rec.throughput) <= ROUND_OFF
+                    out = make_state(c0, c1, BasisTag.POLARIZATION)
+                    assert power * abs(fidelity(rec.state, out) - 1.0) <= ROUND_OFF
+
+    def test_balanced_memory_leaks_nothing(self):
+        for t in (0.0, 1.0, 5.0, 20.0):
+            g, h = rail_gains(MEASURED, [t])
+            assert h[0] == 0.0
+            assert abs(g[0]) ** 2 == pytest.approx(efficiency_at(MEASURED, t), abs=1e-15)
+
+    @pytest.mark.parametrize("phase_error", PHASE_ERRORS)
+    @pytest.mark.parametrize("imbalance", IMBALANCES)
+    def test_pipeline_light_matches_rail_chain(self, imbalance, phase_error):
+        raw = config.config_to_dict(config.default_config("fidelity_vs_time"))
+        raw["memory"].update(rail_imbalance=imbalance, rail_phase_error=phase_error)
+        for plate, encode, eta0 in ((QPlateParams(), False, 0.26),
+                                    (QPlateParams(alpha0=0.4, tuning_delta=2.5,
+                                                  conversion_efficiency=0.9), True, 1.0)):
+            raw["memory"]["eta0"] = eta0
+            cfg = config.config_from_dict({**raw, "encode_with_qplate": encode,
+                                           "qplate": asdict(plate)})
+            for state in HYBRID_SPHERE_NAMES + POLARIZATION_NAMES:
+                psi = named_state(state)
+                if psi.basis_tag is BasisTag.POLARIZATION and encode:
+                    psi = qplate_apply(psi, cfg.qplate)
+                for t, theta in ((0.0, 0.0), (2.5, 0.3), (7.0, -1.2)):
+                    light = pipeline.propagate(state, cfg, t, theta)
+                    sig, survival = oracles.signal(oracles.rail_chain_light(psi, cfg, t, theta))
+                    assert abs(light.survival[0] - survival) <= ROUND_OFF
+                    assert np.abs(light.signal[0] - list(sig.values())).max() <= ROUND_OFF
+
+    def test_nothing_retrieved_is_background_only(self):
+        # eta underflows to 0 at long storage times: no light, no NaN
+        cfg = config.default_config("fidelity_vs_time")
+        for state in ("radial", "H", "D"):
+            light = pipeline.propagate(state, cfg, 300.0, 0.4)
+            assert light.survival.tolist() == [0.0]
+            assert light.signal.tolist() == [[0.0] * 6]
 
 
 class TestParamsValidation:

@@ -7,18 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import fidelity, haar_states, states
+from oracles import DualRailState, VacuumOutput, displacer_recombine, displacer_split, scalar_rails
 from vortexmem.hilbert import BasisTag, RangeError, make_state, named_state
 from vortexmem.optics import (
-    DualRailState,
     QPlateParams,
-    VacuumOutput,
     conversion_probability,
-    displacer_recombine,
-    displacer_split,
     qplate_apply,
     qplate_decode,
     rotate_frame,
-    scalar_rails,
 )
 
 QP = QPlateParams()
@@ -137,6 +133,9 @@ class TestRotateFrame:
 
 
 class TestDisplacers:
+    """The beam displacers of the dual-rail chain, the physics reference of
+    the memory's closed form (tests/oracles.py)."""
+
     def test_h_occupies_single_rail(self):
         d = displacer_split(named_state("H"))
         assert d.rail_h == pytest.approx((1.0,), abs=1e-12)

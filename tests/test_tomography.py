@@ -255,6 +255,22 @@ class TestBootstrapDraw:
         with pytest.raises(TypeError):
             bootstrap_fidelity(records, pol, 20, seed)
 
+    @pytest.mark.parametrize("seed, error, message", [
+        (-1, RangeError, r"seed -1 is negative"),
+        (np.int64(-5), RangeError, r"seed -5 is negative"),
+        (True, TypeError, r"seed True is not an integer"),
+        (False, TypeError, r"seed False is not an integer"),
+    ], ids=["negative", "numpy_negative", "true", "false"])
+    def test_unusable_seed_rejected_before_drawing(self, seed, error, message):
+        # -1 escaped as numpy's bare "expected non-negative integer", and True
+        # drew as seed 1; run seeds are checked the same way (config.validate)
+        pol = _decoded("one")
+        records = simulate_counts(projection_probabilities(pol), 5000, 8)
+        tomography._resample.cache_clear()
+        with pytest.raises(error, match=message):
+            bootstrap_fidelity(records, pol, 20, seed)
+        assert tomography._resample.cache_info().misses == 0
+
     def test_numpy_integer_seed_draws_as_python_int(self):
         pol = _decoded("one")
         records = simulate_counts(projection_probabilities(pol), 5000, 8)
