@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass, replace
 from dataclasses import fields as dataclass_fields
 
-from . import hilbert, memory, optics, photodetection, security
+from . import hilbert, memory, photodetection, security
 from .memory import MemoryParams
 from .optics import QPlateParams
 from .photodetection import TRIALS_MAX, SourceParams
@@ -99,10 +99,6 @@ class ExperimentConfig:
         if not isinstance(self.encode_with_qplate, bool):
             raise ConfigError(
                 f"encode_with_qplate: expected true or false, got {self.encode_with_qplate!r}")
-        try:
-            optics._check_charge(self.qplate)
-        except hilbert.RangeError as exc:
-            raise ConfigError(f"qplate.q: {exc}") from exc
         if not self.storage_times:
             raise ConfigError("storage_times: must not be empty")
         if not self.rotation_angles:

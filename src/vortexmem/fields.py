@@ -75,9 +75,6 @@ class VectorFieldMap:
     def intensity(self) -> np.ndarray:
         return np.abs(self.e_h) ** 2 + np.abs(self.e_v) ** 2
 
-    def total_power(self) -> float:
-        return float(self.intensity().sum() * self.grid.pixel_area())
-
 
 def lg_amplitude(l: int, grid: Grid) -> np.ndarray:
     """Laguerre-Gaussian LG_{0,l} amplitude at the waist plane, unit power.

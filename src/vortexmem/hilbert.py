@@ -7,14 +7,16 @@ two-component machinery doubles as a plain polarization qubit in the
 (|R>, |L>) basis, selected by a basis tag.  Circular basis convention,
 fixed everywhere: |R> = (|H> - i|V>)/sqrt2, |L> = (|H> + i|V>)/sqrt2.
 
-All types are immutable values and all operations are pure functions.
+States are immutable values and all operations are pure functions.
+Density matrices are plain complex arrays, stacked (N, 2, 2);
+check_densities decides whether they are physical.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,28 +59,6 @@ class HybridState:
 
     def vector(self) -> np.ndarray:
         return np.array([self.c0, self.c1], dtype=complex)
-
-    def norm(self) -> float:
-        return math.sqrt(abs(self.c0) ** 2 + abs(self.c1) ** 2)
-
-    def overlap(self, other: "HybridState") -> complex:
-        """Inner product <self|other>."""
-        return np.conj(self.c0) * other.c0 + np.conj(self.c1) * other.c1
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """2x2 Hermitian, unit-trace, positive-semidefinite operator."""
-
-    elements: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.elements, dtype=complex).reshape(2, 2)
-        arr.setflags(write=False)
-        object.__setattr__(self, "elements", arr)
-
-    def validate(self) -> None:
-        check_densities(self.elements[None])
 
 
 # Stokes-aligned Pauli triple.  tau2 carries the opposite sign of the
@@ -164,11 +144,6 @@ def fidelities(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     f = (v.conj()[:, :, None] * m * v[:, None, :]).sum((1, 2)).real
     f = np.where(f > 0.0, f, 0.0)
     return np.where(f < 1.0, f, 1.0)
-
-
-def conditional_fidelity(rho: DensityMatrix, psi: HybridState) -> float:
-    """Conditional fidelity <psi|rho|psi>, clamped to [0, 1]."""
-    return float(fidelities(rho.elements[None], psi.vector()[None])[0])
 
 
 def densities_from_bloch(s: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Optical elements: q-plate encode/decode and the detection-frame rotation.
 
-The q-plate couples spin and orbital angular momentum: with half-integer
-charge q it sends a polarization qubit a|R> + b|L> to the structured state
-a|L,-2q> + b|R,+2q>, and a second pass inverts the map.  The beam
-displacers around the memory are part of its closed-form channel
-(memory.rail_gains).
+The q-plate couples spin and orbital angular momentum: with charge q it
+sends a polarization qubit a|R> + b|L> to the structured state
+a|L,-2q> + b|R,+2q>, and a second pass inverts the map.  Only q = +-1/2
+maps onto the two-dimensional hybrid basis; QPlateParams rejects any other
+charge.  The beam displacers around the memory are part of its
+closed-form channel (memory.rail_gains).
 """
 
 from __future__ import annotations
@@ -24,17 +25,13 @@ class QPlateParams:
     conversion_efficiency: float = 1.0
 
     def __post_init__(self):
-        if abs(2 * self.q - round(2 * self.q)) > 1e-9:
-            raise ValueError(f"q must be half-integer, got {self.q}")
+        if not abs(abs(2 * self.q) - 1) <= 1e-9:   # written so that NaN fails too
+            raise RangeError(
+                f"charge q={self.q} does not map onto the two-dimensional hybrid basis")
         if not 0.0 <= self.tuning_delta < 2 * math.pi:
             raise ValueError("tuning_delta must lie in [0, 2*pi)")
         if not 0.0 <= self.conversion_efficiency <= 1.0:
             raise ValueError("conversion_efficiency must lie in [0, 1]")
-
-
-def _check_charge(p: QPlateParams):
-    if abs(abs(2 * p.q) - 1) > 1e-9:
-        raise RangeError(f"charge q={p.q} does not map onto the two-dimensional hybrid basis")
 
 
 def qplate_apply(psi: HybridState, p: QPlateParams) -> HybridState:
@@ -47,7 +44,6 @@ def qplate_apply(psi: HybridState, p: QPlateParams) -> HybridState:
     """
     if psi.basis_tag is not BasisTag.POLARIZATION:
         raise ValueError("qplate_apply expects a polarization-basis state")
-    _check_charge(p)
     return make_state(
         psi.c0, psi.c1 * cmath.exp(2j * p.alpha0), BasisTag.HYBRID_POINCARE
     )
@@ -57,7 +53,6 @@ def qplate_decode(psi: HybridState, p: QPlateParams) -> HybridState:
     """Convert a hybrid state back to polarization: inverse of qplate_apply."""
     if psi.basis_tag is not BasisTag.HYBRID_POINCARE:
         raise ValueError("qplate_decode expects a hybrid-basis state")
-    _check_charge(p)
     return make_state(
         psi.c0, psi.c1 * cmath.exp(-2j * p.alpha0), BasisTag.POLARIZATION
     )

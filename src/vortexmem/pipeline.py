@@ -17,9 +17,12 @@ in enumeration order, each job's six projectors in H, V, D, A, R, L order.
 The job_seed of every row is that run seed.  Arithmetic on the job axis is
 elementwise, so row 0 of a run is bit for bit the one-job run
 simulate_point(..., job_seed=seed).  The batch is a ResultTable of
-columns, which the text module writes.  In field_maps, states whose
-intensity (and, for the PPM, azimuth) arrays are bit-identical share their
-rendered text: each distinct array is rendered once per run.
+columns, which the text module writes; a result exists only in those two
+forms, so the row dicts of ResultTable.rows, Report.rows and
+simulate_point are the results.jsonl lines, parsed.  In field_maps,
+states whose intensity (and, for the PPM, azimuth) arrays are
+bit-identical share their rendered text: each distinct array is rendered
+once per run.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from . import fields, hilbert, memory, optics, photodetection, security, tomography
 from .config import _SCENARIOS, BOUNDS_NBAR_GRID, ExperimentConfig
 from .hilbert import BasisTag, HybridState, named_state
-from .text import _distinct_bits, render_grid_csv, render_pgm, render_ppm
+from .text import _distinct_bits, _results_rows, render_grid_csv, render_pgm, render_ppm
 
 
 # the six projection weights of L- and R-polarized light: the leak of the
@@ -140,7 +143,8 @@ def detection_records(light: SimpleNamespace, cfg: ExperimentConfig,
 
 @dataclass(frozen=True, eq=False)   # == on array fields has no single truth value
 class ResultTable:
-    """Results of a batch of jobs as columns, one row per job.
+    """Results of a batch of jobs as columns, one row per job: the array form
+    of the results, whose text form text.emit writes.
 
     Bounds and SNR depend on a job only through its survival, so they are
     kept once per distinct survival and ``level`` gives each job's entry.
@@ -167,40 +171,8 @@ class ResultTable:
     secure: np.ndarray          # (J,) Shor-Preskill verdict on f_raw
 
     def rows(self) -> list[dict]:
-        """One dict per job, with Python values: the row form that scripts
-        and tests read."""
-        def matrices(rho):
-            return [{"real": re, "imag": im}
-                    for re, im in zip(rho.real.tolist(), rho.imag.tolist())]
-
-        retrieved = self.retrieved.tolist()
-        f_corr = [f if ok else None for f, ok in zip(self.f_corr.tolist(), retrieved)]
-        rho_corr = [m if ok else None for m, ok in zip(matrices(self.rho_corr), retrieved)]
-        snr = [None] * len(retrieved) if self.snr is None else self.snr[self.level].tolist()
-        return [{
-            "scenario": self.scenario,
-            "state": state,
-            "angle_deg": angle,
-            "time_us": t_us,
-            "fidelity_raw": f,
-            "fidelity_corrected": f_corr[j],
-            "bound_poisson": poisson,
-            "bound_efficiency": efficiency,
-            "pass_shor_preskill": secure,
-            "_extras": {
-                "survival": surv,
-                "snr": snr[j],
-                "stokes_raw": stokes,
-                "rho_raw": rho,
-                "rho_corrected": rho_corr[j],
-                "job_seed": self.seed,
-            },
-        } for j, (state, t_us, angle, f, poisson, efficiency, secure, surv, stokes, rho)
-            in enumerate(zip(
-                self.states, self.times, self.angle_deg.tolist(),
-                self.f_raw.tolist(), self.bound_poisson[self.level].tolist(),
-                self.bound_efficiency[self.level].tolist(), self.secure.tolist(),
-                self.survival.tolist(), self.stokes.tolist(), matrices(self.rho_raw)))]
+        """The results.jsonl lines of the table, parsed: one dict per job."""
+        return _results_rows(self)
 
 
 def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
@@ -252,7 +224,7 @@ def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
 
 def simulate_point(state_name: str, cfg: ExperimentConfig, t_us: float,
                    theta: float, job_seed: int) -> dict:
-    """One (state, time, angle) job: full pipeline plus benchmark columns."""
+    """One (state, time, angle) job: its results.jsonl line, parsed."""
     return _simulate(cfg, [(state_name, t_us, theta)], job_seed).rows()[0]
 
 
@@ -267,7 +239,8 @@ class Report:
 
     @property
     def rows(self) -> list[dict]:
-        """The job rows, derived from the table on each access."""
+        """The job rows (see ResultTable.rows), derived from the table on each
+        access."""
         return [] if self.table is None else self.table.rows()
 
     @property
@@ -275,12 +248,8 @@ class Report:
         """Raw and corrected density matrix per state (store_tomography only)."""
         if self.config.scenario != "store_tomography":
             return {}
-        return {row["state"]: {
-            "rho_raw": row["_extras"]["rho_raw"],
-            "rho_corrected": row["_extras"]["rho_corrected"],
-            "fidelity_raw": row["fidelity_raw"],
-            "fidelity_corrected": row["fidelity_corrected"],
-        } for row in self.rows}
+        keys = ("rho_raw", "rho_corrected", "fidelity_raw", "fidelity_corrected")
+        return {row["state"]: {k: row[k] for k in keys} for row in self.rows}
 
 
 def _jobs(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:

@@ -159,9 +159,10 @@ def read_count_records(path: str | Path) -> list[photodetection.CountRecord]:
     short or long, holds a field past csv.field_size_limit() or a
     non-integer count, or fails the CountRecord ranges, raises ConfigError
     naming the file and line; a file without those columns, or not UTF-8
-    text, raises ConfigError naming the file.
+    text, raises ConfigError naming the file.  A leading byte-order mark
+    (as spreadsheet programs write) is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         records = []
         try:
@@ -329,6 +330,12 @@ def _results_text(table) -> tuple[list[str], list[str]]:
         rho_corr, *c[13:21], json.dumps(table.scenario), c[21],
         [names[s] for s in table.states], *c[22:27]])
     return csv_chunks, jsonl_chunks
+
+
+def _results_rows(table) -> list[dict]:
+    """The lines of results.jsonl of a pipeline.ResultTable, parsed: one
+    dict per job, with the file's flat keys and values."""
+    return [json.loads(line) for chunk in _results_text(table)[1] for line in chunk.splitlines()]
 
 
 def _bounds_text(rows: list[dict]) -> list[str]:

@@ -19,8 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .hilbert import (DensityMatrix, HybridState, RangeError, conditional_fidelity,
-                      densities_from_bloch, fidelities)
+from .hilbert import HybridState, RangeError, densities_from_bloch, fidelities
 from .photodetection import PROJECTOR_ORDER, PROJECTOR_PAIRS, CountRecord
 
 class InsufficientCounts(ValueError):
@@ -34,13 +33,14 @@ class StokesEstimate:
     s3: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # == on array fields has no single truth value
 class TomographyResult:
-    rho: DensityMatrix
+    rho: np.ndarray   # (2, 2) physical density matrix, read-only
     stokes: StokesEstimate
 
     def fidelity_vs(self, target: HybridState) -> float:
-        return conditional_fidelity(self.rho, target)
+        """Conditional fidelity <target|rho|target>, clamped to [0, 1]."""
+        return float(fidelities(self.rho[None], target.vector()[None])[0])
 
 
 def subtract_background(counts: np.ndarray, bg_expected) -> np.ndarray:
@@ -104,15 +104,13 @@ def _by_projector(records: Iterable[CountRecord]) -> dict[str, CountRecord]:
     return table
 
 
-def _estimate(stokes: np.ndarray) -> StokesEstimate:
-    return StokesEstimate(*stokes[0].tolist())
-
-
 def tomograph(records: Iterable[CountRecord], subtract_bg: bool = False) -> TomographyResult:
     """Reconstruct a physical density matrix from six count records."""
     counts, bg = _count_arrays(records)
     stokes, rho = reconstruct(counts, bg, subtract_bg)
-    return TomographyResult(DensityMatrix(rho[0]), _estimate(stokes))
+    rho = rho[0]
+    rho.setflags(write=False)
+    return TomographyResult(rho, StokesEstimate(*stokes[0].tolist()))
 
 
 @functools.lru_cache(maxsize=1)

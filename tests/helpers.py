@@ -41,7 +41,7 @@ def haar_states(rng: np.random.Generator, n: int, tag: BasisTag) -> list[HybridS
 
 
 def fidelity(a: HybridState, b: HybridState) -> float:
-    return abs(a.overlap(b)) ** 2
+    return abs(np.vdot(a.vector(), b.vector())) ** 2
 
 
 def assert_same_text(got: dict, want: dict) -> None:

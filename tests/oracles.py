@@ -34,7 +34,7 @@ import numpy as np
 
 from vortexmem import cli, memory, optics, pipeline, security
 from vortexmem.hilbert import (ATOL_BALL, ATOL_EIGEN, ATOL_HERMITIAN, ATOL_TRACE, TAU1,
-                               TAU2, TAU3, BasisTag, DensityMatrix, HybridState,
+                               TAU2, TAU3, BasisTag, HybridState,
                                NonPhysicalDensity, OutsideBall, make_state, named_state)
 from vortexmem.photodetection import PROJECTOR_ORDER, PROJECTOR_PAIRS, CountRecord, snr_of
 from vortexmem.text import CSV_COLUMNS
@@ -257,13 +257,12 @@ class BlochVector:
         return math.sqrt(self.s1**2 + self.s2**2 + self.s3**2)
 
 
-def density_from_pure(psi: HybridState) -> DensityMatrix:
+def density_from_pure(psi: HybridState) -> np.ndarray:
     v = psi.vector()
-    return DensityMatrix(np.outer(v, v.conj()))
+    return np.outer(v, v.conj())
 
 
-def bloch_of(rho: DensityMatrix) -> BlochVector:
-    m = rho.elements
+def bloch_of(m: np.ndarray) -> BlochVector:
     return BlochVector(
         float(np.real(np.trace(m @ TAU1))),
         float(np.real(np.trace(m @ TAU2))),
@@ -405,14 +404,12 @@ def simulate_point(state_name, cfg, t_us, theta, job_seed, rng=None):
         "bound_efficiency": security.classical_bound_with_efficiency(
             security.BenchmarkInput(nbar, survival)),
         "pass_shor_preskill": shor_preskill_pass(f_raw),
-        "_extras": {
-            "survival": survival,
-            "snr": snr_of(nbar, survival, cfg.memory.bg_click) if cfg.memory.bg_click > 0 else None,
-            "stokes_raw": stokes_raw,
-            "rho_raw": _rho_to_lists(rho_raw),
-            "rho_corrected": _rho_to_lists(rho_corr),
-            "job_seed": job_seed,
-        },
+        "survival": survival,
+        "snr": snr_of(nbar, survival, cfg.memory.bg_click) if cfg.memory.bg_click > 0 else None,
+        "stokes_raw": stokes_raw,
+        "rho_raw": _rho_to_lists(rho_raw),
+        "rho_corrected": _rho_to_lists(rho_corr),
+        "job_seed": job_seed,
     }
 
 
@@ -421,7 +418,6 @@ class Report:
     """The report fields the per-row writers read."""
     rows: list = field(default_factory=list)
     bounds_rows: list = field(default_factory=list)
-    density: dict = field(default_factory=dict)
     pixmaps: list = field(default_factory=list)
 
 
@@ -430,20 +426,52 @@ def run(cfg):
     report = Report()
     rng = np.random.default_rng(cfg.seed)
     for state, t_us, theta in pipeline._jobs(cfg):
-        row = simulate_point(state, cfg, t_us, theta, cfg.seed, rng)
-        report.rows.append(row)
-        if cfg.scenario == "store_tomography":
-            extras = row["_extras"]
-            report.density[state] = {
-                "rho_raw": extras["rho_raw"],
-                "rho_corrected": extras["rho_corrected"],
-                "fidelity_raw": row["fidelity_raw"],
-                "fidelity_corrected": row["fidelity_corrected"],
-            }
+        report.rows.append(simulate_point(state, cfg, t_us, theta, cfg.seed, rng))
     return report
 
 
 # --- per-row result writers --------------------------------------------------
+
+def table_rows(table):
+    """The rows of a pipeline.ResultTable, one dict per job with the Python
+    values of its columns: the reference for the rows the package parses
+    back from its own results.jsonl text."""
+    def matrices(rho):
+        return [{"real": re, "imag": im} for re, im in zip(rho.real.tolist(), rho.imag.tolist())]
+
+    n = len(table.states)
+    snr = [None] * n if table.snr is None else table.snr[table.level].tolist()
+    columns = zip(table.states, table.times, table.angle_deg.tolist(), table.f_raw.tolist(),
+                  table.f_corr.tolist(), table.retrieved.tolist(),
+                  table.bound_poisson[table.level].tolist(),
+                  table.bound_efficiency[table.level].tolist(), table.secure.tolist(),
+                  table.survival.tolist(), snr, table.stokes.tolist(),
+                  matrices(table.rho_raw), matrices(table.rho_corr))
+    return [{
+        "scenario": table.scenario,
+        "state": state,
+        "angle_deg": angle,
+        "time_us": t_us,
+        "fidelity_raw": f,
+        "fidelity_corrected": f_corr if ok else None,
+        "bound_poisson": poisson,
+        "bound_efficiency": efficiency,
+        "pass_shor_preskill": secure,
+        "survival": surv,
+        "snr": snr_j,
+        "stokes_raw": stokes,
+        "rho_raw": rho,
+        "rho_corrected": rho_corr if ok else None,
+        "job_seed": table.seed,
+    } for (state, t_us, angle, f, f_corr, ok, poisson, efficiency, secure, surv, snr_j, stokes,
+           rho, rho_corr) in columns]
+
+
+def _rows(report):
+    """The job rows of an oracle report, or of a pipeline report's table."""
+    table = getattr(report, "table", None)
+    return report.rows if table is None else table_rows(table)
+
 
 def _csv_text(rows, columns):
     buf = io.StringIO()
@@ -456,7 +484,7 @@ def _csv_text(rows, columns):
 
 def emit(report, out_dir, formats=("csv", "json-lines", "pixmap")):
     """text.emit with one json.dumps and one csv row per result row; reads
-    ``rows``, ``bounds_rows``, ``density`` and ``pixmaps`` of any report."""
+    the rows (see _rows), ``bounds_rows`` and ``pixmaps`` of any report."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -466,21 +494,20 @@ def emit(report, out_dir, formats=("csv", "json-lines", "pixmap")):
         path.write_text(text)
         written.append(path)
 
-    if report.rows:
+    rows = _rows(report)
+    if rows:
         if "csv" in formats:
-            _write("results.csv", _csv_text(report.rows, CSV_COLUMNS))
+            _write("results.csv", _csv_text(rows, CSV_COLUMNS))
         if "json-lines" in formats:
-            lines = []
-            for row in report.rows:
-                payload = {k: v for k, v in row.items() if k != "_extras"}
-                payload.update(row["_extras"])
-                lines.append(json.dumps(payload, sort_keys=True))
-            _write("results.jsonl", "\n".join(lines) + "\n")
+            _write("results.jsonl", "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
     if report.bounds_rows and "csv" in formats:
         cols = tuple(report.bounds_rows[0].keys())
         _write("bounds.csv", _csv_text(report.bounds_rows, cols))
-    if report.density and "json-lines" in formats:
-        _write("density_matrices.json", json.dumps(report.density, sort_keys=True, indent=2) + "\n")
+    keys = ("rho_raw", "rho_corrected", "fidelity_raw", "fidelity_corrected")
+    density = {row["state"]: {k: row[k] for k in keys}
+               for row in rows if row["scenario"] == "store_tomography"}
+    if density and "json-lines" in formats:
+        _write("density_matrices.json", json.dumps(density, sort_keys=True, indent=2) + "\n")
     if "pixmap" in formats:
         for name, text in report.pixmaps:
             _write(name, text)
@@ -509,7 +536,7 @@ def main(argv):
     report = pipeline.run(cli.load_config(args.config, args.scenario, args.seed))
     for path in emit(report, args.out):
         print(f"wrote {path}")
-    print(summary(report.rows), end="")
+    print(summary(_rows(report)), end="")
     return 0
 
 

@@ -224,7 +224,7 @@ def test_criterion_8_tomography_robustness():
                 clicks[i] = 1
         records = [CountRecord(name, int(c), trials) for name, c in zip(order, clicks)]
         rho = tomography.tomograph(records).rho
-        m = rho.elements
+        m = rho
         assert np.allclose(m, m.conj().T, atol=1e-12)
         assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
         assert np.linalg.eigvalsh(m).min() >= -1e-10

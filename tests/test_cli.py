@@ -250,7 +250,7 @@ class TestScenarios:
             assert row["bound_efficiency"] >= row["bound_poisson"] - 1e-12
             assert isinstance(row["pass_shor_preskill"], bool)
 
-    def test_jsonl_rows_parse_and_carry_extras(self, tmp_path):
+    def test_jsonl_rows_parse_and_carry_reconstruction(self, tmp_path):
         out = tmp_path / "run"
         cfg_path = tmp_path / "c.json"
         cfg_path.write_text(json.dumps({
@@ -323,7 +323,7 @@ class TestDeterminism:
         # a seed-XOR-job-index rule gave job 1 at seed 0 the stream of job 0
         # at seed 1; one stream per run keeps every row of the two runs apart
         base = {"scenario": "store_tomography", "input_states": ["radial", "radial"]}
-        rows = [tuple(row["_extras"]["stokes_raw"])
+        rows = [tuple(row["stokes_raw"])
                 for seed in (0, 1) for row in pipeline.run(config_from_dict({**base, "seed": seed})).rows]
         assert len(set(rows)) == 4
 
@@ -372,6 +372,17 @@ class TestOfflineCountRecords:
         loaded = text.read_count_records(path)
         assert loaded == records
         assert tomograph(loaded).fidelity_vs(named_state("D")) > 0.98
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # spreadsheet programs save "CSV UTF-8" with a BOM, which was read as
+        # part of the first column name
+        body = "projector,clicks,trials,bg_expected\nH,5,10,0.5\nV,3,10,0.5\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(body, encoding="utf-8")
+        marked.write_text(body, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert text.read_count_records(marked) == text.read_count_records(plain)
+        assert len(text.read_count_records(marked)) == 2
 
     def test_missing_column_rejected(self, tmp_path):
         path = tmp_path / "counts.csv"

@@ -1,9 +1,11 @@
 """Any JSON config runs or is refused: main returns 0, 2 or 3 and never raises.
 
 Configs start from a scenario preset, cut to a few states, angles and
-storage times, and have some fields replaced by arbitrary JSON values: null,
-booleans, huge integers, floats out to +-1e308 and non-finite (json.loads
-accepts NaN and Infinity), strings and nested lists or objects.
+storage times, and have some fields replaced.  Most replacements are drawn
+from the field's valid range, so that most configs reach the pipeline; the
+rest are arbitrary JSON values: null, booleans, huge integers, floats out
+to +-1e308 and non-finite (json.loads accepts NaN and Infinity), strings
+and nested lists or objects.
 """
 
 import json
@@ -33,6 +35,43 @@ _VALUES = st.one_of(
 )
 
 
+# a value from each field's valid range, or from one entry's for a list
+_FIELDS = {
+    "scenario": st.sampled_from(config.SCENARIOS),
+    "source.nbar": st.floats(0.0, 5.0),
+    "memory.eta0": st.floats(0.0, 1.0),
+    "memory.tau": st.floats(0.1, 100.0),
+    "memory.bg_click": st.floats(0.0, 0.99),
+    "memory.rail_imbalance": st.floats(0.0, 2.5),
+    "memory.rail_phase_error": st.floats(-7.0, 7.0),
+    "qplate.q": st.sampled_from([0.5, -0.5]),
+    "qplate.alpha0": st.floats(-7.0, 7.0),
+    "qplate.tuning_delta": st.floats(0.0, 6.28),
+    "qplate.conversion_efficiency": st.floats(0.0, 1.0),
+    "trials_per_projection": st.sampled_from([0, 300, 2000]),
+    "rotation_angles": st.floats(-7.0, 7.0),
+    "storage_times": st.one_of(st.integers(0, 40), st.floats(0.0, 40.0)),
+    "input_states": st.sampled_from(hilbert.STATE_NAMES),
+    "seed": st.integers(0, 2**64),
+    "encode_with_qplate": st.booleans(),
+}
+
+
+def _valid(path):
+    """Values from the valid range of the place a path names."""
+    if not path:
+        return st.fixed_dictionaries({"scenario": _FIELDS["scenario"]})
+    key = path[0]
+    if len(path) == 2:
+        return _FIELDS[key if isinstance(path[1], int) else f"{key}.{path[1]}"]
+    if key in ("source", "memory", "qplate"):
+        return st.fixed_dictionaries({name.split(".")[1]: value for name, value in _FIELDS.items()
+                                      if name.startswith(key + ".")})
+    if key in ("rotation_angles", "storage_times", "input_states"):
+        return st.lists(_FIELDS[key], min_size=1, max_size=3)
+    return _FIELDS[key]
+
+
 def _paths(raw):
     """Every place a value can go: each field, each list entry and the root."""
     paths = []
@@ -59,13 +98,16 @@ def _put(raw, path, value):
 def configs(draw):
     scenario = draw(st.sampled_from(config.SCENARIOS))
     raw = config.config_to_dict(config.default_config(scenario))
-    raw["trials_per_projection"] = draw(st.sampled_from([0, 300, 2000]))
+    raw["trials_per_projection"] = draw(_FIELDS["trials_per_projection"])
     for key in ("rotation_angles", "storage_times", "input_states"):
         raw[key] = raw[key][:2]
     for path in draw(st.lists(st.sampled_from(_paths(raw)), min_size=1, max_size=3,
                               unique=True)):
+        # a field missing from _FIELDS raises KeyError here, not below
+        arbitrary = draw(st.sampled_from([False] * 4 + [True]))   # one in five
+        value = draw(_VALUES if arbitrary else _valid(path))
         try:
-            raw = _put(raw, path, draw(_VALUES))
+            raw = _put(raw, path, value)
         except (KeyError, IndexError, TypeError):
             pass   # an earlier replacement removed the path's container
     return raw

@@ -1,6 +1,6 @@
 """The column writers of results.jsonl, results.csv, bounds.csv and the stdout
 table against the per-row writers (json.dumps, csv.DictWriter, print), byte
-for byte."""
+for byte; and the package's rows, which are its results.jsonl lines parsed."""
 
 import json
 import math
@@ -55,6 +55,34 @@ def test_main_matches_per_row_writers(tmp_path, monkeypatch, capsys, payload):
     assert_same_text(got, want)
 
 
+ROW_CASES = {
+    **{s: {"scenario": s, "seed": 12345} for s in JOB_SCENARIOS},
+    "exact_int_times_nothing_retrieved": {"scenario": "fidelity_vs_time", "trials_per_projection": 0,
+                                          "storage_times": [0, 1.0, 200, 7]},
+    "no_background_signed_zero": {"scenario": "fidelity_vs_rotation", "memory": {"bg_click": 0.0},
+                                  "rotation_angles": [-0.0, 0.5]},
+}
+
+
+@pytest.mark.parametrize("payload", ROW_CASES.values(), ids=ROW_CASES.keys())
+def test_rows_are_the_parsed_results_jsonl_lines(tmp_path, capsys, payload):
+    """report.rows equals json.loads of each line cli.main writes, and the
+    rows of the table as the per-row reference builds them: json text tells
+    -0.0 from 0.0, int from float and None from a value."""
+    (tmp_path / "config.json").write_text(json.dumps(payload))
+    assert cli.main(["--config", str(tmp_path / "config.json"), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "results.jsonl").read_text().splitlines()
+    report = pipeline.run(cli.load_config(tmp_path / "config.json", None, None))
+    assert report.rows == [json.loads(line) for line in lines]
+    want = [json.dumps(row, sort_keys=True) for row in oracles.table_rows(report.table)]
+    assert [json.dumps(row, sort_keys=True) for row in report.rows] == lines == want
+    # one stream per run: the first job is the one-job run at the run seed
+    cfg = report.config
+    state, t_us, theta = pipeline._jobs(cfg)[0]
+    point = pipeline.simulate_point(state, cfg, t_us, theta, cfg.seed)
+    assert json.dumps(point, sort_keys=True) == lines[0]
+
+
 def test_edge_values_match_per_row_writers(tmp_path):
     """-0.0, NaN and infinities in every float column the writers format."""
     cfg = replace(config.default_config("store_tomography"), storage_times=(1.0,))
@@ -74,7 +102,7 @@ def test_edge_values_match_per_row_writers(tmp_path):
     got = {p.name: p.read_bytes() for p in text.emit(report, tmp_path / "cli")}
     want = {p.name: p.read_bytes() for p in oracles.emit(report, tmp_path / "oracle")}
     got["stdout"] = text._summary(report.table).encode()
-    want["stdout"] = oracles.summary(report.rows).encode()
+    want["stdout"] = oracles.summary(oracles.table_rows(report.table)).encode()
     assert_same_text(got, want)
     assert b"Infinity" in got["results.jsonl"] and b"nan" in got["results.csv"]
 
@@ -153,6 +181,6 @@ def test_sign_folded_values_match_per_row_writers(tmp_path):
     got = {p.name: p.read_bytes() for p in text.emit(report, tmp_path / "cli")}
     want = {p.name: p.read_bytes() for p in oracles.emit(report, tmp_path / "oracle")}
     got["stdout"] = text._summary(report.table).encode()
-    want["stdout"] = oracles.summary(report.rows).encode()
+    want["stdout"] = oracles.summary(oracles.table_rows(report.table)).encode()
     assert_same_text(got, want)
     assert b"NaN" in got["results.jsonl"] and b"-1.5" in got["results.csv"]

@@ -97,7 +97,8 @@ class TestVectorFieldMap:
     def test_unit_total_power(self):
         for name in HYBRID_SPHERE_NAMES:
             fmap = vector_field_map(named_state(name), GRID)
-            assert fmap.total_power() == pytest.approx(1.0, abs=1e-9)
+            power = fmap.intensity().sum() * GRID.pixel_area()
+            assert power == pytest.approx(1.0, abs=1e-9)
 
     def test_intensity_rotation_invariant(self):
         for name in HYBRID_SPHERE_NAMES:

@@ -12,9 +12,9 @@ from oracles import (bloch_of, click_probability, density_from_pure, projection_
 from vortexmem import config, pipeline, tomography
 from vortexmem.hilbert import (
     BasisTag,
-    DensityMatrix,
     HYBRID_SPHERE_NAMES,
     RangeError,
+    check_densities,
     densities_from_bloch,
     named_state,
 )
@@ -38,8 +38,7 @@ def _records(clicks: dict[str, float], trials: int = 1000, bg: float = 0.0):
 
 def _density(s1, s2, s3):
     """Linear inversion of one Stokes vector, projected onto the Bloch ball."""
-    return DensityMatrix(densities_from_bloch(project_to_ball(np.array([[s1, s2, s3]],
-                                                                       dtype=float)))[0])
+    return densities_from_bloch(project_to_ball(np.array([[s1, s2, s3]], dtype=float)))[0]
 
 
 class TestBackgroundSubtract:
@@ -107,21 +106,21 @@ class TestStokesFromCounts:
 class TestDensityFromStokes:
     def test_pole(self):
         rho = _density(0, 0, 1)
-        assert np.allclose(rho.elements, np.diag([1, 0]), atol=1e-15)
+        assert np.allclose(rho, np.diag([1, 0]), atol=1e-15)
 
     def test_mixed(self):
         rho = _density(0, 0, 0)
-        assert np.allclose(rho.elements, np.eye(2) / 2, atol=1e-15)
+        assert np.allclose(rho, np.eye(2) / 2, atol=1e-15)
 
     def test_radial_projection_of_overlong_vector(self):
         rho = _density(0, 0, 1.04)
-        assert np.allclose(rho.elements, np.diag([1, 0]), atol=1e-12)
+        assert np.allclose(rho, np.diag([1, 0]), atol=1e-12)
 
     @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3))
     @settings(max_examples=100)
     def test_always_physical(self, s1, s2, s3):
         rho = _density(s1, s2, s3)
-        rho.validate()
+        check_densities(rho[None])
 
 
 class TestTomograph:
@@ -141,7 +140,7 @@ class TestTomograph:
         s = stokes_of(np.array([[probs[k] for k in PROJECTOR_ORDER]]))[0]
         rho = _density(*s.tolist())
         target = density_from_pure(psi)
-        assert np.allclose(rho.elements, target.elements, atol=1e-12)
+        assert np.allclose(rho, target, atol=1e-12)
 
     def test_unbiased_at_large_trials(self):
         psi = named_state("plus_i")
@@ -297,7 +296,7 @@ class TestAdversarialPhysicality:
             for name, c in zip(PROJECTOR_ORDER, clicks)
         ]
         result = tomograph(records, subtract_bg=subtract)
-        result.rho.validate()
+        check_densities(result.rho[None])
 
     def test_starved_pair_raises_rather_than_fabricating(self):
         records = [
