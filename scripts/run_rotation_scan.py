@@ -35,7 +35,7 @@ def main(argv=None):
         "linear pol": ("H", "V", "D", "A"),
         "circular pol": ("R", "L"),
     }
-    all_rows = report.rows   # derived from the result table on each access
+    all_rows = report.table.rows()   # the results.jsonl lines, parsed
     print("\naverage raw fidelity per encoding family:")
     for deg in args.angles:
         rows = [r for r in all_rows if abs(r["angle_deg"] - deg) < 1e-6]

@@ -29,7 +29,7 @@ def main(argv=None):
     report = pipeline.run(config.config_from_dict(payload))
     text.emit(report, args.out)
 
-    all_rows = report.rows   # derived from the result table on each access
+    all_rows = report.table.rows()   # the results.jsonl lines, parsed
     print(f"\nsix-state averages ({args.trials or 'exact'} trials/projection):")
     for t in args.times:
         rows = [r for r in all_rows if r["time_us"] == t]

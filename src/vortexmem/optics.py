@@ -68,15 +68,3 @@ def _frame_phases(theta: float) -> tuple[complex, complex]:
     by theta puts on the |R> and |L> amplitudes."""
     return cmath.exp(-1j * theta), cmath.exp(1j * theta)
 
-
-def rotate_frame(psi: HybridState, theta: float) -> HybridState:
-    """View the state in a detection frame rotated by theta about the beam axis.
-
-    Polarization basis: |R> -> exp(-i theta)|R>, |L> -> exp(+i theta)|L>
-    (linear polarizations rotate by theta).  Hybrid basis: each logical
-    state carries zero total angular momentum, so the state is unchanged.
-    """
-    if psi.basis_tag is BasisTag.HYBRID_POINCARE:
-        return psi
-    p0, p1 = _frame_phases(theta)
-    return HybridState(psi.c0 * p0, psi.c1 * p1, BasisTag.POLARIZATION)

@@ -18,9 +18,12 @@ The job_seed of every row is that run seed.  Arithmetic on the job axis is
 elementwise, so row 0 of a run is bit for bit the one-job run
 simulate_point(..., job_seed=seed).  The batch is a ResultTable of
 columns, which the text module writes; a result exists only in those two
-forms, so the row dicts of ResultTable.rows, Report.rows and
-simulate_point are the results.jsonl lines, parsed.  In field_maps,
-states whose intensity (and, for the PPM, azimuth) arrays are
+forms, so the row dicts of ResultTable.rows and simulate_point are the
+results.jsonl lines, parsed.
+
+A run returns a Report: the ResultTable of a job scenario, or the
+finished (file name, text) pairs of bounds_table and field_maps.  In
+field_maps, states whose intensity (and, for the PPM, azimuth) arrays are
 bit-identical share their rendered text: each distinct array is rendered
 once per run.
 """
@@ -36,7 +39,8 @@ import numpy as np
 from . import fields, hilbert, memory, optics, photodetection, security, tomography
 from .config import _SCENARIOS, BOUNDS_NBAR_GRID, ExperimentConfig
 from .hilbert import BasisTag, HybridState, named_state
-from .text import _distinct_bits, _results_rows, render_grid_csv, render_pgm, render_ppm
+from .text import (_bounds_text, _distinct_bits, _parsed, _results_text, render_grid_csv,
+                   render_pgm, render_ppm)
 
 
 # the six projection weights of L- and R-polarized light: the leak of the
@@ -148,8 +152,10 @@ class ResultTable:
 
     Bounds and SNR depend on a job only through its survival, so they are
     kept once per distinct survival and ``level`` gives each job's entry.
-    A job with no retrieved signal (``retrieved`` false) has nothing to
-    correct: its ``f_corr`` and ``rho_corr`` entries are zero placeholders.
+    A job has a background-corrected estimate (``corrected`` true) when it
+    retrieved some signal and its counts, less the expected background,
+    leave every basis pair more than zero clicks; the ``f_corr`` and
+    ``rho_corr`` entries of any other job are zero placeholders.
     """
 
     scenario: str
@@ -159,7 +165,7 @@ class ResultTable:
     angle_deg: np.ndarray       # (J,) round(degrees(theta), 9)
     f_raw: np.ndarray           # (J,)
     f_corr: np.ndarray          # (J,)
-    retrieved: np.ndarray       # (J,) bool
+    corrected: np.ndarray       # (J,) bool
     stokes: np.ndarray          # (J, 3) raw Stokes vectors, before projection
     rho_raw: np.ndarray         # (J, 2, 2)
     rho_corr: np.ndarray        # (J, 2, 2)
@@ -172,7 +178,7 @@ class ResultTable:
 
     def rows(self) -> list[dict]:
         """The results.jsonl lines of the table, parsed: one dict per job."""
-        return _results_rows(self)
+        return _parsed(_results_text(self)[1])
 
 
 def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
@@ -184,13 +190,20 @@ def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
     """
     signal, survival, targets = _light(cfg, jobs)
     counts, bg_expected, _ = _detect(cfg, signal, survival, seed)
-    stokes, rho_raw = tomography.reconstruct(counts, bg_expected)
+    try:
+        stokes, rho_raw = tomography.reconstruct(counts, bg_expected)
+    except tomography.InsufficientCounts as exc:
+        state, t_us, theta = jobs[int(np.argwhere(counts[:, 0::2] + counts[:, 1::2] == 0)[0, 0])]
+        raise tomography.InsufficientCounts(
+            f"{exc} in the job of {state} at {t_us} us, {round(math.degrees(theta), 9)} deg"
+        ) from None
     f_raw = hilbert.fidelities(rho_raw, targets)
-    retrieved = survival > 0
+    net = tomography.subtract_background(counts, bg_expected)
+    corrected = (survival > 0) & (net[:, 0::2] + net[:, 1::2] > 0).all(1)
     f_corr, rho_corr = np.zeros_like(f_raw), np.zeros_like(rho_raw)
-    _, rho = tomography.reconstruct(counts[retrieved], bg_expected, subtract_bg=True)
-    f_corr[retrieved] = hilbert.fidelities(rho, targets[retrieved])
-    rho_corr[retrieved] = rho
+    _, rho = tomography.reconstruct(net[corrected], 0.0)
+    f_corr[corrected] = hilbert.fidelities(rho, targets[corrected])
+    rho_corr[corrected] = rho
 
     nbar, bg = cfg.source.nbar, cfg.memory.bg_click
     survival = np.minimum(1.0, np.maximum(1e-12, survival))
@@ -207,7 +220,7 @@ def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
                            dtype=float)[angle],
         f_raw=f_raw,
         f_corr=f_corr,
-        retrieved=retrieved,
+        corrected=corrected,
         stokes=stokes,
         rho_raw=rho_raw,
         rho_corr=rho_corr,
@@ -232,24 +245,10 @@ def simulate_point(state_name: str, cfg: ExperimentConfig, t_us: float,
 
 @dataclass
 class Report:
-    config: ExperimentConfig
+    """What a run made: the result table of a job scenario, or the finished
+    (file name, text) pairs of any other scenario's files."""
     table: ResultTable | None = None
-    bounds_rows: list[dict] = field(default_factory=list)
-    pixmaps: list[tuple[str, str]] = field(default_factory=list)  # (name, text)
-
-    @property
-    def rows(self) -> list[dict]:
-        """The job rows (see ResultTable.rows), derived from the table on each
-        access."""
-        return [] if self.table is None else self.table.rows()
-
-    @property
-    def density(self) -> dict[str, dict]:
-        """Raw and corrected density matrix per state (store_tomography only)."""
-        if self.config.scenario != "store_tomography":
-            return {}
-        keys = ("rho_raw", "rho_corrected", "fidelity_raw", "fidelity_corrected")
-        return {row["state"]: {k: row[k] for k in keys} for row in self.rows}
+    texts: list[tuple[str, str]] = field(default_factory=list)
 
 
 def _jobs(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
@@ -260,24 +259,22 @@ def _jobs(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
 
 def run(cfg: ExperimentConfig) -> Report:
     cfg.validate()
-    report = Report(config=cfg)
     if cfg.scenario == "bounds_table":
         nbars = sorted(set(BOUNDS_NBAR_GRID) | {cfg.source.nbar})
-        for nbar in nbars:
-            bench = security.BenchmarkInput(nbar, cfg.memory.eta0)
-            report.bounds_rows.append({
-                "nbar": nbar,
-                "eta": cfg.memory.eta0,
-                "bound_nphoton_1": security.classical_bound_nphoton(1),
-                "bound_poisson": security.classical_bound_poisson(nbar),
-                "bound_efficiency": security.classical_bound_with_efficiency(bench),
-                "shor_preskill_threshold": security.SHOR_PRESKILL_THRESHOLD,
-            })
-        return report
+        return Report(texts=[("bounds.csv", _bounds_text([{
+            "nbar": nbar,
+            "eta": cfg.memory.eta0,
+            "bound_nphoton_1": security.classical_bound_nphoton(1),
+            "bound_poisson": security.classical_bound_poisson(nbar),
+            "bound_efficiency": security.classical_bound_with_efficiency(
+                security.BenchmarkInput(nbar, cfg.memory.eta0)),
+            "shor_preskill_threshold": security.SHOR_PRESKILL_THRESHOLD,
+        } for nbar in nbars]))])
     if cfg.scenario == "field_maps":
         import hashlib   # here rather than at the top: it slows every import of the cli
 
         grid = fields.Grid()
+        report = Report()
         # each text rendered once per run, keyed on the renderer and the SHA-256
         # of its input arrays (all of one shape and dtype)
         texts: dict[tuple, str] = {}
@@ -294,7 +291,6 @@ def run(cfg: ExperimentConfig) -> Report:
                 key = (render, *digests)
                 if key not in texts:
                     texts[key] = render(*arrays)
-                report.pixmaps.append((file, texts[key]))
+                report.texts.append((file, texts[key]))
         return report
-    report.table = _simulate(cfg, _jobs(cfg), cfg.seed)
-    return report
+    return Report(table=_simulate(cfg, _jobs(cfg), cfg.seed))

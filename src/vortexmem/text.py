@@ -310,11 +310,11 @@ def _results_text(table) -> tuple[list[str], list[str]]:
     _keep_ints(csv_cols[26], table.times)
     json_cols = _json_cells(block, csv_cols)
     # one text per row (no float text holds a line break), so that rows
-    # with nothing retrieved can take null instead; their f_corr cell
+    # without a corrected estimate can take null instead; their f_corr cell
     # differs between the files, so the files must not share its list
     rho_corr = "".join(_fill(_JSON_RHO + "\n", json_cols[5:13])).splitlines()
     csv_cols[3] = csv_cols[3].copy()
-    for j in np.flatnonzero(~table.retrieved).tolist():
+    for j in np.flatnonzero(~table.corrected).tolist():
         csv_cols[3][j], json_cols[3][j], rho_corr[j] = "", "null", "null"
     if table.snr is None:
         json_cols[21] = ["null"] * n
@@ -332,27 +332,28 @@ def _results_text(table) -> tuple[list[str], list[str]]:
     return csv_chunks, jsonl_chunks
 
 
-def _results_rows(table) -> list[dict]:
-    """The lines of results.jsonl of a pipeline.ResultTable, parsed: one
-    dict per job, with the file's flat keys and values."""
-    return [json.loads(line) for chunk in _results_text(table)[1] for line in chunk.splitlines()]
+def _parsed(jsonl_chunks: list[str]) -> list[dict]:
+    """The lines of results.jsonl text, parsed: one dict per job, with the
+    file's flat keys and values."""
+    return [json.loads(line) for chunk in jsonl_chunks for line in chunk.splitlines()]
 
 
-def _bounds_text(rows: list[dict]) -> list[str]:
+def _bounds_text(rows: list[dict]) -> str:
+    """The text of bounds.csv: a header of the rows' keys, one line per row."""
     header = list(rows[0])
     values = [[row[key] for row in rows] for key in header]
     block = np.array([[0.0 if type(v) is int else v for v in col] for col in values]).T
     cells = _float_cells(block)
     for col, vals in zip(cells, values):
         _keep_ints(col, vals)
-    return _csv_lines(header, cells)
+    return "".join(_csv_lines(header, cells))
 
 
 def _summary(table) -> str:
     """The stdout table of a pipeline.ResultTable: one line per job."""
     names = {state: "%10s" % state for state in set(table.states)}
     f_corr = ["%.4f" % f if ok else "  none"
-              for f, ok in zip(table.f_corr.tolist(), table.retrieved.tolist())]
+              for f, ok in zip(table.f_corr.tolist(), table.corrected.tolist())]
     bound = np.array(["%.4f" % b for b in table.bound_efficiency.tolist()], dtype=object)
     return "".join(_fill(_SUMMARY_ROW, [
         [names[s] for s in table.states],
@@ -365,8 +366,10 @@ def _summary(table) -> str:
 
 
 def emit(report, out_dir: str | Path) -> list[Path]:
-    """Write a pipeline.Report; returns the written paths (deterministic
-    content)."""
+    """Write a pipeline.Report: the results files of its table, then its
+    texts; returns the written paths (deterministic content).
+    density_matrices.json (store_tomography) is built from the results.jsonl
+    lines written just before it."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -377,15 +380,15 @@ def emit(report, out_dir: str | Path) -> list[Path]:
             handle.writelines(chunks)
         written.append(path)
 
-    if report.table is not None:
-        csv_chunks, jsonl_chunks = _results_text(report.table)
+    table = report.table
+    if table is not None:
+        csv_chunks, jsonl_chunks = _results_text(table)
         _write("results.csv", csv_chunks)
         _write("results.jsonl", jsonl_chunks)
-    if report.bounds_rows:
-        _write("bounds.csv", _bounds_text(report.bounds_rows))
-    density = report.density
-    if density:
-        _write("density_matrices.json", [json.dumps(density, sort_keys=True, indent=2) + "\n"])
-    for name, text in report.pixmaps:
+        if table.scenario == "store_tomography":
+            keys = ("rho_raw", "rho_corrected", "fidelity_raw", "fidelity_corrected")
+            density = {row["state"]: {k: row[k] for k in keys} for row in _parsed(jsonl_chunks)}
+            _write("density_matrices.json", [json.dumps(density, sort_keys=True, indent=2) + "\n"])
+    for name, text in report.texts:
         _write(name, [text])
     return written

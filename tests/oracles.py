@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vortexmem import cli, memory, optics, pipeline, security
+from vortexmem import cli, config, memory, optics, pipeline, security
 from vortexmem.hilbert import (ATOL_BALL, ATOL_EIGEN, ATOL_HERMITIAN, ATOL_TRACE, TAU1,
                                TAU2, TAU3, BasisTag, HybridState,
                                NonPhysicalDensity, OutsideBall, make_state, named_state)
@@ -170,11 +170,24 @@ def rail_chain_light(psi: HybridState, cfg, t_us: float, theta: float):
     light their leak decodes to."""
     rec = displacer_recombine(store_retrieve(displacer_split(psi), cfg.memory, t_us))
     if psi.basis_tag is BasisTag.POLARIZATION:
-        return [(rec.throughput, optics.rotate_frame(rec.state, theta))]
+        return [(rec.throughput, rotate_frame(rec.state, theta))]
     conv = optics.conversion_probability(cfg.qplate) ** 2
     return [(conv * (rec.throughput - rec.leak_power), optics.qplate_decode(rec.state, cfg.qplate)),
             (conv * abs(rec.leak[0]) ** 2, named_state("L")),
             (conv * abs(rec.leak[1]) ** 2, named_state("R"))]
+
+
+def rotate_frame(psi: HybridState, theta: float) -> HybridState:
+    """View the state in a detection frame rotated by theta about the beam axis.
+
+    Polarization basis: |R> -> exp(-i theta)|R>, |L> -> exp(+i theta)|L>
+    (linear polarizations rotate by theta).  Hybrid basis: each logical
+    state carries zero total angular momentum, so the state is unchanged.
+    """
+    if psi.basis_tag is BasisTag.HYBRID_POINCARE:
+        return psi
+    p0, p1 = optics._frame_phases(theta)
+    return HybridState(psi.c0 * p0, psi.c1 * p1, BasisTag.POLARIZATION)
 
 
 # --- detection ---------------------------------------------------------------
@@ -345,7 +358,7 @@ def propagate(state_name, cfg, t_us, theta):
         psi_out = HybridState(*(light / np.sqrt(power)).tolist(), BasisTag.POLARIZATION)
     else:
         psi_out = psi   # nothing retrieved: weightless light
-    return [(power.item(), optics.rotate_frame(psi_out, theta))], psi
+    return [(power.item(), rotate_frame(psi_out, theta))], psi
 
 
 def signal(comps):
@@ -389,7 +402,14 @@ def simulate_point(state_name, cfg, t_us, theta, job_seed, rng=None):
     comps, target = propagate(state_name, cfg, t_us, theta)
     records = detection_records(comps, cfg, job_seed if rng is None else rng)
     stokes_raw, rho_raw = tomograph(records, subtract_bg=False)
-    _, rho_corr = tomograph(records, subtract_bg=True)
+    # a corrected estimate needs retrieved light and counts left in every
+    # pair after background subtraction
+    rho_corr = None
+    if sum(w for w, _ in comps) > 0:
+        try:
+            _, rho_corr = tomograph(records, subtract_bg=True)
+        except InsufficientCounts:
+            pass
     f_raw = conditional_fidelity(rho_raw, target)
     survival = min(1.0, max(1e-12, sum(w for w, _ in comps)))
     nbar = cfg.source.nbar
@@ -399,7 +419,7 @@ def simulate_point(state_name, cfg, t_us, theta, job_seed, rng=None):
         "angle_deg": round(math.degrees(theta), 9),
         "time_us": t_us,
         "fidelity_raw": f_raw,
-        "fidelity_corrected": conditional_fidelity(rho_corr, target),
+        "fidelity_corrected": None if rho_corr is None else conditional_fidelity(rho_corr, target),
         "bound_poisson": security.classical_bound_poisson(nbar),
         "bound_efficiency": security.classical_bound_with_efficiency(
             security.BenchmarkInput(nbar, survival)),
@@ -408,7 +428,7 @@ def simulate_point(state_name, cfg, t_us, theta, job_seed, rng=None):
         "snr": snr_of(nbar, survival, cfg.memory.bg_click) if cfg.memory.bg_click > 0 else None,
         "stokes_raw": stokes_raw,
         "rho_raw": _rho_to_lists(rho_raw),
-        "rho_corrected": _rho_to_lists(rho_corr),
+        "rho_corrected": None if rho_corr is None else _rho_to_lists(rho_corr),
         "job_seed": job_seed,
     }
 
@@ -418,7 +438,22 @@ class Report:
     """The report fields the per-row writers read."""
     rows: list = field(default_factory=list)
     bounds_rows: list = field(default_factory=list)
-    pixmaps: list = field(default_factory=list)
+    texts: list = field(default_factory=list)   # (file name, text)
+
+
+def bounds_rows(cfg):
+    """The rows of bounds.csv: one per nbar of the bounds grid and the
+    config's own, at the config's memory efficiency."""
+    eta = cfg.memory.eta0
+    return [{
+        "nbar": nbar,
+        "eta": eta,
+        "bound_nphoton_1": security.classical_bound_nphoton(1),
+        "bound_poisson": security.classical_bound_poisson(nbar),
+        "bound_efficiency": security.classical_bound_with_efficiency(
+            security.BenchmarkInput(nbar, eta)),
+        "shor_preskill_threshold": security.SHOR_PRESKILL_THRESHOLD,
+    } for nbar in sorted(set(config.BOUNDS_NBAR_GRID) | {cfg.source.nbar})]
 
 
 def run(cfg):
@@ -442,7 +477,7 @@ def table_rows(table):
     n = len(table.states)
     snr = [None] * n if table.snr is None else table.snr[table.level].tolist()
     columns = zip(table.states, table.times, table.angle_deg.tolist(), table.f_raw.tolist(),
-                  table.f_corr.tolist(), table.retrieved.tolist(),
+                  table.f_corr.tolist(), table.corrected.tolist(),
                   table.bound_poisson[table.level].tolist(),
                   table.bound_efficiency[table.level].tolist(), table.secure.tolist(),
                   table.survival.tolist(), snr, table.stokes.tolist(),
@@ -467,10 +502,13 @@ def table_rows(table):
            rho, rho_corr) in columns]
 
 
-def _rows(report):
-    """The job rows of an oracle report, or of a pipeline report's table."""
-    table = getattr(report, "table", None)
-    return report.rows if table is None else table_rows(table)
+def _reference(report):
+    """An oracle report as it is, or a pipeline report as one: the rows of
+    its table (see table_rows) and its texts."""
+    if isinstance(report, Report):
+        return report
+    return Report(rows=[] if report.table is None else table_rows(report.table),
+                  texts=report.texts)
 
 
 def _csv_text(rows, columns):
@@ -484,7 +522,8 @@ def _csv_text(rows, columns):
 
 def emit(report, out_dir, formats=("csv", "json-lines", "pixmap")):
     """text.emit with one json.dumps and one csv row per result row; reads
-    the rows (see _rows), ``bounds_rows`` and ``pixmaps`` of any report."""
+    the ``rows``, ``bounds_rows`` and ``texts`` of any report (see
+    _reference)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -494,7 +533,8 @@ def emit(report, out_dir, formats=("csv", "json-lines", "pixmap")):
         path.write_text(text)
         written.append(path)
 
-    rows = _rows(report)
+    report = _reference(report)
+    rows = report.rows
     if rows:
         if "csv" in formats:
             _write("results.csv", _csv_text(rows, CSV_COLUMNS))
@@ -509,7 +549,7 @@ def emit(report, out_dir, formats=("csv", "json-lines", "pixmap")):
     if density and "json-lines" in formats:
         _write("density_matrices.json", json.dumps(density, sort_keys=True, indent=2) + "\n")
     if "pixmap" in formats:
-        for name, text in report.pixmaps:
+        for name, text in report.texts:
             _write(name, text)
     return written
 
@@ -531,12 +571,17 @@ def summary(rows):
 
 
 def main(argv):
-    """cli.main with the per-row writers: emit and summary above."""
+    """cli.main with the per-row writers: emit and summary above, and
+    bounds.csv from bounds_rows."""
     args = cli._parser().parse_args(argv)
-    report = pipeline.run(cli.load_config(args.config, args.scenario, args.seed))
+    cfg = cli.load_config(args.config, args.scenario, args.seed)
+    if cfg.scenario == "bounds_table":
+        report = Report(bounds_rows=bounds_rows(cfg))
+    else:
+        report = _reference(pipeline.run(cfg))
     for path in emit(report, args.out):
         print(f"wrote {path}")
-    print(summary(_rows(report)), end="")
+    print(summary(report.rows), end="")
     return 0
 
 

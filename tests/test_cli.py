@@ -40,7 +40,7 @@ def _write_config(tmp_path: Path, payload: dict) -> Path:
 
 def _rows_by(report, **match):
     out = []
-    for row in report.rows:
+    for row in report.table.rows():
         if all(row[k] == v for k, v in match.items()):
             out.append(row)
     return out
@@ -167,6 +167,34 @@ class TestMainExitCodes:
         assert cli.main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "has zero counts" in capsys.readouterr().err
 
+    def test_zero_raw_counts_name_the_job(self, tmp_path, capsys):
+        # the 1 us job has ample counts; the 200 us job has none at all
+        path = _write_config(tmp_path, {"scenario": "fidelity_vs_time", "memory": {"bg_click": 0.0},
+                                        "storage_times": [1.0, 200.0], "input_states": ["radial"]})
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("insufficient counts: pair (H, V) has zero counts "
+                                           "in the job of radial at 200.0 us, 0.0 deg\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_pair_emptied_by_background_subtraction_has_no_corrected_fidelity(self, tmp_path):
+        path = _write_config(tmp_path, {"scenario": "fidelity_vs_time", "storage_times": [1.0, 20.0]})
+        out = tmp_path / "o"
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+        cfg = load_config(path, None, None)
+        assert cfg.seed == 12345
+        jobs = pipeline._jobs(cfg)
+        signal, survival, _ = pipeline._light(cfg, jobs)
+        counts, bg_expected, _ = pipeline._detect(cfg, signal, survival, cfg.seed)
+        net = tomography.subtract_background(counts, bg_expected)
+        emptied = (net[:, 0::2] + net[:, 1::2] == 0).any(1).tolist()
+        assert [row["time_us"] for row in rows] == [t for _, t, _ in jobs]
+        for row, empty in zip(rows, emptied):
+            assert isinstance(row["fidelity_raw"], float)
+            assert (row["fidelity_corrected"] is None) == empty
+            assert (row["rho_corrected"] is None) == empty
+        assert any(emptied)
+
     def test_io_error_is_3(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file, not a directory")
@@ -207,10 +235,8 @@ class TestScenarios:
             "memory": {"eta0": 1.0, "bg_click": 0.0},
             "trials_per_projection": 0,
         })
-        report = pipeline.run(cfg)
-        rho = np.array(report.density["radial"]["rho_raw"]["real"]) + 1j * np.array(
-            report.density["radial"]["rho_raw"]["imag"]
-        )
+        rho_raw = _rows_by(pipeline.run(cfg), state="radial")[0]["rho_raw"]
+        rho = np.array(rho_raw["real"]) + 1j * np.array(rho_raw["imag"])
         assert abs(rho[0, 1]) == pytest.approx(0.5, abs=1e-9)
 
     def test_bounds_table_values(self, tmp_path):
@@ -243,9 +269,9 @@ class TestScenarios:
             "storage_times": [0.0, 1.0],
             "input_states": ["zero", "radial"],
         })
-        report = pipeline.run(cfg)
-        assert report.rows
-        for row in report.rows:
+        rows = pipeline.run(cfg).table.rows()
+        assert rows
+        for row in rows:
             assert 2 / 3 < row["bound_poisson"] < 1
             assert row["bound_efficiency"] >= row["bound_poisson"] - 1e-12
             assert isinstance(row["pass_shor_preskill"], bool)
@@ -317,14 +343,14 @@ class TestDeterminism:
         }
         r1 = pipeline.run(config_from_dict({**base, "seed": 1}))
         r2 = pipeline.run(config_from_dict({**base, "seed": 2}))
-        assert r1.rows[0]["fidelity_raw"] != r2.rows[0]["fidelity_raw"]
+        assert r1.table.rows()[0]["fidelity_raw"] != r2.table.rows()[0]["fidelity_raw"]
 
     def test_streams_of_neighbouring_seeds_share_no_counts(self):
         # a seed-XOR-job-index rule gave job 1 at seed 0 the stream of job 0
         # at seed 1; one stream per run keeps every row of the two runs apart
         base = {"scenario": "store_tomography", "input_states": ["radial", "radial"]}
-        rows = [tuple(row["stokes_raw"])
-                for seed in (0, 1) for row in pipeline.run(config_from_dict({**base, "seed": seed})).rows]
+        rows = [tuple(row["stokes_raw"]) for seed in (0, 1)
+                for row in pipeline.run(config_from_dict({**base, "seed": seed})).table.rows()]
         assert len(set(rows)) == 4
 
 

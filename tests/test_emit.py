@@ -66,21 +66,39 @@ ROW_CASES = {
 
 @pytest.mark.parametrize("payload", ROW_CASES.values(), ids=ROW_CASES.keys())
 def test_rows_are_the_parsed_results_jsonl_lines(tmp_path, capsys, payload):
-    """report.rows equals json.loads of each line cli.main writes, and the
+    """table.rows() equals json.loads of each line cli.main writes, and the
     rows of the table as the per-row reference builds them: json text tells
     -0.0 from 0.0, int from float and None from a value."""
     (tmp_path / "config.json").write_text(json.dumps(payload))
     assert cli.main(["--config", str(tmp_path / "config.json"), "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "results.jsonl").read_text().splitlines()
-    report = pipeline.run(cli.load_config(tmp_path / "config.json", None, None))
-    assert report.rows == [json.loads(line) for line in lines]
+    cfg = cli.load_config(tmp_path / "config.json", None, None)
+    report = pipeline.run(cfg)
+    rows = report.table.rows()
+    assert rows == [json.loads(line) for line in lines]
     want = [json.dumps(row, sort_keys=True) for row in oracles.table_rows(report.table)]
-    assert [json.dumps(row, sort_keys=True) for row in report.rows] == lines == want
+    assert [json.dumps(row, sort_keys=True) for row in rows] == lines == want
     # one stream per run: the first job is the one-job run at the run seed
-    cfg = report.config
     state, t_us, theta = pipeline._jobs(cfg)[0]
     point = pipeline.simulate_point(state, cfg, t_us, theta, cfg.seed)
     assert json.dumps(point, sort_keys=True) == lines[0]
+
+
+def test_emit_formats_the_results_once(tmp_path, monkeypatch):
+    """density_matrices.json is built from the results.jsonl lines emit has
+    just formatted, not from a second formatting of the table."""
+    report = pipeline.run(config.default_config("store_tomography"))
+    calls = []
+    results_text = text._results_text
+
+    def counted(table):
+        calls.append(table)
+        return results_text(table)
+
+    monkeypatch.setattr(text, "_results_text", counted)
+    names = [p.name for p in text.emit(report, tmp_path)]
+    assert names == ["results.csv", "results.jsonl", "density_matrices.json"]
+    assert calls == [report.table]
 
 
 def test_edge_values_match_per_row_writers(tmp_path):

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import fidelity, haar_states, states
-from oracles import DualRailState, VacuumOutput, displacer_recombine, displacer_split, scalar_rails
+from oracles import (DualRailState, VacuumOutput, displacer_recombine, displacer_split,
+                     rotate_frame, scalar_rails)
 from vortexmem.hilbert import BasisTag, RangeError, make_state, named_state
 from vortexmem.optics import (
     QPlateParams,
     conversion_probability,
     qplate_apply,
     qplate_decode,
-    rotate_frame,
 )
 
 QP = QPlateParams()

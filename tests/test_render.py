@@ -114,7 +114,7 @@ def test_field_maps_render_each_distinct_array_once(monkeypatch):
     for name in calls:
         monkeypatch.setattr(pipeline, name, counted(name))
     cfg = config.default_config("field_maps")
-    pixmaps = dict(pipeline.run(cfg).pixmaps)
+    pixmaps = dict(pipeline.run(cfg).texts)
     assert calls == {"render_pgm": 3, "render_ppm": 5, "render_grid_csv": 3}
     for state in cfg.input_states:
         hue, intensity = _field_map(state, Grid())
