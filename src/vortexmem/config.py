@@ -23,19 +23,18 @@ DEFAULT_ANGLES_DEG = (0, 10, 20, 30, 40, 45, 50, 60)
 DEFAULT_TIMES_US = (0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0)
 BOUNDS_NBAR_GRID = (0.1, 0.5, 1.0)
 
-# scenario -> (preset fields over the measured-regime base config, job
-# enumeration: state outermost, then time, then angle; None without jobs)
+# scenario -> (preset fields over the measured-regime base config, the
+# storage times and angles its jobs run over, each with every input state;
+# None without jobs)
 _SCENARIOS = {
-    "store_tomography": ({}, lambda cfg: [
-        (s, cfg.storage_times[0], 0.0) for s in cfg.input_states]),
-    "fidelity_vs_time": ({"storage_times": DEFAULT_TIMES_US}, lambda cfg: [
-        (s, t, 0.0) for s in cfg.input_states for t in cfg.storage_times]),
+    "store_tomography": ({}, lambda cfg: (cfg.storage_times[:1], (0.0,))),
+    "fidelity_vs_time": ({"storage_times": DEFAULT_TIMES_US},
+                         lambda cfg: (cfg.storage_times, (0.0,))),
     "fidelity_vs_rotation": ({
         "rotation_angles": tuple(math.radians(d) for d in DEFAULT_ANGLES_DEG),
         "input_states": hilbert.HYBRID_SPHERE_NAMES + hilbert.POLARIZATION_NAMES,
         "encode_with_qplate": False,
-    }, lambda cfg: [(s, cfg.storage_times[0], a) for s in cfg.input_states
-                    for a in cfg.rotation_angles]),
+    }, lambda cfg: (cfg.storage_times[:1], cfg.rotation_angles)),
     "field_maps": ({"trials_per_projection": 0}, None),
     "bounds_table": ({}, None),
 }

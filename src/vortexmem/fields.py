@@ -66,11 +66,10 @@ class Grid:
 
 @dataclass(frozen=True)
 class VectorFieldMap:
-    """Per-pixel Jones vector (H and V component arrays) plus geometry."""
+    """Per-pixel Jones vector: the H and V component arrays."""
 
     e_h: np.ndarray
     e_v: np.ndarray
-    grid: Grid
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.e_h) ** 2 + np.abs(self.e_v) ** 2
@@ -111,7 +110,7 @@ def vector_field_map(psi: HybridState, grid: Grid) -> VectorFieldMap:
     lg_p = lg_amplitude(+1, grid)
     e_h = psi.c0 * lg_m * E_L[0] + psi.c1 * lg_p * E_R[0]
     e_v = psi.c0 * lg_m * E_L[1] + psi.c1 * lg_p * E_R[1]
-    return VectorFieldMap(e_h, e_v, grid)
+    return VectorFieldMap(e_h, e_v)
 
 
 def project_polarization(m: VectorFieldMap, analyzer: np.ndarray) -> np.ndarray:

@@ -7,13 +7,16 @@ row carries the matching classical-memory bounds and the key-distribution
 threshold verdict; runs are bit-reproducible for a fixed (config, seed)
 pair.
 
-Jobs are batched over a job axis: states are prepared once per distinct
-(state, storage time), the memory's closed-form gains (memory.rail_gains)
-once per distinct storage time and the frame rotation's phases once per
-distinct angle; the light at the analyzers, the click statistics,
-tomography and fidelities work on arrays with one row per job.  A run
-draws all its click counts from one stream, default_rng(seed): job by job
-in enumeration order, each job's six projectors in H, V, D, A, R, L order.
+A job scenario runs over three axes, states x storage times x angles,
+state outermost (config._SCENARIOS gives each scenario's times and
+angles).  States are prepared once per listed state, the memory's
+closed-form gains (memory.rail_gains) once per listed storage time and the
+frame rotation's phases once per listed angle; broadcast against each
+other they give the light at the analyzers, flattened to a job axis, and
+the click statistics, tomography, fidelities and every ResultTable column
+work on arrays with one row per job.  A run draws all its click counts
+from one stream, default_rng(seed): job by job in that order, each job's
+six projectors in H, V, D, A, R, L order.
 The job_seed of every row is that run seed.  Arithmetic on the job axis is
 elementwise, so row 0 of a run is bit for bit the one-job run
 simulate_point(..., job_seed=seed).  The batch is a ResultTable of
@@ -39,8 +42,7 @@ import numpy as np
 from . import fields, hilbert, memory, optics, photodetection, security, tomography
 from .config import _SCENARIOS, BOUNDS_NBAR_GRID, ExperimentConfig
 from .hilbert import BasisTag, HybridState, named_state
-from .text import (_bounds_text, _distinct_bits, _parsed, _results_text, render_grid_csv,
-                   render_pgm, render_ppm)
+from .text import _bounds_text, _parsed, _results_text, render_grid_csv, render_pgm, render_ppm
 
 
 # the six projection weights of L- and R-polarized light: the leak of the
@@ -49,12 +51,11 @@ _LEAK_WEIGHTS = photodetection.projection_weights(
     np.array([(psi.c0, psi.c1) for psi in map(named_state, "LR")]))
 
 
-def _light(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]]
+def _light(cfg: ExperimentConfig, states, times, angles
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Signal weight per projector (J, 6), survival (J,) and decoded target
-    amplitudes (J, 2) of the light of each (state, time, angle) job at the
-    analyzers.  Rows are computed once per slot, a distinct (state, time),
-    and gathered per job.
+    amplitudes (J, 2) of the light at the analyzers, one row per job of the
+    axes: each state, then each storage time, then each angle.
 
     The memory is its closed form, memory.rail_gains.  A hybrid state comes
     back as itself with weight |g|^2, times the two plate passes; its leak
@@ -66,47 +67,45 @@ def _light(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]]
     on the real and imaginary parts.  Decoded hybrid states carry zero total
     angular momentum and do not turn.
     """
-    slots: dict[tuple[str, float], int] = {}
-    slot = np.array([slots.setdefault((state, t_us), len(slots)) for state, t_us, _ in jobs])
-    times: dict[float, int] = {}
-    time = [times.setdefault(t_us, len(times)) for _, t_us in slots]
-    inputs = [named_state(state) for state, _ in slots]
+    inputs = [named_state(state) for state in states]
     if cfg.encode_with_qplate:
         inputs = [optics.qplate_apply(psi, cfg.qplate)
                   if psi.basis_tag is BasisTag.POLARIZATION else psi for psi in inputs]
-    hybrid = np.array([psi.basis_tag is BasisTag.HYBRID_POINCARE for psi in inputs])
+    hybrid = np.array([psi.basis_tag is BasisTag.HYBRID_POINCARE for psi in inputs])[:, None]
     decoded = [optics.qplate_decode(psi, cfg.qplate) if hyb else psi
-               for psi, hyb in zip(inputs, hybrid.tolist())]
-    c, targets = (np.array([(psi.c0, psi.c1) for psi in states], dtype=complex)
-                  for states in (inputs, decoded))
-    g, h = (x[time, None] for x in memory.rail_gains(cfg.memory, list(times)))
-    pol = g * c + h * c[:, ::-1]
-    power = (np.abs(pol) ** 2).sum(1)
+               for psi, hyb in zip(inputs, hybrid.ravel().tolist())]
+    # amplitudes (S, 1, 2) against gains (T, 1): light (S, T, 2)
+    c, targets = (np.array([(psi.c0, psi.c1) for psi in psis], dtype=complex)[:, None]
+                  for psis in (inputs, decoded))
+    g, h = (x[:, None] for x in memory.rail_gains(cfg.memory, times))
+    pol = g * c + h * c[..., ::-1]
+    power = (np.abs(pol) ** 2).sum(-1)
     conv = optics.conversion_probability(cfg.qplate) ** 2   # encode and decode pass
-    weights = np.where(hybrid[:, None], conv * np.abs(np.hstack([g, c * h])) ** 2,
-                       np.pad(power[:, None], ((0, 0), (0, 2))))
-    # a slot that retrieves nothing keeps its target as the (weightless) light
-    amps = np.divide(pol, np.sqrt(power)[:, None], out=targets.copy(),
-                     where=(~hybrid & (power > 0))[:, None])[slot]
-    # angles told apart by bit pattern: -0.0 and 0.0 give phases with
-    # zeros of opposite sign
-    bits, angle = _distinct_bits([theta for _, _, theta in jobs])
-    phases = np.array([optics._frame_phases(theta) for theta in bits.view(float).tolist()])[angle]
-    turned = np.empty_like(amps)
+    gain = np.broadcast_to(g, power.shape + (1,))
+    weights = np.where(hybrid[..., None], conv * np.abs(np.concatenate([gain, c * h], -1)) ** 2,
+                       np.pad(power[..., None], ((0, 0), (0, 0), (0, 2))))
+    # light that retrieves nothing keeps its target as the (weightless) light
+    targets = np.broadcast_to(targets, pol.shape)
+    amps = np.divide(pol, np.sqrt(power)[..., None], out=targets.copy(),
+                     where=(~hybrid & (power > 0))[..., None])[:, :, None]
+    phases = np.array([optics._frame_phases(theta)
+                       for theta in np.asarray(angles, dtype=float).tolist()])
+    turned = np.empty(amps.shape[:2] + phases.shape, dtype=complex)
     turned.real = amps.real * phases.real - amps.imag * phases.imag
     turned.imag = amps.real * phases.imag + amps.imag * phases.real
-    w = weights[slot]
-    signal = (w[:, :1] * photodetection.projection_weights(
-        np.where(hybrid[slot, None], amps, turned))
-        + w[:, 1:2] * _LEAK_WEIGHTS[0] + w[:, 2:] * _LEAK_WEIGHTS[1])
-    return signal, w[:, 0] + w[:, 1] + w[:, 2], targets[slot]
+    # (S, T, A, ...) flattened to the job axis
+    light = np.where(hybrid[..., None, None], amps, turned).reshape(-1, 2)
+    w = weights.repeat(len(phases), 1).reshape(-1, 3)
+    signal = (w[:, :1] * photodetection.projection_weights(light)
+              + w[:, 1:2] * _LEAK_WEIGHTS[0] + w[:, 2:] * _LEAK_WEIGHTS[1])
+    return signal, w[:, 0] + w[:, 1] + w[:, 2], targets.repeat(len(phases), 1).reshape(-1, 2)
 
 
 def propagate(state_name: str, cfg: ExperimentConfig, t_us: float,
               theta: float) -> SimpleNamespace:
     """The light of one job at the analyzers: its ``signal`` (1, 6) and
     ``survival`` (1,), and its decoded ``target`` state."""
-    signal, survival, targets = _light(cfg, [(state_name, t_us, theta)])
+    signal, survival, targets = _light(cfg, [state_name], [t_us], [theta])
     target = HybridState(*targets[0].tolist(), BasisTag.POLARIZATION)
     return SimpleNamespace(signal=signal, survival=survival, target=target)
 
@@ -147,11 +146,9 @@ def detection_records(light: SimpleNamespace, cfg: ExperimentConfig,
 
 @dataclass(frozen=True, eq=False)   # == on array fields has no single truth value
 class ResultTable:
-    """Results of a batch of jobs as columns, one row per job: the array form
-    of the results, whose text form text.emit writes.
+    """Results of a batch of jobs as columns, each holding one value per job:
+    the array form of the results, whose text form text.emit writes.
 
-    Bounds and SNR depend on a job only through its survival, so they are
-    kept once per distinct survival and ``level`` gives each job's entry.
     A job has a background-corrected estimate (``corrected`` true) when it
     retrieved some signal and its counts, less the expected background,
     leave every basis pair more than zero clicks; the ``f_corr`` and
@@ -159,8 +156,8 @@ class ResultTable:
     """
 
     scenario: str
-    states: list[str]
-    times: list[float]          # storage times as given: int or float
+    states: list[str]           # (J,)
+    times: list[float]          # (J,) storage times as given: int or float
     seed: int                   # the stream all counts were drawn from
     angle_deg: np.ndarray       # (J,) round(degrees(theta), 9)
     f_raw: np.ndarray           # (J,)
@@ -170,10 +167,9 @@ class ResultTable:
     rho_raw: np.ndarray         # (J, 2, 2)
     rho_corr: np.ndarray        # (J, 2, 2)
     survival: np.ndarray        # (J,) clamped to [1e-12, 1]
-    level: np.ndarray           # (J,) index into the per-survival columns
-    bound_poisson: np.ndarray   # (S,)
-    bound_efficiency: np.ndarray  # (S,)
-    snr: np.ndarray | None      # (S,); None without background clicks
+    bound_poisson: np.ndarray   # (J,)
+    bound_efficiency: np.ndarray  # (J,)
+    snr: np.ndarray | None      # (J,); None without background clicks
     secure: np.ndarray          # (J,) Shor-Preskill verdict on f_raw
 
     def rows(self) -> list[dict]:
@@ -181,43 +177,44 @@ class ResultTable:
         return _parsed(_results_text(self)[1])
 
 
-def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
-              seed: int) -> ResultTable:
-    """Result table of (state, time, angle) jobs: the pipeline over a job axis.
+def _simulate(cfg: ExperimentConfig, states, times, angles, seed: int) -> ResultTable:
+    """Result table of the jobs of the axes (see _light): the pipeline over a
+    job axis.
 
     The counts of all jobs come from one stream, default_rng(seed), in job
-    order.
+    order.  Bounds and SNR depend on a job only through its survival, so
+    they are computed once per distinct survival.
     """
-    signal, survival, targets = _light(cfg, jobs)
+    signal, survival, targets = _light(cfg, states, times, angles)
+    job_states = [state for state in states for _ in range(len(times) * len(angles))]
+    job_times = [t_us for _ in states for t_us in times for _ in angles]
+    degrees = [round(math.degrees(theta), 9) for theta in np.asarray(angles, dtype=float).tolist()]
     counts, bg_expected, _ = _detect(cfg, signal, survival, seed)
     try:
-        stokes, rho_raw = tomography.reconstruct(counts, bg_expected)
+        stokes, rho_raw = tomography.reconstruct(counts)
     except tomography.InsufficientCounts as exc:
-        state, t_us, theta = jobs[int(np.argwhere(counts[:, 0::2] + counts[:, 1::2] == 0)[0, 0])]
+        j = int(np.argwhere(counts[:, 0::2] + counts[:, 1::2] == 0)[0, 0])
         raise tomography.InsufficientCounts(
-            f"{exc} in the job of {state} at {t_us} us, {round(math.degrees(theta), 9)} deg"
-        ) from None
+            f"{exc} in the job of {job_states[j]} at {job_times[j]} us, "
+            f"{degrees[j % len(angles)]} deg") from None
     f_raw = hilbert.fidelities(rho_raw, targets)
     net = tomography.subtract_background(counts, bg_expected)
     corrected = (survival > 0) & (net[:, 0::2] + net[:, 1::2] > 0).all(1)
     f_corr, rho_corr = np.zeros_like(f_raw), np.zeros_like(rho_raw)
-    _, rho = tomography.reconstruct(net[corrected], 0.0)
+    _, rho = tomography.reconstruct(net[corrected])
     f_corr[corrected] = hilbert.fidelities(rho, targets[corrected])
     rho_corr[corrected] = rho
 
     nbar, bg = cfg.source.nbar, cfg.memory.bg_click
     survival = np.minimum(1.0, np.maximum(1e-12, survival))
-    bits, angle = _distinct_bits([theta for _, _, theta in jobs])
-    angles = bits.view(float).tolist()
     levels, level = np.unique(survival, return_inverse=True)
     levels = levels.tolist()
     return ResultTable(
         scenario=cfg.scenario,
-        states=[state for state, _, _ in jobs],
-        times=[t_us for _, t_us, _ in jobs],
+        states=job_states,
+        times=job_times,
         seed=seed,
-        angle_deg=np.array([round(math.degrees(theta), 9) for theta in angles],
-                           dtype=float)[angle],
+        angle_deg=np.tile(degrees, len(states) * len(times)),
         f_raw=f_raw,
         f_corr=f_corr,
         corrected=corrected,
@@ -225,12 +222,12 @@ def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
         rho_raw=rho_raw,
         rho_corr=rho_corr,
         survival=survival,
-        level=level,
-        bound_poisson=np.full(len(levels), security.classical_bound_poisson(nbar)),
+        bound_poisson=np.full(len(survival), security.classical_bound_poisson(nbar)),
         bound_efficiency=np.array([
             security.classical_bound_with_efficiency(security.BenchmarkInput(nbar, s))
-            for s in levels]),
-        snr=np.array([photodetection.snr_of(nbar, s, bg) for s in levels]) if bg > 0 else None,
+            for s in levels])[level],
+        snr=np.array([photodetection.snr_of(nbar, s, bg) for s in levels])[level]
+        if bg > 0 else None,
         secure=security.shor_preskill_passes(f_raw),
     )
 
@@ -238,7 +235,7 @@ def _simulate(cfg: ExperimentConfig, jobs: list[tuple[str, float, float]],
 def simulate_point(state_name: str, cfg: ExperimentConfig, t_us: float,
                    theta: float, job_seed: int) -> dict:
     """One (state, time, angle) job: its results.jsonl line, parsed."""
-    return _simulate(cfg, [(state_name, t_us, theta)], job_seed).rows()[0]
+    return _simulate(cfg, [state_name], [t_us], [theta], job_seed).rows()[0]
 
 
 # --- scenario runners --------------------------------------------------------
@@ -249,12 +246,6 @@ class Report:
     (file name, text) pairs of any other scenario's files."""
     table: ResultTable | None = None
     texts: list[tuple[str, str]] = field(default_factory=list)
-
-
-def _jobs(cfg: ExperimentConfig) -> list[tuple[str, float, float]]:
-    """Canonical job enumeration of the scenario; empty without jobs."""
-    enumerate_jobs = _SCENARIOS[cfg.scenario][1]
-    return [] if enumerate_jobs is None else enumerate_jobs(cfg)
 
 
 def run(cfg: ExperimentConfig) -> Report:
@@ -293,4 +284,5 @@ def run(cfg: ExperimentConfig) -> Report:
                     texts[key] = render(*arrays)
                 report.texts.append((file, texts[key]))
         return report
-    return Report(table=_simulate(cfg, _jobs(cfg), cfg.seed))
+    times, angles = _SCENARIOS[cfg.scenario][1](cfg)
+    return Report(table=_simulate(cfg, cfg.input_states, times, angles, cfg.seed))

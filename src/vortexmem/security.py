@@ -13,6 +13,7 @@ matched exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,7 @@ def classical_bound_poisson(nbar: float) -> float:
     if nbar <= 0.0:
         raise RangeError("nbar must be > 0")
     nonvac, terms = _nonvacuum_terms(nbar)
-    if nonvac == 0.0:   # nbar below double resolution: single-photon limit
+    if nonvac < sys.float_info.min:   # subnormal: the single-photon limit
         return 2.0 / 3.0
     total = sum((n + 2) / (n + 3) * p for n, p in enumerate(terms))
     return total / nonvac
@@ -82,12 +83,12 @@ def classical_bound_with_efficiency(b: BenchmarkInput) -> float:
     Equals the Poisson bound at eta = 1.
     """
     nonvac, terms = _nonvacuum_terms(b.nbar)
-    if nonvac == 0.0:
+    if nonvac < sys.float_info.min:
         return 2.0 / 3.0
     target = b.eta * nonvac
-    if target == 0.0:
-        # eta * (1 - P(0)) underflowed: the limit of a vanishing budget,
-        # spent on the highest photon number of the series alone
+    if target < sys.float_info.min:
+        # eta * (1 - P(0)) is subnormal, too coarse for the ratios: the limit
+        # of a vanishing budget, spent on the highest photon number alone
         return (len(terms) + 1) / (len(terms) + 2)
     available = sum(terms)
     if target > available * (1.0 + 1e-12):

@@ -290,18 +290,17 @@ def _results_text(table) -> tuple[list[str], list[str]]:
     lines are filled column by column from its cell texts.
     """
     n = len(table.states)
-    level = table.level
     block = np.column_stack([
         table.angle_deg,                                          # 0
-        table.bound_efficiency[level],                            # 1
-        table.bound_poisson[level],                               # 2
+        table.bound_efficiency,                                   # 1
+        table.bound_poisson,                                      # 2
         table.f_corr,                                             # 3
         table.f_raw,                                              # 4
         table.rho_corr.imag.reshape(n, 4),                        # 5-8
         table.rho_corr.real.reshape(n, 4),                        # 9-12
         table.rho_raw.imag.reshape(n, 4),                         # 13-16
         table.rho_raw.real.reshape(n, 4),                         # 17-20
-        np.zeros(n) if table.snr is None else table.snr[level],   # 21
+        np.zeros(n) if table.snr is None else table.snr,          # 21
         table.stokes,                                             # 22-24
         table.survival,                                           # 25
         np.array([0.0 if type(t) is int else t for t in table.times]),  # 26
@@ -354,14 +353,13 @@ def _summary(table) -> str:
     names = {state: "%10s" % state for state in set(table.states)}
     f_corr = ["%.4f" % f if ok else "  none"
               for f, ok in zip(table.f_corr.tolist(), table.corrected.tolist())]
-    bound = np.array(["%.4f" % b for b in table.bound_efficiency.tolist()], dtype=object)
     return "".join(_fill(_SUMMARY_ROW, [
         [names[s] for s in table.states],
         _formatted("%6.1f", table.angle_deg),
         _formatted("%5.2f", np.array(table.times, dtype=float)),
         list(map("%.4f".__mod__, table.f_raw.tolist())),
         f_corr,
-        bound[table.level].tolist(),
+        _formatted("%.4f", table.bound_efficiency),
         _YES_NO[table.secure.astype(int)].tolist()]))
 
 

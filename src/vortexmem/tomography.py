@@ -70,16 +70,12 @@ def project_to_ball(stokes: np.ndarray) -> np.ndarray:
     return np.divide(stokes, length, out=stokes.copy(), where=length > 1.0)
 
 
-def reconstruct(counts: np.ndarray, bg_expected, subtract_bg: bool = False
-                ) -> tuple[np.ndarray, np.ndarray]:
+def reconstruct(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear-inversion tomography of a stack of count records.
 
-    ``counts`` is (N, 6) in PROJECTOR_ORDER, ``bg_expected`` the expected
-    background clicks, broadcast against it.  Returns the Stokes vectors
+    ``counts`` is (N, 6) in PROJECTOR_ORDER.  Returns the Stokes vectors
     (N, 3) before projection and the physical density matrices (N, 2, 2).
     """
-    if subtract_bg:
-        counts = subtract_background(counts, bg_expected)
     stokes = stokes_of(counts)
     return stokes, densities_from_bloch(project_to_ball(stokes))
 
@@ -107,7 +103,9 @@ def _by_projector(records: Iterable[CountRecord]) -> dict[str, CountRecord]:
 def tomograph(records: Iterable[CountRecord], subtract_bg: bool = False) -> TomographyResult:
     """Reconstruct a physical density matrix from six count records."""
     counts, bg = _count_arrays(records)
-    stokes, rho = reconstruct(counts, bg, subtract_bg)
+    if subtract_bg:
+        counts = subtract_background(counts, bg)
+    stokes, rho = reconstruct(counts)
     rho = rho[0]
     rho.setflags(write=False)
     return TomographyResult(rho, StokesEstimate(*stokes[0].tolist()))
@@ -153,8 +151,10 @@ def bootstrap_fidelity(records: Iterable[CountRecord], target: HybridState,
                       n_resamples, operator.index(seed))
     column = {r.projector_id: i for i, r in enumerate(records)}
     counts = draws[:, [column[k] for k in PROJECTOR_ORDER]]
-    bg = np.array([table[k].bg_clicks_expected for k in PROJECTOR_ORDER], dtype=float)
-    _, rho = reconstruct(counts, bg, subtract_bg)
+    if subtract_bg:
+        bg = np.array([table[k].bg_clicks_expected for k in PROJECTOR_ORDER], dtype=float)
+        counts = subtract_background(counts, bg)
+    _, rho = reconstruct(counts)
     fids = fidelities(rho, target.vector()[None])
     # the ufunc reductions of ndarray.mean and ndarray.std, without their wrappers
     n = len(fids)

@@ -25,6 +25,7 @@ this file as the byte-exact reference.
 import cmath
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -456,11 +457,17 @@ def bounds_rows(cfg):
     } for nbar in sorted(set(config.BOUNDS_NBAR_GRID) | {cfg.source.nbar})]
 
 
+def axes(cfg):
+    """The (states, times, angles) of a job scenario: its jobs, in run order,
+    are itertools.product(*axes(cfg))."""
+    return (cfg.input_states, *config._SCENARIOS[cfg.scenario][1](cfg))
+
+
 def run(cfg):
     """pipeline.run for the three job scenarios, one job at a time."""
     report = Report()
     rng = np.random.default_rng(cfg.seed)
-    for state, t_us, theta in pipeline._jobs(cfg):
+    for state, t_us, theta in itertools.product(*axes(cfg)):
         report.rows.append(simulate_point(state, cfg, t_us, theta, cfg.seed, rng))
     return report
 
@@ -475,11 +482,11 @@ def table_rows(table):
         return [{"real": re, "imag": im} for re, im in zip(rho.real.tolist(), rho.imag.tolist())]
 
     n = len(table.states)
-    snr = [None] * n if table.snr is None else table.snr[table.level].tolist()
+    snr = [None] * n if table.snr is None else table.snr.tolist()
     columns = zip(table.states, table.times, table.angle_deg.tolist(), table.f_raw.tolist(),
                   table.f_corr.tolist(), table.corrected.tolist(),
-                  table.bound_poisson[table.level].tolist(),
-                  table.bound_efficiency[table.level].tolist(), table.secure.tolist(),
+                  table.bound_poisson.tolist(),
+                  table.bound_efficiency.tolist(), table.secure.tolist(),
                   table.survival.tolist(), snr, table.stokes.tolist(),
                   matrices(table.rho_raw), matrices(table.rho_corr))
     return [{

@@ -1,5 +1,6 @@
 """The batched pipeline against the per-job reference oracles, bit for bit."""
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -14,6 +15,7 @@ from helpers import assert_same_text
 from vortexmem import cli, config, hilbert, optics, photodetection, pipeline, text, tomography
 from vortexmem.hilbert import NonPhysicalDensity, OutsideBall
 from vortexmem.photodetection import RangeError
+from vortexmem.text import CSV_COLUMNS
 from vortexmem.tomography import InsufficientCounts
 
 ALL_STATES = list(hilbert.HYBRID_SPHERE_NAMES + hilbert.POLARIZATION_NAMES)
@@ -103,11 +105,29 @@ def test_rotation_runs_once_per_distinct_angle(monkeypatch):
     count(photodetection, "projection_weights")
     cfg = replace(config.default_config("fidelity_vs_rotation"),
                   rotation_angles=tuple(math.radians(i / 10) for i in range(600)))
-    table = pipeline._simulate(cfg, pipeline._jobs(cfg), cfg.seed)
+    table = pipeline._simulate(cfg, *oracles.axes(cfg), cfg.seed)
     assert calls["_frame_phases"] == 600
     assert 1 <= calls["projection_weights"] <= 3
     assert set(calls) == {"_frame_phases", "projection_weights"}
     assert len(table.states) == 600 * len(cfg.input_states)
+
+
+def _matches_oracles(cfg, jobs, capsys) -> dict:
+    """Check a run of ``jobs`` jobs row by row against the per-job pipeline,
+    and its files and stdout against the per-row writers, run from the
+    current directory; returns the package's outputs."""
+    batch, oracle = pipeline.run(cfg), oracles.run(cfg)
+    assert len(batch.table.rows()) == len(oracle.rows) == jobs
+    for got, want in zip(batch.table.rows(), oracle.rows):
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    Path("config.json").write_text(json.dumps(config.config_to_dict(cfg)))
+    outputs = {}
+    for name, main in (("cli", cli.main), ("oracle", oracles.main)):
+        assert main(["--config", "config.json", "--out", name]) == 0
+        outputs[name] = {p.name: p.read_bytes() for p in Path(name).iterdir()}
+        outputs[name]["stdout"] = capsys.readouterr().out.replace(name, "OUT").encode()
+    assert_same_text(outputs["cli"], outputs["oracle"])
+    return outputs["cli"]
 
 
 def test_repeated_and_signed_zero_angles_match_oracles(tmp_path, monkeypatch, capsys):
@@ -116,19 +136,25 @@ def test_repeated_and_signed_zero_angles_match_oracles(tmp_path, monkeypatch, ca
     per-row writers."""
     angles = (0.0, -0.0, 0.3, -0.3, 0.3, -0.0, 0.0, 2.0, 0)
     cfg = replace(_config("fidelity_vs_rotation", 150_000, 0.05, False), rotation_angles=angles)
-    batch, oracle = pipeline.run(cfg), oracles.run(cfg)
-    assert len(batch.table.rows()) == len(oracle.rows) == len(angles) * len(ALL_STATES)
-    for got, want in zip(batch.table.rows(), oracle.rows):
-        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     monkeypatch.chdir(tmp_path)
-    Path("config.json").write_text(json.dumps(config.config_to_dict(cfg)))
-    outputs = {}
-    for name, main in (("cli", cli.main), ("oracle", oracles.main)):
-        assert main(["--config", "config.json", "--out", name]) == 0
-        outputs[name] = {p.name: p.read_bytes() for p in Path(name).iterdir()}
-        outputs[name]["stdout"] = capsys.readouterr().out.replace(name, "OUT").encode()
-    assert b"-0.0" in outputs["cli"]["results.csv"]
-    assert_same_text(outputs["cli"], outputs["oracle"])
+    outputs = _matches_oracles(cfg, len(angles) * len(ALL_STATES), capsys)
+    assert b"-0.0" in outputs["results.csv"]
+
+
+@pytest.mark.parametrize("scenario, axis, values", [
+    ("store_tomography", "input_states", ("radial", "H", "radial")),
+    ("fidelity_vs_time", "storage_times", (1, 1.0, 7.0, 1)),
+], ids=["states", "times"])
+def test_repeated_states_and_times_match_oracles(tmp_path, monkeypatch, capsys,
+                                                 scenario, axis, values):
+    """A state or storage time listed twice is a job of its own each time,
+    and an int time keeps its integer text."""
+    cfg = replace(_config(scenario, 150_000, 0.05, True), **{axis: values})
+    monkeypatch.chdir(tmp_path)
+    jobs = len(cfg.input_states) * (len(values) if axis == "storage_times" else 1)
+    lines = _matches_oracles(cfg, jobs, capsys)["results.csv"].decode().splitlines()
+    column = CSV_COLUMNS.index("state" if axis == "input_states" else "time_us")
+    assert [line.split(",")[column] for line in lines[1:1 + len(values)]] == list(map(str, values))
 
 
 @pytest.mark.parametrize("trials, bg", [(150_000, 0.01), (0, 1.0 - 2.0**-53)],
@@ -152,10 +178,11 @@ def test_one_job_run_is_row_zero_of_a_run_at_its_seed():
     # the job axis: the first job of any run is the one-job run at its seed
     for scenario in ("fidelity_vs_rotation", "store_tomography", "fidelity_vs_time"):
         cfg = _config(scenario, 150_000, 0.05, True, seed=17)
-        state, t_us, theta = pipeline._jobs(cfg)[0]
+        jobs = list(itertools.product(*oracles.axes(cfg)))
+        state, t_us, theta = jobs[0]
         got = pipeline.simulate_point(state, cfg, t_us, theta, 17)
         want = pipeline.run(cfg).table.rows()[0]
-        assert len(pipeline._jobs(cfg)) > 1
+        assert len(jobs) > 1
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
@@ -194,9 +221,9 @@ def test_zero_count_pair_raises_in_batch():
     counts = np.array([[10, 5, 3, 3, 8, 1],
                        [10, 5, 0, 0, 8, 1]])
     with pytest.raises(InsufficientCounts, match=r"\(D, A\)"):
-        tomography.reconstruct(counts, 0.0)
+        tomography.reconstruct(counts)
     with pytest.raises(InsufficientCounts):
-        tomography.reconstruct(counts[:1], 3.5, subtract_bg=True)
+        tomography.reconstruct(tomography.subtract_background(counts[:1], 3.5))
 
 
 @pytest.mark.parametrize("call, error", [

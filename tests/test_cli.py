@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from vortexmem import cli, hilbert, photodetection, pipeline, text, tomography
 from vortexmem.cli import load_config
 from vortexmem.config import (
@@ -19,6 +21,7 @@ from vortexmem.config import (
     config_to_dict,
     default_config,
 )
+from vortexmem.security import BenchmarkInput, classical_bound_with_efficiency
 from vortexmem.text import CSV_COLUMNS
 
 NOISELESS_ROTATION = {
@@ -183,8 +186,9 @@ class TestMainExitCodes:
         rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
         cfg = load_config(path, None, None)
         assert cfg.seed == 12345
-        jobs = pipeline._jobs(cfg)
-        signal, survival, _ = pipeline._light(cfg, jobs)
+        axes = oracles.axes(cfg)
+        jobs = list(itertools.product(*axes))
+        signal, survival, _ = pipeline._light(cfg, *axes)
         counts, bg_expected, _ = pipeline._detect(cfg, signal, survival, cfg.seed)
         net = tomography.subtract_background(counts, bg_expected)
         emptied = (net[:, 0::2] + net[:, 1::2] == 0).any(1).tolist()
@@ -249,6 +253,19 @@ class TestScenarios:
         assert set(by_nbar) == {0.1, 0.5, 1.0}
         assert float(by_nbar[0.5]["bound_poisson"]) == pytest.approx(0.6878, abs=5e-4)
         assert float(by_nbar[0.5]["bound_efficiency"]) == pytest.approx(0.74779, abs=1e-4)
+
+    def test_bounds_table_at_a_subnormal_budget(self, tmp_path):
+        # eta0 * (1 - P(0)) is subnormal at every nbar: each row gets the
+        # vanishing-budget limit, the bound at a tiny normal efficiency
+        path = _write_config(tmp_path, {"scenario": "bounds_table", "memory": {"eta0": 1e-322}})
+        out = tmp_path / "o"
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 0
+        with (out / "bounds.csv").open(newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [float(row["nbar"]) for row in rows] == [0.1, 0.5, 1.0]
+        for row in rows:
+            want = classical_bound_with_efficiency(BenchmarkInput(float(row["nbar"]), 1e-300))
+            assert float(row["bound_efficiency"]) == pytest.approx(want, abs=1e-12)
 
     def test_csv_columns_stable(self, tmp_path):
         out = tmp_path / "run"
@@ -364,7 +381,7 @@ class TestConvergence:
         probs = photodetection.click_probabilities(
             cfg.source.nbar, light.survival, light.signal / light.survival[:, None],
             cfg.memory.bg_click)
-        _, rho = tomography.reconstruct(probs, 0.0)
+        _, rho = tomography.reconstruct(probs)
         f_inf = hilbert.fidelities(rho, light.target.vector()[None])[0]
         assert f_inf == pytest.approx(0.96700, abs=5e-6)
         errors = []

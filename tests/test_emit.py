@@ -2,6 +2,7 @@
 table against the per-row writers (json.dumps, csv.DictWriter, print), byte
 for byte; and the package's rows, which are its results.jsonl lines parsed."""
 
+import itertools
 import json
 import math
 import shutil
@@ -79,7 +80,7 @@ def test_rows_are_the_parsed_results_jsonl_lines(tmp_path, capsys, payload):
     want = [json.dumps(row, sort_keys=True) for row in oracles.table_rows(report.table)]
     assert [json.dumps(row, sort_keys=True) for row in rows] == lines == want
     # one stream per run: the first job is the one-job run at the run seed
-    state, t_us, theta = pipeline._jobs(cfg)[0]
+    state, t_us, theta = next(itertools.product(*oracles.axes(cfg)))
     point = pipeline.simulate_point(state, cfg, t_us, theta, cfg.seed)
     assert json.dumps(point, sort_keys=True) == lines[0]
 

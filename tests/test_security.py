@@ -163,6 +163,21 @@ class TestEfficiencyBound:
             BenchmarkInput(0.5, 1.2)
 
 
+@pytest.mark.parametrize("nbar, eta, want", [
+    (5e-324, None, 2 / 3),
+    (1e-320, None, 2 / 3),
+    (0.5, 1e-322, 14 / 15),
+    (0.5, 1e-318, 14 / 15),
+])
+def test_subnormal_nbar_or_budget_gives_the_limit(nbar, eta, want):
+    # 1 - P(0), or the budget eta * (1 - P(0)), is subnormal and carries too
+    # few bits for the ratios: the bound is the limit it tends to, the single
+    # photon or, for a vanishing budget at nbar = 0.5, the top term N = 13
+    bound = (classical_bound_poisson(nbar) if eta is None
+             else classical_bound_with_efficiency(BenchmarkInput(nbar, eta)))
+    assert bound == pytest.approx(want, abs=1e-12)
+
+
 class TestShorPreskill:
     def test_measured_average_passes(self):
         assert shor_preskill_passes(np.array([0.967])).tolist() == [True]
