@@ -66,6 +66,10 @@ class ExperimentConfig:
                 raise ConfigError(f"input_states: unknown state {name!r}")
         if not self.input_states and self.scenario != "bounds_table":
             raise ConfigError("input_states: must not be empty")
+        repeated = sorted({s for s in self.input_states if self.input_states.count(s) > 1})
+        if repeated and self.scenario in ("store_tomography", "field_maps"):
+            raise ConfigError(f"input_states: {repeated} listed more than once; "
+                              f"{self.scenario} keys its outputs by state name")
         for name in ("trials_per_projection", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):

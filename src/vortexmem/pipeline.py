@@ -26,9 +26,10 @@ results.jsonl lines, parsed.
 
 A run returns a Report: the ResultTable of a job scenario, or the
 finished (file name, text) pairs of bounds_table and field_maps.  In
-field_maps, states whose intensity (and, for the PPM, azimuth) arrays are
-bit-identical share their rendered text: each distinct array is rendered
-once per run.
+field_maps each distinct text is made once per run: a PGM per distinct grid
+of 16-bit samples (keyed on them, as intensities that differ in their last
+bits scale to the same samples), a PPM per distinct (azimuth, intensity)
+pair, and the CSVs of all distinct intensities from one repr table.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ import numpy as np
 from . import fields, hilbert, memory, optics, photodetection, security, tomography
 from .config import _SCENARIOS, BOUNDS_NBAR_GRID, ExperimentConfig
 from .hilbert import BasisTag, HybridState, named_state
-from .text import _bounds_text, _parsed, _results_text, render_grid_csv, render_pgm, render_ppm
+from .text import (_bounds_text, _parsed, _pgm_samples, _results_text, render_grid_csvs,
+                   render_pgm, render_ppm)
 
 
 # the six projection weights of L- and R-polarized light: the leak of the
@@ -265,24 +267,28 @@ def run(cfg: ExperimentConfig) -> Report:
         import hashlib   # here rather than at the top: it slows every import of the cli
 
         grid = fields.Grid()
-        report = Report()
-        # each text rendered once per run, keyed on the renderer and the SHA-256
-        # of its input arrays (all of one shape and dtype)
-        texts: dict[tuple, str] = {}
+        # texts by the SHA-256 of what they show (pgm_of: each intensity's PGM);
+        # the distinct intensities are kept for their CSVs
+        intensities, pgms, pgm_of, ppms, maps = {}, {}, {}, {}, []
         for name in cfg.input_states:
             fmap = fields.vector_field_map(named_state(name), grid)
             intensity = fmap.intensity()
             hue = fields.polarization_azimuth(fmap) / math.pi
             i, h = (hashlib.sha256(np.ascontiguousarray(a)).digest() for a in (intensity, hue))
-            for file, render, arrays, digests in (
-                (f"{name}_intensity.pgm", render_pgm, (intensity,), (i,)),
-                (f"{name}_polarization.ppm", render_ppm, (hue, intensity), (h, i)),
-                (f"{name}_intensity.csv", render_grid_csv, (intensity,), (i,)),
-            ):
-                key = (render, *digests)
-                if key not in texts:
-                    texts[key] = render(*arrays)
-                report.texts.append((file, texts[key]))
-        return report
+            if i not in intensities:
+                intensities[i] = intensity
+                samples = hashlib.sha256(_pgm_samples(intensity)).digest()
+                if samples not in pgms:
+                    pgms[samples] = render_pgm(intensity)
+                pgm_of[i] = pgms[samples]
+            if (h, i) not in ppms:
+                ppms[h, i] = render_ppm(hue, intensity)
+            maps.append((name, i, h))
+        del fmap, intensity, hue   # the last map's arrays, before the CSVs' peak
+        csvs = dict(zip(intensities, render_grid_csvs(list(intensities.values()))))
+        return Report(texts=[text for name, i, h in maps for text in (
+            (f"{name}_intensity.pgm", pgm_of[i]),
+            (f"{name}_polarization.ppm", ppms[h, i]),
+            (f"{name}_intensity.csv", csvs[i]))])
     times, angles = _SCENARIOS[cfg.scenario][1](cfg)
     return Report(table=_simulate(cfg, cfg.input_states, times, angles, cfg.seed))

@@ -13,7 +13,9 @@ _float_text).  Each column then becomes a list of cell texts, and _fill
 interleaves a line template's literal pieces with those lists, so no
 line is formatted on its own.  emit writes the results files chunk by
 chunk as _fill returns them.  The stdout table is filled the same way,
-its state, angle and time cells formatted once per distinct value.
+its state, angle and time cells formatted once per distinct value.  The
+field-map CSVs of a run share one _float_text, and a PGM's text depends on
+its 16-bit samples alone, which the pipeline keys it on.
 """
 
 from __future__ import annotations
@@ -66,34 +68,41 @@ def _pixmap_text(magic: str, width: int, height: int, maxval: int,
     return f"{magic}\n{width} {height}\n{maxval}\n" + rows
 
 
+def _pgm_samples(intensity: np.ndarray) -> np.ndarray:
+    """The 16-bit samples of an intensity's PGM: rint(scaled intensity * 65535)."""
+    return np.rint(_scaled(intensity) * 65535).astype(int)
+
+
 def render_pgm(intensity: np.ndarray) -> str:
     """ASCII PGM (P2) at maxval 65535, intensity scaled to the full gray range."""
-    pixels = np.rint(_scaled(intensity) * 65535).astype(int)
+    pixels = _pgm_samples(intensity)
     return _pixmap_text("P2", pixels.shape[1], pixels.shape[0], 65535, pixels)
 
 
-# (r, g, b) of each hue sector as indices into the corners (v, q, p, t)
-_HSV_SECTORS = np.array([[0, 3, 2], [1, 0, 2], [2, 0, 3], [2, 1, 0], [3, 2, 0], [0, 2, 1]],
-                        dtype=np.int8)
+# (r, g, b) of each hue sector as indices into the corners (v, q, p, t); 6 (h = 1) is 0
+_HSV_SECTORS = np.array([[0, 3, 2], [1, 0, 2], [2, 0, 3], [2, 1, 0], [3, 2, 0], [0, 2, 1],
+                         [0, 3, 2]], dtype=np.intp)
 
 
 def _hsv_to_rgb(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """RGB (..., 3) of hue h in [0, 1) and value v at full saturation."""
-    h6 = h * 6.0
-    sector = np.floor(h6)
-    f = h6 - sector
+    """RGB (..., 3) of hue h in [0, 1] and value v at full saturation."""
+    f = h * 6.0
+    index = _HSV_SECTORS.take(np.floor(f).astype(np.intp), axis=0)
+    f -= np.floor(f)
     corners = np.zeros(v.shape + (4,))   # p = v * (1 - s) = 0
     corners[..., 0] = v
     corners[..., 1] = v * (1.0 - f)
     corners[..., 3] = v * f
-    return np.take_along_axis(corners, _HSV_SECTORS[sector.astype(int) % 6], axis=-1)
+    index += np.arange(0, corners.size, 4).reshape(v.shape + (1,))   # into the flat corners
+    return corners.take(index)
 
 
 def render_ppm(hue: np.ndarray, intensity: np.ndarray) -> str:
     """ASCII PPM (P3) at maxval 255: hue encodes polarization azimuth, value the intensity."""
     if not np.isfinite(hue).all():
         raise ValueError("pixmap hue must be finite")
-    rgb = _hsv_to_rgb(np.mod(hue, 1.0), _scaled(intensity))
+    # hue mod 1: the exact difference rounded once, +0.0 at integers and -0.0
+    rgb = _hsv_to_rgb(hue - np.floor(hue), _scaled(intensity))
     pixels = np.rint(rgb * 255).astype(int)
     ny, nx = hue.shape
     return _pixmap_text("P3", nx, ny, 255, pixels.reshape(ny, 3 * nx))
@@ -139,13 +148,17 @@ def _float_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return distinct, text, inverse
 
 
-def render_grid_csv(values: np.ndarray) -> str:
-    """CSV of a 2-D float grid, each cell the shortest round-trip repr.
+def render_grid_csvs(grids: list[np.ndarray]) -> list[str]:
+    """The CSV of each 2-D float grid, each cell the shortest round-trip repr.
 
-    A float repr holds no delimiter or quote, so the rows need no CSV quoting.
-    """
-    _, text, inverse = _float_text(values)
-    return "".join(",".join(row) + "\n" for row in text[inverse].tolist())
+    The distinct values of all grids go through one _float_text, so a value
+    (or magnitude) in several grids is formatted once.  A float repr holds no
+    delimiter or quote, so the rows need no CSV quoting."""
+    bits, inverses = zip(*map(_distinct_bits, grids))
+    _, text, at = _float_text(np.concatenate(bits).view(float))
+    starts = np.cumsum([0, *map(len, bits)]).tolist()
+    return ["".join(",".join(row) + "\n" for row in text[at[start + inverse]].tolist())
+            for start, inverse in zip(starts, inverses)]
 
 
 # --- offline count records ---------------------------------------------------

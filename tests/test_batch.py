@@ -141,20 +141,22 @@ def test_repeated_and_signed_zero_angles_match_oracles(tmp_path, monkeypatch, ca
     assert b"-0.0" in outputs["results.csv"]
 
 
-@pytest.mark.parametrize("scenario, axis, values", [
-    ("store_tomography", "input_states", ("radial", "H", "radial")),
-    ("fidelity_vs_time", "storage_times", (1, 1.0, 7.0, 1)),
+@pytest.mark.parametrize("axis, values", [
+    ("input_states", ("radial", "H", "radial")),
+    ("storage_times", (1, 1.0, 7.0, 1)),
 ], ids=["states", "times"])
-def test_repeated_states_and_times_match_oracles(tmp_path, monkeypatch, capsys,
-                                                 scenario, axis, values):
+def test_repeated_states_and_times_match_oracles(tmp_path, monkeypatch, capsys, axis, values):
     """A state or storage time listed twice is a job of its own each time,
     and an int time keeps its integer text."""
-    cfg = replace(_config(scenario, 150_000, 0.05, True), **{axis: values})
+    cfg = replace(_config("fidelity_vs_time", 150_000, 0.05, True), **{axis: values})
     monkeypatch.chdir(tmp_path)
-    jobs = len(cfg.input_states) * (len(values) if axis == "storage_times" else 1)
+    jobs = len(cfg.input_states) * len(cfg.storage_times)
     lines = _matches_oracles(cfg, jobs, capsys)["results.csv"].decode().splitlines()
+    # states are the outer axis: one state per len(storage_times) lines
+    step = len(cfg.storage_times) if axis == "input_states" else 1
     column = CSV_COLUMNS.index("state" if axis == "input_states" else "time_us")
-    assert [line.split(",")[column] for line in lines[1:1 + len(values)]] == list(map(str, values))
+    assert [line.split(",")[column] for line in lines[1::step][:len(values)]] == \
+        list(map(str, values))
 
 
 @pytest.mark.parametrize("trials, bg", [(150_000, 0.01), (0, 1.0 - 2.0**-53)],

@@ -115,11 +115,14 @@ class TestMainExitCodes:
         {"scenario": "store_tomography", "qplate": {"q": 1e308}},
         {"scenario": "store_tomography", "storage_times": [10**400]},
         {"scenario": "store_tomography", "storage_times": [1e200]},
+        {"scenario": "store_tomography", "input_states": ["radial", "H", "radial"]},
+        {"scenario": "field_maps", "input_states": ["radial", "radial"]},
     ], ids=["unknown_scenario", "fractional_seed", "fractional_trials", "nan_alpha0", "nan_nbar",
             "charge_1_5", "charge_0", "string_encode_flag", "nbar_past_series",
             "bounds_nbar_past_series", "huge_trials", "huge_alpha0", "angle_overflows_degrees",
             "bounds_zero_nbar", "bounds_zero_eta", "huge_charge", "huge_int_time",
-            "time_overflows_envelope"])
+            "time_overflows_envelope", "store_tomography_repeated_state",
+            "field_maps_repeated_state"])
     def test_config_error_is_2(self, tmp_path, payload):
         path = _write_config(tmp_path, payload)
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "o")])
@@ -365,7 +368,8 @@ class TestDeterminism:
     def test_streams_of_neighbouring_seeds_share_no_counts(self):
         # a seed-XOR-job-index rule gave job 1 at seed 0 the stream of job 0
         # at seed 1; one stream per run keeps every row of the two runs apart
-        base = {"scenario": "store_tomography", "input_states": ["radial", "radial"]}
+        base = {"scenario": "fidelity_vs_time", "input_states": ["radial", "radial"],
+                "storage_times": [1.0]}
         rows = [tuple(row["stokes_raw"]) for seed in (0, 1)
                 for row in pipeline.run(config_from_dict({**base, "seed": seed})).table.rows()]
         assert len(set(rows)) == 4
@@ -387,7 +391,9 @@ class TestConvergence:
         errors = []
         for trials in (10**4, 10**5, 10**6):
             raw = config_to_dict(cfg)
-            raw.update(trials_per_projection=trials, seed=seed, input_states=["radial"] * 200)
+            # store_tomography's one job per state, in a scenario that lets a state repeat
+            raw.update(scenario="fidelity_vs_time", storage_times=cfg.storage_times[:1],
+                       trials_per_projection=trials, seed=seed, input_states=["radial"] * 200)
             f = pipeline.run(config_from_dict(raw)).table.f_raw
             se = f.std(ddof=1) / math.sqrt(len(f))
             assert abs(f.mean() - f_inf) <= 4 * se

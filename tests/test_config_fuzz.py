@@ -101,6 +101,8 @@ def configs(draw):
     raw["trials_per_projection"] = draw(_FIELDS["trials_per_projection"])
     for key in ("rotation_angles", "storage_times", "input_states"):
         raw[key] = raw[key][:2]
+    if draw(st.sampled_from([False] * 4 + [True])):   # one in five lists a state twice
+        raw["input_states"].append(raw["input_states"][0])
     for path in draw(st.lists(st.sampled_from(_paths(raw)), min_size=1, max_size=3,
                               unique=True)):
         # a field missing from _FIELDS raises KeyError here, not below

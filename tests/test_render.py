@@ -16,12 +16,16 @@ from vortexmem.hilbert import named_state
 
 
 def _assert_same_renders(hue, intensity):
-    def renders(renderer):
-        return {"pgm": renderer.render_pgm(intensity),
-                "ppm": renderer.render_ppm(hue, intensity),
-                "csv": renderer.render_grid_csv(intensity)}
+    assert_same_text(
+        {"pgm": text.render_pgm(intensity), "ppm": text.render_ppm(hue, intensity),
+         "csv": text.render_grid_csvs([intensity])[0]},
+        {"pgm": oracles.render_pgm(intensity), "ppm": oracles.render_ppm(hue, intensity),
+         "csv": oracles.render_grid_csv(intensity)})
 
-    assert_same_text(renders(text), renders(oracles))
+
+def _assert_same_csvs(grids):
+    assert_same_text(dict(enumerate(text.render_grid_csvs(grids))),
+                     dict(enumerate(map(oracles.render_grid_csv, grids))))
 
 
 def _field_map(name, grid):
@@ -49,9 +53,22 @@ def test_all_zero_intensity_matches_oracle():
 def test_csv_special_values_match_oracle():
     row = [-0.0, 0.0, 5e-324, 1e-300, 1e300, math.nan, 0.1, -2.5]
     values = np.array([row, row[::-1], row])
-    csv_text = text.render_grid_csv(values)
-    assert_same_text({"csv": csv_text}, {"csv": oracles.render_grid_csv(values)})
-    assert csv_text.split("\n")[0] == "-0.0,0.0,5e-324,1e-300,1e+300,nan,0.1,-2.5"
+    _assert_same_csvs([values])
+    assert text.render_grid_csvs([values])[0].split("\n")[0] == \
+        "-0.0,0.0,5e-324,1e-300,1e+300,nan,0.1,-2.5"
+
+
+@pytest.mark.parametrize("grids", [
+    [np.array([[0.1, 0.2], [0.3, 0.1]]), np.array([[0.2, 0.1, 0.7]]), np.array([[0.3], [0.7]])],
+    [np.array([[-0.5, 2.0]]), np.array([[0.5, 1.0], [3.0, 0.25]]), np.array([[-3.0, -0.25]])],
+    [np.array([[math.nan, -math.inf], [-0.0, 1.0]]), np.array([[math.inf, 0.0, -1.0]]),
+     np.array([[-math.nan, 0.0], [-0.0, -math.inf]])],
+], ids=["shared_values", "sign_folded_across_grids", "nan_inf_signed_zero"])
+def test_csv_of_several_grids_matches_oracle_grid_by_grid(grids):
+    """One repr table serves every grid: a value in several grids, and a
+    negative value whose magnitude occurs only in another grid, keep the
+    text of each grid rendered on its own."""
+    _assert_same_csvs(grids)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5])
@@ -70,8 +87,27 @@ def test_non_finite_hue_raises(bad):
 
 
 def test_csv_keeps_writing_non_finite_values():
-    assert text.render_grid_csv(np.array([[math.nan, -math.inf], [-0.0, 1.0]])) == \
-        "nan,-inf\n-0.0,1.0\n"
+    assert text.render_grid_csvs([np.array([[math.nan, -math.inf], [-0.0, 1.0]])]) == \
+        ["nan,-inf\n-0.0,1.0\n"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(hue=hnp.arrays(np.float64, st.integers(1, 64),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_hue_minus_floor_has_the_bits_of_mod_one(hue):
+    """The PPM's hue - floor(hue) and np.mod(hue, 1.0) round the same exact
+    value once, and both give +0.0 at integers and at -0.0."""
+    assert (hue - np.floor(hue)).tobytes() == np.mod(hue, 1.0).tobytes()
+
+
+def test_ppm_at_hue_edges_matches_oracle():
+    """Hue 1 and -1e-300 fold to h = 1 (sector 6), 1 - 2**-53 stays below it,
+    -0.0 and integers fold to +0.0."""
+    hue = np.array([[1.0, 1.0 - 2.0**-53, -1e-300, -0.0], [3.0, -3.0, 1e300, -1e300]])
+    intensity = np.array([[1.0, 0.75, 0.5, 0.25], [0.2, 0.4, 0.6, 0.8]])
+    assert (-1e-300 - np.floor(-1e-300)) * 6.0 == 6.0
+    assert_same_text({"ppm": text.render_ppm(hue, intensity)},
+                     {"ppm": oracles.render_ppm(hue, intensity)})
 
 
 _shapes = hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9)
@@ -85,6 +121,21 @@ def test_property_finite_non_negative_arrays_match_oracle(data, shape):
     intensity = data.draw(hnp.arrays(np.float64, shape, elements=_intensity))
     hue = data.draw(hnp.arrays(np.float64, shape, elements=_hue))
     _assert_same_renders(hue, intensity)
+
+
+# a small pool, so that grids share values and signed magnitudes
+_CSV_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, -0.1, 2.5, -2.5, 5e-324, -5e-324, math.inf, -math.inf,
+                     math.nan, -math.nan]),
+    st.floats())
+_CSV_GRIDS = st.lists(hnp.arrays(np.float64, _shapes, elements=_CSV_VALUES), min_size=1,
+                      max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grids=_CSV_GRIDS)
+def test_property_csvs_of_several_grids_match_oracle(grids):
+    _assert_same_csvs(grids)
 
 
 def test_lg_carrier_is_shared_read_only_and_exact():
@@ -101,9 +152,12 @@ def test_lg_carrier_is_shared_read_only_and_exact():
 
 def test_field_maps_render_each_distinct_array_once(monkeypatch):
     """zero/one, radial/azimuthal and plus_i/minus_i have bit-identical
-    intensities; zero/one also share their azimuths."""
-    calls = {"render_pgm": 0, "render_ppm": 0, "render_grid_csv": 0}
-    originals = {name: getattr(pipeline, name) for name in calls}
+    intensities, and all six scale to the same PGM samples; zero/one also
+    share their azimuths.  The three distinct intensities share one repr
+    table."""
+    calls = {"render_pgm": 0, "render_ppm": 0, "render_grid_csvs": 0, "_float_text": 0}
+    originals = {name: getattr(pipeline, name) for name in calls if name != "_float_text"}
+    originals["_float_text"] = text._float_text
 
     def counted(name):
         def render(*args):
@@ -112,14 +166,14 @@ def test_field_maps_render_each_distinct_array_once(monkeypatch):
         return render
 
     for name in calls:
-        monkeypatch.setattr(pipeline, name, counted(name))
+        monkeypatch.setattr(text if name == "_float_text" else pipeline, name, counted(name))
     cfg = config.default_config("field_maps")
     pixmaps = dict(pipeline.run(cfg).texts)
-    assert calls == {"render_pgm": 3, "render_ppm": 5, "render_grid_csv": 3}
+    assert calls == {"render_pgm": 1, "render_ppm": 5, "render_grid_csvs": 1, "_float_text": 1}
     for state in cfg.input_states:
         hue, intensity = _field_map(state, Grid())
         assert_same_text(
             {k: v for k, v in pixmaps.items() if k.startswith(f"{state}_")},
             {f"{state}_intensity.pgm": originals["render_pgm"](intensity),
              f"{state}_polarization.ppm": originals["render_ppm"](hue, intensity),
-             f"{state}_intensity.csv": originals["render_grid_csv"](intensity)})
+             f"{state}_intensity.csv": originals["render_grid_csvs"]([intensity])[0]})
