@@ -1,7 +1,8 @@
 """File formats: field-map pixmaps, result text and offline count records.
 
-results.jsonl is the text json.dumps(row, sort_keys=True) gives and
-results.csv the text of csv.writer: keys sorted, ", " and ": " separators,
+_RESULT_COLUMNS is the one place the row format of results.jsonl and
+results.csv is defined.  They are the text json.dumps(row, sort_keys=True)
+gives and that of csv.writer: keys sorted, ", " and ": " separators,
 floats as repr (json's NaN and Infinity, csv's nan and inf), None as null or
 an empty cell.  State and scenario names come from fixed tables and hold no
 character that JSON escapes or CSV quotes.
@@ -206,19 +207,32 @@ def read_count_records(path: str | Path) -> list[photodetection.CountRecord]:
 # --- result text -------------------------------------------------------------
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_JSON_BOOL = np.array(["false", "true"], dtype=object)
-_CSV_BOOL = np.array(["False", "True"], dtype=object)
 _YES_NO = np.array(["no", "yes"], dtype=object)
 
-# line templates: _fill puts the cells of the k-th column at the k-th %s
-_JSON_RHO = '{"imag": [[%s, %s], [%s, %s]], "real": [[%s, %s], [%s, %s]]}'
-_JSON_ROW = (
-    '{"angle_deg": %s, "bound_efficiency": %s, "bound_poisson": %s, '
-    '"fidelity_corrected": %s, "fidelity_raw": %s, "job_seed": %s, '
-    '"pass_shor_preskill": %s, "rho_corrected": %s, "rho_raw": ' + _JSON_RHO + ', '
-    '"scenario": %s, "snr": %s, "state": %s, "stokes_raw": [%s, %s, %s], '
-    '"survival": %s, "time_us": %s}\n'
-)
+# The results row format: each results.jsonl key (results.csv: CSV_COLUMNS)
+# maps to the ResultTable field it shows, its kind and the mask field whose
+# false rows are null, as is every row of a None field.  Kinds: float,
+# int_or_float (ints keep their text), bool, name, vector and (2x2) matrix.
+_RESULT_COLUMNS = {
+    "angle_deg": ("angle_deg", "float", None),
+    "bound_efficiency": ("bound_efficiency", "float", None),
+    "bound_poisson": ("bound_poisson", "float", None),
+    "fidelity_corrected": ("f_corr", "float", "corrected"),
+    "fidelity_raw": ("f_raw", "float", None),
+    "job_seed": ("seed", "int_or_float", None),
+    "pass_shor_preskill": ("secure", "bool", None),
+    "rho_corrected": ("rho_corr", "matrix", "corrected"),
+    "rho_raw": ("rho_raw", "matrix", None),
+    "scenario": ("scenario", "name", None),
+    "snr": ("snr", "float", None),
+    "state": ("states", "name", None),
+    "stokes_raw": ("stokes", "vector", None),
+    "survival": ("survival", "float", None),
+    "time_us": ("times", "int_or_float", None),
+}
+# JSON text of the number kinds, the k-th %s taking the k-th _block_columns
+_NUMBER_JSON = {"float": "%s", "int_or_float": "%s", "vector": "[%s, %s, %s]",
+                "matrix": '{"imag": [[%s, %s], [%s, %s]], "real": [[%s, %s], [%s, %s]]}'}
 _SUMMARY_ROW = "%s  angle=%s deg  t=%s us  F_raw=%s  F_corr=%s  bound=%s  secure=%s\n"
 
 
@@ -269,26 +283,29 @@ def _formatted(fmt: str, values) -> list[str]:
     return np.array([fmt % v for v in bits.view(float).tolist()], dtype=object)[inverse].tolist()
 
 
-def _float_cells(block: np.ndarray) -> list[list[str]]:
-    """The repr (CSV) text of a 2-D float block, as one list per column."""
-    _, text, inverse = _float_text(block)
-    return text[inverse.T].tolist()
+def _number_texts(columns: list) -> tuple[list[list[str]], list[list[str]]]:
+    """The CSV and the JSON texts, a list of row texts each, of number
+    columns: 1-D float arrays, or lists whose ints keep their integer text.
+    All floats go through one _float_text; the two texts differ only at NaN
+    and the infinities, so a column without one has one list."""
+    floats = [np.array([0.0 if type(v) is int else v for v in column], dtype=float)
+              if isinstance(column, list) else column for column in columns]
+    _, text, inverse = _float_text(np.concatenate(floats))
+    stops = np.cumsum([len(column) for column in floats], dtype=np.intp)[:-1]
+    csv_texts = [part.tolist() for part in np.split(text[inverse], stops)]
+    for column, texts in zip(columns, csv_texts):
+        if isinstance(column, list):
+            texts[:] = [str(v) if type(v) is int else t for v, t in zip(column, texts)]
+    json_texts = [col if np.isfinite(f).all() else [_JSON_NON_FINITE.get(t, t) for t in col]
+                  for f, col in zip(floats, csv_texts)]
+    return csv_texts, json_texts
 
 
-def _json_cells(block: np.ndarray, cells: list[list[str]]) -> list[list[str]]:
-    """The JSON text of the block whose CSV text is ``cells``: the two differ
-    only at NaN and infinities, so a column without one shares its list."""
-    json_cells = list(cells)
-    for k in np.flatnonzero(~np.isfinite(block).all(axis=0)).tolist():
-        json_cells[k] = [_JSON_NON_FINITE.get(t, t) for t in cells[k]]
-    return json_cells
-
-
-def _keep_ints(cells: list[str], values: list) -> None:
-    """Give each integer value its integer text, as json and csv write it."""
-    for j, value in enumerate(values):
-        if type(value) is int:
-            cells[j] = str(value)
+def _block_columns(kind: str, value) -> list:
+    """The 1-D columns of a number kind's value, one per %s of its JSON text."""
+    if kind == "matrix":   # imaginary then real parts, row-major
+        value = np.concatenate([value.imag, value.real], axis=1)
+    return [value] if kind == "int_or_float" else list(np.reshape(value, (len(value), -1)).T)
 
 
 def _csv_lines(header, columns: list) -> list[str]:
@@ -297,51 +314,38 @@ def _csv_lines(header, columns: list) -> list[str]:
 
 def _results_text(table) -> tuple[list[str], list[str]]:
     """The text chunks of results.csv and of results.jsonl of a
-    pipeline.ResultTable.
-
-    Every float column goes into one block formatted by _float_text; the
-    lines are filled column by column from its cell texts.
-    """
-    n = len(table.states)
-    block = np.column_stack([
-        table.angle_deg,                                          # 0
-        table.bound_efficiency,                                   # 1
-        table.bound_poisson,                                      # 2
-        table.f_corr,                                             # 3
-        table.f_raw,                                              # 4
-        table.rho_corr.imag.reshape(n, 4),                        # 5-8
-        table.rho_corr.real.reshape(n, 4),                        # 9-12
-        table.rho_raw.imag.reshape(n, 4),                         # 13-16
-        table.rho_raw.real.reshape(n, 4),                         # 17-20
-        np.zeros(n) if table.snr is None else table.snr,          # 21
-        table.stokes,                                             # 22-24
-        table.survival,                                           # 25
-        np.array([0.0 if type(t) is int else t for t in table.times]),  # 26
-    ])
-    csv_cols = _float_cells(block)
-    _keep_ints(csv_cols[26], table.times)
-    json_cols = _json_cells(block, csv_cols)
-    # one text per row (no float text holds a line break), so that rows
-    # without a corrected estimate can take null instead; their f_corr cell
-    # differs between the files, so the files must not share its list
-    rho_corr = "".join(_fill(_JSON_RHO + "\n", json_cols[5:13])).splitlines()
-    csv_cols[3] = csv_cols[3].copy()
-    for j in np.flatnonzero(~table.corrected).tolist():
-        csv_cols[3][j], json_cols[3][j], rho_corr[j] = "", "null", "null"
-    if table.snr is None:
-        json_cols[21] = ["null"] * n
-    secure = table.secure.astype(int)
-    names = {state: json.dumps(state) for state in set(table.states)}
-
-    csv_chunks = _csv_lines(CSV_COLUMNS, [
-        table.scenario, table.states, csv_cols[0], csv_cols[26], csv_cols[4],
-        csv_cols[3], csv_cols[2], csv_cols[1], _CSV_BOOL[secure].tolist()])
-    c = json_cols
-    jsonl_chunks = _fill(_JSON_ROW, [
-        c[0], c[1], c[2], c[3], c[4], str(table.seed), _JSON_BOOL[secure].tolist(),
-        rho_corr, *c[13:21], json.dumps(table.scenario), c[21],
-        [names[s] for s in table.states], *c[22:27]])
-    return csv_chunks, jsonl_chunks
+    pipeline.ResultTable, as _RESULT_COLUMNS defines them.  A key's cells are
+    lists of row texts, or one text for a field that is a scalar or None:
+    json.dumps of the scalar, and its str in CSV."""
+    entries = sorted(_RESULT_COLUMNS.items())
+    values = {key: getattr(table, field) for key, (field, _, _) in entries}
+    per_row = {key for key, v in values.items() if not isinstance(v, (int, str, type(None)))}
+    csv_texts, json_texts = _number_texts([
+        column for key, (_, kind, _) in entries if kind in _NUMBER_JSON and key in per_row
+        for column in _block_columns(kind, values[key])])
+    at, templates, json_cells, csv_cells = 0, [], [], {}
+    for key, (_, kind, mask) in entries:
+        value, template = values[key], _NUMBER_JSON.get(kind, "%s") if key in per_row else "%s"
+        if key not in per_row:   # one text for every row
+            csv, cells = ("", ["null"]) if value is None else (str(value), [json.dumps(value)])
+        elif kind in _NUMBER_JSON:
+            cells = json_texts[at:at + template.count("%s")]
+            csv, at = csv_texts[at], at + len(cells)
+        else:   # bool or name: each distinct value formatted once
+            value = value.tolist() if kind == "bool" else value
+            texts = {v: (str(v), json.dumps(v)) for v in set(value)}
+            csv, cells = [texts[v][0] for v in value], [[texts[v][1] for v in value]]
+        if mask is not None and key in per_row:
+            if len(cells) > 1:   # one text per row (no cell holds a line break)
+                cells, template = ["".join(_fill(template + "\n", cells)).splitlines()], "%s"
+            csv, cells = list(csv), [list(cells[0])]
+            for j in np.flatnonzero(~getattr(table, mask)).tolist():
+                csv[j], cells[0][j] = "", "null"
+        templates.append(f'"{key}": {template}')
+        json_cells += cells
+        csv_cells[key] = csv
+    jsonl_chunks = _fill("{" + ", ".join(templates) + "}\n", json_cells)
+    return _csv_lines(CSV_COLUMNS, [csv_cells[key] for key in CSV_COLUMNS]), jsonl_chunks
 
 
 def _parsed(jsonl_chunks: list[str]) -> list[dict]:
@@ -353,12 +357,8 @@ def _parsed(jsonl_chunks: list[str]) -> list[dict]:
 def _bounds_text(rows: list[dict]) -> str:
     """The text of bounds.csv: a header of the rows' keys, one line per row."""
     header = list(rows[0])
-    values = [[row[key] for row in rows] for key in header]
-    block = np.array([[0.0 if type(v) is int else v for v in col] for col in values]).T
-    cells = _float_cells(block)
-    for col, vals in zip(cells, values):
-        _keep_ints(col, vals)
-    return "".join(_csv_lines(header, cells))
+    csv_texts, _ = _number_texts([[row[key] for row in rows] for key in header])
+    return "".join(_csv_lines(header, csv_texts))
 
 
 def _summary(table) -> str:

@@ -2,6 +2,7 @@
 table against the per-row writers (json.dumps, csv.DictWriter, print), byte
 for byte; and the package's rows, which are its results.jsonl lines parsed."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -102,8 +103,28 @@ def test_emit_formats_the_results_once(tmp_path, monkeypatch):
     assert calls == [report.table]
 
 
+def test_a_results_column_is_one_schema_entry(tmp_path, monkeypatch):
+    """One more float entry in text._RESULT_COLUMNS, under a key that sorts
+    first, adds that key to every results.jsonl line and leaves results.csv
+    as it was; and every ResultTable field is a source or a mask of an
+    entry, so no field can go unwritten unnoticed."""
+    named = {name for field, _, mask in text._RESULT_COLUMNS.values() for name in (field, mask)}
+    assert {f.name for f in dataclasses.fields(pipeline.ResultTable)} <= named
+    cfg = replace(config.default_config("fidelity_vs_time"), storage_times=(0, 1.5, 200.0))
+    report = pipeline.run(cfg)
+    want = text.emit(report, tmp_path / "before")[0].read_bytes()
+    monkeypatch.setitem(text._RESULT_COLUMNS, "aaa", ("survival", "float", None))
+    csv_path, jsonl_path = text.emit(report, tmp_path / "after")
+    assert csv_path.read_bytes() == want
+    rows = oracles.table_rows(report.table)
+    assert any(row["fidelity_corrected"] is None for row in rows)
+    assert jsonl_path.read_text().splitlines() == [
+        json.dumps({**row, "aaa": row["survival"]}, sort_keys=True) for row in rows]
+
+
 def test_edge_values_match_per_row_writers(tmp_path):
-    """-0.0, NaN and infinities in every float column the writers format."""
+    """-0.0, NaN and infinities in every float column the writers format;
+    an SNR or survival of 0.0, -0.0 or NaN is that value, not null."""
     cfg = replace(config.default_config("store_tomography"), storage_times=(1.0,))
     report = pipeline.run(cfg)
     table = report.table
@@ -117,7 +138,9 @@ def test_edge_values_match_per_row_writers(tmp_path):
     rho_raw.imag[:, 0, 1] = odd[::-1][:n]
     report.table = replace(
         table, stokes=stokes, rho_raw=rho_raw, angle_deg=odd[:n], f_raw=odd[::-1][:n].copy(),
-        snr=np.full_like(table.snr, math.inf), bound_efficiency=np.full_like(table.snr, math.nan))
+        snr=np.array([0.0, -0.0, math.nan, math.inf, 0.0, -0.0])[:n],
+        survival=np.array([math.nan, 0.0, -0.0, 1.0, -0.0, 0.0])[:n],
+        bound_efficiency=np.full_like(table.snr, math.nan))
     got = {p.name: p.read_bytes() for p in text.emit(report, tmp_path / "cli")}
     want = {p.name: p.read_bytes() for p in oracles.emit(report, tmp_path / "oracle")}
     got["stdout"] = text._summary(report.table).encode()

@@ -22,7 +22,8 @@ and the six _intensity.csv) and test_preset_output_digests[field_maps]
 fails, so it fails on a machine without AVX-512.  Which CPU features the CI
 runners pin, or whether these digests get a second, non-AVX-512 set, is
 still to be decided.  The three sampled presets keep their bits at that
-setting.
+setting, and so does every other field_maps test: CI's non-AVX-512 step
+deselects test_preset_output_digests[field_maps] alone.
 """
 
 import hashlib
