@@ -139,9 +139,16 @@ def check_densities(m: np.ndarray) -> None:
 def fidelities(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Conditional fidelities <v|rho|v> of a stack of density matrices
     (N, 2, 2) with state vectors (N, 2), or one vector (1, 2) for all of
-    them, each clamped to [0, 1]."""
+    them, each clamped to [0, 1].  Raises NonPhysicalDensity (see
+    check_densities) unless every matrix is physical."""
     check_densities(m)
-    f = (v.conj()[:, :, None] * m * v[:, None, :]).sum((1, 2)).real
+    return _fidelities(m, v)
+
+
+def _fidelities(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """fidelities without the check, for matrices that densities_from_bloch
+    built: within the ball tolerance those are physical by construction."""
+    f = np.add.reduce(v.conj()[:, :, None] * m * v[:, None, :], axis=(1, 2)).real
     f = np.where(f > 0.0, f, 0.0)
     return np.where(f < 1.0, f, 1.0)
 
@@ -150,7 +157,9 @@ def densities_from_bloch(s: np.ndarray) -> np.ndarray:
     """Density matrices (I + s . tau)/2 for a stack of Bloch vectors (N, 3);
     raises OutsideBall if any is longer than 1 beyond tolerance or has a NaN
     component."""
-    length = np.linalg.norm(s, axis=-1)
+    # np.linalg.norm's arithmetic, without its dispatch; products in float, as
+    # there, so that no integer square wraps
+    length = np.sqrt(np.add.reduce(np.multiply(s, s, dtype=float), axis=-1))
     if not (length <= 1.0 + ATOL_BALL).all():
         raise OutsideBall(f"Bloch vector length {length.max()} > 1")
     return ((s @ _TAU_PARTS + _I_PARTS) / 2.0).view(complex).reshape(-1, 2, 2)

@@ -115,9 +115,23 @@ _MAGNITUDE_BITS = np.int64(2**63 - 1)   # every bit of a float64 but its sign
 def _distinct_bits(values) -> tuple[np.ndarray, np.ndarray]:
     """The distinct bit patterns of a float array as sorted int64, and the
     index of every element's pattern (in the array's shape).  Patterns tell
-    -0.0 from 0.0."""
+    -0.0 from 0.0.
+
+    np.unique(..., return_inverse=True) gives the same two arrays, but holds
+    a flattened copy and an extra cumsum as well: here the sorted copy
+    takes the ranks once the distinct patterns are read off it."""
     values = np.ascontiguousarray(values, dtype=float)
-    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    keys = values.view(np.int64).ravel()
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.empty(len(ordered), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    bits = ordered[new]
+    rank = np.cumsum(new, out=ordered)   # 1 + the index in bits, in sorted order
+    rank -= 1
+    inverse = np.empty_like(order)
+    inverse[order] = rank
     return bits, inverse.reshape(values.shape)
 
 
@@ -172,33 +186,41 @@ def read_count_records(path: str | Path) -> list[photodetection.CountRecord]:
     ``tomography.tomograph(read_count_records(path))``.  A row that is
     short or long, holds a field past csv.field_size_limit() or a
     non-integer count, or fails the CountRecord ranges, raises ConfigError
-    naming the file and line; a file without those columns, or not UTF-8
-    text, raises ConfigError naming the file.  A leading byte-order mark
-    (as spreadsheet programs write) is skipped.
+    naming the file and line; a file without those columns, with one of
+    them named twice, or not UTF-8 text, raises ConfigError naming the
+    file.  A leading byte-order mark (as spreadsheet programs write) is
+    skipped, and so are blank rows.
     """
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.DictReader(handle)
+        reader = csv.reader(handle)
         records = []
         try:
-            missing = set(COUNT_RECORD_COLUMNS) - set(reader.fieldnames or ())
+            header = next(reader, [])
+            missing = set(COUNT_RECORD_COLUMNS) - set(header)
             if missing:
                 raise ConfigError(f"{path}: count-record file lacks columns {sorted(missing)}")
-            for line in reader:
-                if None in line:   # DictReader keeps the cells past the header under None
+            for name in COUNT_RECORD_COLUMNS:
+                if header.count(name) > 1:
+                    raise ConfigError(f"{path}: count-record file names column {name!r} twice")
+            projector, clicks, trials, bg_expected = map(header.index, COUNT_RECORD_COLUMNS)
+            width = len(header)
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) > width:
                     raise ConfigError(f"{path}, line {reader.line_num}: more cells than the header")
+                row += [None] * (width - len(row))   # a short row fails on None below
                 try:
                     records.append(photodetection.CountRecord(
-                        projector_id=line["projector"].strip(),
-                        clicks=int(line["clicks"]),
-                        trials=int(line["trials"]),
-                        bg_clicks_expected=float(line["bg_expected"]),
+                        projector_id=row[projector].strip(),
+                        clicks=int(row[clicks]),
+                        trials=int(row[trials]),
+                        bg_clicks_expected=float(row[bg_expected]),
                     ))
                 except (AttributeError, TypeError, ValueError) as exc:
-                    # a short row leaves None in the missing columns
                     raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
         except csv.Error as exc:
-            # DictReader.line_num moves only once a whole row is read
-            raise ConfigError(f"{path}, line {reader.reader.line_num}: {exc}") from exc
+            raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     return records

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .hilbert import HybridState, RangeError, densities_from_bloch, fidelities
+from .hilbert import HybridState, RangeError, _fidelities, densities_from_bloch
 from .photodetection import PROJECTOR_ORDER, PROJECTOR_PAIRS, CountRecord
 
 class InsufficientCounts(ValueError):
@@ -35,12 +35,16 @@ class StokesEstimate:
 
 @dataclass(frozen=True, eq=False)   # == on array fields has no single truth value
 class TomographyResult:
+    """A reconstructed state.  Only tomograph builds one, from reconstruct,
+    whose matrices are physical by construction, so fidelity_vs does not
+    check rho again."""
+
     rho: np.ndarray   # (2, 2) physical density matrix, read-only
     stokes: StokesEstimate
 
     def fidelity_vs(self, target: HybridState) -> float:
         """Conditional fidelity <target|rho|target>, clamped to [0, 1]."""
-        return float(fidelities(self.rho[None], target.vector()[None])[0])
+        return float(_fidelities(self.rho[None], target.vector()[None])[0])
 
 
 def subtract_background(counts: np.ndarray, bg_expected) -> np.ndarray:
@@ -66,7 +70,7 @@ def stokes_of(counts: np.ndarray) -> np.ndarray:
 
 def project_to_ball(stokes: np.ndarray) -> np.ndarray:
     """Radial projection of Stokes vectors (N, 3) onto the unit Bloch ball."""
-    length = np.sqrt((stokes * stokes).sum(-1, keepdims=True))
+    length = np.sqrt(np.add.reduce(stokes * stokes, axis=-1, keepdims=True))
     return np.divide(stokes, length, out=stokes.copy(), where=length > 1.0)
 
 
@@ -74,7 +78,9 @@ def reconstruct(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear-inversion tomography of a stack of count records.
 
     ``counts`` is (N, 6) in PROJECTOR_ORDER.  Returns the Stokes vectors
-    (N, 3) before projection and the physical density matrices (N, 2, 2).
+    (N, 3) before projection and the physical density matrices (N, 2, 2):
+    projected into the ball, they pass hilbert.check_densities, so their
+    fidelities need no second check (hilbert._fidelities).
     """
     stokes = stokes_of(counts)
     return stokes, densities_from_bloch(project_to_ball(stokes))
@@ -155,7 +161,7 @@ def bootstrap_fidelity(records: Iterable[CountRecord], target: HybridState,
         bg = np.array([table[k].bg_clicks_expected for k in PROJECTOR_ORDER], dtype=float)
         counts = subtract_background(counts, bg)
     _, rho = reconstruct(counts)
-    fids = fidelities(rho, target.vector()[None])
+    fids = _fidelities(rho, target.vector()[None])
     # the ufunc reductions of ndarray.mean and ndarray.std, without their wrappers
     n = len(fids)
     mean = np.add.reduce(fids) / n

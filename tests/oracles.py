@@ -19,7 +19,8 @@ run: the order in which the package's single array draw consumes its stream.
 The field-map renderers and the result writers format whole arrays, each
 distinct value once; the per-pixel renderers and the per-row writers
 (json.dumps, csv.DictWriter, print) they replaced are kept at the end of
-this file as the byte-exact reference.
+this file as the byte-exact reference, followed by the csv.DictReader loop
+that the count-record reader replaced.
 """
 
 import cmath
@@ -38,7 +39,7 @@ from vortexmem.hilbert import (ATOL_BALL, ATOL_EIGEN, ATOL_HERMITIAN, ATOL_TRACE
                                TAU2, TAU3, BasisTag, HybridState,
                                NonPhysicalDensity, OutsideBall, make_state, named_state)
 from vortexmem.photodetection import PROJECTOR_ORDER, PROJECTOR_PAIRS, CountRecord, snr_of
-from vortexmem.text import CSV_COLUMNS
+from vortexmem.text import COUNT_RECORD_COLUMNS, CSV_COLUMNS
 from vortexmem.tomography import InsufficientCounts
 
 _ANALYZERS = {name: named_state(name) for name in PROJECTOR_ORDER}
@@ -633,3 +634,40 @@ def render_grid_csv(values: np.ndarray) -> str:
     for row in values:
         writer.writerow([repr(float(v)) for v in row])
     return buf.getvalue()
+
+
+# --- count-record reader -------------------------------------------------------
+
+def read_count_records(path):
+    """text.read_count_records as a csv.DictReader loop, one dict per row.
+
+    It loads a header that names a column twice, taking the last cell under
+    that name; the package refuses such a file."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.DictReader(handle)
+        records = []
+        try:
+            missing = set(COUNT_RECORD_COLUMNS) - set(reader.fieldnames or ())
+            if missing:
+                raise config.ConfigError(
+                    f"{path}: count-record file lacks columns {sorted(missing)}")
+            for line in reader:
+                if None in line:   # DictReader keeps the cells past the header under None
+                    raise config.ConfigError(
+                        f"{path}, line {reader.line_num}: more cells than the header")
+                try:
+                    records.append(CountRecord(
+                        projector_id=line["projector"].strip(),
+                        clicks=int(line["clicks"]),
+                        trials=int(line["trials"]),
+                        bg_clicks_expected=float(line["bg_expected"]),
+                    ))
+                except (AttributeError, TypeError, ValueError) as exc:
+                    # a short row leaves None in the missing columns
+                    raise config.ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
+        except csv.Error as exc:
+            # DictReader.line_num moves only once a whole row is read
+            raise config.ConfigError(f"{path}, line {reader.reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise config.ConfigError(f"{path}: {exc}") from exc
+    return records

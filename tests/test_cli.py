@@ -439,6 +439,25 @@ class TestOfflineCountRecords:
         with pytest.raises(ConfigError, match=r"counts\.csv: .*lacks columns"):
             text.read_count_records(path)
 
+    @pytest.mark.parametrize("header", ["projector,clicks,trials,bg_expected,clicks",
+                                        "clicks,projector,trials,clicks,bg_expected"])
+    def test_column_named_twice_rejected(self, tmp_path, header):
+        """Such a file loaded once, clicks taken from the last cell so named."""
+        path = tmp_path / "counts.csv"
+        path.write_text(f"{header}\nH,5,10,0.0,7\n")
+        with pytest.raises(ConfigError, match=r"counts\.csv: .*column 'clicks' twice"):
+            text.read_count_records(path)
+
+    def test_columns_in_any_order_with_extras_and_blank_rows(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("note,bg_expected,trials,note,clicks,projector\n"
+                        "\n,0.5,10,,5,H\n\n\nx,0.5,10,y,3,V\n\n,0.5,10,,11,D\n")
+        with pytest.raises(ConfigError, match=r"counts\.csv, line 8: .*clicks"):
+            text.read_count_records(path)
+        path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
+        assert text.read_count_records(path) == [photodetection.CountRecord("H", 5, 10, 0.5),
+                                                 photodetection.CountRecord("V", 3, 10, 0.5)]
+
     @pytest.mark.parametrize("clicks, trials", [
         (math.nan, 10), (5, math.nan), (-1, 10), (11, 10), (0, 0), (5, 10.5), (5, math.inf),
     ], ids=["nan_clicks", "nan_trials", "negative_clicks", "clicks_past_trials", "no_trials",

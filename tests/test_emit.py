@@ -203,6 +203,42 @@ def test_float_text_formats_each_magnitude_once(monkeypatch, values):
     assert len(calls) == len(positive) + len(negative_only)
 
 
+_PAYLOAD_NANS = np.array([0x7FF8_0000_0000_0000, 0x7FF0_0000_0000_0001, 0xFFF8_0000_0000_0002,
+                          0x7FFF_FFFF_FFFF_FFFF], dtype=np.uint64).view(float)
+_EDGE_VALUES = np.concatenate([
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, -1e-310, 1.0, -1.0, 1.0, 0.0],
+    _PAYLOAD_NANS, _PAYLOAD_NANS[::-1]])
+
+
+@pytest.mark.parametrize("values", [
+    np.empty(0),
+    np.empty((0, 3)),
+    np.array([-0.0]),
+    _EDGE_VALUES,
+    _EDGE_VALUES[::-1].reshape(4, -1),
+    np.tile(_EDGE_VALUES, (3, 1)).T,   # not C-contiguous
+], ids=["empty", "empty_2d", "one", "edge_1d", "edge_2d", "edge_transposed"])
+def test_distinct_bits_matches_np_unique(values):
+    """Signed zeros, NaNs of different payloads and signs, infinities and
+    subnormals each keep their own bit pattern, as np.unique tells them."""
+    bits, inverse = text._distinct_bits(values)
+    want, want_inverse = np.unique(np.ascontiguousarray(values).view(np.int64).ravel(),
+                                   return_inverse=True)
+    assert bits.dtype == want.dtype and np.array_equal(bits, want)
+    assert inverse.shape == values.shape and inverse.dtype == want_inverse.dtype
+    assert np.array_equal(inverse.ravel(), want_inverse.ravel())
+
+
+@given(bits=st.lists(_FLOAT_BITS, max_size=60), columns=st.integers(1, 3))
+def test_distinct_bits_matches_np_unique_on_any_patterns(bits, columns):
+    values = np.array(bits * columns, dtype=np.int64).view(float).reshape(columns, -1).T
+    got, inverse = text._distinct_bits(values)
+    want, want_inverse = np.unique(np.ascontiguousarray(values).view(np.int64).ravel(),
+                                   return_inverse=True)
+    assert np.array_equal(got, want)
+    assert np.array_equal(inverse.ravel(), want_inverse.ravel())
+
+
 def test_sign_folded_values_match_per_row_writers(tmp_path):
     """A negative NaN and values present with both signs in every float
     column the writers format."""

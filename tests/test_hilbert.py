@@ -267,6 +267,11 @@ class TestBlochMaps:
         with pytest.raises(OutsideBall):
             densities_from_bloch(np.array([[0.8, 0.8, 0.8]]))
 
+    def test_integer_vector_outside_ball_rejected(self):
+        # its square 2**64 would wrap to 0 in int64
+        with pytest.raises(OutsideBall):
+            densities_from_bloch(np.array([[0, 2**32, 0]]))
+
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_nan_component_rejected(self, axis):
         s = np.zeros((2, 3))
