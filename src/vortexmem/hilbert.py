@@ -8,8 +8,10 @@ two-component machinery doubles as a plain polarization qubit in the
 fixed everywhere: |R> = (|H> - i|V>)/sqrt2, |L> = (|H> + i|V>)/sqrt2.
 
 States are immutable values and all operations are pure functions.
-Density matrices are plain complex arrays, stacked (N, 2, 2);
-check_densities decides whether they are physical.
+Density matrices are plain complex arrays, stacked (N, 2, 2).
+densities_from_bloch builds them from Bloch vectors no longer than
+1 + ATOL_BALL, so they are physical by construction; fidelities relies on
+that and checks nothing.
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ATOL_HERMITIAN = 1e-12
-ATOL_TRACE = 1e-12
-ATOL_EIGEN = 1e-10
 ATOL_BALL = 1e-10
 
 _SQRT2 = math.sqrt(2.0)
@@ -34,10 +33,6 @@ class RangeError(ValueError):
 
 class ZeroVector(ValueError):
     """Both amplitudes are zero; no state can be normalized from them."""
-
-
-class NonPhysicalDensity(ValueError):
-    """Density matrix violates hermiticity, unit trace or positivity."""
 
 
 class OutsideBall(ValueError):
@@ -77,14 +72,6 @@ TAU3 = np.array([[1, 0], [0, -1]], dtype=complex)
 _TAU_PARTS = np.stack([TAU1, TAU2, TAU3]).reshape(3, 4).view(float)
 _I_PARTS = np.eye(2, dtype=complex).reshape(4).view(float)
 
-# the bounds of the six check values of check_densities: |b - conj(c)|, Im a
-# and Im d (Hermitian; 2|x| <= tol is |x| <= tol/2 exactly), Re(a + d) - 1
-# and Im(a + d) (trace), and the smaller eigenvalue
-_CHECK_LOWER = np.array([[-np.inf], [-ATOL_HERMITIAN / 2.0], [-ATOL_HERMITIAN / 2.0],
-                         [-ATOL_TRACE], [-ATOL_TRACE], [-ATOL_EIGEN]])
-_CHECK_UPPER = np.array([[ATOL_HERMITIAN], [ATOL_HERMITIAN / 2.0], [ATOL_HERMITIAN / 2.0],
-                         [ATOL_TRACE], [ATOL_TRACE], [np.inf]])
-
 
 def make_state(c0: complex, c1: complex, tag: BasisTag) -> HybridState:
     """Normalizing constructor; raises ZeroVector on (0, 0) input."""
@@ -94,60 +81,11 @@ def make_state(c0: complex, c1: complex, tag: BasisTag) -> HybridState:
     return HybridState(complex(c0) / n, complex(c1) / n, tag)
 
 
-def check_densities(m: np.ndarray) -> None:
-    """Raise NonPhysicalDensity unless every matrix of the stack (N, 2, 2) has
-    finite elements, is Hermitian, has unit trace and no negative eigenvalue.
-
-    The check is closed-form on the four elements [[a, b], [c, d]], with no
-    eigensolver: |m_ij - conj(m_ji)| <= ATOL_HERMITIAN for every i, j (on the
-    diagonal 2|Im a| and 2|Im d|), real and imaginary part of a + d - 1
-    within ATOL_TRACE, and the smaller eigenvalue of the Hermitian part,
-    Re(a + d)/2 - sqrt((Re(a - d)/2)^2 + |b + conj(c)|^2/4), at least
-    -ATOL_EIGEN.  A NaN or infinite element is rejected before any
-    arithmetic on it, and so is an element with a real or imaginary part
-    beyond 2 in magnitude: no matrix that passes has one (its elements lie
-    within 1 up to the tolerances), and on one near the float range the
-    closed form would overflow.
-
-    All checks are decided by one comparison of the stack's check values
-    with their bounds; only a failing stack is searched for the first check
-    that fails, in the order above, to name it.
-    """
-    elements = np.ascontiguousarray(m, dtype=complex).reshape(-1, 4)
-    # real and imaginary parts side by side; NaN fails the comparison too
-    parts = elements.view(float)
-    if not (np.abs(parts) <= 2.0).all():
-        if not np.isfinite(parts).all():
-            raise NonPhysicalDensity("matrix has a non-finite element")
-        raise NonPhysicalDensity("matrix has an element beyond 2 in real or imaginary part")
-    a, b, c, d = elements.T
-    c_bar = c.conj()
-    trace = a + d
-    low = trace.real / 2.0 - np.hypot((a.real - d.real) / 2.0, np.abs((b + c_bar) / 2.0))
-    checks = np.array([np.abs(b - c_bar), a.imag, d.imag, trace.real - 1.0, trace.imag, low])
-    inside = (checks >= _CHECK_LOWER) & (checks <= _CHECK_UPPER)
-    if inside.all():
-        return
-    if not inside[:3].all():
-        raise NonPhysicalDensity("matrix is not Hermitian")
-    bad = ~inside[3:5].all(axis=0)
-    if bad.any():
-        raise NonPhysicalDensity(f"trace is {trace[bad][0]}, expected 1")
-    raise NonPhysicalDensity(f"negative eigenvalue {low.min()}")
-
-
 def fidelities(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Conditional fidelities <v|rho|v> of a stack of density matrices
     (N, 2, 2) with state vectors (N, 2), or one vector (1, 2) for all of
-    them, each clamped to [0, 1].  Raises NonPhysicalDensity (see
-    check_densities) unless every matrix is physical."""
-    check_densities(m)
-    return _fidelities(m, v)
-
-
-def _fidelities(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """fidelities without the check, for matrices that densities_from_bloch
-    built: within the ball tolerance those are physical by construction."""
+    them, each clamped to [0, 1].  The matrices are expected physical, such
+    as densities_from_bloch builds; nothing here checks them."""
     f = np.add.reduce(v.conj()[:, :, None] * m * v[:, None, :], axis=(1, 2)).real
     f = np.where(f > 0.0, f, 0.0)
     return np.where(f < 1.0, f, 1.0)

@@ -46,24 +46,21 @@ class CountRecord:
     bg_clicks_expected: float = 0.0
 
     def __post_init__(self):
-        # plain comparisons, which NaN fails: the ranges of check_counts
         if self.projector_id not in PROJECTOR_ORDER:
             raise ValueError(f"unknown projector {self.projector_id!r}")
-        if not (1 <= self.trials <= TRIALS_MAX and self.trials % 1 == 0):
-            raise ValueError(f"trials must be a whole number in [1, {TRIALS_MAX}]")
-        if not 0 <= self.clicks <= self.trials:
-            raise ValueError("clicks must lie in [0, trials]")
+        check_counts(self.clicks, self.trials)
         bg = self.bg_clicks_expected
         if not (math.isfinite(bg) and 0 <= bg <= self.trials):
             raise ValueError(f"bg_clicks_expected {bg} must be finite and lie in [0, trials]")
 
 
 def check_counts(clicks: np.ndarray, trials) -> None:
-    """The CountRecord ranges of clicks and trials, for a stack of clicks at
-    one number of trials; a NaN fails them."""
+    """The ranges of clicks and trials, for one click number or a stack of
+    them at one number of trials; plain comparisons, which a NaN fails."""
     if not (1 <= trials <= TRIALS_MAX and trials % 1 == 0):
         raise ValueError(f"trials must be a whole number in [1, {TRIALS_MAX}]")
-    if not ((clicks >= 0) & (clicks <= trials)).all():
+    inside = (clicks >= 0) & (clicks <= trials)   # a bool for one click number
+    if not (inside if isinstance(inside, bool) else inside.all()):
         raise ValueError("clicks must lie in [0, trials]")
 
 

@@ -199,12 +199,12 @@ def _simulate(cfg: ExperimentConfig, states, times, angles, seed: int) -> Result
         raise tomography.InsufficientCounts(
             f"{exc} in the job of {job_states[j]} at {job_times[j]} us, "
             f"{degrees[j % len(angles)]} deg") from None
-    f_raw = hilbert._fidelities(rho_raw, targets)   # reconstruct's matrices are physical
+    f_raw = hilbert.fidelities(rho_raw, targets)
     net = tomography.subtract_background(counts, bg_expected)
     corrected = (survival > 0) & (net[:, 0::2] + net[:, 1::2] > 0).all(1)
     f_corr, rho_corr = np.zeros_like(f_raw), np.zeros_like(rho_raw)
     _, rho = tomography.reconstruct(net[corrected])
-    f_corr[corrected] = hilbert._fidelities(rho, targets[corrected])
+    f_corr[corrected] = hilbert.fidelities(rho, targets[corrected])
     rho_corr[corrected] = rho
 
     nbar, bg = cfg.source.nbar, cfg.memory.bg_click

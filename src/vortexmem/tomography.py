@@ -19,8 +19,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .hilbert import HybridState, RangeError, _fidelities, densities_from_bloch
+from .hilbert import HybridState, RangeError, densities_from_bloch, fidelities
 from .photodetection import PROJECTOR_ORDER, PROJECTOR_PAIRS, CountRecord
+
 
 class InsufficientCounts(ValueError):
     """A projector basis pair has zero total counts."""
@@ -36,15 +37,14 @@ class StokesEstimate:
 @dataclass(frozen=True, eq=False)   # == on array fields has no single truth value
 class TomographyResult:
     """A reconstructed state.  Only tomograph builds one, from reconstruct,
-    whose matrices are physical by construction, so fidelity_vs does not
-    check rho again."""
+    so rho is physical by construction."""
 
     rho: np.ndarray   # (2, 2) physical density matrix, read-only
     stokes: StokesEstimate
 
     def fidelity_vs(self, target: HybridState) -> float:
         """Conditional fidelity <target|rho|target>, clamped to [0, 1]."""
-        return float(_fidelities(self.rho[None], target.vector()[None])[0])
+        return float(fidelities(self.rho[None], target.vector()[None])[0])
 
 
 def subtract_background(counts: np.ndarray, bg_expected) -> np.ndarray:
@@ -78,38 +78,34 @@ def reconstruct(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Linear-inversion tomography of a stack of count records.
 
     ``counts`` is (N, 6) in PROJECTOR_ORDER.  Returns the Stokes vectors
-    (N, 3) before projection and the physical density matrices (N, 2, 2):
-    projected into the ball, they pass hilbert.check_densities, so their
-    fidelities need no second check (hilbert._fidelities).
+    (N, 3) before projection and the density matrices (N, 2, 2) of the
+    Stokes vectors projected onto the unit ball: physical by construction,
+    the only way a matrix is made physical in this package.
     """
     stokes = stokes_of(counts)
     return stokes, densities_from_bloch(project_to_ball(stokes))
 
 
-def _count_arrays(records: Iterable[CountRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Clicks and expected background (1, 6) of six records, in PROJECTOR_ORDER."""
-    table = _by_projector(records)
-    counts = np.array([[table[k].clicks for k in PROJECTOR_ORDER]])
-    bg = np.array([[table[k].bg_clicks_expected for k in PROJECTOR_ORDER]], dtype=float)
-    return counts, bg
-
-
-def _by_projector(records: Iterable[CountRecord]) -> dict[str, CountRecord]:
-    table = {}
-    for r in records:
-        if r.projector_id in table:
+def _projector_index(records: list[CountRecord]) -> list[int]:
+    """The index in ``records`` of each projector of PROJECTOR_ORDER."""
+    index = {}
+    for i, r in enumerate(records):
+        if r.projector_id in index:
             raise ValueError(f"duplicate projector {r.projector_id!r}")
-        table[r.projector_id] = r
-    missing = [a for pair in PROJECTOR_PAIRS for a in pair if a not in table]
+        index[r.projector_id] = i
+    missing = [k for k in PROJECTOR_ORDER if k not in index]
     if missing:
         raise ValueError(f"missing projectors: {missing}")
-    return table
+    return [index[k] for k in PROJECTOR_ORDER]
 
 
 def tomograph(records: Iterable[CountRecord], subtract_bg: bool = False) -> TomographyResult:
     """Reconstruct a physical density matrix from six count records."""
-    counts, bg = _count_arrays(records)
+    records = list(records)
+    ordered = [records[i] for i in _projector_index(records)]
+    counts = np.array([[r.clicks for r in ordered]])
     if subtract_bg:
+        bg = np.array([[r.bg_clicks_expected for r in ordered]], dtype=float)
         counts = subtract_background(counts, bg)
     stokes, rho = reconstruct(counts)
     rho = rho[0]
@@ -145,23 +141,23 @@ def bootstrap_fidelity(records: Iterable[CountRecord], target: HybridState,
     bootstraps are paired resamples.  Returns (mean, standard deviation) of
     the resampled fidelities.
     """
+    for name, value in (("n_resamples", n_resamples), ("seed", seed)):
+        if isinstance(value, bool):   # an Integral, taken as 0 or 1
+            raise TypeError(f"{name} {value!r} is not an integer")
     if not (isinstance(n_resamples, numbers.Integral) and n_resamples >= 1):
         raise RangeError(f"n_resamples {n_resamples!r} is not an integer >= 1")
-    if isinstance(seed, bool):   # operator.index would take it as 0 or 1
-        raise TypeError(f"seed {seed!r} is not an integer")
     if operator.index(seed) < 0:
         raise RangeError(f"seed {seed} is negative")
     records = list(records)
-    table = _by_projector(records)
+    index = _projector_index(records)
     draws = _resample(tuple(r.trials for r in records), tuple(r.clicks for r in records),
                       n_resamples, operator.index(seed))
-    column = {r.projector_id: i for i, r in enumerate(records)}
-    counts = draws[:, [column[k] for k in PROJECTOR_ORDER]]
+    counts = draws[:, index]
     if subtract_bg:
-        bg = np.array([table[k].bg_clicks_expected for k in PROJECTOR_ORDER], dtype=float)
+        bg = np.array([records[i].bg_clicks_expected for i in index], dtype=float)
         counts = subtract_background(counts, bg)
     _, rho = reconstruct(counts)
-    fids = _fidelities(rho, target.vector()[None])
+    fids = fidelities(rho, target.vector()[None])
     # the ufunc reductions of ndarray.mean and ndarray.std, without their wrappers
     n = len(fids)
     mean = np.add.reduce(fids) / n

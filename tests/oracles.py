@@ -35,9 +35,8 @@ from pathlib import Path
 import numpy as np
 
 from vortexmem import cli, config, memory, optics, pipeline, security
-from vortexmem.hilbert import (ATOL_BALL, ATOL_EIGEN, ATOL_HERMITIAN, ATOL_TRACE, TAU1,
-                               TAU2, TAU3, BasisTag, HybridState,
-                               NonPhysicalDensity, OutsideBall, make_state, named_state)
+from vortexmem.hilbert import (ATOL_BALL, TAU1, TAU2, TAU3, BasisTag, HybridState,
+                               OutsideBall, make_state, named_state)
 from vortexmem.photodetection import PROJECTOR_ORDER, PROJECTOR_PAIRS, CountRecord, snr_of
 from vortexmem.text import COUNT_RECORD_COLUMNS, CSV_COLUMNS
 from vortexmem.tomography import InsufficientCounts
@@ -285,10 +284,23 @@ def bloch_of(m: np.ndarray) -> BlochVector:
     )
 
 
+# what the tests accept as a physical density matrix: the package builds
+# every matrix physical (tomography.reconstruct, hilbert.densities_from_bloch)
+# and checks none, so this check is the tests' own
+ATOL_HERMITIAN = 1e-12
+ATOL_TRACE = 1e-12
+ATOL_EIGEN = 1e-10
+
+
+class NonPhysicalDensity(ValueError):
+    """Density matrix violates hermiticity, unit trace or positivity."""
+
+
 def check_densities(m):
-    """Reference for hilbert.check_densities on finite stacks (N, 2, 2):
+    """Raise NonPhysicalDensity unless every matrix of the finite stack
+    (N, 2, 2) is Hermitian, has unit trace and no negative eigenvalue:
     isclose against the adjoint and LAPACK eigenvalues of the Hermitian part.
-    It lets equal infinities pass as Hermitian, so it is no reference for
+    It lets equal infinities pass as Hermitian, so it is no check of
     non-finite elements."""
     adjoint = m.conj().swapaxes(-1, -2)
     if not np.isclose(m, adjoint, atol=ATOL_HERMITIAN, rtol=0.0).all():
