@@ -23,20 +23,17 @@ DEFAULT_ANGLES_DEG = (0, 10, 20, 30, 40, 45, 50, 60)
 DEFAULT_TIMES_US = (0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0)
 BOUNDS_NBAR_GRID = (0.1, 0.5, 1.0)
 
-# scenario -> (preset fields over the measured-regime base config, the
-# storage times and angles its jobs run over, each with every input state;
-# None without jobs)
+# scenario -> its preset fields over the measured-regime base config
 _SCENARIOS = {
-    "store_tomography": ({}, lambda cfg: (cfg.storage_times[:1], (0.0,))),
-    "fidelity_vs_time": ({"storage_times": DEFAULT_TIMES_US},
-                         lambda cfg: (cfg.storage_times, (0.0,))),
-    "fidelity_vs_rotation": ({
+    "store_tomography": {},
+    "fidelity_vs_time": {"storage_times": DEFAULT_TIMES_US},
+    "fidelity_vs_rotation": {
         "rotation_angles": tuple(math.radians(d) for d in DEFAULT_ANGLES_DEG),
         "input_states": hilbert.HYBRID_SPHERE_NAMES + hilbert.POLARIZATION_NAMES,
         "encode_with_qplate": False,
-    }, lambda cfg: (cfg.storage_times[:1], cfg.rotation_angles)),
-    "field_maps": ({"trials_per_projection": 0}, None),
-    "bounds_table": ({}, None),
+    },
+    "field_maps": {"trials_per_projection": 0},
+    "bounds_table": {},
 }
 SCENARIOS = tuple(_SCENARIOS)
 
@@ -70,6 +67,10 @@ class ExperimentConfig:
         if repeated and self.scenario in ("store_tomography", "field_maps"):
             raise ConfigError(f"input_states: {repeated} listed more than once; "
                               f"{self.scenario} keys its outputs by state name")
+        for axis in ("storage_times", "rotation_angles"):
+            if self.scenario == "store_tomography" and len(getattr(self, axis)) > 1:
+                raise ConfigError(f"{axis}: store_tomography keys its outputs by state name, "
+                                  f"so it takes one value")
         for name in ("trials_per_projection", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -131,7 +132,7 @@ def _check_finite(path: str, value) -> None:
 def default_config(scenario: str) -> ExperimentConfig:
     """Scenario presets in the measured operating regime."""
     try:
-        preset, _ = _SCENARIOS[scenario]
+        preset = _SCENARIOS[scenario]
     except (KeyError, TypeError):   # TypeError: an unhashable JSON value
         raise ConfigError(f"scenario: {scenario!r} not in {SCENARIOS}") from None
     mem = MemoryParams()

@@ -39,18 +39,18 @@ class MemoryParams:
     def __post_init__(self):
         if not 0.0 <= self.eta0 <= 1.0:
             raise ValueError("eta0 must lie in [0, 1]")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:   # written so that NaN fails too
             raise ValueError("tau must be positive")
         if not 0.0 <= self.bg_click < 1.0:
             raise ValueError("bg_click must lie in [0, 1)")
-        if self.rail_imbalance < 0.0:
+        if not self.rail_imbalance >= 0.0:
             raise ValueError("rail_imbalance must be >= 0")
 
 
 def efficiency_at(p: MemoryParams, t: float) -> float:
     """Storage-retrieval efficiency after t microseconds in memory."""
-    if t < 0.0:
-        raise RangeError(f"storage time {t} < 0")
+    if not t >= 0.0:
+        raise RangeError(f"storage time {t} is not >= 0")
     return p.eta0 * math.exp(-((t / p.tau) ** 2))
 
 

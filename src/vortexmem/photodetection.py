@@ -32,7 +32,7 @@ class SourceParams:
     nbar: float = 0.5     # mean photon number per pulse
 
     def __post_init__(self):
-        if self.nbar < 0.0:
+        if not self.nbar >= 0.0:   # written so that NaN fails too
             raise ValueError("nbar must be >= 0")
 
 

@@ -7,22 +7,22 @@ row carries the matching classical-memory bounds and the key-distribution
 threshold verdict; runs are bit-reproducible for a fixed (config, seed)
 pair.
 
-A job scenario runs over three axes, states x storage times x angles,
-state outermost (config._SCENARIOS gives each scenario's times and
-angles).  States are prepared once per listed state, the memory's
-closed-form gains (memory.rail_gains) once per listed storage time and the
-frame rotation's phases once per listed angle; broadcast against each
-other they give the light at the analyzers, flattened to a job axis, and
-the click statistics, tomography, fidelities and every ResultTable column
-work on arrays with one row per job.  A run draws all its click counts
-from one stream, default_rng(seed): job by job in that order, each job's
-six projectors in H, V, D, A, R, L order.
-The job_seed of every row is that run seed.  Arithmetic on the job axis is
-elementwise, so row 0 of a run is bit for bit the one-job run
-simulate_point(..., job_seed=seed).  The batch is a ResultTable of
+A job scenario runs the grid of the config's three axes, input_states x
+storage_times x rotation_angles, state outermost; a one-job run is a
+config that lists one of each.  States are prepared once per listed state,
+the memory's closed-form gains (memory.rail_gains) once per listed storage
+time and the frame rotation's phases once per listed angle; broadcast
+against each other they give the light at the analyzers, flattened to a
+job axis, and the click statistics, tomography, fidelities and every
+ResultTable column work on arrays with one row per job.  A run draws all
+its click counts from one stream, default_rng(seed): job by job in that
+order, each job's six projectors in H, V, D, A, R, L order.  The job_seed
+of every row is that run seed.  Arithmetic on the job axis is
+elementwise, so row 0 of a run is bit for bit the one-job run of its first
+state, time and angle at the same seed.  The batch is a ResultTable of
 columns, which the text module writes; a result exists only in those two
-forms, so the row dicts of ResultTable.rows and simulate_point are the
-results.jsonl lines, parsed.
+forms, so the row dicts of ResultTable.rows are the results.jsonl lines,
+parsed.
 
 A run returns a Report: the ResultTable of a job scenario, or the
 finished (file name, text) pairs of bounds_table and field_maps.  In
@@ -35,13 +35,13 @@ pair, and the CSVs of all distinct intensities from one repr table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import fields, hilbert, memory, optics, photodetection, security, tomography
-from .config import _SCENARIOS, BOUNDS_NBAR_GRID, ExperimentConfig
+from .config import BOUNDS_NBAR_GRID, ExperimentConfig
 from .hilbert import BasisTag, HybridState, named_state
 from .text import (_bounds_text, _parsed, _pgm_samples, _results_text, render_grid_csvs,
                    render_pgm, render_ppm)
@@ -53,11 +53,10 @@ _LEAK_WEIGHTS = photodetection.projection_weights(
     np.array([(psi.c0, psi.c1) for psi in map(named_state, "LR")]))
 
 
-def _light(cfg: ExperimentConfig, states, times, angles
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _light(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Signal weight per projector (J, 6), survival (J,) and decoded target
     amplitudes (J, 2) of the light at the analyzers, one row per job of the
-    axes: each state, then each storage time, then each angle.
+    config's axes: each state, then each storage time, then each angle.
 
     The memory is its closed form, memory.rail_gains.  A hybrid state comes
     back as itself with weight |g|^2, times the two plate passes; its leak
@@ -69,7 +68,7 @@ def _light(cfg: ExperimentConfig, states, times, angles
     on the real and imaginary parts.  Decoded hybrid states carry zero total
     angular momentum and do not turn.
     """
-    inputs = [named_state(state) for state in states]
+    inputs = [named_state(state) for state in cfg.input_states]
     if cfg.encode_with_qplate:
         inputs = [optics.qplate_apply(psi, cfg.qplate)
                   if psi.basis_tag is BasisTag.POLARIZATION else psi for psi in inputs]
@@ -79,7 +78,7 @@ def _light(cfg: ExperimentConfig, states, times, angles
     # amplitudes (S, 1, 2) against gains (T, 1): light (S, T, 2)
     c, targets = (np.array([(psi.c0, psi.c1) for psi in psis], dtype=complex)[:, None]
                   for psis in (inputs, decoded))
-    g, h = (x[:, None] for x in memory.rail_gains(cfg.memory, times))
+    g, h = (x[:, None] for x in memory.rail_gains(cfg.memory, cfg.storage_times))
     pol = g * c + h * c[..., ::-1]
     power = (np.abs(pol) ** 2).sum(-1)
     conv = optics.conversion_probability(cfg.qplate) ** 2   # encode and decode pass
@@ -91,7 +90,7 @@ def _light(cfg: ExperimentConfig, states, times, angles
     amps = np.divide(pol, np.sqrt(power)[..., None], out=targets.copy(),
                      where=(~hybrid & (power > 0))[..., None])[:, :, None]
     phases = np.array([optics._frame_phases(theta)
-                       for theta in np.asarray(angles, dtype=float).tolist()])
+                       for theta in np.asarray(cfg.rotation_angles, dtype=float).tolist()])
     turned = np.empty(amps.shape[:2] + phases.shape, dtype=complex)
     turned.real = amps.real * phases.real - amps.imag * phases.imag
     turned.imag = amps.real * phases.imag + amps.imag * phases.real
@@ -107,7 +106,8 @@ def propagate(state_name: str, cfg: ExperimentConfig, t_us: float,
               theta: float) -> SimpleNamespace:
     """The light of one job at the analyzers: its ``signal`` (1, 6) and
     ``survival`` (1,), and its decoded ``target`` state."""
-    signal, survival, targets = _light(cfg, [state_name], [t_us], [theta])
+    signal, survival, targets = _light(replace(
+        cfg, input_states=(state_name,), storage_times=(t_us,), rotation_angles=(theta,)))
     target = HybridState(*targets[0].tolist(), BasisTag.POLARIZATION)
     return SimpleNamespace(signal=signal, survival=survival, target=target)
 
@@ -179,19 +179,20 @@ class ResultTable:
         return _parsed(_results_text(self)[1])
 
 
-def _simulate(cfg: ExperimentConfig, states, times, angles, seed: int) -> ResultTable:
-    """Result table of the jobs of the axes (see _light): the pipeline over a
-    job axis.
+def _simulate(cfg: ExperimentConfig) -> ResultTable:
+    """Result table of the jobs of the config's axes (see _light): the
+    pipeline over a job axis.
 
-    The counts of all jobs come from one stream, default_rng(seed), in job
-    order.  Bounds and SNR depend on a job only through its survival, so
+    The counts of all jobs come from one stream, default_rng(cfg.seed), in
+    job order.  Bounds and SNR depend on a job only through its survival, so
     they are computed once per distinct survival.
     """
-    signal, survival, targets = _light(cfg, states, times, angles)
+    states, times, angles = cfg.input_states, cfg.storage_times, cfg.rotation_angles
+    signal, survival, targets = _light(cfg)
     job_states = [state for state in states for _ in range(len(times) * len(angles))]
     job_times = [t_us for _ in states for t_us in times for _ in angles]
     degrees = [round(math.degrees(theta), 9) for theta in np.asarray(angles, dtype=float).tolist()]
-    counts, bg_expected, _ = _detect(cfg, signal, survival, seed)
+    counts, bg_expected, _ = _detect(cfg, signal, survival, cfg.seed)
     try:
         stokes, rho_raw = tomography.reconstruct(counts)
     except tomography.InsufficientCounts as exc:
@@ -215,7 +216,7 @@ def _simulate(cfg: ExperimentConfig, states, times, angles, seed: int) -> Result
         scenario=cfg.scenario,
         states=job_states,
         times=job_times,
-        seed=seed,
+        seed=cfg.seed,
         angle_deg=np.tile(degrees, len(states) * len(times)),
         f_raw=f_raw,
         f_corr=f_corr,
@@ -232,12 +233,6 @@ def _simulate(cfg: ExperimentConfig, states, times, angles, seed: int) -> Result
         if bg > 0 else None,
         secure=security.shor_preskill_passes(f_raw),
     )
-
-
-def simulate_point(state_name: str, cfg: ExperimentConfig, t_us: float,
-                   theta: float, job_seed: int) -> dict:
-    """One (state, time, angle) job: its results.jsonl line, parsed."""
-    return _simulate(cfg, [state_name], [t_us], [theta], job_seed).rows()[0]
 
 
 # --- scenario runners --------------------------------------------------------
@@ -290,5 +285,4 @@ def run(cfg: ExperimentConfig) -> Report:
             (f"{name}_intensity.pgm", pgm_of[i]),
             (f"{name}_polarization.ppm", ppms[h, i]),
             (f"{name}_intensity.csv", csvs[i]))])
-    times, angles = _SCENARIOS[cfg.scenario][1](cfg)
-    return Report(table=_simulate(cfg, cfg.input_states, times, angles, cfg.seed))
+    return Report(table=_simulate(cfg))

@@ -32,7 +32,7 @@ class BenchmarkInput:
     eta: float
 
     def __post_init__(self):
-        if self.nbar <= 0.0:
+        if not self.nbar > 0.0:   # written so that NaN fails too
             raise RangeError("nbar must be > 0")
         if not 0.0 < self.eta <= 1.0:
             raise RangeError("eta must lie in (0, 1]")
@@ -40,8 +40,8 @@ class BenchmarkInput:
 
 def classical_bound_nphoton(n: int) -> float:
     """Best intercept-resend fidelity on an N-photon state: (N+1)/(N+2)."""
-    if n < 1:
-        raise RangeError(f"photon number {n} < 1")
+    if not n >= 1:
+        raise RangeError(f"photon number {n} is not >= 1")
     return (n + 1) / (n + 2)
 
 
@@ -64,7 +64,7 @@ def _nonvacuum_terms(nbar: float) -> tuple[float, list[float]]:
 def classical_bound_poisson(nbar: float) -> float:
     """Poisson-averaged classical bound for a weak coherent pulse,
     conditioned on non-vacuum input."""
-    if nbar <= 0.0:
+    if not nbar > 0.0:
         raise RangeError("nbar must be > 0")
     nonvac, terms = _nonvacuum_terms(nbar)
     if nonvac < sys.float_info.min:   # subnormal: the single-photon limit

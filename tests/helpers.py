@@ -1,11 +1,13 @@
 """Shared hypothesis strategies and small oracles for the test suite."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from vortexmem import pipeline
 from vortexmem.hilbert import BasisTag, HybridState, make_state
 
 _amp = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
@@ -42,6 +44,14 @@ def haar_states(rng: np.random.Generator, n: int, tag: BasisTag) -> list[HybridS
 
 def fidelity(a: HybridState, b: HybridState) -> float:
     return abs(np.vdot(a.vector(), b.vector())) ** 2
+
+
+def run_one_job(state_name, cfg, t_us, theta, seed) -> dict:
+    """The one row of the run of ``cfg`` cut to one state, storage time and
+    angle at ``seed``: its results.jsonl line, parsed."""
+    one = replace(cfg, input_states=(state_name,), storage_times=(t_us,),
+                  rotation_angles=(theta,), seed=seed)
+    return pipeline.run(one).table.rows()[0]
 
 
 def assert_same_text(got: dict, want: dict) -> None:

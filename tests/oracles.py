@@ -473,7 +473,7 @@ def bounds_rows(cfg):
 def axes(cfg):
     """The (states, times, angles) of a job scenario: its jobs, in run order,
     are itertools.product(*axes(cfg))."""
-    return (cfg.input_states, *config._SCENARIOS[cfg.scenario][1](cfg))
+    return cfg.input_states, cfg.storage_times, cfg.rotation_angles
 
 
 def run(cfg):

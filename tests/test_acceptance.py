@@ -12,8 +12,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import assert_same_text
-from vortexmem import cli, config, memory, photodetection, pipeline, security, tomography
+from helpers import assert_same_text, run_one_job
+from vortexmem import cli, config, memory, photodetection, security, tomography
 from vortexmem.fields import Grid, lg_amplitude, peak_radius, project_polarization, vector_field_map
 from vortexmem.hilbert import HYBRID_SPHERE_NAMES, named_state
 from vortexmem.memory import MemoryParams, efficiency_at
@@ -42,7 +42,7 @@ def test_criterion_1_noiseless_end_to_end_identity():
     cfg = _noiseless_config(storage_times=[3.7])
     worst = 1.0
     for name in SIX:
-        row = pipeline.simulate_point(name, cfg, 3.7, 0.0, 0)
+        row = run_one_job(name, cfg, 3.7, 0.0, 0)
         worst = min(worst, row["fidelity_raw"])
     elapsed = time.perf_counter() - start
     assert worst >= 1 - 1e-9
@@ -68,7 +68,7 @@ def test_criterion_2_rotational_invariance_with_noise():
         for ia, theta in enumerate(ANGLES):
             for istate, name in enumerate(SIX):
                 job_seed = seed * 10_000 + ia * 100 + istate
-                row = pipeline.simulate_point(name, cfg, 1.0, theta, job_seed)
+                row = run_one_job(name, cfg, 1.0, theta, job_seed)
                 worst = min(worst, row["fidelity_raw"])
                 assert row["fidelity_raw"] > 0.89
     elapsed = time.perf_counter() - start
@@ -80,18 +80,18 @@ def test_criterion_2_rotational_invariance_with_noise():
 def test_criterion_3_malus_law_for_polarization_encoding():
     start = time.perf_counter()
     cfg = _noiseless_config(scenario="fidelity_vs_rotation", encode_with_qplate=False)
-    f0 = {name: pipeline.simulate_point(name, cfg, 0.0, 0.0, 0)["fidelity_raw"]
+    f0 = {name: run_one_job(name, cfg, 0.0, 0.0, 0)["fidelity_raw"]
           for name in ("H", "V", "D", "A")}
     worst_dev = 0.0
     for theta_deg in (0, 10, 20, 30, 40, 45, 50, 60):
         theta = math.radians(theta_deg)
         for name in ("H", "V", "D", "A"):
-            f = pipeline.simulate_point(name, cfg, 0.0, theta, 0)["fidelity_raw"]
+            f = run_one_job(name, cfg, 0.0, theta, 0)["fidelity_raw"]
             dev = abs(f - f0[name] * math.cos(theta) ** 2)
             worst_dev = max(worst_dev, dev)
             assert dev <= 0.005
         for name in ("R", "L"):
-            f = pipeline.simulate_point(name, cfg, 0.0, theta, 0)["fidelity_raw"]
+            f = run_one_job(name, cfg, 0.0, theta, 0)["fidelity_raw"]
             assert f >= 0.999
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -119,7 +119,7 @@ def test_criterion_4_measured_fidelity_regime():
     raw, corrected = [], []
     for seed in range(20):
         for istate, name in enumerate(SIX):
-            row = pipeline.simulate_point(name, cfg, 1.0, 0.0, seed * 100 + istate)
+            row = run_one_job(name, cfg, 1.0, 0.0, seed * 100 + istate)
             raw.append(row["fidelity_raw"])
             corrected.append(row["fidelity_corrected"])
     raw_avg = float(np.mean(raw))
@@ -182,7 +182,7 @@ def test_criterion_6_efficiency_decay_and_loss_invariance():
     })
     for t in cfg.storage_times:
         for name in SIX:
-            row = pipeline.simulate_point(name, cfg, t, 0.0, 0)
+            row = run_one_job(name, cfg, t, 0.0, 0)
             assert row["fidelity_raw"] == pytest.approx(1.0, abs=1e-9)
     elapsed = time.perf_counter() - start
     _passline(6, f"Gaussian efficiency decay anchored at eta0 and eta0/e; balanced "

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import assert_same_text
+from helpers import assert_same_text, run_one_job
 from vortexmem import cli, config, hilbert, optics, photodetection, pipeline, text, tomography
 from vortexmem.hilbert import OutsideBall
 from vortexmem.photodetection import RangeError
@@ -26,10 +26,12 @@ def _config(scenario, trials, imperfection, encode, seed=4242):
     raw = config.config_to_dict(config.default_config(scenario))
     raw.update(trials_per_projection=trials, seed=seed, encode_with_qplate=encode,
                input_states=ALL_STATES, rotation_angles=ANGLES)
+    if scenario == "store_tomography":   # density_matrices.json is keyed by state alone
+        raw["rotation_angles"] = ANGLES[2:3]
     raw["memory"]["rail_imbalance"] = imperfection
     raw["memory"]["rail_phase_error"] = imperfection
     if scenario == "fidelity_vs_time":
-        raw["storage_times"] = [0.0, 1, 2.5, 7.0]
+        raw["storage_times"] = [0.0, 1, 7.0]
     return config.config_from_dict(raw)
 
 
@@ -74,7 +76,7 @@ def test_single_job_api_matches_oracle():
     cfg = _config("fidelity_vs_rotation", 150_000, 0.05, False)
     for state in ("radial", "H", "D", "L"):
         for theta in ANGLES[:3]:
-            got = pipeline.simulate_point(state, cfg, 1.0, theta, 17)
+            got = run_one_job(state, cfg, 1.0, theta, 17)
             want = oracles.simulate_point(state, cfg, 1.0, theta, 17)
             assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
             light = pipeline.propagate(state, cfg, 1.0, theta)
@@ -105,7 +107,7 @@ def test_rotation_runs_once_per_distinct_angle(monkeypatch):
     count(photodetection, "projection_weights")
     cfg = replace(config.default_config("fidelity_vs_rotation"),
                   rotation_angles=tuple(math.radians(i / 10) for i in range(600)))
-    table = pipeline._simulate(cfg, *oracles.axes(cfg), cfg.seed)
+    table = pipeline._simulate(cfg)
     assert calls["_frame_phases"] == 600
     assert 1 <= calls["projection_weights"] <= 3
     assert set(calls) == {"_frame_phases", "projection_weights"}
@@ -150,10 +152,12 @@ def test_repeated_states_and_times_match_oracles(tmp_path, monkeypatch, capsys, 
     and an int time keeps its integer text."""
     cfg = replace(_config("fidelity_vs_time", 150_000, 0.05, True), **{axis: values})
     monkeypatch.chdir(tmp_path)
-    jobs = len(cfg.input_states) * len(cfg.storage_times)
+    jobs = len(cfg.input_states) * len(cfg.storage_times) * len(cfg.rotation_angles)
     lines = _matches_oracles(cfg, jobs, capsys)["results.csv"].decode().splitlines()
-    # states are the outer axis: one state per len(storage_times) lines
-    step = len(cfg.storage_times) if axis == "input_states" else 1
+    # states are the outer axis, then times: a new state every
+    # len(storage_times) * len(rotation_angles) lines, a new time every
+    # len(rotation_angles)
+    step = len(cfg.rotation_angles) * (len(cfg.storage_times) if axis == "input_states" else 1)
     column = CSV_COLUMNS.index("state" if axis == "input_states" else "time_us")
     assert [line.split(",")[column] for line in lines[1::step][:len(values)]] == \
         list(map(str, values))
@@ -182,7 +186,7 @@ def test_one_job_run_is_row_zero_of_a_run_at_its_seed():
         cfg = _config(scenario, 150_000, 0.05, True, seed=17)
         jobs = list(itertools.product(*oracles.axes(cfg)))
         state, t_us, theta = jobs[0]
-        got = pipeline.simulate_point(state, cfg, t_us, theta, 17)
+        got = run_one_job(state, cfg, t_us, theta, 17)
         want = pipeline.run(cfg).table.rows()[0]
         assert len(jobs) > 1
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)

@@ -117,12 +117,15 @@ class TestMainExitCodes:
         {"scenario": "store_tomography", "storage_times": [1e200]},
         {"scenario": "store_tomography", "input_states": ["radial", "H", "radial"]},
         {"scenario": "field_maps", "input_states": ["radial", "radial"]},
+        {"scenario": "store_tomography", "storage_times": [1.0, 5.0]},
+        {"scenario": "store_tomography", "rotation_angles": [0.0, 0.3]},
     ], ids=["unknown_scenario", "fractional_seed", "fractional_trials", "nan_alpha0", "nan_nbar",
             "charge_1_5", "charge_0", "string_encode_flag", "nbar_past_series",
             "bounds_nbar_past_series", "huge_trials", "huge_alpha0", "angle_overflows_degrees",
             "bounds_zero_nbar", "bounds_zero_eta", "huge_charge", "huge_int_time",
             "time_overflows_envelope", "store_tomography_repeated_state",
-            "field_maps_repeated_state"])
+            "field_maps_repeated_state", "store_tomography_two_times",
+            "store_tomography_two_angles"])
     def test_config_error_is_2(self, tmp_path, payload):
         path = _write_config(tmp_path, payload)
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "o")])
@@ -154,6 +157,21 @@ class TestMainExitCodes:
             timeout=120)
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "o" / "bounds.csv").is_file()
+
+    @pytest.mark.parametrize("payload, grid", [
+        ({"scenario": "fidelity_vs_time", "rotation_angles": [0.3], "storage_times": [1.0],
+          "input_states": ["H"]}, [("H", 1.0, 17.188733854)]),
+        ({"scenario": "fidelity_vs_rotation", "rotation_angles": [0.0, 0.3],
+          "storage_times": [1.0, 5.0], "input_states": ["radial"]},
+         [("radial", 1.0, 0.0), ("radial", 1.0, 17.188733854), ("radial", 5.0, 0.0),
+          ("radial", 5.0, 17.188733854)]),
+    ], ids=["time_scan_at_an_angle", "rotation_scan_at_two_times"])
+    def test_job_scenario_runs_every_listed_value(self, tmp_path, payload, grid):
+        # every time and angle the config lists is a job, state -> time -> angle
+        path, out = _write_config(tmp_path, payload), tmp_path / "o"
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+        assert [(r["state"], r["time_us"], r["angle_deg"]) for r in rows] == grid
 
     def test_long_storage_gives_background_rows(self, tmp_path):
         # exp(-(t/tau)^2) underflows to 0: nothing is retrieved
@@ -191,7 +209,7 @@ class TestMainExitCodes:
         assert cfg.seed == 12345
         axes = oracles.axes(cfg)
         jobs = list(itertools.product(*axes))
-        signal, survival, _ = pipeline._light(cfg, *axes)
+        signal, survival, _ = pipeline._light(cfg)
         counts, bg_expected, _ = pipeline._detect(cfg, signal, survival, cfg.seed)
         net = tomography.subtract_background(counts, bg_expected)
         emptied = (net[:, 0::2] + net[:, 1::2] == 0).any(1).tolist()

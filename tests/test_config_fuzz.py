@@ -1,4 +1,6 @@
-"""Any JSON config runs or is refused: main returns 0, 2 or 3 and never raises.
+"""Any JSON config runs or is refused: main returns 0, 2 or 3 and never raises,
+and a job scenario that runs writes one results.jsonl line for each job of
+its grid, states x storage times x angles in that order.
 
 Configs start from a scenario preset, cut to a few states, angles and
 storage times, and have some fields replaced.  Most replacements are drawn
@@ -8,7 +10,9 @@ to +-1e308 and non-finite (json.loads accepts NaN and Infinity), strings
 and nested lists or objects.
 """
 
+import itertools
 import json
+import math
 import tempfile
 from datetime import timedelta
 from pathlib import Path
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 
 from vortexmem import cli, config, hilbert
 
+_JOB_SCENARIOS = ("store_tomography", "fidelity_vs_time", "fidelity_vs_rotation")
 _NAMES = st.sampled_from(config.SCENARIOS + hilbert.STATE_NAMES)
 _NUMBERS = st.one_of(
     st.integers(min_value=-10**30, max_value=10**30),
@@ -122,4 +127,13 @@ def test_main_returns_an_exit_code_for_any_json_config(raw):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(raw))
-        assert cli.main(["--config", str(path), "--out", str(Path(tmp) / "out")]) in (0, 2, 3)
+        out = Path(tmp) / "out"
+        code = cli.main(["--config", str(path), "--out", str(out)])
+        assert code in (0, 2, 3)
+        if code != 0 or raw.get("scenario") not in _JOB_SCENARIOS:
+            return
+        cfg = cli.load_config(path, None, None)
+        grid = [(state, t_us, round(math.degrees(theta), 9)) for state, t_us, theta in
+                itertools.product(cfg.input_states, cfg.storage_times, cfg.rotation_angles)]
+        rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+        assert [(r["state"], r["time_us"], r["angle_deg"]) for r in rows] == grid

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import assert_same_text
+from helpers import assert_same_text, run_one_job
 from vortexmem import cli, config, pipeline, text
 
 JOB_SCENARIOS = ("store_tomography", "fidelity_vs_time", "fidelity_vs_rotation")
@@ -82,7 +82,7 @@ def test_rows_are_the_parsed_results_jsonl_lines(tmp_path, capsys, payload):
     assert [json.dumps(row, sort_keys=True) for row in rows] == lines == want
     # one stream per run: the first job is the one-job run at the run seed
     state, t_us, theta = next(itertools.product(*oracles.axes(cfg)))
-    point = pipeline.simulate_point(state, cfg, t_us, theta, cfg.seed)
+    point = run_one_job(state, cfg, t_us, theta, cfg.seed)
     assert json.dumps(point, sort_keys=True) == lines[0]
 
 

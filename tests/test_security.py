@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vortexmem import memory
+from vortexmem.memory import MemoryParams
+from vortexmem.photodetection import SourceParams
 from vortexmem.security import (
     SHOR_PRESKILL_THRESHOLD,
     BenchmarkInput,
@@ -194,3 +197,23 @@ class TestShorPreskill:
             shor_preskill_passes(np.array([1.5]))
         with pytest.raises(RangeError):
             shor_preskill_passes(np.array([-0.1]))
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: classical_bound_poisson(NAN), RangeError),
+    (lambda: classical_bound_with_efficiency(BenchmarkInput(NAN, 0.5)), RangeError),
+    (lambda: classical_bound_nphoton(NAN), RangeError),
+    (lambda: memory.efficiency_at(MemoryParams(), NAN), RangeError),
+    (lambda: MemoryParams(tau=NAN), ValueError),
+    (lambda: MemoryParams(rail_imbalance=NAN), ValueError),
+    (lambda: SourceParams(NAN), ValueError),
+], ids=["poisson_bound", "efficiency_bound", "nphoton_bound", "efficiency_at",
+        "memory_tau", "memory_imbalance", "source_nbar"])
+def test_public_checks_refuse_nan(call, error):
+    # each check is written as `not x > bound`, which NaN fails, as in
+    # QPlateParams
+    with pytest.raises(error):
+        call()
