@@ -4,7 +4,7 @@ atomic quantum memory.
 Modules
 -------
 hilbert         state algebra for hybrid polarization-OAM and polarization qubits
-optics          q-plate encode/decode and detection-frame rotation
+optics          q-plate pass on amplitude pairs and detection-frame rotation
 memory          dual-rail storage-and-retrieval channel, in closed form
 photodetection  weak-coherent click statistics behind projective analyzers
 tomography      six-projector density-matrix reconstruction

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import BasisTag, HybridState, RangeError
+from .hilbert import RangeError
 
 MAX_CHARGE = 50  # largest OAM order the ensemble aperture supports
 
@@ -102,14 +102,13 @@ def _lg_carrier(l: int, grid: Grid) -> np.ndarray:
     return field
 
 
-def vector_field_map(psi: HybridState, grid: Grid) -> VectorFieldMap:
-    """Transverse Jones-vector map of a hybrid-sphere state."""
-    if psi.basis_tag is not BasisTag.HYBRID_POINCARE:
-        raise ValueError("vector_field_map expects a hybrid-basis state")
+def vector_field_map(c, grid: Grid) -> VectorFieldMap:
+    """Transverse Jones-vector map of the hybrid-sphere state with
+    amplitudes c = (c0, c1) on (|L,-1>, |R,+1>)."""
     lg_m = lg_amplitude(-1, grid)
     lg_p = lg_amplitude(+1, grid)
-    e_h = psi.c0 * lg_m * E_L[0] + psi.c1 * lg_p * E_R[0]
-    e_v = psi.c0 * lg_m * E_L[1] + psi.c1 * lg_p * E_R[1]
+    e_h = c[0] * lg_m * E_L[0] + c[1] * lg_p * E_R[0]
+    e_v = c[0] * lg_m * E_L[1] + c[1] * lg_p * E_R[1]
     return VectorFieldMap(e_h, e_v)
 
 

@@ -3,11 +3,13 @@
 The logical basis is fixed project-wide as (|0>, |1>) = (|L,-1>, |R,+1>):
 left-circular light carrying one negative quantum of orbital angular
 momentum, and right-circular light carrying one positive quantum.  The same
-two-component machinery doubles as a plain polarization qubit in the
-(|R>, |L>) basis, selected by a basis tag.  Circular basis convention,
-fixed everywhere: |R> = (|H> - i|V>)/sqrt2, |L> = (|H> + i|V>)/sqrt2.
+two amplitudes double as a plain polarization qubit in the (|R>, |L>)
+basis.  Circular basis convention, fixed everywhere:
+|R> = (|H> - i|V>)/sqrt2, |L> = (|H> + i|V>)/sqrt2.
 
-States are immutable values and all operations are pure functions.
+A state is its pair of amplitudes (c0, c1); a named state's name fixes its
+basis: hybrid for HYBRID_SPHERE_NAMES, polarization for POLARIZATION_NAMES.
+All operations are pure functions.
 Density matrices are plain complex arrays, stacked (N, 2, 2).
 densities_from_bloch builds them from Bloch vectors no longer than
 1 + ATOL_BALL, so they are physical by construction; fidelities relies on
@@ -16,9 +18,7 @@ that and checks nothing.
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,29 +31,8 @@ class RangeError(ValueError):
     """A parameter lies outside its allowed range."""
 
 
-class ZeroVector(ValueError):
-    """Both amplitudes are zero; no state can be normalized from them."""
-
-
 class OutsideBall(ValueError):
     """Bloch vector has length > 1 beyond tolerance."""
-
-
-class BasisTag(enum.Enum):
-    HYBRID_POINCARE = "hybrid_poincare"  # basis (|L,-1>, |R,+1>)
-    POLARIZATION = "polarization"        # basis (|R>, |L>)
-
-
-@dataclass(frozen=True)
-class HybridState:
-    """Normalized two-component state over the tagged logical basis."""
-
-    c0: complex
-    c1: complex
-    basis_tag: BasisTag
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.c0, self.c1], dtype=complex)
 
 
 # Stokes-aligned Pauli triple.  tau2 carries the opposite sign of the
@@ -73,12 +52,11 @@ _TAU_PARTS = np.stack([TAU1, TAU2, TAU3]).reshape(3, 4).view(float)
 _I_PARTS = np.eye(2, dtype=complex).reshape(4).view(float)
 
 
-def make_state(c0: complex, c1: complex, tag: BasisTag) -> HybridState:
-    """Normalizing constructor; raises ZeroVector on (0, 0) input."""
+def normalized(c0: complex, c1: complex) -> tuple[complex, complex]:
+    """The amplitudes (c0, c1) divided by their norm, as Python complex
+    numbers; at least one of them must be nonzero."""
     n = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
-    if n == 0.0:
-        raise ZeroVector("cannot normalize the zero vector")
-    return HybridState(complex(c0) / n, complex(c1) / n, tag)
+    return complex(c0) / n, complex(c1) / n
 
 
 def fidelities(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -110,10 +88,6 @@ def densities_from_bloch(s: np.ndarray) -> np.ndarray:
 # states are built from their H/V Jones components so that relative phases
 # stay pinned to the circular-basis convention.
 
-def _pol_from_jones(h: complex, v: complex) -> HybridState:
-    return make_state((h + 1j * v) / _SQRT2, (h - 1j * v) / _SQRT2, BasisTag.POLARIZATION)
-
-
 _HYBRID_NAMES = {
     "zero": (1, 0),
     "one": (0, 1),
@@ -137,11 +111,12 @@ HYBRID_SPHERE_NAMES = tuple(_HYBRID_NAMES)
 POLARIZATION_NAMES = tuple(_POL_JONES)
 
 
-def named_state(name: str) -> HybridState:
+def named_state(name: str) -> tuple[complex, complex]:
+    """Normalized amplitudes (c0, c1) of a named state: on (|L,-1>, |R,+1>)
+    for HYBRID_SPHERE_NAMES, on (|R>, |L>) for POLARIZATION_NAMES."""
     if name in _HYBRID_NAMES:
-        c0, c1 = _HYBRID_NAMES[name]
-        return make_state(c0, c1, BasisTag.HYBRID_POINCARE)
+        return normalized(*_HYBRID_NAMES[name])
     if name in _POL_JONES:
         h, v = _POL_JONES[name]
-        return _pol_from_jones(h, v)
+        return normalized((h + 1j * v) / _SQRT2, (h - 1j * v) / _SQRT2)
     raise KeyError(f"unknown state name {name!r}; expected one of {STATE_NAMES}")

@@ -45,6 +45,8 @@ class MemoryParams:
             raise ValueError("bg_click must lie in [0, 1)")
         if not self.rail_imbalance >= 0.0:
             raise ValueError("rail_imbalance must be >= 0")
+        if not abs(self.rail_phase_error) < math.inf:   # NaN fails too
+            raise ValueError("rail_phase_error must be finite")
 
 
 def efficiency_at(p: MemoryParams, t: float) -> float:

@@ -1,10 +1,12 @@
-"""Optical elements: q-plate encode/decode and the detection-frame rotation.
+"""Optical elements: the q-plate pass and the detection-frame rotation.
 
 The q-plate couples spin and orbital angular momentum: with charge q it
 sends a polarization qubit a|R> + b|L> to the structured state
-a|L,-2q> + b|R,+2q>, and a second pass inverts the map.  Only q = +-1/2
-maps onto the two-dimensional hybrid basis; QPlateParams rejects any other
-charge.  The beam displacers around the memory are part of its
+a|L,-2q> + b|R,+2q>, and a second pass inverts the map.  Both bases carry a
+state as the same amplitude pair (c0, c1), so a pass is a phase on c1 and
+the basis the result is in follows from the direction of the pass.  Only
+q = +-1/2 maps onto the two-dimensional hybrid basis; QPlateParams rejects
+any other charge.  The beam displacers around the memory are part of its
 closed-form channel (memory.rail_gains).
 """
 
@@ -14,7 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .hilbert import BasisTag, HybridState, RangeError, make_state
+from .hilbert import RangeError, normalized
 
 
 @dataclass(frozen=True)
@@ -32,30 +34,22 @@ class QPlateParams:
             raise ValueError("tuning_delta must lie in [0, 2*pi)")
         if not 0.0 <= self.conversion_efficiency <= 1.0:
             raise ValueError("conversion_efficiency must lie in [0, 1]")
+        if not abs(self.alpha0) < math.inf:   # NaN fails too
+            raise ValueError("alpha0 must be finite")
 
 
-def qplate_apply(psi: HybridState, p: QPlateParams) -> HybridState:
-    """Encode a polarization qubit onto the hybrid sphere.
+def qplate_pass(c, p: QPlateParams, sign: int) -> tuple[complex, complex]:
+    """One pass of the amplitudes c = (c0, c1) through the plate.
 
+    sign = +1 encodes a polarization qubit onto the hybrid sphere,
     a|R> + b|L>  ->  a|L,-2q> + b|R,+2q>, with the plate offset angle
-    entering as a relative phase exp(2i*alpha0) on the second component.
+    entering as a relative phase exp(2i*alpha0) on the second component;
+    sign = -1 decodes a hybrid state back to polarization, the inverse.
     A detuned plate is heralded: the returned state is the converted part,
     and conversion_probability() gives the success weight.
     """
-    if psi.basis_tag is not BasisTag.POLARIZATION:
-        raise ValueError("qplate_apply expects a polarization-basis state")
-    return make_state(
-        psi.c0, psi.c1 * cmath.exp(2j * p.alpha0), BasisTag.HYBRID_POINCARE
-    )
-
-
-def qplate_decode(psi: HybridState, p: QPlateParams) -> HybridState:
-    """Convert a hybrid state back to polarization: inverse of qplate_apply."""
-    if psi.basis_tag is not BasisTag.HYBRID_POINCARE:
-        raise ValueError("qplate_decode expects a hybrid-basis state")
-    return make_state(
-        psi.c0, psi.c1 * cmath.exp(-2j * p.alpha0), BasisTag.POLARIZATION
-    )
+    phase = cmath.exp(2j * p.alpha0) if sign > 0 else cmath.exp(-2j * p.alpha0)
+    return normalized(c[0], c[1] * phase)
 
 
 def conversion_probability(p: QPlateParams) -> float:

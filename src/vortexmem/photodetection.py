@@ -24,8 +24,6 @@ PROJECTOR_PAIRS = (("H", "V"), ("D", "A"), ("R", "L"))
 # exact only up to 2**53
 TRIALS_MAX = 2**53
 
-_ANALYZERS = {name: named_state(name) for name in PROJECTOR_ORDER}
-
 
 @dataclass(frozen=True)
 class SourceParams:
@@ -80,7 +78,7 @@ def click_probabilities(nbar: float, survival: np.ndarray, proj_prob: np.ndarray
 
 
 # analyzer amplitudes, conjugated: row k gives <analyzer k| in the (|R>, |L>) basis
-_ANALYZER_BRAS = np.array([[a.c0, a.c1] for a in _ANALYZERS.values()]).conj()
+_ANALYZER_BRAS = np.array([named_state(name) for name in PROJECTOR_ORDER]).conj()
 
 
 def projection_weights(amps: np.ndarray) -> np.ndarray:

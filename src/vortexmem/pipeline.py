@@ -42,15 +42,14 @@ import numpy as np
 
 from . import fields, hilbert, memory, optics, photodetection, security, tomography
 from .config import BOUNDS_NBAR_GRID, ExperimentConfig
-from .hilbert import BasisTag, HybridState, named_state
+from .hilbert import HYBRID_SPHERE_NAMES, POLARIZATION_NAMES, named_state
 from .text import (_bounds_text, _parsed, _pgm_samples, _results_text, render_grid_csvs,
                    render_pgm, render_ppm)
 
 
 # the six projection weights of L- and R-polarized light: the leak of the
 # memory after the decoding plate
-_LEAK_WEIGHTS = photodetection.projection_weights(
-    np.array([(psi.c0, psi.c1) for psi in map(named_state, "LR")]))
+_LEAK_WEIGHTS = photodetection.projection_weights(np.array([named_state("L"), named_state("R")]))
 
 
 def _light(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -68,16 +67,19 @@ def _light(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     on the real and imaginary parts.  Decoded hybrid states carry zero total
     angular momentum and do not turn.
     """
-    inputs = [named_state(state) for state in cfg.input_states]
-    if cfg.encode_with_qplate:
-        inputs = [optics.qplate_apply(psi, cfg.qplate)
-                  if psi.basis_tag is BasisTag.POLARIZATION else psi for psi in inputs]
-    hybrid = np.array([psi.basis_tag is BasisTag.HYBRID_POINCARE for psi in inputs])[:, None]
-    decoded = [optics.qplate_decode(psi, cfg.qplate) if hyb else psi
-               for psi, hyb in zip(inputs, hybrid.ravel().tolist())]
+    # a state is stored on the hybrid sphere if it is named there or the
+    # plate encodes it; the plate passes stay in Python complex arithmetic,
+    # which rounds differently from numpy's complex multiply
+    hybrid = [cfg.encode_with_qplate or state in HYBRID_SPHERE_NAMES
+              for state in cfg.input_states]
+    inputs = [optics.qplate_pass(named_state(state), cfg.qplate, +1)
+              if hyb and state in POLARIZATION_NAMES else named_state(state)
+              for state, hyb in zip(cfg.input_states, hybrid)]
+    decoded = [optics.qplate_pass(c, cfg.qplate, -1) if hyb else c
+               for c, hyb in zip(inputs, hybrid)]
+    hybrid = np.array(hybrid)[:, None]
     # amplitudes (S, 1, 2) against gains (T, 1): light (S, T, 2)
-    c, targets = (np.array([(psi.c0, psi.c1) for psi in psis], dtype=complex)[:, None]
-                  for psis in (inputs, decoded))
+    c, targets = (np.array(amps, dtype=complex)[:, None] for amps in (inputs, decoded))
     g, h = (x[:, None] for x in memory.rail_gains(cfg.memory, cfg.storage_times))
     pol = g * c + h * c[..., ::-1]
     power = (np.abs(pol) ** 2).sum(-1)
@@ -105,11 +107,11 @@ def _light(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def propagate(state_name: str, cfg: ExperimentConfig, t_us: float,
               theta: float) -> SimpleNamespace:
     """The light of one job at the analyzers: its ``signal`` (1, 6) and
-    ``survival`` (1,), and its decoded ``target`` state."""
+    ``survival`` (1,), and the amplitudes (2,) of its decoded ``target``
+    state in the (|R>, |L>) basis."""
     signal, survival, targets = _light(replace(
         cfg, input_states=(state_name,), storage_times=(t_us,), rotation_angles=(theta,)))
-    target = HybridState(*targets[0].tolist(), BasisTag.POLARIZATION)
-    return SimpleNamespace(signal=signal, survival=survival, target=target)
+    return SimpleNamespace(signal=signal, survival=survival, target=targets[0])
 
 
 def _detect(cfg: ExperimentConfig, signal: np.ndarray, survival: np.ndarray,

@@ -19,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .hilbert import HybridState, RangeError, densities_from_bloch, fidelities
+from .hilbert import RangeError, densities_from_bloch, fidelities
 from .photodetection import PROJECTOR_ORDER, PROJECTOR_PAIRS, CountRecord
 
 
@@ -42,9 +42,10 @@ class TomographyResult:
     rho: np.ndarray   # (2, 2) physical density matrix, read-only
     stokes: StokesEstimate
 
-    def fidelity_vs(self, target: HybridState) -> float:
-        """Conditional fidelity <target|rho|target>, clamped to [0, 1]."""
-        return float(fidelities(self.rho[None], target.vector()[None])[0])
+    def fidelity_vs(self, target) -> float:
+        """Conditional fidelity <target|rho|target>, clamped to [0, 1], of the
+        target state's amplitudes (2,) in the (|R>, |L>) basis."""
+        return float(fidelities(self.rho[None], np.asarray(target, dtype=complex)[None])[0])
 
 
 def subtract_background(counts: np.ndarray, bg_expected) -> np.ndarray:
@@ -128,7 +129,7 @@ def _resample(trials: tuple, clicks: tuple, n_resamples: int, seed: int) -> np.n
     return draws
 
 
-def bootstrap_fidelity(records: Iterable[CountRecord], target: HybridState,
+def bootstrap_fidelity(records: Iterable[CountRecord], target,
                        n_resamples: int = 200, seed: int = 0,
                        subtract_bg: bool = False) -> tuple[float, float]:
     """Shot-noise fidelity interval by parametric bootstrap over the counts.
@@ -139,7 +140,8 @@ def bootstrap_fidelity(records: Iterable[CountRecord], target: HybridState,
     clicks, ``n_resamples`` and the integer ``seed`` >= 0, so consecutive calls on
     one record set and seed share it: the raw and background-corrected
     bootstraps are paired resamples.  Returns (mean, standard deviation) of
-    the resampled fidelities.
+    the resampled fidelities against the target state's amplitudes (2,) in
+    the (|R>, |L>) basis.
     """
     for name, value in (("n_resamples", n_resamples), ("seed", seed)):
         if isinstance(value, bool):   # an Integral, taken as 0 or 1
@@ -157,7 +159,7 @@ def bootstrap_fidelity(records: Iterable[CountRecord], target: HybridState,
         bg = np.array([records[i].bg_clicks_expected for i in index], dtype=float)
         counts = subtract_background(counts, bg)
     _, rho = reconstruct(counts)
-    fids = fidelities(rho, target.vector()[None])
+    fids = fidelities(rho, np.asarray(target, dtype=complex)[None])
     # the ufunc reductions of ndarray.mean and ndarray.std, without their wrappers
     n = len(fids)
     mean = np.add.reduce(fids) / n

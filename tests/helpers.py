@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from vortexmem import pipeline
-from vortexmem.hilbert import BasisTag, HybridState, make_state
+from vortexmem.hilbert import normalized
 
 _amp = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 
@@ -19,8 +19,9 @@ def amplitude_pairs():
     )
 
 
-def states(tag: BasisTag = BasisTag.HYBRID_POINCARE):
-    return amplitude_pairs().map(lambda c: make_state(c[0], c[1], tag))
+def states():
+    """Normalized amplitude pairs (c0, c1)."""
+    return amplitude_pairs().map(lambda c: normalized(*c))
 
 
 def bloch_vectors(max_len: float = 1.0):
@@ -34,16 +35,18 @@ def bloch_vectors(max_len: float = 1.0):
     )
 
 
-def haar_states(rng: np.random.Generator, n: int, tag: BasisTag) -> list[HybridState]:
+def haar_states(rng: np.random.Generator, n: int) -> list[tuple[complex, complex]]:
+    """``n`` Haar-random normalized amplitude pairs (c0, c1)."""
     out = []
     for _ in range(n):
         c = rng.normal(size=2) + 1j * rng.normal(size=2)
-        out.append(make_state(c[0], c[1], tag))
+        out.append(normalized(c[0], c[1]))
     return out
 
 
-def fidelity(a: HybridState, b: HybridState) -> float:
-    return abs(np.vdot(a.vector(), b.vector())) ** 2
+def fidelity(a, b) -> float:
+    """|<a|b>|^2 of two amplitude pairs."""
+    return abs(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))) ** 2
 
 
 def run_one_job(state_name, cfg, t_us, theta, seed) -> dict:

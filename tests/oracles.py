@@ -2,9 +2,16 @@
 
 The package runs jobs, reconstructions and bootstrap resamples as arrays
 over a leading job axis.  These are the one-job-at-a-time compositions it
-replaced, built from the package's unchanged scalar pieces (states, optics,
-memory, bounds), so the tests can require the batch to reproduce them bit
-for bit.
+replaced, built from the package's unchanged scalar pieces (the state
+catalogue, memory, bounds), so the tests can require the batch to reproduce
+them bit for bit.
+
+The package keeps a state as its amplitude pair, its basis fixed by its
+name.  The oracles keep the state object they replaced: State, tagged with
+its basis, with its own normalizing constructor and its own q-plate
+passes, so that the batch-vs-oracle tests do not check the package's plate
+against itself.  Functions here that do not care about the basis take
+amplitudes, as the package does.
 
 The memory's physics reference is the dual-rail chain the package's
 closed form (memory.rail_gains) replaced: beam-displacer split into H and
@@ -35,14 +42,55 @@ from pathlib import Path
 import numpy as np
 
 from vortexmem import cli, config, memory, optics, pipeline, security
-from vortexmem.hilbert import (ATOL_BALL, TAU1, TAU2, TAU3, BasisTag, HybridState,
-                               OutsideBall, make_state, named_state)
+from vortexmem.hilbert import (ATOL_BALL, HYBRID_SPHERE_NAMES, TAU1, TAU2, TAU3, OutsideBall,
+                               named_state)
 from vortexmem.photodetection import PROJECTOR_ORDER, PROJECTOR_PAIRS, CountRecord, snr_of
 from vortexmem.text import COUNT_RECORD_COLUMNS, CSV_COLUMNS
 from vortexmem.tomography import InsufficientCounts
 
 _ANALYZERS = {name: named_state(name) for name in PROJECTOR_ORDER}
 _SQRT2 = math.sqrt(2.0)
+
+
+# --- states and the q-plate --------------------------------------------------
+
+@dataclass(frozen=True)
+class State:
+    """Normalized two-component state on the hybrid basis (|L,-1>, |R,+1>)
+    or, if not ``hybrid``, the polarization basis (|R>, |L>)."""
+
+    c0: complex
+    c1: complex
+    hybrid: bool
+
+    def vector(self) -> np.ndarray:
+        return np.array([self.c0, self.c1], dtype=complex)
+
+
+def make_state(c0, c1, hybrid: bool) -> State:
+    """Normalizing constructor."""
+    n = math.sqrt(abs(c0) ** 2 + abs(c1) ** 2)
+    return State(complex(c0) / n, complex(c1) / n, hybrid)
+
+
+def state(name: str) -> State:
+    """The named state of the package's catalogue, tagged with its basis."""
+    return State(*named_state(name), name in HYBRID_SPHERE_NAMES)
+
+
+def qplate_apply(psi: State, p) -> State:
+    """Encode a polarization state onto the hybrid sphere: a phase
+    exp(2i*alpha0) on the second component, renormalized."""
+    if psi.hybrid:
+        raise ValueError("qplate_apply expects a polarization-basis state")
+    return make_state(psi.c0, psi.c1 * cmath.exp(2j * p.alpha0), True)
+
+
+def qplate_decode(psi: State, p) -> State:
+    """Convert a hybrid state back to polarization: inverse of qplate_apply."""
+    if not psi.hybrid:
+        raise ValueError("qplate_decode expects a hybrid-basis state")
+    return make_state(psi.c0, psi.c1 * cmath.exp(-2j * p.alpha0), False)
 
 
 # --- the dual-rail chain -----------------------------------------------------
@@ -81,7 +129,7 @@ def scalar_rails(h: complex, v: complex, rail_phase: float = 0.0) -> DualRailSta
 
 @dataclass(frozen=True)
 class RecombineResult:
-    state: HybridState
+    state: State
     throughput: float                         # total recombined power, leak included
     leak: tuple[complex, complex] = (0j, 0j)  # amplitudes on (|R,-1>, |L,+1>)
 
@@ -91,21 +139,21 @@ class RecombineResult:
         return abs(self.leak[0]) ** 2 + abs(self.leak[1]) ** 2
 
 
-def jones_of(psi: HybridState) -> tuple[complex, complex]:
+def jones_of(psi: State) -> tuple[complex, complex]:
     """H/V Jones components of a polarization-basis state."""
-    if psi.basis_tag is not BasisTag.POLARIZATION:
+    if psi.hybrid:
         raise ValueError("jones_of expects a polarization-basis state")
     return ((psi.c0 + psi.c1) / _SQRT2, 1j * (psi.c1 - psi.c0) / _SQRT2)
 
 
-def displacer_split(psi: HybridState) -> DualRailState:
+def displacer_split(psi: State) -> DualRailState:
     """Split a state into H and V rails, OAM content carried per rail.
 
     Polarization states occupy a single OAM-0 mode per rail; hybrid states
     spread |L,-1> and |R,+1> polarization content over both rails:
     |0> = |L,-1> lands on rails (1/sqrt2, +i/sqrt2), both in OAM -1.
     """
-    if psi.basis_tag is BasisTag.POLARIZATION:
+    if not psi.hybrid:
         h, v = jones_of(psi)
         return scalar_rails(h, v)
     # |L> = (|H> + i|V>)/sqrt2 and |R> = (|H> - i|V>)/sqrt2, applied to the
@@ -150,7 +198,7 @@ def displacer_recombine(d: DualRailState) -> RecombineResult:
         v = d.rail_v[0] * phase
         c0 = (h + 1j * v) / _SQRT2   # |R> component
         c1 = (h - 1j * v) / _SQRT2   # |L> component
-        state = make_state(c0, c1, BasisTag.POLARIZATION)
+        state = make_state(c0, c1, False)
         return RecombineResult(state, total)
     a_h = np.asarray(d.rail_h, dtype=complex)
     a_v = np.asarray(d.rail_v, dtype=complex) * phase
@@ -160,42 +208,43 @@ def displacer_recombine(d: DualRailState) -> RecombineResult:
     leak1 = (a_h[1] - 1j * a_v[1]) / _SQRT2   # <L,+1|
     if abs(keep0) ** 2 + abs(keep1) ** 2 == 0.0:
         raise VacuumOutput("recombined state has no logical component")
-    state = make_state(keep0, keep1, BasisTag.HYBRID_POINCARE)
+    state = make_state(keep0, keep1, True)
     return RecombineResult(state, total, (complex(leak0), complex(leak1)))
 
 
-def rail_chain_light(psi: HybridState, cfg, t_us: float, theta: float):
-    """(weight, polarization state) of each part of the light that reaches
-    the analyzers, through the dual-rail chain, for an encoded input psi:
-    the decoded logical state and, for hybrid states, the L- and R-polarized
-    light their leak decodes to."""
+def rail_chain_light(psi: State, cfg, t_us: float, theta: float):
+    """(weight, polarization amplitudes) of each part of the light that
+    reaches the analyzers, through the dual-rail chain, for an encoded input
+    psi: the decoded logical state and, for hybrid states, the L- and
+    R-polarized light their leak decodes to."""
     rec = displacer_recombine(store_retrieve(displacer_split(psi), cfg.memory, t_us))
-    if psi.basis_tag is BasisTag.POLARIZATION:
-        return [(rec.throughput, rotate_frame(rec.state, theta))]
+    if not psi.hybrid:
+        return [(rec.throughput, rotate_frame(rec.state, theta).vector())]
     conv = optics.conversion_probability(cfg.qplate) ** 2
-    return [(conv * (rec.throughput - rec.leak_power), optics.qplate_decode(rec.state, cfg.qplate)),
+    return [(conv * (rec.throughput - rec.leak_power), qplate_decode(rec.state, cfg.qplate).vector()),
             (conv * abs(rec.leak[0]) ** 2, named_state("L")),
             (conv * abs(rec.leak[1]) ** 2, named_state("R"))]
 
 
-def rotate_frame(psi: HybridState, theta: float) -> HybridState:
+def rotate_frame(psi: State, theta: float) -> State:
     """View the state in a detection frame rotated by theta about the beam axis.
 
     Polarization basis: |R> -> exp(-i theta)|R>, |L> -> exp(+i theta)|L>
     (linear polarizations rotate by theta).  Hybrid basis: each logical
     state carries zero total angular momentum, so the state is unchanged.
     """
-    if psi.basis_tag is BasisTag.HYBRID_POINCARE:
+    if psi.hybrid:
         return psi
     p0, p1 = optics._frame_phases(theta)
-    return HybridState(psi.c0 * p0, psi.c1 * p1, BasisTag.POLARIZATION)
+    return State(psi.c0 * p0, psi.c1 * p1, False)
 
 
 # --- detection ---------------------------------------------------------------
 
 def _braket(bra, ket):
-    """<bra|ket> as a one-element array."""
-    return (bra.vector().conj() * ket.vector()).sum(-1, keepdims=True)
+    """<bra|ket> of two amplitude pairs as a one-element array."""
+    return (np.asarray(bra, dtype=complex).conj()
+            * np.asarray(ket, dtype=complex)).sum(-1, keepdims=True)
 
 
 def projection_probabilities(psi):
@@ -271,8 +320,8 @@ class BlochVector:
         return math.sqrt(self.s1**2 + self.s2**2 + self.s3**2)
 
 
-def density_from_pure(psi: HybridState) -> np.ndarray:
-    v = psi.vector()
+def density_from_pure(psi) -> np.ndarray:
+    v = np.asarray(psi, dtype=complex)
     return np.outer(v, v.conj())
 
 
@@ -320,7 +369,7 @@ def validate(m):
 
 def conditional_fidelity(m, psi):
     validate(m)
-    v = psi.vector()
+    v = np.asarray(psi, dtype=complex)
     f = (v.conj()[:, None] * m * v[None, :]).sum().real.item()
     return min(1.0, max(0.0, f))
 
@@ -351,28 +400,29 @@ def bootstrap_fidelity(records, target, n_resamples=200, seed=0, subtract_bg=Fal
 # --- one job -----------------------------------------------------------------
 
 def propagate(state_name, cfg, t_us, theta):
-    """(components, target) of the light reaching the analyzers: the
-    closed-form memory on one state's amplitudes, with numpy ufuncs on them
-    as the package's arrays, and the frame rotation as a Python complex
-    product."""
-    psi = named_state(state_name)
-    if psi.basis_tag is BasisTag.POLARIZATION and cfg.encode_with_qplate:
-        psi = optics.qplate_apply(psi, cfg.qplate)
+    """(components, target) of the light reaching the analyzers, each
+    component a (weight, polarization amplitudes) pair, and the target's
+    amplitudes: the closed-form memory on one state's amplitudes, with numpy
+    ufuncs on them as the package's arrays, and the frame rotation as a
+    Python complex product."""
+    psi = state(state_name)
+    if not psi.hybrid and cfg.encode_with_qplate:
+        psi = qplate_apply(psi, cfg.qplate)
     g, h = memory.rail_gains(cfg.memory, [t_us])
     c = psi.vector()
-    if psi.basis_tag is BasisTag.HYBRID_POINCARE:
+    if psi.hybrid:
         conv = optics.conversion_probability(cfg.qplate) ** 2
         kept, leak_l, leak_r = (conv * np.abs(x) ** 2 for x in (g, c[0] * h, c[1] * h))
-        target = optics.qplate_decode(psi, cfg.qplate)
+        target = qplate_decode(psi, cfg.qplate).vector()
         return [(kept.item(), target), (leak_l.item(), named_state("L")),
                 (leak_r.item(), named_state("R"))], target
     light = g * c + h * c[::-1]
     power = (np.abs(light) ** 2).sum()
     if power > 0.0:
-        psi_out = HybridState(*(light / np.sqrt(power)).tolist(), BasisTag.POLARIZATION)
+        psi_out = State(*(light / np.sqrt(power)).tolist(), False)
     else:
         psi_out = psi   # nothing retrieved: weightless light
-    return [(power.item(), rotate_frame(psi_out, theta))], psi
+    return [(power.item(), rotate_frame(psi_out, theta).vector())], c
 
 
 def signal(comps):

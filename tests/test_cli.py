@@ -404,7 +404,7 @@ class TestConvergence:
             cfg.source.nbar, light.survival, light.signal / light.survival[:, None],
             cfg.memory.bg_click)
         _, rho = tomography.reconstruct(probs)
-        f_inf = hilbert.fidelities(rho, light.target.vector()[None])[0]
+        f_inf = hilbert.fidelities(rho, light.target[None])[0]
         assert f_inf == pytest.approx(0.96700, abs=5e-6)
         errors = []
         for trials in (10**4, 10**5, 10**6):

@@ -107,10 +107,6 @@ class TestVectorFieldMap:
             scale = intensity.max()
             assert np.abs(rotated - intensity).max() / scale < 1e-6
 
-    def test_rejects_polarization_states(self):
-        with pytest.raises(ValueError):
-            vector_field_map(named_state("H"), GRID)
-
 
 class TestProjections:
     def test_radial_h_projection_has_two_lobes_with_zero_line(self):

@@ -10,15 +10,13 @@ from helpers import amplitude_pairs, bloch_vectors, states
 from vortexmem.hilbert import (
     ATOL_BALL,
     TAU3,
-    BasisTag,
     HYBRID_SPHERE_NAMES,
     OutsideBall,
     POLARIZATION_NAMES,
-    ZeroVector,
     densities_from_bloch,
     fidelities,
-    make_state,
     named_state,
+    normalized,
 )
 from oracles import BlochVector, bloch_of, density_from_pure
 
@@ -27,39 +25,37 @@ SQ2 = math.sqrt(2.0)
 
 def conditional_fidelity(m, psi):
     """<psi|m|psi> of one density matrix, by the package's stack function."""
-    return float(fidelities(np.asarray(m, dtype=complex)[None], psi.vector()[None])[0])
+    return float(fidelities(np.asarray(m, dtype=complex)[None],
+                            np.asarray(psi, dtype=complex)[None])[0])
 
 
 class TestMakeState:
+    """normalized: a state made from any nonzero amplitude pair."""
+
     def test_basis_state(self):
-        psi = make_state(1, 0, BasisTag.HYBRID_POINCARE)
-        assert psi.c0 == 1 and psi.c1 == 0
-        assert psi.basis_tag is BasisTag.HYBRID_POINCARE
+        c0, c1 = normalized(1, 0)
+        assert c0 == 1 and c1 == 0
+        assert type(c0) is complex and type(c1) is complex
 
     def test_radial_superposition(self):
-        psi = make_state(1, 1, BasisTag.HYBRID_POINCARE)
-        assert psi.c0 == pytest.approx(1 / SQ2, abs=1e-15)
-        assert psi.c1 == pytest.approx(1 / SQ2, abs=1e-15)
+        c0, c1 = normalized(1, 1)
+        assert c0 == pytest.approx(1 / SQ2, abs=1e-15)
+        assert c1 == pytest.approx(1 / SQ2, abs=1e-15)
 
     def test_normalizes_scaled_input(self):
-        psi = make_state(2, 0, BasisTag.POLARIZATION)
-        assert psi.c0 == 1 and psi.c1 == 0
-        assert np.linalg.norm(psi.vector()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVector):
-            make_state(0, 0, BasisTag.POLARIZATION)
+        psi = normalized(2, 0)
+        assert psi == (1, 0)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
 
     @given(amplitude_pairs())
     def test_always_normalized(self, c):
-        psi = make_state(c[0], c[1], BasisTag.HYBRID_POINCARE)
-        assert abs(np.linalg.norm(psi.vector()) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(normalized(c[0], c[1])) - 1.0) < 1e-12
 
     @given(amplitude_pairs())
     def test_proportional_to_input(self, c):
-        psi = make_state(c[0], c[1], BasisTag.HYBRID_POINCARE)
+        c0, c1 = normalized(c[0], c[1])
         # cross ratio unchanged by normalization
-        assert abs(psi.c0 * c[1] - psi.c1 * c[0]) < 1e-9 * (abs(c[0]) + abs(c[1]))
+        assert abs(c0 * c[1] - c1 * c[0]) < 1e-9 * (abs(c[0]) + abs(c[1]))
 
 
 class TestDensityFromPure:
@@ -197,9 +193,14 @@ class TestNamedStates:
         assert set(HYBRID_SPHERE_NAMES) == {"zero", "one", "radial", "azimuthal", "plus_i", "minus_i"}
         assert set(POLARIZATION_NAMES) == {"H", "V", "D", "A", "R", "L"}
 
-    def test_tags(self):
-        assert named_state("radial").basis_tag is BasisTag.HYBRID_POINCARE
-        assert named_state("D").basis_tag is BasisTag.POLARIZATION
+    def test_states_are_normalized_amplitude_pairs(self):
+        for name in HYBRID_SPHERE_NAMES + POLARIZATION_NAMES:
+            c = named_state(name)
+            assert len(c) == 2 and all(type(x) is complex for x in c)
+            assert abs(c[0]) ** 2 + abs(c[1]) ** 2 == pytest.approx(1.0, abs=1e-15)
+        assert named_state("radial") == pytest.approx((1 / SQ2, 1 / SQ2), abs=1e-15)
+        # D = (|H> + |V>)/sqrt2 with |R>, |L> = (|H> -+ i|V>)/sqrt2
+        assert named_state("D") == pytest.approx(((1 + 1j) / 2, (1 - 1j) / 2), abs=1e-15)
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
@@ -208,4 +209,4 @@ class TestNamedStates:
     def test_opposite_pairs_orthogonal(self):
         for a, b in (("zero", "one"), ("radial", "azimuthal"), ("plus_i", "minus_i"),
                      ("H", "V"), ("D", "A"), ("R", "L")):
-            assert abs(np.vdot(named_state(a).vector(), named_state(b).vector())) < 1e-12
+            assert abs(np.vdot(named_state(a), named_state(b))) < 1e-12

@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import fidelity, haar_states, states
-from oracles import displacer_recombine, displacer_split, jones_of, store_retrieve
+from oracles import State, displacer_recombine, displacer_split, jones_of, state, store_retrieve
 from vortexmem import config, pipeline
-from vortexmem.hilbert import (HYBRID_SPHERE_NAMES, POLARIZATION_NAMES, BasisTag, RangeError,
-                               make_state, named_state)
+from vortexmem.hilbert import HYBRID_SPHERE_NAMES, POLARIZATION_NAMES, RangeError, normalized
 from vortexmem.memory import MemoryParams, efficiency_at, rail_efficiencies, rail_gains
-from vortexmem.optics import QPlateParams, qplate_apply
+from vortexmem.optics import QPlateParams
 
 MEASURED = MemoryParams(eta0=0.26, tau=7.0)
 # the rail imbalance x phase error grid of the closed-form checks: the
@@ -25,11 +24,12 @@ ROUND_OFF = 1e-15
 
 
 def _kept_fidelity(psi, p, t):
-    """Fidelity of the whole retrieved field with the input: the recombined
-    state's fidelity times the share of the throughput left in the logical
-    space, so the leaked component counts against it."""
+    """Fidelity of the whole retrieved field with the input state psi (an
+    oracle State): the recombined state's fidelity times the share of the
+    throughput left in the logical space, so the leaked component counts
+    against it."""
     rec = displacer_recombine(store_retrieve(displacer_split(psi), p, t))
-    return fidelity(rec.state, psi) * (rec.throughput - rec.leak_power) / rec.throughput
+    return fidelity(rec.state.vector(), psi.vector()) * (rec.throughput - rec.leak_power) / rec.throughput
 
 
 class TestEfficiencyDecay:
@@ -62,14 +62,14 @@ class TestStoreRetrieve:
 
     def test_identity_when_noise_free(self):
         p = MemoryParams(eta0=1.0, tau=7.0)
-        d = displacer_split(named_state("plus_i"))
+        d = displacer_split(state("plus_i"))
         out = store_retrieve(d, p, 0.0)
         assert out.rail_h == d.rail_h
         assert out.rail_v == d.rail_v
         assert out.rail_phase == 0.0
 
     def test_rail_scaling_and_throughput(self):
-        d = displacer_split(named_state("radial"))
+        d = displacer_split(state("radial"))
         out = store_retrieve(d, MEASURED, 1.0)
         scale = math.sqrt(0.26 * math.exp(-1 / 49))
         for a, b in zip(out.rail_h + out.rail_v, d.rail_h + d.rail_v):
@@ -77,18 +77,18 @@ class TestStoreRetrieve:
         assert out.power() == pytest.approx(0.2547476, abs=1e-6)
 
     def test_radial_state_survives_balanced_loss(self):
-        psi = named_state("radial")
+        psi = state("radial")
         for t in (0.0, 1.0, 5.0, 20.0):
             rec = displacer_recombine(store_retrieve(displacer_split(psi), MEASURED, t))
-            assert fidelity(rec.state, psi) == pytest.approx(1.0, abs=1e-12)
+            assert fidelity(rec.state.vector(), psi.vector()) == pytest.approx(1.0, abs=1e-12)
 
     def test_oam_labels_unchanged(self):
-        d = displacer_split(named_state("zero"))
+        d = displacer_split(state("zero"))
         assert store_retrieve(d, MEASURED, 2.0).oam_labels == d.oam_labels
 
     def test_rail_phase_accumulates(self):
         p = MemoryParams(rail_phase_error=0.25)
-        d = displacer_split(named_state("D"))
+        d = displacer_split(state("D"))
         out = store_retrieve(store_retrieve(d, p, 0.0), p, 0.0)
         assert out.rail_phase == pytest.approx(0.5, abs=1e-15)
 
@@ -100,29 +100,31 @@ class TestStoreRetrieve:
 
 
 class TestChannelInvariants:
-    @given(states(BasisTag.HYBRID_POINCARE), st.floats(0, 30, allow_nan=False))
+    @given(states(), st.floats(0, 30, allow_nan=False))
     @settings(max_examples=50)
-    def test_balanced_memory_preserves_every_state(self, psi, t):
+    def test_balanced_memory_preserves_every_state(self, c, t):
+        psi = State(*c, hybrid=True)
         rec = displacer_recombine(store_retrieve(displacer_split(psi), MEASURED, t))
-        assert fidelity(rec.state, psi) > 1 - 1e-12
+        assert fidelity(rec.state.vector(), c) > 1 - 1e-12
 
-    @given(states(BasisTag.POLARIZATION), st.floats(0, 30, allow_nan=False))
+    @given(states(), st.floats(0, 30, allow_nan=False))
     @settings(max_examples=50)
-    def test_throughput_equals_efficiency_when_balanced(self, psi, t):
+    def test_throughput_equals_efficiency_when_balanced(self, c, t):
+        psi = State(*c, hybrid=False)
         rec = displacer_recombine(store_retrieve(displacer_split(psi), MEASURED, t))
         assert rec.throughput == pytest.approx(efficiency_at(MEASURED, t), abs=1e-12)
 
     def test_single_rail_states_immune_to_imbalance(self):
         p = MemoryParams(eta0=0.8, tau=7.0, rail_imbalance=0.4, rail_phase_error=0.7)
         for name in ("H", "V"):
-            psi = named_state(name)
+            psi = state(name)
             rec = displacer_recombine(store_retrieve(displacer_split(psi), p, 1.0))
-            assert fidelity(rec.state, psi) == pytest.approx(1.0, abs=1e-12)
+            assert fidelity(rec.state.vector(), psi.vector()) == pytest.approx(1.0, abs=1e-12)
 
     def test_imbalance_damages_two_rail_states(self):
         p = MemoryParams(eta0=0.8, tau=7.0, rail_imbalance=0.4)
         for name in ("zero", "radial", "D"):
-            assert _kept_fidelity(named_state(name), p, 1.0) < 1 - 1e-4
+            assert _kept_fidelity(state(name), p, 1.0) < 1 - 1e-4
 
     def test_polarization_kept_fidelity_matches_2x2_rail_map(self):
         # |<psi|M psi>|^2 / <M psi|M psi> with M the diagonal rail-loss map
@@ -134,7 +136,7 @@ class TestChannelInvariants:
         for _ in range(20):
             c = rng.normal(size=2) + 1j * rng.normal(size=2)
             c = c / np.linalg.norm(c)
-            psi = make_state(c[0], c[1], BasisTag.POLARIZATION)
+            psi = State(*normalized(c[0], c[1]), hybrid=False)
             jones = np.array(jones_of(psi))
             num = abs(np.conj(jones) @ m @ jones) ** 2
             den = float(np.real(np.conj(m @ jones) @ (m @ jones)))
@@ -145,7 +147,7 @@ class TestChannelInvariants:
         # imbalance and phase error hit the whole sphere uniformly
         p = MemoryParams(eta0=0.9, tau=7.0, rail_imbalance=0.3, rail_phase_error=0.2)
         values = {
-            name: _kept_fidelity(named_state(name), p, 2.0)
+            name: _kept_fidelity(state(name), p, 2.0)
             for name in ("zero", "one", "radial", "azimuthal", "plus_i", "minus_i")
         }
         ref = values["zero"]
@@ -170,19 +172,21 @@ class TestClosedForm:
                              rail_phase_error=phase_error)
             gains = zip(*rail_gains(p, times))
             for t, (g, h) in zip(times, gains):
-                for psi in haar_states(rng, 5, BasisTag.HYBRID_POINCARE):
-                    rec = displacer_recombine(store_retrieve(displacer_split(psi), p, t))
+                for psi in haar_states(rng, 5):
+                    rec = displacer_recombine(store_retrieve(
+                        displacer_split(State(*psi, hybrid=True)), p, t))
                     assert abs(abs(g) ** 2 - (rec.throughput - rec.leak_power)) <= ROUND_OFF
-                    for c, leak in zip((psi.c0, psi.c1), rec.leak):
+                    for c, leak in zip(psi, rec.leak):
                         assert abs(abs(c * h) ** 2 - abs(leak) ** 2) <= ROUND_OFF
-                    assert abs(g) ** 2 * abs(fidelity(rec.state, psi) - 1.0) <= ROUND_OFF
-                for psi in haar_states(rng, 5, BasisTag.POLARIZATION):
-                    rec = displacer_recombine(store_retrieve(displacer_split(psi), p, t))
-                    c0, c1 = g * psi.c0 + h * psi.c1, h * psi.c0 + g * psi.c1
+                    assert abs(g) ** 2 * abs(fidelity(rec.state.vector(), psi) - 1.0) <= ROUND_OFF
+                for psi in haar_states(rng, 5):
+                    rec = displacer_recombine(store_retrieve(
+                        displacer_split(State(*psi, hybrid=False)), p, t))
+                    c0, c1 = g * psi[0] + h * psi[1], h * psi[0] + g * psi[1]
                     power = abs(c0) ** 2 + abs(c1) ** 2
                     assert abs(power - rec.throughput) <= ROUND_OFF
-                    out = make_state(c0, c1, BasisTag.POLARIZATION)
-                    assert power * abs(fidelity(rec.state, out) - 1.0) <= ROUND_OFF
+                    out = normalized(c0, c1)
+                    assert power * abs(fidelity(rec.state.vector(), out) - 1.0) <= ROUND_OFF
 
     def test_balanced_memory_leaks_nothing(self):
         for t in (0.0, 1.0, 5.0, 20.0):
@@ -201,12 +205,12 @@ class TestClosedForm:
             raw["memory"]["eta0"] = eta0
             cfg = config.config_from_dict({**raw, "encode_with_qplate": encode,
                                            "qplate": asdict(plate)})
-            for state in HYBRID_SPHERE_NAMES + POLARIZATION_NAMES:
-                psi = named_state(state)
-                if psi.basis_tag is BasisTag.POLARIZATION and encode:
-                    psi = qplate_apply(psi, cfg.qplate)
+            for name in HYBRID_SPHERE_NAMES + POLARIZATION_NAMES:
+                psi = state(name)
+                if not psi.hybrid and encode:
+                    psi = oracles.qplate_apply(psi, cfg.qplate)
                 for t, theta in ((0.0, 0.0), (2.5, 0.3), (7.0, -1.2)):
-                    light = pipeline.propagate(state, cfg, t, theta)
+                    light = pipeline.propagate(name, cfg, t, theta)
                     sig, survival = oracles.signal(oracles.rail_chain_light(psi, cfg, t, theta))
                     assert abs(light.survival[0] - survival) <= ROUND_OFF
                     assert np.abs(light.signal[0] - list(sig.values())).max() <= ROUND_OFF
@@ -214,8 +218,8 @@ class TestClosedForm:
     def test_nothing_retrieved_is_background_only(self):
         # eta underflows to 0 at long storage times: no light, no NaN
         cfg = config.default_config("fidelity_vs_time")
-        for state in ("radial", "H", "D"):
-            light = pipeline.propagate(state, cfg, 300.0, 0.4)
+        for name in ("radial", "H", "D"):
+            light = pipeline.propagate(name, cfg, 300.0, 0.4)
             assert light.survival.tolist() == [0.0]
             assert light.signal.tolist() == [[0.0] * 6]
 
@@ -236,3 +240,9 @@ class TestParamsValidation:
     def test_rejects_negative_imbalance(self):
         with pytest.raises(ValueError):
             MemoryParams(rail_imbalance=-0.1)
+
+    def test_rejects_infinite_phase_error(self):
+        # exp(i phi) of an infinite phase error is NaN (NaN: test_security)
+        for phi in (math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                MemoryParams(rail_phase_error=phi)

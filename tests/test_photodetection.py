@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import states
 from vortexmem import config, pipeline
-from vortexmem.hilbert import BasisTag, named_state
+from vortexmem.hilbert import named_state
 from vortexmem.photodetection import (
     PROJECTOR_ORDER,
     PROJECTOR_PAIRS,
@@ -33,7 +33,7 @@ def _click(nbar, survival, proj_prob, bg):
 
 def _projections(psi):
     """projection_weights of one state, by projector name."""
-    return dict(zip(PROJECTOR_ORDER, projection_weights(psi.vector()[None])[0].tolist()))
+    return dict(zip(PROJECTOR_ORDER, projection_weights(np.array([psi]))[0].tolist()))
 
 
 def _clicks(probabilities, trials, seed):
@@ -106,12 +106,12 @@ class TestProjectionProbabilities:
         # |<H|H>|^2 alone rounds to 1.0000000000000004; the pair sum divides it out
         assert _projections(named_state("H"))["H"] == 1.0
 
-    @given(states(BasisTag.POLARIZATION))
+    @given(states())
     @settings(max_examples=200)
     def test_probabilities_lie_in_unit_interval(self, psi):
         assert all(0.0 <= p <= 1.0 for p in _projections(psi).values())
 
-    @given(states(BasisTag.POLARIZATION))
+    @given(states())
     @settings(max_examples=50)
     def test_opposite_pairs_sum_to_one(self, psi):
         p = _projections(psi)

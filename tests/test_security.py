@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vortexmem import memory
 from vortexmem.memory import MemoryParams
+from vortexmem.optics import QPlateParams
 from vortexmem.photodetection import SourceParams
 from vortexmem.security import (
     SHOR_PRESKILL_THRESHOLD,
@@ -209,11 +210,13 @@ NAN = math.nan
     (lambda: memory.efficiency_at(MemoryParams(), NAN), RangeError),
     (lambda: MemoryParams(tau=NAN), ValueError),
     (lambda: MemoryParams(rail_imbalance=NAN), ValueError),
+    (lambda: MemoryParams(rail_phase_error=NAN), ValueError),
     (lambda: SourceParams(NAN), ValueError),
+    (lambda: QPlateParams(alpha0=NAN), ValueError),
 ], ids=["poisson_bound", "efficiency_bound", "nphoton_bound", "efficiency_at",
-        "memory_tau", "memory_imbalance", "source_nbar"])
+        "memory_tau", "memory_imbalance", "memory_phase_error", "source_nbar", "qplate_alpha0"])
 def test_public_checks_refuse_nan(call, error):
     # each check is written as `not x > bound`, which NaN fails, as in
-    # QPlateParams
+    # QPlateParams's charge check
     with pytest.raises(error):
         call()

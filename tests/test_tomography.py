@@ -11,7 +11,6 @@ from oracles import (bloch_of, check_densities, click_probability, density_from_
                      projection_probabilities, simulate_counts)
 from vortexmem import config, pipeline, tomography
 from vortexmem.hilbert import (
-    BasisTag,
     HYBRID_SPHERE_NAMES,
     RangeError,
     densities_from_bloch,
@@ -132,7 +131,7 @@ class TestTomograph:
             result = tomograph(records)
             assert result.fidelity_vs(_decoded(name)) > 0.99
 
-    @given(states(BasisTag.POLARIZATION))
+    @given(states())
     @settings(max_examples=50)
     def test_exact_round_trip(self, psi):
         probs = projection_probabilities(psi)
@@ -160,9 +159,9 @@ class TestTomograph:
 
 def _decoded(name):
     """Polarization image of a hybrid state under the decoding plate."""
-    from vortexmem.optics import QPlateParams, qplate_decode
+    from vortexmem.optics import QPlateParams, qplate_pass
 
-    return qplate_decode(named_state(name), QPlateParams())
+    return qplate_pass(named_state(name), QPlateParams(), -1)
 
 
 class TestBootstrap:
