@@ -55,7 +55,7 @@ class ExperimentConfig:
     seed: int = 12345
     encode_with_qplate: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:   # valid by construction, replace() included
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario: {self.scenario!r} not in {SCENARIOS}")
         for name in self.input_states:
@@ -186,8 +186,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 raise ConfigError(f"{key}: expected a list")
             kwargs[key] = tuple(kwargs[key])
     try:
-        cfg = ExperimentConfig(**kwargs)
+        return ExperimentConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    cfg.validate()
-    return cfg

@@ -31,10 +31,6 @@ class RangeError(ValueError):
     """A parameter lies outside its allowed range."""
 
 
-class OutsideBall(ValueError):
-    """Bloch vector has length > 1 beyond tolerance."""
-
-
 # Stokes-aligned Pauli triple.  tau2 carries the opposite sign of the
 # textbook sigma_y: forced by the fixed circular-basis convention together
 # with s2 being read off the D/A analyzer pair.
@@ -71,13 +67,13 @@ def fidelities(m: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def densities_from_bloch(s: np.ndarray) -> np.ndarray:
     """Density matrices (I + s . tau)/2 for a stack of Bloch vectors (N, 3);
-    raises OutsideBall if any is longer than 1 beyond tolerance or has a NaN
+    raises RangeError if any is longer than 1 + ATOL_BALL or has a NaN
     component."""
     # np.linalg.norm's arithmetic, without its dispatch; products in float, as
     # there, so that no integer square wraps
     length = np.sqrt(np.add.reduce(np.multiply(s, s, dtype=float), axis=-1))
     if not (length <= 1.0 + ATOL_BALL).all():
-        raise OutsideBall(f"Bloch vector length {length.max()} > 1")
+        raise RangeError(f"Bloch vector length {length.max()} > 1")
     return ((s @ _TAU_PARTS + _I_PARTS) / 2.0).view(complex).reshape(-1, 2, 2)
 
 

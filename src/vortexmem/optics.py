@@ -5,9 +5,10 @@ sends a polarization qubit a|R> + b|L> to the structured state
 a|L,-2q> + b|R,+2q>, and a second pass inverts the map.  Both bases carry a
 state as the same amplitude pair (c0, c1), so a pass is a phase on c1 and
 the basis the result is in follows from the direction of the pass.  Only
-q = +-1/2 maps onto the two-dimensional hybrid basis; QPlateParams rejects
-any other charge.  The beam displacers around the memory are part of its
-closed-form channel (memory.rail_gains).
+q = 1/2 maps onto the package's hybrid basis (|L,-1>, |R,+1>); a -1/2 plate
+would give the pair (|L,+1>, |R,-1>), which the detection frame turns, so
+QPlateParams rejects every other charge.  The beam displacers around the
+memory are part of its closed-form channel (memory.rail_gains).
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ class QPlateParams:
     conversion_efficiency: float = 1.0
 
     def __post_init__(self):
-        if not abs(abs(2 * self.q) - 1) <= 1e-9:   # written so that NaN fails too
+        if self.q != 0.5:   # NaN fails too
             raise RangeError(
-                f"charge q={self.q} does not map onto the two-dimensional hybrid basis")
+                f"charge q={self.q}: only q = 1/2 maps onto the hybrid basis (|L,-1>, |R,+1>)")
         if not 0.0 <= self.tuning_delta < 2 * math.pi:
             raise ValueError("tuning_delta must lie in [0, 2*pi)")
         if not 0.0 <= self.conversion_efficiency <= 1.0:
@@ -42,7 +43,7 @@ def qplate_pass(c, p: QPlateParams, sign: int) -> tuple[complex, complex]:
     """One pass of the amplitudes c = (c0, c1) through the plate.
 
     sign = +1 encodes a polarization qubit onto the hybrid sphere,
-    a|R> + b|L>  ->  a|L,-2q> + b|R,+2q>, with the plate offset angle
+    a|R> + b|L>  ->  a|L,-1> + b|R,+1>, with the plate offset angle
     entering as a relative phase exp(2i*alpha0) on the second component;
     sign = -1 decodes a hybrid state back to polarization, the inverse.
     A detuned plate is heralded: the returned state is the converted part,

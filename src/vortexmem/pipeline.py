@@ -248,7 +248,6 @@ class Report:
 
 
 def run(cfg: ExperimentConfig) -> Report:
-    cfg.validate()
     if cfg.scenario == "bounds_table":
         nbars = sorted(set(BOUNDS_NBAR_GRID) | {cfg.source.nbar})
         return Report(texts=[("bounds.csv", _bounds_text([{

@@ -114,24 +114,10 @@ _MAGNITUDE_BITS = np.int64(2**63 - 1)   # every bit of a float64 but its sign
 
 def _distinct_bits(values) -> tuple[np.ndarray, np.ndarray]:
     """The distinct bit patterns of a float array as sorted int64, and the
-    index of every element's pattern (in the array's shape).  Patterns tell
-    -0.0 from 0.0.
-
-    np.unique(..., return_inverse=True) gives the same two arrays, but holds
-    a flattened copy and an extra cumsum as well: here the sorted copy
-    takes the ranks once the distinct patterns are read off it."""
+    index of every element's pattern (in the array's shape; numpy 1.x
+    returns it flat).  Patterns tell -0.0 from 0.0."""
     values = np.ascontiguousarray(values, dtype=float)
-    keys = values.view(np.int64).ravel()
-    order = np.argsort(keys)
-    ordered = keys[order]
-    new = np.empty(len(ordered), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    bits = ordered[new]
-    rank = np.cumsum(new, out=ordered)   # 1 + the index in bits, in sorted order
-    rank -= 1
-    inverse = np.empty_like(order)
-    inverse[order] = rank
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
     return bits, inverse.reshape(values.shape)
 
 

@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 from vortexmem import cli, config, memory, optics, pipeline, security
-from vortexmem.hilbert import (ATOL_BALL, HYBRID_SPHERE_NAMES, TAU1, TAU2, TAU3, OutsideBall,
+from vortexmem.hilbert import (ATOL_BALL, HYBRID_SPHERE_NAMES, TAU1, TAU2, TAU3, RangeError,
                                named_state)
 from vortexmem.photodetection import PROJECTOR_ORDER, PROJECTOR_PAIRS, CountRecord, snr_of
 from vortexmem.text import COUNT_RECORD_COLUMNS, CSV_COLUMNS
@@ -295,7 +295,7 @@ def density_from_stokes(stokes):
         vec = vec / length
     s1, s2, s3 = vec
     if math.sqrt(s1**2 + s2**2 + s3**2) > 1.0 + ATOL_BALL:
-        raise OutsideBall("Bloch vector outside the ball")
+        raise RangeError("Bloch vector outside the ball")
     return densities_from_bloch(vec[None])[0]
 
 

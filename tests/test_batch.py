@@ -13,7 +13,6 @@ import pytest
 import oracles
 from helpers import assert_same_text, run_one_job
 from vortexmem import cli, config, hilbert, optics, photodetection, pipeline, text, tomography
-from vortexmem.hilbert import OutsideBall
 from vortexmem.photodetection import RangeError
 from vortexmem.text import CSV_COLUMNS
 from vortexmem.tomography import InsufficientCounts
@@ -242,7 +241,7 @@ def test_zero_count_pair_raises_in_batch():
 
 @pytest.mark.parametrize("call, error", [
     (lambda: hilbert.densities_from_bloch(np.array([[0.0, 0.0, 1.0], [0.8, 0.8, 0.8]])),
-     OutsideBall),
+     RangeError),
     (lambda: photodetection.click_probabilities(0.5, np.array([0.2, 1.5]),
                                                 np.full((2, 6), 0.5), 0.0), RangeError),
     (lambda: photodetection.click_probabilities(0.5, np.array([0.2, 0.5]),

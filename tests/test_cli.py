@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +53,7 @@ def _rows_by(report, **match):
 class TestConfig:
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_presets_validate(self, scenario):
-        default_config(scenario).validate()
+        default_config(scenario)   # an ExperimentConfig checks itself when built
 
     @pytest.mark.parametrize("scenario", SCENARIOS)
     def test_dict_round_trip(self, scenario):
@@ -80,6 +81,14 @@ class TestConfig:
             config_from_dict({"scenario": "field_maps", "input_states": ["H"],
                               "trials_per_projection": 0})
 
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(ConfigError, match="storage_times"):
+            replace(default_config("store_tomography"), storage_times=(1.0, 2.0))
+
+    def test_propagate_refuses_an_unknown_state(self):
+        with pytest.raises(ConfigError, match="input_states: unknown state 'X'"):
+            pipeline.propagate("X", default_config("store_tomography"), 1.0, 0.0)
+
     def test_load_config_merges_file_over_preset(self, tmp_path):
         path = _write_config(tmp_path, {"scenario": "store_tomography", "seed": 777})
         cfg = load_config(path, None, None)
@@ -104,6 +113,8 @@ class TestMainExitCodes:
         {"scenario": "store_tomography", "source": {"nbar": math.nan}},
         {"scenario": "store_tomography", "qplate": {"q": 1.5}},
         {"scenario": "store_tomography", "qplate": {"q": 0}},
+        {"scenario": "fidelity_vs_rotation", "encode_with_qplate": True, "qplate": {"q": -0.5},
+         "trials_per_projection": 0},
         {"scenario": "store_tomography", "encode_with_qplate": "yes"},
         {"scenario": "store_tomography", "source": {"nbar": 800}},
         {"scenario": "bounds_table", "source": {"nbar": 800}},
@@ -120,7 +131,7 @@ class TestMainExitCodes:
         {"scenario": "store_tomography", "storage_times": [1.0, 5.0]},
         {"scenario": "store_tomography", "rotation_angles": [0.0, 0.3]},
     ], ids=["unknown_scenario", "fractional_seed", "fractional_trials", "nan_alpha0", "nan_nbar",
-            "charge_1_5", "charge_0", "string_encode_flag", "nbar_past_series",
+            "charge_1_5", "charge_0", "charge_minus_half", "string_encode_flag", "nbar_past_series",
             "bounds_nbar_past_series", "huge_trials", "huge_alpha0", "angle_overflows_degrees",
             "bounds_zero_nbar", "bounds_zero_eta", "huge_charge", "huge_int_time",
             "time_overflows_envelope", "store_tomography_repeated_state",

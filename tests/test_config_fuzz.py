@@ -49,7 +49,7 @@ _FIELDS = {
     "memory.bg_click": st.floats(0.0, 0.99),
     "memory.rail_imbalance": st.floats(0.0, 2.5),
     "memory.rail_phase_error": st.floats(-7.0, 7.0),
-    "qplate.q": st.sampled_from([0.5, -0.5]),
+    "qplate.q": st.just(0.5),
     "qplate.alpha0": st.floats(-7.0, 7.0),
     "qplate.tuning_delta": st.floats(0.0, 6.28),
     "qplate.conversion_efficiency": st.floats(0.0, 1.0),

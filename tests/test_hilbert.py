@@ -11,7 +11,7 @@ from vortexmem.hilbert import (
     ATOL_BALL,
     TAU3,
     HYBRID_SPHERE_NAMES,
-    OutsideBall,
+    RangeError,
     POLARIZATION_NAMES,
     densities_from_bloch,
     fidelities,
@@ -140,7 +140,7 @@ class TestBlochMaps:
         s[mask] = rng.choice(special, size=mask.sum())
         s = s[~(np.linalg.norm(s, axis=1) > 1.0 + ATOL_BALL)]   # NaN rows stay
         assert np.isnan(s).any() and (s == 0.0).any() and (np.abs(s) < 2.3e-308).any()
-        with pytest.raises(OutsideBall):
+        with pytest.raises(RangeError):
             densities_from_bloch(s)
         s = s[~np.isnan(s).any(axis=1)]
         got = densities_from_bloch(s)
@@ -158,19 +158,19 @@ class TestBlochMaps:
         assert np.allclose(densities_from_bloch(np.array([[0.0, 0.0, 1.0]]))[0], np.diag([1, 0]))
 
     def test_outside_ball_rejected(self):
-        with pytest.raises(OutsideBall):
+        with pytest.raises(RangeError):
             densities_from_bloch(np.array([[0.8, 0.8, 0.8]]))
 
     def test_integer_vector_outside_ball_rejected(self):
         # its square 2**64 would wrap to 0 in int64
-        with pytest.raises(OutsideBall):
+        with pytest.raises(RangeError):
             densities_from_bloch(np.array([[0, 2**32, 0]]))
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_nan_component_rejected(self, axis):
         s = np.zeros((2, 3))
         s[1, axis] = math.nan
-        with pytest.raises(OutsideBall):
+        with pytest.raises(RangeError):
             densities_from_bloch(s)
 
     @given(bloch_vectors())

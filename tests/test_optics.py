@@ -55,8 +55,10 @@ class TestQPlate:
             with pytest.raises(RangeError):
                 qplate_pass(named_state("H"), QPlateParams(q=q), +1)
 
-    def test_negative_half_charge_accepted(self):
-        qplate_pass(named_state("H"), QPlateParams(q=-0.5), +1)
+    def test_negative_half_charge_rejected(self):
+        # a -1/2 plate gives the pair (|L,+1>, |R,-1>), not the package's hybrid basis
+        with pytest.raises(RangeError, match=r"q=-0\.5"):
+            QPlateParams(q=-0.5)
 
     def test_non_half_integer_charge_rejected(self):
         with pytest.raises(ValueError):

@@ -269,7 +269,7 @@ class TestBootstrapDraw:
     ], ids=["negative", "numpy_negative", "true", "false"])
     def test_unusable_seed_rejected_before_drawing(self, seed, error, message):
         # -1 escaped as numpy's bare "expected non-negative integer", and True
-        # drew as seed 1; run seeds are checked the same way (config.validate)
+        # drew as seed 1; run seeds are checked the same way (ExperimentConfig)
         pol = _decoded("one")
         records = simulate_counts(projection_probabilities(pol), 5000, 8)
         tomography._resample.cache_clear()
