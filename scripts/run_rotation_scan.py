@@ -41,8 +41,10 @@ def main(argv=None):
         rows = [r for r in all_rows if abs(r["angle_deg"] - deg) < 1e-6]
         line = f"  theta={deg:5.1f} deg"
         for label, names in groups.items():
-            sel = [r["fidelity_raw"] for r in rows if r["state"] in names]
-            line += f"  {label}={sum(sel) / len(sel):.4f}"
+            # a row with an empty basis pair has no raw fidelity
+            sel = [r["fidelity_raw"] for r in rows
+                   if r["state"] in names and r["fidelity_raw"] is not None]
+            line += f"  {label}={sum(sel) / len(sel):.4f}" if sel else f"  {label}=none"
         print(line)
     return 0
 

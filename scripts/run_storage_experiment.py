@@ -33,13 +33,16 @@ def main(argv=None):
     print(f"\nsix-state averages ({args.trials or 'exact'} trials/projection):")
     for t in args.times:
         rows = [r for r in all_rows if r["time_us"] == t]
-        raw = sum(r["fidelity_raw"] for r in rows) / len(rows)
-        # a row that retrieved nothing has no corrected fidelity
-        corrected = [r["fidelity_corrected"] for r in rows if r["fidelity_corrected"] is not None]
-        corr = f"{sum(corrected) / len(corrected):.4f}" if corrected else "none"
+        # a row with an empty basis pair has no raw fidelity, and one that
+        # retrieved nothing has no corrected fidelity: average the rest
+        raw, corr = ([r[key] for r in rows if r[key] is not None]
+                     for key in ("fidelity_raw", "fidelity_corrected"))
+        raw, corr = (sum(values) / len(values) if values else None for values in (raw, corr))
+        raw_text, corr_text = ("none" if v is None else f"{v:.4f}" for v in (raw, corr))
+        secure = "none" if raw is None else "yes" if raw > 0.89 else "no"
         bound = rows[0]["bound_efficiency"]
-        print(f"  t={t:5.1f} us  raw={raw:.4f}  corrected={corr}  "
-              f"classical bound={bound:.4f}  secure={'yes' if raw > 0.89 else 'no'}")
+        print(f"  t={t:5.1f} us  raw={raw_text}  corrected={corr_text}  "
+              f"classical bound={bound:.4f}  secure={secure}")
     return 0
 
 

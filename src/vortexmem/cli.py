@@ -1,8 +1,7 @@
 """Command-line entry point: parse the flags, load the config, run the
 scenario, write its files and print the stdout table.
 
-Exit codes: 0 on success, 2 for a config error (or too few counts for
-tomography), 3 for an i/o error.
+Exit codes: 0 on success, 2 for a config error, 3 for an i/o error.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-from . import tomography
 from .config import (SCENARIOS, ConfigError, ExperimentConfig, config_from_dict, config_to_dict,
                      default_config)
 from .pipeline import run
@@ -83,9 +81,6 @@ def main(argv: list[str] | None = None) -> int:
         written = emit(report, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except tomography.InsufficientCounts as exc:
-        print(f"insufficient counts: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -43,8 +43,8 @@ class MemoryParams:
             raise ValueError("tau must be positive")
         if not 0.0 <= self.bg_click < 1.0:
             raise ValueError("bg_click must lie in [0, 1)")
-        if not self.rail_imbalance >= 0.0:
-            raise ValueError("rail_imbalance must be >= 0")
+        if not 0.0 <= self.rail_imbalance <= 2.0:   # past 2, eta_V would be negative
+            raise ValueError("rail_imbalance must lie in [0, 2]")
         if not abs(self.rail_phase_error) < math.inf:   # NaN fails too
             raise ValueError("rail_phase_error must be finite")
 

@@ -153,10 +153,12 @@ class ResultTable:
     """Results of a batch of jobs as columns, each holding one value per job:
     the array form of the results, whose text form text.emit writes.
 
-    A job has a background-corrected estimate (``corrected`` true) when it
-    retrieved some signal and its counts, less the expected background,
-    leave every basis pair more than zero clicks; the ``f_corr`` and
-    ``rho_corr`` entries of any other job are zero placeholders.
+    A job has a raw estimate (``reconstructed`` true) when its counts leave
+    every basis pair some clicks, and a background-corrected one
+    (``corrected`` true) when its counts less the expected background do
+    and it retrieved some signal.  Without one, its ``f_raw``, ``stokes``,
+    ``rho_raw`` and ``secure``, or its ``f_corr`` and ``rho_corr``, are zero
+    placeholders.
     """
 
     scenario: str
@@ -166,12 +168,13 @@ class ResultTable:
     angle_deg: np.ndarray       # (J,) round(degrees(theta), 9)
     f_raw: np.ndarray           # (J,)
     f_corr: np.ndarray          # (J,)
+    reconstructed: np.ndarray   # (J,) bool
     corrected: np.ndarray       # (J,) bool
     stokes: np.ndarray          # (J, 3) raw Stokes vectors, before projection
     rho_raw: np.ndarray         # (J, 2, 2)
     rho_corr: np.ndarray        # (J, 2, 2)
     survival: np.ndarray        # (J,) clamped to [1e-12, 1]
-    bound_poisson: np.ndarray   # (J,)
+    bound_poisson: float        # the same for every job: it depends on nbar alone
     bound_efficiency: np.ndarray  # (J,)
     snr: np.ndarray | None      # (J,); None without background clicks
     secure: np.ndarray          # (J,) Shor-Preskill verdict on f_raw
@@ -181,34 +184,35 @@ class ResultTable:
         return _parsed(_results_text(self)[1])
 
 
+def _estimate(counts: np.ndarray, targets: np.ndarray,
+              lit=True) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stokes vectors (J, 3), density matrices (J, 2, 2) and fidelities (J,)
+    of the jobs whose counts (J, 6) leave every basis pair some clicks and
+    that are ``lit``, and that mask (J,); the other rows are zeros."""
+    ok = lit & (counts[:, 0::2] + counts[:, 1::2] > 0).all(1)
+    stokes, rho, f = np.zeros((len(ok), 3)), np.zeros((len(ok), 2, 2), complex), np.zeros(len(ok))
+    stokes[ok], rho[ok] = tomography.reconstruct(counts[ok])
+    f[ok] = hilbert.fidelities(rho[ok], targets[ok])
+    return stokes, rho, f, ok
+
+
 def _simulate(cfg: ExperimentConfig) -> ResultTable:
     """Result table of the jobs of the config's axes (see _light): the
     pipeline over a job axis.
 
     The counts of all jobs come from one stream, default_rng(cfg.seed), in
-    job order.  Bounds and SNR depend on a job only through its survival, so
-    they are computed once per distinct survival.
+    job order.  Both estimates follow one rule (_estimate): a job without
+    one holds placeholders in its columns, and the run goes on.  Bounds and
+    SNR depend on a job only through its survival, so they are computed
+    once per distinct survival.
     """
     states, times, angles = cfg.input_states, cfg.storage_times, cfg.rotation_angles
     signal, survival, targets = _light(cfg)
-    job_states = [state for state in states for _ in range(len(times) * len(angles))]
-    job_times = [t_us for _ in states for t_us in times for _ in angles]
     degrees = [round(math.degrees(theta), 9) for theta in np.asarray(angles, dtype=float).tolist()]
     counts, bg_expected, _ = _detect(cfg, signal, survival, cfg.seed)
-    try:
-        stokes, rho_raw = tomography.reconstruct(counts)
-    except tomography.InsufficientCounts as exc:
-        j = int(np.argwhere(counts[:, 0::2] + counts[:, 1::2] == 0)[0, 0])
-        raise tomography.InsufficientCounts(
-            f"{exc} in the job of {job_states[j]} at {job_times[j]} us, "
-            f"{degrees[j % len(angles)]} deg") from None
-    f_raw = hilbert.fidelities(rho_raw, targets)
-    net = tomography.subtract_background(counts, bg_expected)
-    corrected = (survival > 0) & (net[:, 0::2] + net[:, 1::2] > 0).all(1)
-    f_corr, rho_corr = np.zeros_like(f_raw), np.zeros_like(rho_raw)
-    _, rho = tomography.reconstruct(net[corrected])
-    f_corr[corrected] = hilbert.fidelities(rho, targets[corrected])
-    rho_corr[corrected] = rho
+    stokes, rho_raw, f_raw, reconstructed = _estimate(counts, targets)
+    _, rho_corr, f_corr, corrected = _estimate(
+        tomography.subtract_background(counts, bg_expected), targets, survival > 0)
 
     nbar, bg = cfg.source.nbar, cfg.memory.bg_click
     survival = np.minimum(1.0, np.maximum(1e-12, survival))
@@ -216,18 +220,19 @@ def _simulate(cfg: ExperimentConfig) -> ResultTable:
     levels = levels.tolist()
     return ResultTable(
         scenario=cfg.scenario,
-        states=job_states,
-        times=job_times,
+        states=[state for state in states for _ in range(len(times) * len(angles))],
+        times=[t_us for _ in states for t_us in times for _ in angles],
         seed=cfg.seed,
         angle_deg=np.tile(degrees, len(states) * len(times)),
         f_raw=f_raw,
         f_corr=f_corr,
+        reconstructed=reconstructed,
         corrected=corrected,
         stokes=stokes,
         rho_raw=rho_raw,
         rho_corr=rho_corr,
         survival=survival,
-        bound_poisson=np.full(len(survival), security.classical_bound_poisson(nbar)),
+        bound_poisson=security.classical_bound_poisson(nbar),
         bound_efficiency=np.array([
             security.classical_bound_with_efficiency(security.BenchmarkInput(nbar, s))
             for s in levels])[level],

@@ -215,7 +215,7 @@ def read_count_records(path: str | Path) -> list[photodetection.CountRecord]:
 # --- result text -------------------------------------------------------------
 
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_YES_NO = np.array(["no", "yes"], dtype=object)
+_VERDICTS = np.array(["no", "yes", "none"], dtype=object)   # false, true, no estimate
 
 # The results row format: each results.jsonl key (results.csv: CSV_COLUMNS)
 # maps to the ResultTable field it shows, its kind and the mask field whose
@@ -226,15 +226,15 @@ _RESULT_COLUMNS = {
     "bound_efficiency": ("bound_efficiency", "float", None),
     "bound_poisson": ("bound_poisson", "float", None),
     "fidelity_corrected": ("f_corr", "float", "corrected"),
-    "fidelity_raw": ("f_raw", "float", None),
+    "fidelity_raw": ("f_raw", "float", "reconstructed"),
     "job_seed": ("seed", "int_or_float", None),
-    "pass_shor_preskill": ("secure", "bool", None),
+    "pass_shor_preskill": ("secure", "bool", "reconstructed"),
     "rho_corrected": ("rho_corr", "matrix", "corrected"),
-    "rho_raw": ("rho_raw", "matrix", None),
+    "rho_raw": ("rho_raw", "matrix", "reconstructed"),
     "scenario": ("scenario", "name", None),
     "snr": ("snr", "float", None),
     "state": ("states", "name", None),
-    "stokes_raw": ("stokes", "vector", None),
+    "stokes_raw": ("stokes", "vector", "reconstructed"),
     "survival": ("survival", "float", None),
     "time_us": ("times", "int_or_float", None),
 }
@@ -327,7 +327,7 @@ def _results_text(table) -> tuple[list[str], list[str]]:
     json.dumps of the scalar, and its str in CSV."""
     entries = sorted(_RESULT_COLUMNS.items())
     values = {key: getattr(table, field) for key, (field, _, _) in entries}
-    per_row = {key for key, v in values.items() if not isinstance(v, (int, str, type(None)))}
+    per_row = {key for key, v in values.items() if isinstance(v, (list, np.ndarray))}
     csv_texts, json_texts = _number_texts([
         column for key, (_, kind, _) in entries if kind in _NUMBER_JSON and key in per_row
         for column in _block_columns(kind, values[key])])
@@ -343,7 +343,7 @@ def _results_text(table) -> tuple[list[str], list[str]]:
             value = value.tolist() if kind == "bool" else value
             texts = {v: (str(v), json.dumps(v)) for v in set(value)}
             csv, cells = [texts[v][0] for v in value], [[texts[v][1] for v in value]]
-        if mask is not None and key in per_row:
+        if mask is not None and key in per_row and not getattr(table, mask).all():
             if len(cells) > 1:   # one text per row (no cell holds a line break)
                 cells, template = ["".join(_fill(template + "\n", cells)).splitlines()], "%s"
             csv, cells = list(csv), [list(cells[0])]
@@ -372,16 +372,14 @@ def _bounds_text(rows: list[dict]) -> str:
 def _summary(table) -> str:
     """The stdout table of a pipeline.ResultTable: one line per job."""
     names = {state: "%10s" % state for state in set(table.states)}
-    f_corr = ["%.4f" % f if ok else "  none"
-              for f, ok in zip(table.f_corr.tolist(), table.corrected.tolist())]
     return "".join(_fill(_SUMMARY_ROW, [
         [names[s] for s in table.states],
         _formatted("%6.1f", table.angle_deg),
         _formatted("%5.2f", np.array(table.times, dtype=float)),
-        list(map("%.4f".__mod__, table.f_raw.tolist())),
-        f_corr,
+        *(["%.4f" % f if ok else "  none" for f, ok in zip(f.tolist(), mask.tolist())]
+          for f, mask in ((table.f_raw, table.reconstructed), (table.f_corr, table.corrected))),
         _formatted("%.4f", table.bound_efficiency),
-        _YES_NO[table.secure.astype(int)].tolist()]))
+        _VERDICTS[np.where(table.reconstructed, table.secure, 2)].tolist()]))
 
 
 def emit(report, out_dir: str | Path) -> list[Path]:

@@ -465,16 +465,19 @@ def simulate_point(state_name, cfg, t_us, theta, job_seed, rng=None):
     or on their own from default_rng(job_seed)."""
     comps, target = propagate(state_name, cfg, t_us, theta)
     records = detection_records(comps, cfg, job_seed if rng is None else rng)
-    stokes_raw, rho_raw = tomograph(records, subtract_bg=False)
-    # a corrected estimate needs retrieved light and counts left in every
-    # pair after background subtraction
-    rho_corr = None
+    # an estimate needs counts left in every pair; a corrected one, after
+    # background subtraction, and retrieved light as well
+    stokes_raw = rho_raw = f_raw = rho_corr = None
+    try:
+        stokes_raw, rho_raw = tomograph(records, subtract_bg=False)
+        f_raw = conditional_fidelity(rho_raw, target)
+    except InsufficientCounts:
+        pass
     if sum(w for w, _ in comps) > 0:
         try:
             _, rho_corr = tomograph(records, subtract_bg=True)
         except InsufficientCounts:
             pass
-    f_raw = conditional_fidelity(rho_raw, target)
     survival = min(1.0, max(1e-12, sum(w for w, _ in comps)))
     nbar = cfg.source.nbar
     return {
@@ -487,11 +490,11 @@ def simulate_point(state_name, cfg, t_us, theta, job_seed, rng=None):
         "bound_poisson": security.classical_bound_poisson(nbar),
         "bound_efficiency": security.classical_bound_with_efficiency(
             security.BenchmarkInput(nbar, survival)),
-        "pass_shor_preskill": shor_preskill_pass(f_raw),
+        "pass_shor_preskill": None if f_raw is None else shor_preskill_pass(f_raw),
         "survival": survival,
         "snr": snr_of(nbar, survival, cfg.memory.bg_click) if cfg.memory.bg_click > 0 else None,
         "stokes_raw": stokes_raw,
-        "rho_raw": _rho_to_lists(rho_raw),
+        "rho_raw": None if rho_raw is None else _rho_to_lists(rho_raw),
         "rho_corrected": None if rho_corr is None else _rho_to_lists(rho_corr),
         "job_seed": job_seed,
     }
@@ -547,8 +550,8 @@ def table_rows(table):
     n = len(table.states)
     snr = [None] * n if table.snr is None else table.snr.tolist()
     columns = zip(table.states, table.times, table.angle_deg.tolist(), table.f_raw.tolist(),
-                  table.f_corr.tolist(), table.corrected.tolist(),
-                  table.bound_poisson.tolist(),
+                  table.reconstructed.tolist(), table.f_corr.tolist(), table.corrected.tolist(),
+                  [table.bound_poisson] * n,
                   table.bound_efficiency.tolist(), table.secure.tolist(),
                   table.survival.tolist(), snr, table.stokes.tolist(),
                   matrices(table.rho_raw), matrices(table.rho_corr))
@@ -557,19 +560,19 @@ def table_rows(table):
         "state": state,
         "angle_deg": angle,
         "time_us": t_us,
-        "fidelity_raw": f,
+        "fidelity_raw": f if raw else None,
         "fidelity_corrected": f_corr if ok else None,
         "bound_poisson": poisson,
         "bound_efficiency": efficiency,
-        "pass_shor_preskill": secure,
+        "pass_shor_preskill": secure if raw else None,
         "survival": surv,
         "snr": snr_j,
-        "stokes_raw": stokes,
-        "rho_raw": rho,
+        "stokes_raw": stokes if raw else None,
+        "rho_raw": rho if raw else None,
         "rho_corrected": rho_corr if ok else None,
         "job_seed": table.seed,
-    } for (state, t_us, angle, f, f_corr, ok, poisson, efficiency, secure, surv, snr_j, stokes,
-           rho, rho_corr) in columns]
+    } for (state, t_us, angle, f, raw, f_corr, ok, poisson, efficiency, secure, surv, snr_j,
+           stokes, rho, rho_corr) in columns]
 
 
 def _reference(report):
@@ -628,13 +631,14 @@ def summary(rows):
     """The stdout table of cli.main, one print per row."""
     buf = io.StringIO()
     for row in rows:
-        f_corr = row["fidelity_corrected"]
+        f_raw, f_corr, secure = (row[k] for k in ("fidelity_raw", "fidelity_corrected",
+                                                  "pass_shor_preskill"))
         print(
             f"{row['state']:>10s}  angle={row['angle_deg']:6.1f} deg  "
-            f"t={row['time_us']:5.2f} us  F_raw={row['fidelity_raw']:.4f}  "
+            f"t={row['time_us']:5.2f} us  F_raw={'  none' if f_raw is None else f'{f_raw:.4f}'}  "
             f"F_corr={'  none' if f_corr is None else f'{f_corr:.4f}'}  "
             f"bound={row['bound_efficiency']:.4f}  "
-            f"secure={'yes' if row['pass_shor_preskill'] else 'no'}",
+            f"secure={'none' if secure is None else 'yes' if secure else 'no'}",
             file=buf,
         )
     return buf.getvalue()

@@ -169,6 +169,24 @@ def test_repeated_states_and_times_match_oracles(tmp_path, monkeypatch, capsys, 
         list(map(str, values))
 
 
+@pytest.mark.parametrize("trials, times, bg", [(150_000, (1.0, 200.0), 0.0),
+                                               (20, (1.0, 7.0), None)],
+                         ids=["nothing_retrieved", "twenty_trials"])
+def test_jobs_without_raw_counts_match_oracles(tmp_path, monkeypatch, capsys, trials, times, bg):
+    """A job whose counts leave a basis pair empty has no raw estimate: its
+    raw and corrected fields are null, every other row keeps its own, and
+    the run goes on.  No row is corrected without being reconstructed."""
+    cfg = replace(_config("fidelity_vs_time", trials, 0.0, True), storage_times=times)
+    if bg is not None:
+        cfg = replace(cfg, memory=replace(cfg.memory, bg_click=bg))
+    monkeypatch.chdir(tmp_path)
+    jobs = len(ALL_STATES) * len(times) * len(ANGLES)
+    _matches_oracles(cfg, jobs, capsys)
+    table = pipeline.run(cfg).table
+    assert 0 < table.reconstructed.sum() < jobs
+    assert not (table.corrected & ~table.reconstructed).any()
+
+
 @pytest.mark.parametrize("trials, bg", [(150_000, 0.01), (0, 1.0 - 2.0**-53)],
                          ids=["sampled", "exact"])
 def test_survival_above_one_by_round_off_is_clamped(trials, bg):

@@ -100,6 +100,11 @@ class TestConfig:
         assert load_config(path, None, 3).seed == 3
 
 
+# the fields of a job without a raw estimate that are null
+_ESTIMATE_KEYS = ("fidelity_raw", "rho_raw", "stokes_raw", "pass_shor_preskill",
+                  "fidelity_corrected", "rho_corrected")
+
+
 class TestMainExitCodes:
     def test_success(self, tmp_path):
         rc = cli.main(["--scenario", "bounds_table", "--out", str(tmp_path / "o")])
@@ -130,13 +135,14 @@ class TestMainExitCodes:
         {"scenario": "field_maps", "input_states": ["radial", "radial"]},
         {"scenario": "store_tomography", "storage_times": [1.0, 5.0]},
         {"scenario": "store_tomography", "rotation_angles": [0.0, 0.3]},
+        {"scenario": "store_tomography", "memory": {"rail_imbalance": 3}},
     ], ids=["unknown_scenario", "fractional_seed", "fractional_trials", "nan_alpha0", "nan_nbar",
             "charge_1_5", "charge_0", "charge_minus_half", "string_encode_flag", "nbar_past_series",
             "bounds_nbar_past_series", "huge_trials", "huge_alpha0", "angle_overflows_degrees",
             "bounds_zero_nbar", "bounds_zero_eta", "huge_charge", "huge_int_time",
             "time_overflows_envelope", "store_tomography_repeated_state",
             "field_maps_repeated_state", "store_tomography_two_times",
-            "store_tomography_two_angles"])
+            "store_tomography_two_angles", "imbalance_past_2"])
     def test_config_error_is_2(self, tmp_path, payload):
         path = _write_config(tmp_path, payload)
         rc = cli.main(["--config", str(path), "--out", str(tmp_path / "o")])
@@ -196,20 +202,41 @@ class TestMainExitCodes:
             assert abs(row["fidelity_raw"] - 0.5) < 0.05   # unpolarized background
             assert row["fidelity_corrected"] is None and row["rho_corrected"] is None
 
-    def test_long_storage_without_background_is_2(self, tmp_path, capsys):
+    def test_long_storage_without_background_has_no_estimate(self, tmp_path, capsys):
+        # nothing is retrieved and nothing else clicks: every basis pair is empty
         path = _write_config(tmp_path, {"scenario": "store_tomography", "storage_times": [200.0],
                                         "memory": {"bg_click": 0.0}})
-        assert cli.main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert "has zero counts" in capsys.readouterr().err
+        out = tmp_path / "o"
+        assert cli.main(["--config", str(path), "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+        assert len(rows) == len(default_config("store_tomography").input_states)
+        for row in rows:
+            assert all(row[key] is None for key in _ESTIMATE_KEYS)
+        jobs = capsys.readouterr().out.splitlines()[3:]   # after three "wrote" lines
+        assert len(jobs) == len(rows)
+        assert all("F_raw=  none  F_corr=  none" in line and line.endswith("secure=none")
+                   for line in jobs)
 
-    def test_zero_raw_counts_name_the_job(self, tmp_path, capsys):
+    def test_zero_raw_counts_null_only_their_job(self, tmp_path):
         # the 1 us job has ample counts; the 200 us job has none at all
-        path = _write_config(tmp_path, {"scenario": "fidelity_vs_time", "memory": {"bg_click": 0.0},
-                                        "storage_times": [1.0, 200.0], "input_states": ["radial"]})
-        assert cli.main(["--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == ("insufficient counts: pair (H, V) has zero counts "
-                                           "in the job of radial at 200.0 us, 0.0 deg\n")
-        assert not (tmp_path / "o").exists()
+        payload = {"scenario": "fidelity_vs_time", "memory": {"bg_click": 0.0},
+                   "storage_times": [1.0, 200.0], "input_states": ["radial"]}
+        outs = {}
+        for times in ([1.0, 200.0], [1.0]):
+            out = outs[len(times)] = tmp_path / f"o{len(times)}"
+            path = _write_config(tmp_path, {**payload, "storage_times": times})
+            assert cli.main(["--config", str(path), "--out", str(out), "--seed", "12345"]) == 0
+            assert out.is_dir()
+        (one_jsonl, one_csv), (two_jsonl, two_csv) = (
+            [(outs[n] / name).read_text().splitlines() for name in ("results.jsonl", "results.csv")]
+            for n in (1, 2))
+        assert two_jsonl[0] == one_jsonl[0] and two_csv[:2] == one_csv
+        late = json.loads(two_jsonl[1])
+        assert late["time_us"] == 200.0 and late["survival"] == 1e-12
+        assert all(late[key] is None for key in _ESTIMATE_KEYS)
+        cells = dict(zip(CSV_COLUMNS, two_csv[2].split(",")))
+        assert cells["fidelity_raw"] == cells["fidelity_corrected"] == ""
+        assert cells["pass_shor_preskill"] == ""
 
     def test_pair_emptied_by_background_subtraction_has_no_corrected_fidelity(self, tmp_path):
         path = _write_config(tmp_path, {"scenario": "fidelity_vs_time", "storage_times": [1.0, 20.0]})

@@ -1,6 +1,7 @@
 """Any JSON config runs or is refused: main returns 0, 2 or 3 and never raises,
 and a job scenario that runs writes one results.jsonl line for each job of
-its grid, states x storage times x angles in that order.
+its grid, states x storage times x angles in that order, none of them with a
+corrected estimate but no raw one.
 
 Configs start from a scenario preset, cut to a few states, angles and
 storage times, and have some fields replaced.  Most replacements are drawn
@@ -137,3 +138,6 @@ def test_main_returns_an_exit_code_for_any_json_config(raw):
                 itertools.product(cfg.input_states, cfg.storage_times, cfg.rotation_angles)]
         rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
         assert [(r["state"], r["time_us"], r["angle_deg"]) for r in rows] == grid
+        # no estimate is corrected that is not also reconstructed
+        assert all(r["fidelity_raw"] is not None
+                   for r in rows if r["fidelity_corrected"] is not None)

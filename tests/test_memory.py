@@ -241,6 +241,13 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             MemoryParams(rail_imbalance=-0.1)
 
+    def test_rejects_imbalance_past_2(self):
+        # past 2 the V rail's efficiency eta (1 - imbalance/2) is negative
+        MemoryParams(rail_imbalance=2.0)
+        for imbalance in (2.0 + 2.0**-51, 3.0, 1e308, math.inf):
+            with pytest.raises(ValueError, match=r"\[0, 2\]"):
+                MemoryParams(rail_imbalance=imbalance)
+
     def test_rejects_infinite_phase_error(self):
         # exp(i phi) of an infinite phase error is NaN (NaN: test_security)
         for phi in (math.inf, -math.inf):

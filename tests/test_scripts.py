@@ -20,6 +20,10 @@ def _main(name):
     ("run_storage_experiment", ["--times", "0", "1"]),
     # nothing is retrieved after 200 us: the corrected average prints none
     ("run_storage_experiment", ["--times", "1", "200"]),
+    # one trial per projection leaves most basis pairs empty: those rows have
+    # no raw fidelity, and a point whose rows all lack one prints none
+    ("run_rotation_scan", ["--angles", "0", "45", "--trials", "1"]),
+    ("run_storage_experiment", ["--times", "0", "1", "--trials", "1"]),
 ])
 def test_script_writes_results(tmp_path, capsys, name, args):
     out = tmp_path / "out"
