@@ -8,15 +8,15 @@ an empty cell.  State and scenario names come from fixed tables and hold no
 character that JSON escapes or CSV quotes.
 
 Every text is built column by column.  The floats of a file go into one
-block; repr runs once per distinct magnitude in it, and a negative value
-whose magnitude also occurs is "-" and that text (the sign folding of
-_float_text).  Each column then becomes a list of cell texts, and _fill
-interleaves a line template's literal pieces with those lists, so no
-line is formatted on its own.  emit writes the results files chunk by
-chunk as _fill returns them.  The stdout table is filled the same way,
-its state, angle and time cells formatted once per distinct value.  The
-field-map CSVs of a run share one _float_text, and a PGM's text depends on
-its 16-bit samples alone, which the pipeline keys it on.
+block, and _float_text gives the repr of each element with one repr per
+distinct magnitude in the block.  Each column then becomes a list of cell
+texts, and _fill interleaves a line template's literal pieces with those
+lists, so no line is formatted on its own.  emit writes the results files
+chunk by chunk as _fill returns them.  The stdout table is filled the same
+way, its state and number cells formatted once per distinct value and the
+numbers right-justified to the widest of the run.  The field-map CSVs of
+a run share one _float_text, and a PGM's text depends on its 16-bit
+samples alone, which the pipeline keys it on.
 """
 
 from __future__ import annotations
@@ -109,9 +109,6 @@ def render_ppm(hue: np.ndarray, intensity: np.ndarray) -> str:
     return _pixmap_text("P3", nx, ny, 255, pixels.reshape(ny, 3 * nx))
 
 
-_MAGNITUDE_BITS = np.int64(2**63 - 1)   # every bit of a float64 but its sign
-
-
 def _distinct_bits(values) -> tuple[np.ndarray, np.ndarray]:
     """The distinct bit patterns of a float array as sorted int64, and the
     index of every element's pattern (in the array's shape; numpy 1.x
@@ -121,44 +118,40 @@ def _distinct_bits(values) -> tuple[np.ndarray, np.ndarray]:
     return bits, inverse.reshape(values.shape)
 
 
-def _float_text(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct values of a float array, the repr of each, and the index
-    of every element's value (in the array's shape).
-
-    Values are told apart by their bit pattern, so -0.0 and 0.0 keep their
-    own text, and repr runs once per distinct magnitude: a negative value
-    whose magnitude also occurs takes "-" and that magnitude's text, or the
-    text alone for a NaN, which repr prints without a sign.  For a float,
-    repr is also str, the text csv writes.
-    """
-    bits, inverse = _distinct_bits(values)
-    distinct = bits.view(float)
-    # sign bit set: the first `neg` patterns, as int64 sorts them
-    neg = int(np.searchsorted(bits, 0))
-    text = np.empty(len(bits), dtype=object)
-    text[neg:] = list(map(repr, distinct[neg:].tolist()))
-    if neg:
-        magnitude = bits[:neg] & _MAGNITUDE_BITS
-        at = np.minimum(np.searchsorted(bits, magnitude), len(bits) - 1)
-        shared = bits[at] == magnitude
-        signed = shared & ~np.isnan(distinct[:neg])
-        folded = text[at]
-        folded[signed] = ["-" + t for t in folded[signed].tolist()]
-        folded[~shared] = list(map(repr, distinct[:neg][~shared].tolist()))
-        text[:neg] = folded
-    return distinct, text, inverse
+def _float_text(values: np.ndarray) -> np.ndarray:
+    """The repr of every element of a float array, in an object array of its
+    shape.  repr runs once per distinct magnitude (bit pattern of |v|): on
+    -|v| if every element of it has its sign bit set, else on |v|, which a
+    signed element prefixes with "-"; a NaN, printed without a sign, counts
+    as unsigned.  For a float, repr is also str, the text csv writes."""
+    bits, slot = _distinct_bits(np.abs(values))
+    magnitude = bits.view(float)
+    # magnitude k's text in slot 2k, its negative's in 2k + 1, each made only if used: a
+    # string per element, or one made only to be prefixed, cost rotation_sweep 2 MB of RSS
+    slot *= 2
+    slot += np.signbit(values) & ~np.isnan(values)
+    used = np.zeros(2 * len(bits), dtype=bool)
+    used[slot] = True
+    positive, negative = used[0::2], used[1::2]
+    text = np.empty(2 * len(bits), dtype=object)
+    text[0::2][positive] = list(map(repr, magnitude[positive].tolist()))
+    only = negative & ~positive
+    text[1::2][only] = list(map(repr, (-magnitude[only]).tolist()))
+    both = negative & positive
+    text[1::2][both] = ["-" + t for t in text[0::2][both].tolist()]
+    return text[slot]
 
 
 def render_grid_csvs(grids: list[np.ndarray]) -> list[str]:
     """The CSV of each 2-D float grid, each cell the shortest round-trip repr.
 
-    The distinct values of all grids go through one _float_text, so a value
-    (or magnitude) in several grids is formatted once.  A float repr holds no
+    The distinct values of each grid go through one _float_text, so a
+    magnitude in several grids is formatted once.  A float repr holds no
     delimiter or quote, so the rows need no CSV quoting."""
     bits, inverses = zip(*map(_distinct_bits, grids))
-    _, text, at = _float_text(np.concatenate(bits).view(float))
+    text = _float_text(np.concatenate(bits).view(float))
     starts = np.cumsum([0, *map(len, bits)]).tolist()
-    return ["".join(",".join(row) + "\n" for row in text[at[start + inverse]].tolist())
+    return ["".join(",".join(row) + "\n" for row in text[start + inverse].tolist())
             for start, inverse in zip(starts, inverses)]
 
 
@@ -285,10 +278,12 @@ def _fill(template: str, columns: list) -> list[str]:
 
 
 def _formatted(fmt: str, values) -> list[str]:
-    """fmt % v of every element of a 1-D float array, each distinct value
-    formatted once."""
+    """fmt % v of every element of a 1-D float array, right-justified to the
+    widest of them, each distinct value formatted once."""
     bits, inverse = _distinct_bits(values)
-    return np.array([fmt % v for v in bits.view(float).tolist()], dtype=object)[inverse].tolist()
+    texts = [fmt % v for v in bits.view(float).tolist()]
+    width = max(map(len, texts), default=0)
+    return np.array([t.rjust(width) for t in texts], dtype=object)[inverse].tolist()
 
 
 def _number_texts(columns: list) -> tuple[list[list[str]], list[list[str]]]:
@@ -298,9 +293,8 @@ def _number_texts(columns: list) -> tuple[list[list[str]], list[list[str]]]:
     and the infinities, so a column without one has one list."""
     floats = [np.array([0.0 if type(v) is int else v for v in column], dtype=float)
               if isinstance(column, list) else column for column in columns]
-    _, text, inverse = _float_text(np.concatenate(floats))
     stops = np.cumsum([len(column) for column in floats], dtype=np.intp)[:-1]
-    csv_texts = [part.tolist() for part in np.split(text[inverse], stops)]
+    csv_texts = [part.tolist() for part in np.split(_float_text(np.concatenate(floats)), stops)]
     for column, texts in zip(columns, csv_texts):
         if isinstance(column, list):
             texts[:] = [str(v) if type(v) is int else t for v, t in zip(column, texts)]
@@ -370,7 +364,8 @@ def _bounds_text(rows: list[dict]) -> str:
 
 
 def _summary(table) -> str:
-    """The stdout table of a pipeline.ResultTable: one line per job."""
+    """The stdout table of a pipeline.ResultTable: one line per job, with the
+    number cells right-justified to the widest of the run."""
     names = {state: "%10s" % state for state in set(table.states)}
     return "".join(_fill(_SUMMARY_ROW, [
         [names[s] for s in table.states],

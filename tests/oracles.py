@@ -628,16 +628,22 @@ def emit(report, out_dir, formats=("csv", "json-lines", "pixmap")):
 
 
 def summary(rows):
-    """The stdout table of cli.main, one print per row."""
+    """The stdout table of cli.main, one print per row; the angle, time and
+    bound cells are right-justified to the widest of the run."""
+    cells = {key: [format(row[key], spec) for row in rows]
+             for key, spec in (("angle_deg", "6.1f"), ("time_us", "5.2f"),
+                               ("bound_efficiency", ".4f"))}
+    width = {key: max(map(len, texts), default=0) for key, texts in cells.items()}
     buf = io.StringIO()
-    for row in rows:
+    for row, angle, time, bound in zip(rows, *cells.values()):
         f_raw, f_corr, secure = (row[k] for k in ("fidelity_raw", "fidelity_corrected",
                                                   "pass_shor_preskill"))
         print(
-            f"{row['state']:>10s}  angle={row['angle_deg']:6.1f} deg  "
-            f"t={row['time_us']:5.2f} us  F_raw={'  none' if f_raw is None else f'{f_raw:.4f}'}  "
+            f"{row['state']:>10s}  angle={angle:>{width['angle_deg']}s} deg  "
+            f"t={time:>{width['time_us']}s} us  "
+            f"F_raw={'  none' if f_raw is None else f'{f_raw:.4f}'}  "
             f"F_corr={'  none' if f_corr is None else f'{f_corr:.4f}'}  "
-            f"bound={row['bound_efficiency']:.4f}  "
+            f"bound={bound:>{width['bound_efficiency']}s}  "
             f"secure={'none' if secure is None else 'yes' if secure else 'no'}",
             file=buf,
         )

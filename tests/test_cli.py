@@ -238,6 +238,22 @@ class TestMainExitCodes:
         assert cells["fidelity_raw"] == cells["fidelity_corrected"] == ""
         assert cells["pass_shor_preskill"] == ""
 
+    @pytest.mark.parametrize("payload", [
+        {"scenario": "fidelity_vs_time", "storage_times": [1.0, 200.0], "input_states": ["radial"]},
+        {"scenario": "fidelity_vs_rotation", "rotation_angles": [0.0, 200.0],
+         "input_states": ["H"]},
+    ], ids=["time_200_us", "angle_11459_deg"])
+    def test_stdout_table_columns_line_up(self, tmp_path, capsys, payload):
+        # 200 us is "200.00", 200 rad is "11459.2" deg: wider than the other rows' cells.
+        # Every column starts at one offset; the last, the verdict, is "yes" or "no".
+        path = _write_config(tmp_path, payload)
+        assert cli.main(["--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        jobs = [line for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("wrote ")]
+        assert len(jobs) == 2
+        for label in ("angle=", "t=", "F_raw=", "F_corr=", "bound=", "secure="):
+            assert len({line.index(label) for line in jobs}) == 1, label
+
     def test_pair_emptied_by_background_subtraction_has_no_corrected_fidelity(self, tmp_path):
         path = _write_config(tmp_path, {"scenario": "fidelity_vs_time", "storage_times": [1.0, 20.0]})
         out = tmp_path / "o"

@@ -160,16 +160,20 @@ _FLOAT_BITS = st.one_of(st.integers(-2**63, 2**63 - 1),
                         st.floats().map(lambda f: np.float64(f).view(np.int64).item()))
 
 
-@given(bits=st.lists(_FLOAT_BITS, min_size=1, max_size=40), flipped=st.integers(0, 40))
+@given(bits=st.lists(_FLOAT_BITS, min_size=1, max_size=40), flipped=st.integers(0, 40),
+       columns=st.integers(1, 3))
 @settings(max_examples=300)
-def test_float_text_is_repr_of_every_bit_pattern(bits, flipped):
+def test_float_text_is_repr_of_every_bit_pattern(bits, flipped, columns):
     """Random float64 bit patterns, NaN payloads of either sign included; the
     first few recur with the sign flipped, so many magnitudes occur with
-    both signs."""
+    both signs.  For columns > 1 the array is 2-D and not C-contiguous, and
+    the texts keep its shape."""
     values = np.array(bits, dtype=np.int64).view(float)
     values = np.concatenate([values, -values[:flipped]])
-    _, texts, inverse = text._float_text(values)
-    assert texts[inverse].tolist() == [repr(v) for v in values.tolist()]
+    values = np.tile(values, (columns, 1)).T if columns > 1 else values
+    texts = text._float_text(values)
+    assert texts.shape == values.shape and texts.dtype == object
+    assert texts.ravel().tolist() == [repr(v) for v in values.ravel().tolist()]
 
 
 @pytest.mark.parametrize("values", [
@@ -181,11 +185,14 @@ def test_float_text_is_repr_of_every_bit_pattern(bits, flipped):
     [math.inf, -math.inf],
     [-math.inf],
     [1.5, -1.5, -2.5, 2.5e-300, -7.0, 7.0, -1e300, 1.5],
+    [[1.5, -1.5, -0.0], [_NEG_NAN, 0.0, -math.inf]],
+    [-1.5, -1.5, 1.5, -2.5, -2.5, _NEG_NAN, _NEG_NAN],
 ], ids=["neg_nan", "both_nans", "zeros", "neg_zero_only", "subnormal", "infinities",
-        "neg_inf_only", "mixed"])
+        "neg_inf_only", "mixed", "mixed_2d", "repeated_negatives"])
 def test_float_text_formats_each_magnitude_once(monkeypatch, values):
-    """repr runs once per distinct non-negative value and once per negative
-    value whose magnitude does not occur; every text is still the repr."""
+    """repr runs once per distinct magnitude (bit pattern with the sign bit
+    cleared), whichever signs it occurs with; every text is still the repr,
+    and equal texts of one magnitude are one string object."""
     values = np.array(values)
     calls = []
 
@@ -194,13 +201,15 @@ def test_float_text_formats_each_magnitude_once(monkeypatch, values):
         return repr(value)
 
     monkeypatch.setattr(text, "repr", counted, raising=False)
-    _, texts, inverse = text._float_text(values)
+    texts = text._float_text(values)
     monkeypatch.undo()
-    assert texts[inverse].tolist() == [repr(v) for v in values.tolist()]
-    bits = set(values.view(np.uint64).tolist())
-    positive = {b for b in bits if b < _SIGN_BIT}
-    negative_only = {b for b in bits if b >= _SIGN_BIT and b - _SIGN_BIT not in positive}
-    assert len(calls) == len(positive) + len(negative_only)
+    assert texts.shape == values.shape
+    assert texts.ravel().tolist() == [repr(v) for v in values.ravel().tolist()]
+    bits = values.view(np.uint64).ravel().tolist()
+    assert len(calls) == len({b & ~_SIGN_BIT for b in bits})
+    signed = {(b & ~_SIGN_BIT, b >= _SIGN_BIT and not math.isnan(v))
+              for b, v in zip(bits, values.ravel().tolist())}
+    assert len({id(t) for t in texts.ravel().tolist()}) == len(signed)
 
 
 _PAYLOAD_NANS = np.array([0x7FF8_0000_0000_0000, 0x7FF0_0000_0000_0001, 0xFFF8_0000_0000_0002,
