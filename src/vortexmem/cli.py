@@ -79,9 +79,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         report = run(cfg)
         written = emit(report, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

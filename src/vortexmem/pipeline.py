@@ -21,8 +21,7 @@ of every row is that run seed.  Arithmetic on the job axis is
 elementwise, so row 0 of a run is bit for bit the one-job run of its first
 state, time and angle at the same seed.  The batch is a ResultTable of
 columns, which the text module writes; a result exists only in those two
-forms, so the row dicts of ResultTable.rows are the results.jsonl lines,
-parsed.
+forms.
 
 A run returns a Report: the ResultTable of a job scenario, or the
 finished (file name, text) pairs of bounds_table and field_maps.  In
@@ -43,8 +42,7 @@ import numpy as np
 from . import fields, hilbert, memory, optics, photodetection, security, tomography
 from .config import BOUNDS_NBAR_GRID, ExperimentConfig
 from .hilbert import HYBRID_SPHERE_NAMES, POLARIZATION_NAMES, named_state
-from .text import (_bounds_text, _parsed, _pgm_samples, _results_text, render_grid_csvs,
-                   render_pgm, render_ppm)
+from .text import _bounds_text, _pgm_samples, render_grid_csvs, render_pgm, render_ppm
 
 
 # the six projection weights of L- and R-polarized light: the leak of the
@@ -178,10 +176,6 @@ class ResultTable:
     bound_efficiency: np.ndarray  # (J,)
     snr: np.ndarray | None      # (J,); None without background clicks
     secure: np.ndarray          # (J,) Shor-Preskill verdict on f_raw
-
-    def rows(self) -> list[dict]:
-        """The results.jsonl lines of the table, parsed: one dict per job."""
-        return _parsed(_results_text(self)[1])
 
 
 def _estimate(counts: np.ndarray, targets: np.ndarray,

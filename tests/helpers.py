@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from vortexmem import pipeline
 from vortexmem.hilbert import normalized
+from vortexmem.text import _parsed, _results_text
 
 _amp = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
 
@@ -49,12 +50,17 @@ def fidelity(a, b) -> float:
     return abs(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))) ** 2
 
 
+def jsonl_rows(table) -> list[dict]:
+    """The results.jsonl lines of a pipeline.ResultTable, parsed: one dict per job."""
+    return _parsed(_results_text(table)[1])
+
+
 def run_one_job(state_name, cfg, t_us, theta, seed) -> dict:
     """The one row of the run of ``cfg`` cut to one state, storage time and
     angle at ``seed``: its results.jsonl line, parsed."""
     one = replace(cfg, input_states=(state_name,), storage_times=(t_us,),
                   rotation_angles=(theta,), seed=seed)
-    return pipeline.run(one).table.rows()[0]
+    return jsonl_rows(pipeline.run(one).table)[0]
 
 
 def assert_same_text(got: dict, want: dict) -> None:

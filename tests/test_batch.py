@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from helpers import assert_same_text, run_one_job
+from helpers import assert_same_text, jsonl_rows, run_one_job
 from vortexmem import cli, config, hilbert, optics, photodetection, pipeline, text, tomography
 from vortexmem.photodetection import RangeError
 from vortexmem.text import CSV_COLUMNS
@@ -52,8 +52,8 @@ def _emitted(write, report, out):
 def test_run_matches_per_job_oracle(tmp_path, scenario, trials, imperfection, encode):
     cfg = _config(scenario, trials, imperfection, encode)
     batch, oracle = pipeline.run(cfg), oracles.run(cfg)
-    assert len(batch.table.rows()) == len(oracle.rows) > 0
-    for got, want in zip(batch.table.rows(), oracle.rows):
+    assert len(jsonl_rows(batch.table)) == len(oracle.rows) > 0
+    for got, want in zip(jsonl_rows(batch.table), oracle.rows):
         # json text also tells -0.0 from 0.0 and int from float
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     assert_same_text(_emitted(text.emit, batch, tmp_path / "batch"),
@@ -66,7 +66,7 @@ def test_pairs_emptied_by_background_subtraction_match_oracle(tmp_path):
     other row keeps its own, and the run goes on."""
     cfg = replace(_config("fidelity_vs_time", 150_000, 0.0, True), storage_times=(1.0, 20.0, 30.0))
     batch, oracle = pipeline.run(cfg), oracles.run(cfg)
-    rows = batch.table.rows()
+    rows = jsonl_rows(batch.table)
     assert len(rows) == len(oracle.rows)
     for got, want in zip(rows, oracle.rows):
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
@@ -125,8 +125,8 @@ def _matches_oracles(cfg, jobs, capsys) -> dict:
     and its files and stdout against the per-row writers, run from the
     current directory; returns the package's outputs."""
     batch, oracle = pipeline.run(cfg), oracles.run(cfg)
-    assert len(batch.table.rows()) == len(oracle.rows) == jobs
-    for got, want in zip(batch.table.rows(), oracle.rows):
+    assert len(jsonl_rows(batch.table)) == len(oracle.rows) == jobs
+    for got, want in zip(jsonl_rows(batch.table), oracle.rows):
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
     Path("config.json").write_text(json.dumps(config.config_to_dict(cfg)))
     outputs = {}
@@ -198,7 +198,7 @@ def test_survival_above_one_by_round_off_is_clamped(trials, bg):
                   memory=replace(cfg.memory, eta0=1.0, bg_click=bg))
     assert pipeline.propagate("H", cfg, 0.0, 0.0).survival[0] > 1.0
     batch, oracle = pipeline.run(cfg), oracles.run(cfg)
-    for got, want in zip(batch.table.rows(), oracle.rows):
+    for got, want in zip(jsonl_rows(batch.table), oracle.rows):
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
         assert got["survival"] == 1.0
 
@@ -211,7 +211,7 @@ def test_one_job_run_is_row_zero_of_a_run_at_its_seed():
         jobs = list(itertools.product(*oracles.axes(cfg)))
         state, t_us, theta = jobs[0]
         got = run_one_job(state, cfg, t_us, theta, 17)
-        want = pipeline.run(cfg).table.rows()[0]
+        want = jsonl_rows(pipeline.run(cfg).table)[0]
         assert len(jobs) > 1
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
+from helpers import jsonl_rows
 from vortexmem import cli, hilbert, photodetection, pipeline, text, tomography
 from vortexmem.cli import load_config
 from vortexmem.config import (
@@ -44,7 +45,7 @@ def _write_config(tmp_path: Path, payload: dict) -> Path:
 
 def _rows_by(report, **match):
     out = []
-    for row in report.table.rows():
+    for row in jsonl_rows(report.table):
         if all(row[k] == v for k, v in match.items()):
             out.append(row)
     return out
@@ -361,7 +362,7 @@ class TestScenarios:
             "storage_times": [0.0, 1.0],
             "input_states": ["zero", "radial"],
         })
-        rows = pipeline.run(cfg).table.rows()
+        rows = jsonl_rows(pipeline.run(cfg).table)
         assert rows
         for row in rows:
             assert 2 / 3 < row["bound_poisson"] < 1
@@ -435,7 +436,7 @@ class TestDeterminism:
         }
         r1 = pipeline.run(config_from_dict({**base, "seed": 1}))
         r2 = pipeline.run(config_from_dict({**base, "seed": 2}))
-        assert r1.table.rows()[0]["fidelity_raw"] != r2.table.rows()[0]["fidelity_raw"]
+        assert jsonl_rows(r1.table)[0]["fidelity_raw"] != jsonl_rows(r2.table)[0]["fidelity_raw"]
 
     def test_streams_of_neighbouring_seeds_share_no_counts(self):
         # a seed-XOR-job-index rule gave job 1 at seed 0 the stream of job 0
@@ -443,7 +444,7 @@ class TestDeterminism:
         base = {"scenario": "fidelity_vs_time", "input_states": ["radial", "radial"],
                 "storage_times": [1.0]}
         rows = [tuple(row["stokes_raw"]) for seed in (0, 1)
-                for row in pipeline.run(config_from_dict({**base, "seed": seed})).table.rows()]
+                for row in jsonl_rows(pipeline.run(config_from_dict({**base, "seed": seed})).table)]
         assert len(set(rows)) == 4
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from helpers import assert_same_text, run_one_job
+from helpers import assert_same_text, jsonl_rows, run_one_job
 from vortexmem import cli, config, pipeline, text
 
 JOB_SCENARIOS = ("store_tomography", "fidelity_vs_time", "fidelity_vs_rotation")
@@ -68,15 +68,15 @@ ROW_CASES = {
 
 @pytest.mark.parametrize("payload", ROW_CASES.values(), ids=ROW_CASES.keys())
 def test_rows_are_the_parsed_results_jsonl_lines(tmp_path, capsys, payload):
-    """table.rows() equals json.loads of each line cli.main writes, and the
-    rows of the table as the per-row reference builds them: json text tells
-    -0.0 from 0.0, int from float and None from a value."""
+    """The table's parsed results.jsonl text equals json.loads of each line
+    cli.main writes, and the rows as the per-row reference builds them: json
+    text tells -0.0 from 0.0, int from float and None from a value."""
     (tmp_path / "config.json").write_text(json.dumps(payload))
     assert cli.main(["--config", str(tmp_path / "config.json"), "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "results.jsonl").read_text().splitlines()
     cfg = cli.load_config(tmp_path / "config.json", None, None)
     report = pipeline.run(cfg)
-    rows = report.table.rows()
+    rows = jsonl_rows(report.table)
     assert rows == [json.loads(line) for line in lines]
     want = [json.dumps(row, sort_keys=True) for row in oracles.table_rows(report.table)]
     assert [json.dumps(row, sort_keys=True) for row in rows] == lines == want
