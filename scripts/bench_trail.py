@@ -21,7 +21,9 @@ tree, and the trees of src/ and bench/) and a list of sessions: the label
 the runs were paired with, the protocol, the machine and, per workload,
 the seed, --seconds, the output digest and the closing JSON line of every
 run.  A revision measured again, as the parent of the next change, gets a
-session appended to its file, and its commit filled in.
+session appended to its file, and its commit filled in.  Last it prints,
+per workload and metric, each side's median, quartiles (their distance is
+the interquartile range) and min-max range.
 """
 
 import argparse
@@ -92,6 +94,15 @@ def _run(rev: str, workload: str, work: Path) -> dict:
     return {"machine": machine, "digest": digest, "result": json.loads(lines[-1])}
 
 
+def quartiles(values: list[float]) -> tuple[float, float]:
+    """The first and third quartiles of run values, by statistics.quantiles'
+    default (exclusive) method; one value is both."""
+    if len(values) < 2:
+        return values[0], values[0]
+    first, _, third = statistics.quantiles(values, n=4)
+    return first, third
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
@@ -134,8 +145,10 @@ def main(argv=None):
             cells = []
             for side in sides:
                 values = [r["result"]["metrics"][metric]["value"] for r in runs[side][workload]]
+                first, third = quartiles(values)
                 cells.append(f"{side} median {statistics.median(values):.6g} "
-                             f"[{min(values):.6g}, {max(values):.6g}]")
+                             f"quartiles [{first:.6g}, {third:.6g}] "
+                             f"min-max [{min(values):.6g}, {max(values):.6g}]")
             print(f"{workload} {metric}: " + "; ".join(cells))
     return 0
 

@@ -11,12 +11,16 @@ Every text is built column by column.  The floats of a file go into one
 block, and _float_text gives the repr of each element with one repr per
 distinct magnitude in the block.  Each column then becomes a list of cell
 texts, and _fill interleaves a line template's literal pieces with those
-lists, so no line is formatted on its own.  emit writes the results files
-chunk by chunk as _fill returns them.  The stdout table is filled the same
-way, its state and number cells formatted once per distinct value and the
-numbers right-justified to the widest of the run.  The field-map CSVs of
-a run share one _float_text, and a PGM's text depends on its 16-bit
-samples alone, which the pipeline keys it on.
+lists, so no line is formatted on its own.  A column whose elements all
+have one text (one bit pattern; in a list, one value of one type) puts one
+element in the block and is that one text, which _fill merges into the
+template's literal pieces.  emit writes the results files chunk by chunk as
+_fill returns them.  The stdout table is filled the same way, its state and
+number cells formatted once per distinct value and the numbers
+right-justified to the widest of the run; a number column of one value is
+one text there too.  The field-map CSVs of a run share one _float_text, and
+a PGM's text depends on its 16-bit samples alone, which the pipeline keys
+it on.
 """
 
 from __future__ import annotations
@@ -240,10 +244,11 @@ _SUMMARY_ROW = "%s  angle=%s deg  t=%s us  F_raw=%s  F_corr=%s  bound=%s  secure
 _FILL_CHUNK = 1024   # lines per text chunk
 
 
-def _fill(template: str, columns: list) -> list[str]:
+def _fill(template: str, columns: list, rows: int) -> list[str]:
     """Lines of a template, one per row, the k-th %s of each line taking the
     row's cell of columns[k]: a list of str, one per row, or a str that is
-    the same on every line.
+    the same on every line.  The row count is given, so columns that are all
+    str still make their lines.
 
     The lines come as text chunks of up to _FILL_CHUNK lines, which emit
     writes one after another: a results file never exists as one string.
@@ -261,45 +266,72 @@ def _fill(template: str, columns: list) -> list[str]:
         else:
             lists.append(column)
             texts.append(piece)
-    n = len(lists[0])
-    if any(len(column) != n for column in lists):
-        raise ValueError("columns differ in length")
+    if any(len(column) != rows for column in lists):
+        raise ValueError(f"columns differ in length from the {rows} rows")
     width = len(texts) + len(lists)
     chunks = []
-    for start in range(0, n, _FILL_CHUNK):
-        rows = min(_FILL_CHUNK, n - start)
-        cells = [""] * (rows * width)
+    for start in range(0, rows, _FILL_CHUNK):
+        n = min(_FILL_CHUNK, rows - start)
+        cells = [""] * (n * width)
         for k, text in enumerate(texts):
-            cells[2 * k::width] = [text] * rows
+            cells[2 * k::width] = [text] * n
         for k, column in enumerate(lists):
-            cells[2 * k + 1::width] = column[start:start + rows]
+            cells[2 * k + 1::width] = column[start:start + n]
         chunks.append("".join(cells))
     return chunks
 
 
-def _formatted(fmt: str, values) -> list[str]:
+def _row_texts(column, rows: int) -> list[str]:
+    """A _fill column as a new list of its rows' texts."""
+    return [column] * rows if isinstance(column, str) else list(column)
+
+
+def _one_valued(column, floats: np.ndarray) -> bool:
+    """Whether every element of a number column has one text: one bit
+    pattern, and in a list one type, and for ints one value."""
+    bits = floats.view(np.int64)
+    if not len(bits) or bits.min() != bits.max():
+        return False
+    if not isinstance(column, list):
+        return True
+    first = column[0]
+    return (len(set(map(type, column))) == 1
+            and (type(first) is not int or column.count(first) == len(column)))
+
+
+def _formatted(fmt: str, values) -> list[str] | str:
     """fmt % v of every element of a 1-D float array, right-justified to the
-    widest of them, each distinct value formatted once."""
+    widest of them, each distinct value formatted once; one str if every
+    element has one bit pattern."""
     bits, inverse = _distinct_bits(values)
     texts = [fmt % v for v in bits.view(float).tolist()]
+    if len(texts) == 1:
+        return texts[0]
     width = max(map(len, texts), default=0)
     return np.array([t.rjust(width) for t in texts], dtype=object)[inverse].tolist()
 
 
-def _number_texts(columns: list) -> tuple[list[list[str]], list[list[str]]]:
-    """The CSV and the JSON texts, a list of row texts each, of number
-    columns: 1-D float arrays, or lists whose ints keep their integer text.
-    All floats go through one _float_text; the two texts differ only at NaN
-    and the infinities, so a column without one has one list."""
+def _number_texts(columns: list) -> tuple[list, list]:
+    """The CSV and the JSON texts of number columns: 1-D float arrays, or
+    lists whose ints keep their integer text.  A column whose elements all
+    have one text is that str, any other a list of row texts.  The floats
+    go through one _float_text, a one-text column's first element only.
+    The two texts differ only at NaN and the infinities, so a column
+    without one has one list."""
     floats = [np.array([0.0 if type(v) is int else v for v in column], dtype=float)
               if isinstance(column, list) else column for column in columns]
-    stops = np.cumsum([len(column) for column in floats], dtype=np.intp)[:-1]
-    csv_texts = [part.tolist() for part in np.split(_float_text(np.concatenate(floats)), stops)]
-    for column, texts in zip(columns, csv_texts):
+    one = [_one_valued(column, f) for column, f in zip(columns, floats)]
+    block = [f[:1] if single else f for f, single in zip(floats, one)]
+    stops = np.cumsum([len(f) for f in block], dtype=np.intp)[:-1]
+    parts = np.split(_float_text(np.concatenate(block)), stops)
+    csv_texts, json_texts = [], []
+    for column, f, single, part in zip(columns, floats, one, parts):
+        texts = part.tolist()
         if isinstance(column, list):
-            texts[:] = [str(v) if type(v) is int else t for v, t in zip(column, texts)]
-    json_texts = [col if np.isfinite(f).all() else [_JSON_NON_FINITE.get(t, t) for t in col]
-                  for f, col in zip(floats, csv_texts)]
+            texts = [str(v) if type(v) is int else t for v, t in zip(column, texts)]
+        in_json = texts if np.isfinite(f).all() else [_JSON_NON_FINITE.get(t, t) for t in texts]
+        csv_texts.append(texts[0] if single else texts)
+        json_texts.append(in_json[0] if single else in_json)
     return csv_texts, json_texts
 
 
@@ -310,8 +342,9 @@ def _block_columns(kind: str, value) -> list:
     return [value] if kind == "int_or_float" else list(np.reshape(value, (len(value), -1)).T)
 
 
-def _csv_lines(header, columns: list) -> list[str]:
-    return [",".join(header) + "\n", *_fill(",".join(["%s"] * len(header)) + "\n", columns)]
+def _csv_lines(header, columns: list, rows: int) -> list[str]:
+    return [",".join(header) + "\n",
+            *_fill(",".join(["%s"] * len(header)) + "\n", columns, rows)]
 
 
 def _results_text(table) -> tuple[list[str], list[str]]:
@@ -319,7 +352,7 @@ def _results_text(table) -> tuple[list[str], list[str]]:
     pipeline.ResultTable, as _RESULT_COLUMNS defines them.  A key's cells are
     lists of row texts, or one text for a field that is a scalar or None:
     json.dumps of the scalar, and its str in CSV."""
-    entries = sorted(_RESULT_COLUMNS.items())
+    entries, rows = sorted(_RESULT_COLUMNS.items()), len(table.states)
     values = {key: getattr(table, field) for key, (field, _, _) in entries}
     per_row = {key for key, v in values.items() if isinstance(v, (list, np.ndarray))}
     csv_texts, json_texts = _number_texts([
@@ -339,15 +372,15 @@ def _results_text(table) -> tuple[list[str], list[str]]:
             csv, cells = [texts[v][0] for v in value], [[texts[v][1] for v in value]]
         if mask is not None and key in per_row and not getattr(table, mask).all():
             if len(cells) > 1:   # one text per row (no cell holds a line break)
-                cells, template = ["".join(_fill(template + "\n", cells)).splitlines()], "%s"
-            csv, cells = list(csv), [list(cells[0])]
+                cells, template = ["".join(_fill(template + "\n", cells, rows)).splitlines()], "%s"
+            csv, cells = _row_texts(csv, rows), [_row_texts(cells[0], rows)]
             for j in np.flatnonzero(~getattr(table, mask)).tolist():
                 csv[j], cells[0][j] = "", "null"
         templates.append(f'"{key}": {template}')
         json_cells += cells
         csv_cells[key] = csv
-    jsonl_chunks = _fill("{" + ", ".join(templates) + "}\n", json_cells)
-    return _csv_lines(CSV_COLUMNS, [csv_cells[key] for key in CSV_COLUMNS]), jsonl_chunks
+    jsonl_chunks = _fill("{" + ", ".join(templates) + "}\n", json_cells, rows)
+    return _csv_lines(CSV_COLUMNS, [csv_cells[key] for key in CSV_COLUMNS], rows), jsonl_chunks
 
 
 def _parsed(jsonl_chunks: list[str]) -> list[dict]:
@@ -360,7 +393,7 @@ def _bounds_text(rows: list[dict]) -> str:
     """The text of bounds.csv: a header of the rows' keys, one line per row."""
     header = list(rows[0])
     csv_texts, _ = _number_texts([[row[key] for row in rows] for key in header])
-    return "".join(_csv_lines(header, csv_texts))
+    return "".join(_csv_lines(header, csv_texts, len(rows)))
 
 
 def _summary(table) -> str:
@@ -374,7 +407,7 @@ def _summary(table) -> str:
         *(["%.4f" % f if ok else "  none" for f, ok in zip(f.tolist(), mask.tolist())]
           for f, mask in ((table.f_raw, table.reconstructed), (table.f_corr, table.corrected))),
         _formatted("%.4f", table.bound_efficiency),
-        _VERDICTS[np.where(table.reconstructed, table.secure, 2)].tolist()]))
+        _VERDICTS[np.where(table.reconstructed, table.secure, 2)].tolist()], len(table.states)))
 
 
 def emit(report, out_dir: str | Path) -> list[Path]:

@@ -4,6 +4,7 @@ formats.  Nothing is timed here."""
 
 import json
 import re
+import runpy
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ TRAIL = sorted(ROOT.glob("BENCH_*.json"))
 WORKLOADS = {"rotation_sweep", "field_maps", "offline_tomography"}
 METRICS = {"setup_s": "s", "wall_s": "s", "items_per_s": "1/s", "peak_rss_mb": "MB"}
 GIT_OBJECT = re.compile(r"[0-9a-f]{40}")
+
+quartiles = runpy.run_path(str(ROOT / "scripts" / "bench_trail.py"))["quartiles"]
 
 
 def test_trail_exists():
@@ -62,3 +65,27 @@ def test_sessions_come_in_pairs():
             partners = [s for s in entries[session["compared_with"]]["sessions"]
                         if s["compared_with"] == label]
             assert _shape(session) in map(_shape, partners)
+
+
+@pytest.mark.parametrize("values, want", [
+    ([5.0], (5.0, 5.0)),
+    ([4.0, 1.0, 3.0, 2.0], (1.25, 3.75)),
+    ([float(v) for v in range(10, 0, -1)], (2.75, 8.25)),
+], ids=["one", "four", "ten"])
+def test_quartiles_are_exclusive_and_ignore_order(values, want):
+    """The first and third quartiles at positions (n + 1) / 4 and
+    3 (n + 1) / 4 of the sorted runs, interpolated linearly; one run is
+    both."""
+    assert quartiles(values) == pytest.approx(want)
+
+
+def test_quartiles_of_a_recorded_session():
+    """The setup_s quartiles of the rotation_sweep runs of label 30 in
+    BENCH_30.json, paired with label 29, as CHANGES.md quotes them; the
+    min-max range differs from them."""
+    session = next(s for s in json.loads((ROOT / "BENCH_30.json").read_text())["sessions"]
+                   if s["compared_with"] == "29")
+    values = [run["metrics"]["setup_s"]["value"]
+              for run in session["workloads"]["rotation_sweep"]["runs"]]
+    assert [round(q, 3) for q in quartiles(values)] == [0.325, 0.405]
+    assert [round(min(values), 3), round(max(values), 3)] == [0.312, 0.444]

@@ -1,7 +1,9 @@
 """Any JSON config runs or is refused: main returns 0, 2 or 3 and never raises,
 and a job scenario that runs writes one results.jsonl line for each job of
 its grid, states x storage times x angles in that order, none of them with a
-corrected estimate but no raw one.
+corrected estimate but no raw one.  Its files and stdout are byte for byte
+those of oracles.main, which writes each row with json.dumps, csv and print,
+and its files those of oracles.run, which simulates one job at a time.
 
 Configs start from a scenario preset, cut to a few states, angles and
 storage times, and have some fields replaced.  Most replacements are drawn
@@ -11,9 +13,12 @@ to +-1e308 and non-finite (json.loads accepts NaN and Infinity), strings
 and nested lists or objects.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import math
+import shutil
 import tempfile
 from datetime import timedelta
 from pathlib import Path
@@ -21,6 +26,8 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
+from helpers import assert_same_text
 from vortexmem import cli, config, hilbert
 
 _JOB_SCENARIOS = ("store_tomography", "fidelity_vs_time", "fidelity_vs_rotation")
@@ -121,6 +128,17 @@ def configs(draw):
     return raw
 
 
+def _main(main, path, out):
+    """The exit code of main on a config file, and the files it wrote into
+    out (then removed) and its stdout, by name."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["--config", str(path), "--out", str(out)])
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.is_dir() else {}
+    shutil.rmtree(out, ignore_errors=True)
+    return code, {**files, "stdout": stdout.getvalue().encode()}
+
+
 @settings(max_examples=100, deadline=timedelta(seconds=5),
           suppress_health_check=[HealthCheck.too_slow])
 @given(raw=configs())
@@ -129,15 +147,23 @@ def test_main_returns_an_exit_code_for_any_json_config(raw):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(raw))
         out = Path(tmp) / "out"
-        code = cli.main(["--config", str(path), "--out", str(out)])
+        code, got = _main(cli.main, path, out)
         assert code in (0, 2, 3)
         if code != 0 or raw.get("scenario") not in _JOB_SCENARIOS:
             return
         cfg = cli.load_config(path, None, None)
         grid = [(state, t_us, round(math.degrees(theta), 9)) for state, t_us, theta in
                 itertools.product(cfg.input_states, cfg.storage_times, cfg.rotation_angles)]
-        rows = [json.loads(line) for line in (out / "results.jsonl").read_text().splitlines()]
+        rows = [json.loads(line) for line in got["results.jsonl"].decode().splitlines()]
         assert [(r["state"], r["time_us"], r["angle_deg"]) for r in rows] == grid
         # no estimate is corrected that is not also reconstructed
         assert all(r["fidelity_raw"] is not None
                    for r in rows if r["fidelity_corrected"] is not None)
+        # the same out path, so that stdout's "wrote" lines agree
+        want_code, want = _main(oracles.main, path, out)
+        assert want_code == 0
+        assert_same_text(got, want)
+        per_job = oracles.run(cfg)
+        want = {p.name: p.read_bytes() for p in oracles.emit(per_job, Path(tmp) / "per_job")}
+        assert_same_text(got, {**want, "stdout": got["stdout"]})
+        assert got["stdout"].decode().endswith(oracles.summary(per_job.rows))

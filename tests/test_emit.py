@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import assert_same_text, jsonl_rows, run_one_job
-from vortexmem import cli, config, pipeline, text
+from vortexmem import cli, config, photodetection, pipeline, security, text
 
 JOB_SCENARIOS = ("store_tomography", "fidelity_vs_time", "fidelity_vs_rotation")
 
@@ -35,6 +35,20 @@ CASES = {
     "bounds_table": {"scenario": "bounds_table"},
     "bounds_int_values": {"scenario": "bounds_table", "source": {"nbar": 2},
                           "memory": {"eta0": 1}},
+    # the one-text rule: every number column one-valued, or all but one;
+    # equal values of two types or of two bit patterns; masked one-valued
+    # blocks, every row of them null or some
+    "one_state_twice_exact": {"scenario": "fidelity_vs_time", "trials_per_projection": 0,
+                              "input_states": ["radial", "radial"], "storage_times": [1.0]},
+    "equal_times_int_and_float": {"scenario": "fidelity_vs_time", "trials_per_projection": 0,
+                                  "input_states": ["radial"], "storage_times": [1, 1.0]},
+    "signed_zero_angles": {"scenario": "fidelity_vs_rotation", "trials_per_projection": 0,
+                           "input_states": ["radial"], "rotation_angles": [0.0, -0.0]},
+    "nothing_retrieved_one_state_twice": {"scenario": "fidelity_vs_time",
+                                          "trials_per_projection": 0, "storage_times": [200.0],
+                                          "input_states": ["radial", "radial"]},
+    "some_retrieved_exact": {"scenario": "fidelity_vs_time", "trials_per_projection": 0,
+                             "input_states": ["radial"], "storage_times": [1.0, 200.0, 1.0]},
 }
 
 
@@ -55,6 +69,90 @@ def test_main_matches_per_row_writers(tmp_path, monkeypatch, capsys, payload):
     got["stdout"] = capsys.readouterr().out.encode()
     assert got_code == want_code == 0
     assert_same_text(got, want)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_one_valued_non_finite_column_matches_per_row_writers(tmp_path, monkeypatch, capsys,
+                                                              value):
+    """bound_efficiency and snr columns of one non-finite value are one text
+    each: nan or inf in results.csv and stdout, NaN or Infinity in
+    results.jsonl."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(photodetection, "snr_of", lambda nbar, survival, bg: value)
+    monkeypatch.setattr(security, "classical_bound_with_efficiency", lambda benchmark: value)
+    (tmp_path / "config.json").write_text(json.dumps(CASES["store_tomography-exact"]))
+    want_code, want = _run_main(oracles.main, "config.json", tmp_path / "out")
+    want["stdout"] = capsys.readouterr().out.encode()
+    got_code, got = _run_main(cli.main, "config.json", tmp_path / "out")
+    got["stdout"] = capsys.readouterr().out.encode()
+    assert got_code == want_code == 0
+    assert_same_text(got, want)
+    assert f'"snr": {json.dumps(value)}'.encode() in got["results.jsonl"]
+    assert f",{value},".encode() in got["results.csv"]
+
+
+def _float_text_input(monkeypatch, table) -> list[int]:
+    """The element count of every _float_text call while the results text
+    of a table is made."""
+    sizes = []
+    float_text = text._float_text
+
+    def counted(values):
+        sizes.append(values.size)
+        return float_text(values)
+
+    monkeypatch.setattr(text, "_float_text", counted)
+    text._results_text(table)
+    monkeypatch.undo()
+    return sizes
+
+
+def test_one_valued_columns_put_one_element_in_the_float_block(monkeypatch):
+    """A table whose 26 per-row number columns are all one-valued hands
+    _float_text one element of each, and its files are still one line per
+    row."""
+    cfg = cli.load_config(None, "fidelity_vs_time", None)
+    cfg = replace(cfg, trials_per_projection=0, input_states=("radial", "radial"),
+                  storage_times=(1.0,))
+    table = pipeline.run(cfg).table
+    assert _float_text_input(monkeypatch, table) == [26]
+    csv_chunks, jsonl_chunks = text._results_text(table)
+    assert "".join(csv_chunks).count("\n") == 3 and "".join(jsonl_chunks).count("\n") == 2
+
+
+def test_sweep_formats_each_magnitude_once_in_a_smaller_block(monkeypatch):
+    """On the 600-angle sweep (12 states), seven of the 26 number columns are
+    one-valued: bound_efficiency, snr, time_us and the four imaginary
+    diagonals of rho_raw and rho_corrected.  _float_text gets the other 19
+    columns whole and one element of each of those seven, 136 807 floats
+    instead of 187 200; repr still runs once per distinct magnitude of all
+    26 columns."""
+    cfg = cli.load_config(None, "fidelity_vs_rotation", 2024)
+    cfg = replace(cfg, rotation_angles=tuple(CASES["sweep_600_angles"]["rotation_angles"]))
+    table = pipeline.run(cfg).table
+    assert len(table.states) == 7200
+    assert _float_text_input(monkeypatch, table) == [19 * 7200 + 7]
+    floats = np.concatenate([
+        table.angle_deg, table.bound_efficiency, table.f_corr, table.f_raw, table.snr,
+        table.survival, np.array(table.times, dtype=float), table.stokes.ravel(),
+        *(part.ravel() for rho in (table.rho_raw, table.rho_corr) for part in (rho.real, rho.imag))])
+    assert floats.size == 26 * 7200
+    calls = []
+    monkeypatch.setattr(text, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+    text._results_text(table)
+    assert len(calls) == len(np.unique(np.abs(floats).view(np.int64)))
+
+
+def test_fill_takes_the_row_count():
+    """Columns that are all one text still make one line per row; a column
+    of another length than the row count is refused."""
+    assert text._fill("a%sb%s\n", ["x", "y"], 3) == ["axby\naxby\naxby\n"]
+    assert text._fill("%s,%s\n", ["x", ["1", "2"]], 2) == ["x,1\nx,2\n"]
+    assert text._fill("%s\n", ["x"], 0) == []
+    chunks = text._fill("%s\n", ["x"], 2 * text._FILL_CHUNK + 1)
+    assert len(chunks) == 3 and "".join(chunks) == "x\n" * (2 * text._FILL_CHUNK + 1)
+    with pytest.raises(ValueError, match="2 rows"):
+        text._fill("%s,%s\n", ["x", ["1"]], 2)
 
 
 ROW_CASES = {
