@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Speed trail: run bench/run_bench.py on a parent and a change revision in
-alternating pairs and write one BENCH_<label>.json for each, at the root of
-the repository.
+alternating pairs and write the comparison to BENCH_<change label>.json, at
+the root of the repository.
 
-    python3 scripts/bench_trail.py --parent c8f2237 --parent-label 28 \\
-        --change "$(git write-tree)" --change-label 29 --work /tmp/trail
+    python3 scripts/bench_trail.py --parent 221c3a3 --parent-label 31 \\
+        --change "$(git write-tree)" --change-label 32 --work /tmp/trail
 
 A revision is anything `git archive` takes: a commit, or the tree of the
 staged work (`git add -A; git write-tree`).  Every run happens in a fresh
@@ -16,14 +16,18 @@ workload gets PAIRS pairs of SECONDS-second runs; pair k runs the parent
 first when k is even and the change first when it is odd.  Nothing under
 bench/ is changed.
 
-A file holds the measured code's git objects (its commit, null for a bare
-tree, and the trees of src/ and bench/) and a list of sessions: the label
-the runs were paired with, the protocol, the machine and, per workload,
-the seed, --seconds, the output digest and the closing JSON line of every
-run.  A revision measured again, as the parent of the next change, gets a
-session appended to its file, and its commit filled in.  Last it prints,
-per workload and metric, each side's median, quartiles (their distance is
-the interquartile range) and min-max range.
+The file holds one comparison: the two labels, the protocol, the machine,
+each side's git objects (the commit, null for a bare tree, and the trees of
+src/ and bench/) and, per workload, the seed, --seconds and each side's
+digest and closing JSON lines, run k of either side from pair k.  No other
+file is written, and none rewritten: before the first run the script exits
+if the file exists, or if BENCH_<parent label>.json measured other trees as
+its change; a run whose closing line has correct false or failed > 0, or
+another digest than its side's first run, ends it before the file is
+written.  Last it prints, per workload and end-to-end metric of
+BENCHMARK.json, each side's median, quartiles (their distance is the
+interquartile range) and min-max range, and how many pairs the change won
+(a tie counts for neither side).
 """
 
 import argparse
@@ -53,21 +57,13 @@ def _git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def _entry(rev: str, label: str) -> dict:
-    """The trail entry of rev: its commit (None for a bare tree), the trees
-    of src/ and bench/ and the sessions its file already holds."""
+def _objects(rev: str) -> dict:
+    """The git objects of rev: its commit (None for a bare tree) and the
+    trees of src/ and bench/."""
     commit = subprocess.run(["git", "rev-parse", "--verify", "-q", f"{rev}^{{commit}}"], cwd=ROOT,
                             capture_output=True, text=True).stdout.strip() or None
-    entry = {"label": label, "git_sha": commit, "src_tree": _git("rev-parse", f"{rev}:src"),
-             "bench_tree": _git("rev-parse", f"{rev}:bench"), "sessions": []}
-    path = ROOT / f"BENCH_{label}.json"
-    if path.exists():   # a revision measured before, against another one
-        previous = json.loads(path.read_text())
-        if (previous["src_tree"], previous["bench_tree"]) != (entry["src_tree"], entry["bench_tree"]):
-            sys.exit(f"{path} holds other code than {rev}")
-        entry["git_sha"] = entry["git_sha"] or previous["git_sha"]
-        entry["sessions"] = previous["sessions"]
-    return entry
+    return {"commit": commit, "src_tree": _git("rev-parse", f"{rev}:src"),
+            "bench_tree": _git("rev-parse", f"{rev}:bench")}
 
 
 def _run(rev: str, workload: str, work: Path) -> dict:
@@ -103,6 +99,12 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return first, third
 
 
+def pairs_won(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs whose change run is better than their parent run, lower or
+    higher as ``better`` says; a tie counts for neither side."""
+    return sum((c > p) if better == "higher" else (c < p) for p, c in zip(parent, change))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True)
@@ -112,44 +114,52 @@ def main(argv=None):
     parser.add_argument("--work", type=Path, required=True, help="scratch directory")
     args = parser.parse_args(argv)
 
-    sides = {"parent": (args.parent, args.parent_label), "change": (args.change, args.change_label)}
-    entries = {side: _entry(rev, label) for side, (rev, label) in sides.items()}   # fail before timing
-    runs = {side: {w: [] for w in WORKLOADS} for side in sides}
-    machine = None
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    path = ROOT / f"BENCH_{args.change_label}.json"
+    before = ROOT / f"BENCH_{args.parent_label}.json"
+    revs = {"parent": args.parent, "change": args.change}
+    objects = {side: _objects(rev) for side, rev in revs.items()}   # fail before timing
+    if path.exists():
+        sys.exit(f"{path} exists; a trail file is never rewritten")
+    if before.exists():
+        recorded = json.loads(before.read_text())["change"]
+        if any(recorded[tree] != objects["parent"][tree] for tree in ("src_tree", "bench_tree")):
+            sys.exit(f"{before} measured other src/ or bench/ trees than {args.parent}'s")
+    workloads = {w: {"seed": SEED, "seconds": SECONDS, **{side: {"runs": []} for side in revs}}
+                 for w in WORKLOADS}
     for workload in WORKLOADS:
         for pair in range(PAIRS):
             for side in (("parent", "change") if pair % 2 == 0 else ("change", "parent")):
-                run = _run(sides[side][0], workload, args.work)
-                machine = machine or run["machine"]
-                runs[side][workload].append(run)
-                print(f"{workload} pair {pair} {side}: {json.dumps(run['result'])}", flush=True)
+                run = _run(revs[side], workload, args.work)
+                result = run["result"]
+                print(f"{workload} pair {pair} {side}: {json.dumps(result)}", flush=True)
+                if result["correct"] is not True or result["failed"] > 0:
+                    sys.exit(f"{workload} pair {pair} {side}: correct {result['correct']}, "
+                             f"failed {result['failed']}; no file is written")
+                record = workloads[workload][side]
+                if record.setdefault("digest", run["digest"]) != run["digest"]:
+                    sys.exit(f"{workload} pair {pair} {side}: digest {run['digest']}, "
+                             f"not {record['digest']} as in pair 0")
+                record["runs"].append(result)
+    path.write_text(json.dumps({
+        "label": args.change_label, "compared_with": args.parent_label, "protocol": PROTOCOL,
+        "machine": {key: run["machine"][key] for key in ("cpu_model", "nproc", "python", "numpy")},
+        **objects, "workloads": workloads}, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path}")
 
-    for side, (_, label) in sides.items():
-        workloads = {w: {"seed": SEED, "seconds": SECONDS, "digest": rs[0]["digest"],
-                         "runs": [r["result"] for r in rs]} for w, rs in runs[side].items()}
-        if any(r["digest"] != workloads[w]["digest"] for w, rs in runs[side].items() for r in rs):
-            sys.exit(f"{label}: the runs of one workload gave different digests")
-        entries[side]["sessions"].append({
-            "compared_with": sides["change" if side == "parent" else "parent"][1],
-            "protocol": PROTOCOL,
-            "machine": {key: machine[key] for key in ("cpu_model", "nproc", "python", "numpy")},
-            "workloads": workloads,
-        })
-    for side, (_, label) in sides.items():
-        path = ROOT / f"BENCH_{label}.json"
-        path.write_text(json.dumps(entries[side], indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path}")
-
-    for workload in WORKLOADS:
-        for metric in ("setup_s", "wall_s", "items_per_s", "peak_rss_mb"):
+    for workload, record in workloads.items():
+        for metric in end_to_end:
+            values = {side: [r["metrics"][metric["name"]]["value"] for r in record[side]["runs"]]
+                      for side in revs}
             cells = []
-            for side in sides:
-                values = [r["result"]["metrics"][metric]["value"] for r in runs[side][workload]]
-                first, third = quartiles(values)
-                cells.append(f"{side} median {statistics.median(values):.6g} "
+            for side, vs in values.items():
+                first, third = quartiles(vs)
+                cells.append(f"{side} median {statistics.median(vs):.6g} "
                              f"quartiles [{first:.6g}, {third:.6g}] "
-                             f"min-max [{min(values):.6g}, {max(values):.6g}]")
-            print(f"{workload} {metric}: " + "; ".join(cells))
+                             f"min-max [{min(vs):.6g}, {max(vs):.6g}]")
+            won = pairs_won(values["parent"], values["change"], metric["better"])
+            print(f"{workload} {metric['name']}: " + "; ".join(cells)
+                  + f"; change won {won} of {PAIRS} pairs")
     return 0
 
 

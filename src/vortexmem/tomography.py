@@ -142,6 +142,12 @@ def bootstrap_fidelity(records: Iterable[CountRecord], target,
     bootstraps are paired resamples.  Returns (mean, standard deviation) of
     the resampled fidelities against the target state's amplitudes (2,) in
     the (|R>, |L>) basis.
+
+    Raises InsufficientCounts when a basis pair is empty: in the records
+    themselves (the error tomograph raises), or in one resample, where a
+    redraw emptied a pair that the records fill.  Some of a few hundred
+    redraws empty a pair of a few clicks; such records need more clicks
+    for a bootstrap, and none is fabricated.
     """
     for name, value in (("n_resamples", n_resamples), ("seed", seed)):
         if isinstance(value, bool):   # an Integral, taken as 0 or 1
@@ -158,7 +164,15 @@ def bootstrap_fidelity(records: Iterable[CountRecord], target,
     if subtract_bg:
         bg = np.array([records[i].bg_clicks_expected for i in index], dtype=float)
         counts = subtract_background(counts, bg)
-    _, rho = reconstruct(counts)
+    try:
+        _, rho = reconstruct(counts)
+    except InsufficientCounts as error:
+        own = np.array([[records[i].clicks for i in index]])
+        # a pair the records themselves leave empty is theirs, as in tomograph
+        stokes_of(subtract_background(own, bg) if subtract_bg else own)
+        raise InsufficientCounts(f"{error} in a resample: the records fill the pair, but a "
+                                 f"binomial redraw of their clicks emptied it; the records "
+                                 f"need more clicks") from error
     fids = fidelities(rho, np.asarray(target, dtype=complex)[None])
     # the ufunc reductions of ndarray.mean and ndarray.std, without their wrappers
     n = len(fids)

@@ -5,15 +5,18 @@ corrected estimate but no raw one.  Its files and stdout are byte for byte
 those of oracles.main, which writes each row with json.dumps, csv and print,
 and its files those of oracles.run, which simulates one job at a time.
 
-Configs start from a scenario preset, cut to a few states, angles and
-storage times, and have some fields replaced.  Most replacements are drawn
-from the field's valid range, so that most configs reach the pipeline; the
-rest are arbitrary JSON values: null, booleans, huge integers, floats out
-to +-1e308 and non-finite (json.loads accepts NaN and Infinity), strings
-and nested lists or objects.
+Configs start from a scenario preset, cut to up to 4 of its angles, of its
+storage times and of its states (of every named state, for a job
+scenario), and have some fields replaced.  Each of the six fields in
+_PHYSICS is drawn from its valid range with odds 1/2.  Then 1 to 3 fields
+or list entries are replaced: most from the field's valid range, so that
+most configs reach the pipeline; the rest by arbitrary JSON values: null,
+booleans, huge integers, floats out to +-1e308 and non-finite (json.loads
+accepts NaN and Infinity), strings and nested lists or objects.
 """
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -55,7 +58,7 @@ _FIELDS = {
     "memory.eta0": st.floats(0.0, 1.0),
     "memory.tau": st.floats(0.1, 100.0),
     "memory.bg_click": st.floats(0.0, 0.99),
-    "memory.rail_imbalance": st.floats(0.0, 2.5),
+    "memory.rail_imbalance": st.floats(0.0, 2.0),
     "memory.rail_phase_error": st.floats(-7.0, 7.0),
     "qplate.q": st.just(0.5),
     "qplate.alpha0": st.floats(-7.0, 7.0),
@@ -68,6 +71,10 @@ _FIELDS = {
     "seed": st.integers(0, 2**64),
     "encode_with_qplate": st.booleans(),
 }
+# the fields behind the clamps, the rail leak and the plate's phase and
+# weight; each config draws each of them from its valid range with odds 1/2
+_PHYSICS = ("memory.bg_click", "memory.rail_imbalance", "memory.rail_phase_error",
+            "qplate.alpha0", "qplate.tuning_delta", "qplate.conversion_efficiency")
 
 
 def _valid(path):
@@ -112,13 +119,18 @@ def configs(draw):
     scenario = draw(st.sampled_from(config.SCENARIOS))
     raw = config.config_to_dict(config.default_config(scenario))
     raw["trials_per_projection"] = draw(_FIELDS["trials_per_projection"])
-    for key in ("rotation_angles", "storage_times", "input_states"):
-        raw[key] = raw[key][:2]
+    if scenario in _JOB_SCENARIOS:   # polarization states reach the plate too
+        raw["input_states"] = hilbert.STATE_NAMES
+    for key in ("rotation_angles", "storage_times", "input_states"):   # up to 4 values each
+        raw[key] = draw(st.permutations(raw[key]))[:draw(st.integers(1, 4))]
+    for name in _PHYSICS:
+        if draw(st.booleans()):
+            section, field = name.split(".")
+            raw[section][field] = draw(_FIELDS[name])
     if draw(st.sampled_from([False] * 4 + [True])):   # one in five lists a state twice
         raw["input_states"].append(raw["input_states"][0])
     for path in draw(st.lists(st.sampled_from(_paths(raw)), min_size=1, max_size=3,
                               unique=True)):
-        # a field missing from _FIELDS raises KeyError here, not below
         arbitrary = draw(st.sampled_from([False] * 4 + [True]))   # one in five
         value = draw(_VALUES if arbitrary else _valid(path))
         try:
@@ -126,6 +138,19 @@ def configs(draw):
         except (KeyError, IndexError, TypeError):
             pass   # an earlier replacement removed the path's container
     return raw
+
+
+def test_fields_name_every_config_field():
+    """_FIELDS names each field of ExperimentConfig and of its source,
+    memory and qplate records, and nothing else, so that configs() can
+    replace any of them."""
+    names = set()
+    for field in dataclasses.fields(config.ExperimentConfig):
+        value = getattr(config.default_config("store_tomography"), field.name)
+        names |= ({f"{field.name}.{sub.name}" for sub in dataclasses.fields(value)}
+                  if dataclasses.is_dataclass(value) else {field.name})
+    assert not names - set(_FIELDS), f"no strategy in _FIELDS for {sorted(names - set(_FIELDS))}"
+    assert not set(_FIELDS) - names, f"no config field {sorted(set(_FIELDS) - names)}"
 
 
 def _main(main, path, out):
@@ -139,7 +164,7 @@ def _main(main, path, out):
     return code, {**files, "stdout": stdout.getvalue().encode()}
 
 
-@settings(max_examples=100, deadline=timedelta(seconds=5),
+@settings(max_examples=200, deadline=timedelta(seconds=5),
           suppress_health_check=[HealthCheck.too_slow])
 @given(raw=configs())
 def test_main_returns_an_exit_code_for_any_json_config(raw):

@@ -217,6 +217,23 @@ class TestBootstrap:
         assert tomography._resample.cache_info().misses == 0
 
 
+    def test_a_pair_emptied_by_a_resample_is_named(self):
+        """Records that fill every pair, H with 3 clicks in 150 000 trials,
+        give a point estimate, but some of 200 redraws empty (H, V); the
+        bootstrap raises and says so, rather than fabricating."""
+        records = _records(dict(zip("HVDARL", (3, 0, 500, 500, 500, 500))), trials=150_000)
+        assert tomograph(records).fidelity_vs((1, 0)) == 0.5
+        with pytest.raises(InsufficientCounts, match=r"^pair \(H, V\) has zero counts in a "
+                                                     r"resample: the records fill the pair.*"
+                                                     r"need more clicks$"):
+            bootstrap_fidelity(records, (1, 0), 200, 0)
+
+    def test_a_pair_the_records_leave_empty_is_theirs(self):
+        records = _records(dict(zip("HVDARL", (300, 300, 0, 0, 500, 500))), trials=150_000)
+        with pytest.raises(InsufficientCounts, match=r"^pair \(D, A\) has zero counts$"):
+            bootstrap_fidelity(records, (1, 0), 200, 0)
+
+
 class TestBootstrapDraw:
     """One binomial draw per (trials, clicks, n_resamples, seed), shared by
     consecutive calls and identical to an uncached draw."""
