@@ -20,10 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import RangeError
-
-MAX_CHARGE = 50  # largest OAM order the ensemble aperture supports
-
 # circular unit vectors in (H, V) Jones components
 E_R = np.array([1.0, -1.0j]) / math.sqrt(2.0)
 E_L = np.array([1.0, +1.0j]) / math.sqrt(2.0)
@@ -75,6 +71,8 @@ class VectorFieldMap:
         return np.abs(self.e_h) ** 2 + np.abs(self.e_v) ** 2
 
 
+# bounded, since each entry holds a full complex grid
+@functools.lru_cache(maxsize=8)
 def lg_amplitude(l: int, grid: Grid) -> np.ndarray:
     """Laguerre-Gaussian LG_{0,l} amplitude at the waist plane, unit power.
 
@@ -83,14 +81,6 @@ def lg_amplitude(l: int, grid: Grid) -> np.ndarray:
     so the mode size grows like the square root of the charge.  The returned
     array is shared between calls and read-only.
     """
-    if abs(l) > MAX_CHARGE:
-        raise RangeError(f"|l| = {abs(l)} exceeds supported {MAX_CHARGE}")
-    return _lg_carrier(l, grid)
-
-
-# bounded, since each entry holds a full complex grid
-@functools.lru_cache(maxsize=8)
-def _lg_carrier(l: int, grid: Grid) -> np.ndarray:
     xx, yy = grid.mesh()
     r = np.hypot(xx, yy)
     phi = np.arctan2(yy, xx)
@@ -112,28 +102,9 @@ def vector_field_map(c, grid: Grid) -> VectorFieldMap:
     return VectorFieldMap(e_h, e_v)
 
 
-def project_polarization(m: VectorFieldMap, analyzer: np.ndarray) -> np.ndarray:
-    """Intensity behind a polarization analyzer, per pixel.
-
-    ``analyzer`` is a normalized Jones vector in (H, V) components.
-    """
-    a = np.asarray(analyzer, dtype=complex)
-    norm = np.linalg.norm(a)
-    if not math.isclose(norm, 1.0, abs_tol=1e-9):
-        raise ValueError("analyzer Jones vector must be normalized")
-    amp = np.conj(a[0]) * m.e_h + np.conj(a[1]) * m.e_v
-    return np.abs(amp) ** 2
-
-
 def polarization_azimuth(m: VectorFieldMap) -> np.ndarray:
     """Local polarization-ellipse orientation in [0, pi) per pixel."""
     s1 = np.abs(m.e_h) ** 2 - np.abs(m.e_v) ** 2
     s2 = 2.0 * np.real(m.e_h * np.conj(m.e_v))
     return np.mod(0.5 * np.arctan2(s2, s1), math.pi)
 
-
-def peak_radius(intensity: np.ndarray, grid: Grid) -> float:
-    """Radius of the brightest pixel."""
-    xx, yy = grid.mesh()
-    idx = np.unravel_index(int(np.argmax(intensity)), intensity.shape)
-    return float(np.hypot(xx[idx], yy[idx]))

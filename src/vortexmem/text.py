@@ -360,7 +360,7 @@ def _results_text(table) -> tuple[list[str], list[str]]:
         for column in _block_columns(kind, values[key])])
     at, templates, json_cells, csv_cells = 0, [], [], {}
     for key, (_, kind, mask) in entries:
-        value, template = values[key], _NUMBER_JSON.get(kind, "%s") if key in per_row else "%s"
+        value, template = values[key], _NUMBER_JSON.get(kind, "%s")
         if key not in per_row:   # one text for every row
             csv, cells = ("", ["null"]) if value is None else (str(value), [json.dumps(value)])
         elif kind in _NUMBER_JSON:
@@ -370,7 +370,7 @@ def _results_text(table) -> tuple[list[str], list[str]]:
             value = value.tolist() if kind == "bool" else value
             texts = {v: (str(v), json.dumps(v)) for v in set(value)}
             csv, cells = [texts[v][0] for v in value], [[texts[v][1] for v in value]]
-        if mask is not None and key in per_row and not getattr(table, mask).all():
+        if mask is not None and not getattr(table, mask).all():
             if len(cells) > 1:   # one text per row (no cell holds a line break)
                 cells, template = ["".join(_fill(template + "\n", cells, rows)).splitlines()], "%s"
             csv, cells = _row_texts(csv, rows), [_row_texts(cells[0], rows)]

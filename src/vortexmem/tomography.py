@@ -167,9 +167,7 @@ def bootstrap_fidelity(records: Iterable[CountRecord], target,
     try:
         _, rho = reconstruct(counts)
     except InsufficientCounts as error:
-        own = np.array([[records[i].clicks for i in index]])
-        # a pair the records themselves leave empty is theirs, as in tomograph
-        stokes_of(subtract_background(own, bg) if subtract_bg else own)
+        tomograph(records, subtract_bg)   # raises if the records themselves leave it empty
         raise InsufficientCounts(f"{error} in a resample: the records fill the pair, but a "
                                  f"binomial redraw of their clicks emptied it; the records "
                                  f"need more clicks") from error

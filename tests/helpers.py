@@ -50,6 +50,20 @@ def fidelity(a, b) -> float:
     return abs(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))) ** 2
 
 
+def project_polarization(m, analyzer) -> np.ndarray:
+    """Intensity per pixel of a fields.VectorFieldMap behind a polarization
+    analyzer, a normalized Jones vector in (H, V) components."""
+    a = np.asarray(analyzer, dtype=complex)
+    return np.abs(np.conj(a[0]) * m.e_h + np.conj(a[1]) * m.e_v) ** 2
+
+
+def peak_radius(intensity: np.ndarray, grid) -> float:
+    """Radius of the brightest pixel of an intensity on a fields.Grid."""
+    xx, yy = grid.mesh()
+    idx = np.unravel_index(int(np.argmax(intensity)), intensity.shape)
+    return float(np.hypot(xx[idx], yy[idx]))
+
+
 def jsonl_rows(table) -> list[dict]:
     """The results.jsonl lines of a pipeline.ResultTable, parsed: one dict per job."""
     return _parsed(_results_text(table)[1])

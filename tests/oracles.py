@@ -593,7 +593,7 @@ def _csv_text(rows, columns):
     return buf.getvalue()
 
 
-def emit(report, out_dir, formats=("csv", "json-lines", "pixmap")):
+def emit(report, out_dir):
     """text.emit with one json.dumps and one csv row per result row; reads
     the ``rows``, ``bounds_rows`` and ``texts`` of any report (see
     _reference)."""
@@ -609,21 +609,18 @@ def emit(report, out_dir, formats=("csv", "json-lines", "pixmap")):
     report = _reference(report)
     rows = report.rows
     if rows:
-        if "csv" in formats:
-            _write("results.csv", _csv_text(rows, CSV_COLUMNS))
-        if "json-lines" in formats:
-            _write("results.jsonl", "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
-    if report.bounds_rows and "csv" in formats:
+        _write("results.csv", _csv_text(rows, CSV_COLUMNS))
+        _write("results.jsonl", "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    if report.bounds_rows:
         cols = tuple(report.bounds_rows[0].keys())
         _write("bounds.csv", _csv_text(report.bounds_rows, cols))
     keys = ("rho_raw", "rho_corrected", "fidelity_raw", "fidelity_corrected")
     density = {row["state"]: {k: row[k] for k in keys}
                for row in rows if row["scenario"] == "store_tomography"}
-    if density and "json-lines" in formats:
+    if density:
         _write("density_matrices.json", json.dumps(density, sort_keys=True, indent=2) + "\n")
-    if "pixmap" in formats:
-        for name, text in report.texts:
-            _write(name, text)
+    for name, text in report.texts:
+        _write(name, text)
     return written
 
 

@@ -12,9 +12,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from helpers import assert_same_text, run_one_job
+from helpers import assert_same_text, peak_radius, project_polarization, run_one_job
 from vortexmem import cli, config, memory, photodetection, security, tomography
-from vortexmem.fields import Grid, lg_amplitude, peak_radius, project_polarization, vector_field_map
+from vortexmem.fields import Grid, lg_amplitude, vector_field_map
 from vortexmem.hilbert import HYBRID_SPHERE_NAMES, named_state
 from vortexmem.memory import MemoryParams, efficiency_at
 from vortexmem.photodetection import CountRecord, calibrate_background, snr_for_raw_fidelity

@@ -13,6 +13,15 @@ or list entries are replaced: most from the field's valid range, so that
 most configs reach the pipeline; the rest by arbitrary JSON values: null,
 booleans, huge integers, floats out to +-1e308 and non-finite (json.loads
 accepts NaN and Infinity), strings and nested lists or objects.
+
+The draws at a fixed hypothesis seed move with literals anywhere in the
+tree.  Hypothesis (6.155) swaps a drawn integer or string, with odds 0.05,
+and a drawn float, with odds 0.15, for a literal of that type that fits the
+draw's bounds, collected from every local module loaded: src/ and tests/
+alike.  One random stream feeds every example, so from the first swap that
+an edit changes, every later draw moves too.  To compare the share of draws
+that run before and after a change, save one list of draws and replay it
+on both trees; do not draw again at the same seed.
 """
 
 import contextlib
