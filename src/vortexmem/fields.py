@@ -7,9 +7,6 @@ radial / azimuthal / spiraling polarization textures.  Projecting such a
 map on a linear analyzer collapses the doughnut into two Hermite-Gaussian
 lobes.  Only the waist plane is modelled; all observables of interest live
 at conjugate planes, so propagation and Gouy phase add nothing testable.
-
-Every hybrid state is built from the same two carriers, so each carrier is
-computed once per (charge, grid) and shared as a read-only array.
 """
 
 from __future__ import annotations
@@ -67,27 +64,24 @@ class VectorFieldMap:
     e_h: np.ndarray
     e_v: np.ndarray
 
-    def intensity(self) -> np.ndarray:
-        return np.abs(self.e_h) ** 2 + np.abs(self.e_v) ** 2
-
 
 # bounded, since each entry holds a full complex grid
 @functools.lru_cache(maxsize=8)
 def lg_amplitude(l: int, grid: Grid) -> np.ndarray:
     """Laguerre-Gaussian LG_{0,l} amplitude at the waist plane, unit power.
 
-    Amplitude ~ (r*sqrt2/w0)^|l| * exp(-r^2/w0^2) * exp(i*l*phi), r in waist
-    units (w0 = 1); the ring of maximum intensity sits at r = w0*sqrt(|l|/2),
-    so the mode size grows like the square root of the charge.  The returned
+    Amplitude ~ r^|l| * exp(-r^2) * exp(i*l*phi), r in waist units; the ring
+    of maximum intensity sits at r = sqrt(|l|/2).  Built as (x +- iy)^|l|
+    times the outer product of the axes' Gaussians (math.exp): numpy's
+    transcendental ufuncs round differently per SIMD level.  The returned
     array is shared between calls and read-only.
     """
+    x, y = grid.axes()
     xx, yy = grid.mesh()
-    r = np.hypot(xx, yy)
-    phi = np.arctan2(yy, xx)
-    amp = (r * math.sqrt(2.0)) ** abs(l) * np.exp(-r ** 2)
-    field = amp * np.exp(1j * l * phi)
-    power = (np.abs(field) ** 2).sum() * grid.pixel_area()
-    field = field / math.sqrt(power)
+    gauss = np.outer([math.exp(-v * v) for v in y], [math.exp(-v * v) for v in x])
+    field = (xx + 1j * yy if l >= 0 else xx - 1j * yy) ** abs(l) * gauss
+    power = (field.real ** 2 + field.imag ** 2).sum() * grid.pixel_area()
+    field /= math.sqrt(power)
     field.setflags(write=False)
     return field
 
@@ -95,16 +89,22 @@ def lg_amplitude(l: int, grid: Grid) -> np.ndarray:
 def vector_field_map(c, grid: Grid) -> VectorFieldMap:
     """Transverse Jones-vector map of the hybrid-sphere state with
     amplitudes c = (c0, c1) on (|L,-1>, |R,+1>)."""
-    lg_m = lg_amplitude(-1, grid)
-    lg_p = lg_amplitude(+1, grid)
+    lg_m, lg_p = lg_amplitude(-1, grid), lg_amplitude(+1, grid)
     e_h = c[0] * lg_m * E_L[0] + c[1] * lg_p * E_R[0]
     e_v = c[0] * lg_m * E_L[1] + c[1] * lg_p * E_R[1]
     return VectorFieldMap(e_h, e_v)
 
 
-def polarization_azimuth(m: VectorFieldMap) -> np.ndarray:
-    """Local polarization-ellipse orientation in [0, pi) per pixel."""
-    s1 = np.abs(m.e_h) ** 2 - np.abs(m.e_v) ** 2
-    s2 = 2.0 * np.real(m.e_h * np.conj(m.e_v))
-    return np.mod(0.5 * np.arctan2(s2, s1), math.pi)
+def intensity_and_azimuth(m: VectorFieldMap) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel intensity and polarization-ellipse orientation in [0, pi),
+    from real products and sums, so s1 = s2 = 0 and the orientation is 0 on
+    the circular poles zero and one."""
+    hr, hi, vr, vi = m.e_h.real, m.e_h.imag, m.e_v.real, m.e_v.imag
+    h2, v2 = hr * hr + hi * hi, vr * vr + vi * vi
+    s2 = 2.0 * (hr * vr + hi * vi)
+    intensity = h2 + v2
+    h2 -= v2   # s1; in place, as each fresh 512 kB array costs page faults
+    azimuth = np.arctan2(s2, h2, out=s2)
+    azimuth *= 0.5
+    return intensity, np.mod(azimuth, math.pi, out=azimuth)
 

@@ -267,8 +267,8 @@ def run(cfg: ExperimentConfig) -> Report:
         intensities, pgms, pgm_of, ppms, maps = {}, {}, {}, {}, []
         for name in cfg.input_states:
             fmap = fields.vector_field_map(named_state(name), grid)
-            intensity = fmap.intensity()
-            hue = fields.polarization_azimuth(fmap) / math.pi
+            intensity, hue = fields.intensity_and_azimuth(fmap)
+            hue /= math.pi
             i, h = (hashlib.sha256(np.ascontiguousarray(a)).digest() for a in (intensity, hue))
             if i not in intensities:
                 intensities[i] = intensity

@@ -54,7 +54,8 @@ def project_polarization(m, analyzer) -> np.ndarray:
     """Intensity per pixel of a fields.VectorFieldMap behind a polarization
     analyzer, a normalized Jones vector in (H, V) components."""
     a = np.asarray(analyzer, dtype=complex)
-    return np.abs(np.conj(a[0]) * m.e_h + np.conj(a[1]) * m.e_v) ** 2
+    e = np.conj(a[0]) * m.e_h + np.conj(a[1]) * m.e_v
+    return e.real ** 2 + e.imag ** 2
 
 
 def peak_radius(intensity: np.ndarray, grid) -> float:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import peak_radius, project_polarization
-from vortexmem.fields import Grid, lg_amplitude, polarization_azimuth, vector_field_map
+from vortexmem.fields import Grid, intensity_and_azimuth, lg_amplitude, vector_field_map
 from vortexmem.hilbert import HYBRID_SPHERE_NAMES, named_state
 
 # odd pixel counts place samples exactly on the coordinate axes
@@ -61,7 +61,7 @@ class TestVectorFieldMap:
     def test_radial_polarization_points_along_radius(self):
         fmap = vector_field_map(named_state("radial"), GRID)
         xx, yy = GRID.mesh()
-        azimuth = polarization_azimuth(fmap)
+        _, azimuth = intensity_and_azimuth(fmap)
         phi = np.mod(np.arctan2(yy, xx), math.pi)
         mask = np.hypot(xx, yy) > 0.2
         assert _angle_dist(azimuth, phi)[mask].max() < 1e-9
@@ -69,14 +69,14 @@ class TestVectorFieldMap:
     def test_azimuthal_polarization_is_rotated_90(self):
         fmap = vector_field_map(named_state("azimuthal"), GRID)
         xx, yy = GRID.mesh()
-        azimuth = polarization_azimuth(fmap)
+        _, azimuth = intensity_and_azimuth(fmap)
         phi = np.mod(np.arctan2(yy, xx) + math.pi / 2, math.pi)
         mask = np.hypot(xx, yy) > 0.2
         assert _angle_dist(azimuth, phi)[mask].max() < 1e-9
 
     def test_pole_state_is_uniformly_circular(self):
         fmap = vector_field_map(named_state("zero"), GRID)
-        intensity = fmap.intensity()
+        intensity, _ = intensity_and_azimuth(fmap)
         # doughnut: central null
         assert intensity[GRID.ny // 2, GRID.nx // 2] < 1e-25
         # fully circular polarization wherever there is light
@@ -84,15 +84,22 @@ class TestVectorFieldMap:
         mask = intensity > 1e-6 * intensity.max()
         assert np.abs(np.abs(s3[mask] / intensity[mask]) - 1.0).max() < 1e-9
 
+    @pytest.mark.parametrize("name", ["zero", "one"])
+    def test_circular_states_have_azimuth_zero(self, name):
+        """s1 = s2 = 0 exactly on every pixel of a pole state, so its
+        polarization map (on the preset's grid) gets no hue from round-off."""
+        _, azimuth = intensity_and_azimuth(vector_field_map(named_state(name), Grid()))
+        assert (azimuth == 0.0).all()
+
     def test_unit_total_power(self):
         for name in HYBRID_SPHERE_NAMES:
             fmap = vector_field_map(named_state(name), GRID)
-            power = fmap.intensity().sum() * GRID.pixel_area()
+            power = intensity_and_azimuth(fmap)[0].sum() * GRID.pixel_area()
             assert power == pytest.approx(1.0, abs=1e-9)
 
     def test_intensity_rotation_invariant(self):
         for name in HYBRID_SPHERE_NAMES:
-            intensity = vector_field_map(named_state(name), GRID).intensity()
+            intensity, _ = intensity_and_azimuth(vector_field_map(named_state(name), GRID))
             rotated = np.rot90(intensity)
             scale = intensity.max()
             assert np.abs(rotated - intensity).max() / scale < 1e-6
@@ -124,7 +131,7 @@ class TestProjections:
 
     def test_pole_state_projects_to_scaled_doughnut(self):
         fmap = vector_field_map(named_state("zero"), GRID)
-        intensity = fmap.intensity()
+        intensity, _ = intensity_and_azimuth(fmap)
         for analyzer, weight in ((H_ANALYZER, 0.5), (V_ANALYZER, 0.5)):
             proj = project_polarization(fmap, analyzer)
             assert np.abs(proj - weight * intensity).max() < 1e-12

@@ -1,11 +1,12 @@
 """Golden output digests: the SHA-256 of every file each scenario preset
 writes at seed 12345.
 
-The field-map and bounds digests date from before the field-map renderers
-were rewritten.  The digests of the three sampled presets (store_tomography,
-fidelity_vs_time, fidelity_vs_rotation) were regenerated once when a run
-came to draw all its counts from one stream, default_rng(seed), and the
-batch arithmetic became plain numpy ufuncs.  Their results files (not
+The bounds digest, and the field-map digests up to their one re-pin
+below, date from before the field-map renderers were rewritten.  The
+digests of the three sampled presets (store_tomography, fidelity_vs_time,
+fidelity_vs_rotation) were regenerated once when a run came to draw all its
+counts from one stream, default_rng(seed), and the batch arithmetic became
+plain numpy ufuncs.  Their results files (not
 density_matrices.json) changed once more when the dual-rail memory became
 its closed form (memory.rail_gains): the survival, the snr and
 bound_efficiency computed from it moved in their last bits (at most
@@ -15,20 +16,26 @@ change that alters output bytes has to update the digests here and say
 why.  Each scenario run must
 also stay fast enough for the tier-1 suite.
 
-The field_maps digests assume numpy's AVX-512 loops (recorded with numpy
-2.4.6 on an AVX-512 Xeon).  With NPY_DISABLE_CPU_FEATURES="X86_V4
-AVX512_ICL AVX512_SPR", 8 of its 18 files change (zero/one_polarization.ppm
-and the six _intensity.csv) and test_preset_output_digests[field_maps]
-fails, so it fails on a machine without AVX-512.  Which CPU features the CI
-runners pin, or whether these digests get a second, non-AVX-512 set, is
-still to be decided.  The three sampled presets keep their bits at that
-setting, and so does every other field_maps test: CI's non-AVX-512 step
-deselects test_preset_output_digests[field_maps] alone.
+The field_maps digests were re-pinned once when the carrier and the
+intensity stopped using numpy's exp, hypot, abs and arctan2, whose SIMD
+loops round differently per CPU (fields.lg_amplitude,
+fields.intensity_and_azimuth; arctan2 is left for the azimuth only). 8 of
+the 18 files changed: the six _intensity.csv files, whose intensities moved
+in their last bits, and zero/one_polarization.ppm, whose hue had been drawn
+from the sign of round-off and is now 0 on every pixel. The six PGMs and
+the radial, azimuthal, plus_i and minus_i PPMs kept their bytes. Every
+preset now writes the same bytes at every x86-64 SIMD level, which
+test_no_preset_depends_on_the_simd_level checks.
 """
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -62,39 +69,39 @@ GOLDEN = {
         "zero_intensity.pgm":
             "4eebfcb327bb9d5978919692b2409bc3f926cc80812acfd1a720934f44e59cac",
         "zero_polarization.ppm":
-            "76f2426974fd7db8f891fc04726d4ce7a434f92c0759e8419e290a5d57cf52d0",
+            "0f1addb4213b370ebba906c417513cc59bf6f9a525ed4995d94f82f44c6908b8",
         "zero_intensity.csv":
-            "a0114a28d6cf08cad8ef77e58a6097324ef23882ca1512d7b495c98f0a690e1c",
+            "b1578e3d240b2c6fbf526a4b4233005d137c4355c48fbc2185a620e55614dca3",
         "one_intensity.pgm":
             "4eebfcb327bb9d5978919692b2409bc3f926cc80812acfd1a720934f44e59cac",
         "one_polarization.ppm":
-            "76f2426974fd7db8f891fc04726d4ce7a434f92c0759e8419e290a5d57cf52d0",
+            "0f1addb4213b370ebba906c417513cc59bf6f9a525ed4995d94f82f44c6908b8",
         "one_intensity.csv":
-            "a0114a28d6cf08cad8ef77e58a6097324ef23882ca1512d7b495c98f0a690e1c",
+            "b1578e3d240b2c6fbf526a4b4233005d137c4355c48fbc2185a620e55614dca3",
         "radial_intensity.pgm":
             "4eebfcb327bb9d5978919692b2409bc3f926cc80812acfd1a720934f44e59cac",
         "radial_polarization.ppm":
             "04444f309d47616fdccb56bf936768e21177af79dd54ef2565b9724f310557d6",
         "radial_intensity.csv":
-            "2aa25b1d245d1b0492552c49c0eb8a2e367980630543f256314c1e02e5101da9",
+            "84ffdcb80df368e6ce906777872d9107476151b15ccda0d8e951952806a750b5",
         "azimuthal_intensity.pgm":
             "4eebfcb327bb9d5978919692b2409bc3f926cc80812acfd1a720934f44e59cac",
         "azimuthal_polarization.ppm":
             "f681a30744997b0ee2bda7e62b0445542ac7af4a58896abf146317eaf92ff285",
         "azimuthal_intensity.csv":
-            "2aa25b1d245d1b0492552c49c0eb8a2e367980630543f256314c1e02e5101da9",
+            "84ffdcb80df368e6ce906777872d9107476151b15ccda0d8e951952806a750b5",
         "plus_i_intensity.pgm":
             "4eebfcb327bb9d5978919692b2409bc3f926cc80812acfd1a720934f44e59cac",
         "plus_i_polarization.ppm":
             "a5d41eecc43dbeeaf31d62886cfa59b08676aacd44fdb2cde98e4e6bcaf41730",
         "plus_i_intensity.csv":
-            "f442e5d5cca10a3cdc7a6fad9cc7ebb83764483e9b9dc75d4125fde00a6f0ac0",
+            "3a469edb234a79c41da350affa0e6d844d708c4f76b699cb0e3cfd77e530b395",
         "minus_i_intensity.pgm":
             "4eebfcb327bb9d5978919692b2409bc3f926cc80812acfd1a720934f44e59cac",
         "minus_i_polarization.ppm":
             "36abc16eaa93010aa9b3facac769d407f2e8e1479a4ba131faf2f6c072acfd77",
         "minus_i_intensity.csv":
-            "f442e5d5cca10a3cdc7a6fad9cc7ebb83764483e9b9dc75d4125fde00a6f0ac0",
+            "3a469edb234a79c41da350affa0e6d844d708c4f76b699cb0e3cfd77e530b395",
     },
     "bounds_table": {
         "bounds.csv":
@@ -112,3 +119,47 @@ def test_preset_output_digests(scenario, tmp_path):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written}
     assert digests == GOLDEN[scenario]
     assert elapsed < RUN_BUDGET_S
+
+
+# CI's two lower SIMD levels: without AVX-512, and numpy's X86_V2 baseline alone
+SIMD_SETTINGS = ("X86_V4 AVX512_ICL AVX512_SPR", "X86_V4 X86_V3 AVX512_ICL AVX512_SPR")
+
+_EMIT_PRESETS = """
+import sys
+from dataclasses import replace
+from vortexmem import config, pipeline, text
+for scenario in config.SCENARIOS:
+    cfg = replace(config.default_config(scenario), seed=int(sys.argv[2]))
+    text.emit(pipeline.run(cfg), f"{sys.argv[1]}/{scenario}")
+"""
+
+
+def _file_digests(root: Path) -> dict[str, str]:
+    return {str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="NPY_DISABLE_CPU_FEATURES names x86-64 SIMD levels")
+@pytest.mark.parametrize("features", SIMD_SETTINGS)
+def test_no_preset_depends_on_the_simd_level(features, tmp_path):
+    """Every preset writes the same bytes when numpy may not use the
+    disabled SIMD levels.  numpy warns on import, and so refuses, a setting
+    its build does not dispatch; the run then skips."""
+    src = Path(pipeline.__file__).resolve().parent.parent
+    lower = tmp_path / "lower"
+    done = subprocess.run(
+        [sys.executable, "-W", "error::ImportWarning", "-c", _EMIT_PRESETS, str(lower), str(SEED)],
+        env={**os.environ, "PYTHONPATH": str(src), "NPY_DISABLE_CPU_FEATURES": features},
+        capture_output=True, text=True, timeout=120)
+    if done.returncode != 0 and "NPY_DISABLE_CPU_FEATURES" in done.stderr:
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={features!r}")
+    assert done.returncode == 0, done.stderr
+    here = tmp_path / "here"
+    for scenario in config.SCENARIOS:
+        text.emit(pipeline.run(replace(config.default_config(scenario), seed=SEED)),
+                  here / scenario)
+    want, got = _file_digests(here), _file_digests(lower)
+    assert sorted(got) == sorted(want)
+    changed = [name for name in want if got[name] != want[name]]
+    assert not changed, f"files that change with the SIMD level: {changed}"

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 import oracles
 from helpers import assert_same_text
 from vortexmem import config, hilbert, pipeline, text
-from vortexmem.fields import Grid, lg_amplitude, polarization_azimuth, vector_field_map
+from vortexmem.fields import Grid, intensity_and_azimuth, lg_amplitude, vector_field_map
 from vortexmem.hilbert import named_state
 
 
@@ -29,8 +29,8 @@ def _assert_same_csvs(grids):
 
 
 def _field_map(name, grid):
-    fmap = vector_field_map(named_state(name), grid)
-    return polarization_azimuth(fmap) / math.pi, fmap.intensity()
+    intensity, azimuth = intensity_and_azimuth(vector_field_map(named_state(name), grid))
+    return azimuth / math.pi, intensity
 
 
 @pytest.mark.parametrize("name", hilbert.HYBRID_SPHERE_NAMES)
