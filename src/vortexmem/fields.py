@@ -5,7 +5,9 @@ with opposite topological charge and opposite circular polarizations,
 E(r, phi) = c0 * LG_{0,-1} * e_L + c1 * LG_{0,+1} * e_R, which produces the
 radial / azimuthal / spiraling polarization textures.  Projecting such a
 map on a linear analyzer collapses the doughnut into two Hermite-Gaussian
-lobes.  Only the waist plane is modelled; all observables of interest live
+lobes.  The intensity of a unit-power state is |LG_{0,1}|^2 whatever
+(c0, c1), and its degree of linear polarization is 2|c0||c1| on every pixel.
+Only the waist plane is modelled; all observables of interest live
 at conjugate planes, so propagation and Gouy phase add nothing testable.
 """
 
@@ -95,16 +97,13 @@ def vector_field_map(c, grid: Grid) -> VectorFieldMap:
     return VectorFieldMap(e_h, e_v)
 
 
-def intensity_and_azimuth(m: VectorFieldMap) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel intensity and polarization-ellipse orientation in [0, pi),
-    from real products and sums, so s1 = s2 = 0 and the orientation is 0 on
-    the circular poles zero and one."""
+def azimuth(m: VectorFieldMap) -> np.ndarray:
+    """Per-pixel polarization-ellipse orientation in [0, pi), from real
+    products and sums, so s1 = s2 = 0 and the orientation is 0 on the
+    circular poles zero and one."""
     hr, hi, vr, vi = m.e_h.real, m.e_h.imag, m.e_v.real, m.e_v.imag
-    h2, v2 = hr * hr + hi * hi, vr * vr + vi * vi
-    s2 = 2.0 * (hr * vr + hi * vi)
-    intensity = h2 + v2
-    h2 -= v2   # s1; in place, as each fresh 512 kB array costs page faults
-    azimuth = np.arctan2(s2, h2, out=s2)
-    azimuth *= 0.5
-    return intensity, np.mod(azimuth, math.pi, out=azimuth)
-
+    s1 = hr * hr + hi * hi
+    s1 -= vr * vr + vi * vi   # in place, as each fresh 512 kB array costs page faults
+    angle = np.arctan2(2.0 * (hr * vr + hi * vi), s1, out=s1)
+    angle *= 0.5
+    return np.mod(angle, math.pi, out=angle)

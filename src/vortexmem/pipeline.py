@@ -24,11 +24,7 @@ columns, which the text module writes; a result exists only in those two
 forms.
 
 A run returns a Report: the ResultTable of a job scenario, or the
-finished (file name, text) pairs of bounds_table and field_maps.  In
-field_maps each distinct text is made once per run: a PGM per distinct grid
-of 16-bit samples (keyed on them, as intensities that differ in their last
-bits scale to the same samples), a PPM per distinct (azimuth, intensity)
-pair, and the CSVs of all distinct intensities from one repr table.
+finished (file name, text) pairs of bounds_table and field_maps.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ import numpy as np
 from . import fields, hilbert, memory, optics, photodetection, security, tomography
 from .config import BOUNDS_NBAR_GRID, ExperimentConfig
 from .hilbert import HYBRID_SPHERE_NAMES, POLARIZATION_NAMES, named_state
-from .text import _bounds_text, _pgm_samples, render_grid_csvs, render_pgm, render_ppm
+from .text import _bounds_text, render_grid_csv, render_pgm, render_ppm
 
 
 # the six projection weights of L- and R-polarized light: the leak of the
@@ -259,30 +255,22 @@ def run(cfg: ExperimentConfig) -> Report:
             "shor_preskill_threshold": security.SHOR_PRESKILL_THRESHOLD,
         } for nbar in nbars]))])
     if cfg.scenario == "field_maps":
-        import hashlib   # here rather than at the top: it slows every import of the cli
-
+        # every state field_maps takes is a unit-power hybrid state of charge
+        # +-1, whose intensity |c0|^2 |LG_-1|^2 + |c1|^2 |LG_+1|^2 is |LG_1|^2:
+        # one PGM and one CSV serve all states, and a PPM each (hue, saturation)
         grid = fields.Grid()
-        # texts by the SHA-256 of what they show (pgm_of: each intensity's PGM);
-        # the distinct intensities are kept for their CSVs
-        intensities, pgms, pgm_of, ppms, maps = {}, {}, {}, {}, []
+        carrier = fields.lg_amplitude(+1, grid)
+        intensity = carrier.real * carrier.real + carrier.imag * carrier.imag
+        pgm, csv = render_pgm(intensity), render_grid_csv(intensity)
+        ppms, texts = {}, []
         for name in cfg.input_states:
-            fmap = fields.vector_field_map(named_state(name), grid)
-            intensity, hue = fields.intensity_and_azimuth(fmap)
+            c0, c1 = named_state(name)
+            hue = fields.azimuth(fields.vector_field_map((c0, c1), grid))
             hue /= math.pi
-            i, h = (hashlib.sha256(np.ascontiguousarray(a)).digest() for a in (intensity, hue))
-            if i not in intensities:
-                intensities[i] = intensity
-                samples = hashlib.sha256(_pgm_samples(intensity)).digest()
-                if samples not in pgms:
-                    pgms[samples] = render_pgm(intensity)
-                pgm_of[i] = pgms[samples]
-            if (h, i) not in ppms:
-                ppms[h, i] = render_ppm(hue, intensity)
-            maps.append((name, i, h))
-        del fmap, intensity, hue   # the last map's arrays, before the CSVs' peak
-        csvs = dict(zip(intensities, render_grid_csvs(list(intensities.values()))))
-        return Report(texts=[text for name, i, h in maps for text in (
-            (f"{name}_intensity.pgm", pgm_of[i]),
-            (f"{name}_polarization.ppm", ppms[h, i]),
-            (f"{name}_intensity.csv", csvs[i]))])
+            key = hue.tobytes(), 2.0 * abs(c0) * abs(c1)   # degree of linear polarization
+            if key not in ppms:
+                ppms[key] = render_ppm(hue, intensity, key[1])
+            texts += [(f"{name}_intensity.pgm", pgm), (f"{name}_polarization.ppm", ppms[key]),
+                      (f"{name}_intensity.csv", csv)]
+        return Report(texts=texts)
     return Report(table=_simulate(cfg))

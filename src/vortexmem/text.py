@@ -18,9 +18,7 @@ template's literal pieces.  emit writes the results files chunk by chunk as
 _fill returns them.  The stdout table is filled the same way, its state and
 number cells formatted once per distinct value and the numbers
 right-justified to the widest of the run; a number column of one value is
-one text there too.  The field-map CSVs of a run share one _float_text, and
-a PGM's text depends on its 16-bit samples alone, which the pipeline keys
-it on.
+one text there too.
 """
 
 from __future__ import annotations
@@ -73,14 +71,9 @@ def _pixmap_text(magic: str, width: int, height: int, maxval: int,
     return f"{magic}\n{width} {height}\n{maxval}\n" + rows
 
 
-def _pgm_samples(intensity: np.ndarray) -> np.ndarray:
-    """The 16-bit samples of an intensity's PGM: rint(scaled intensity * 65535)."""
-    return np.rint(_scaled(intensity) * 65535).astype(int)
-
-
 def render_pgm(intensity: np.ndarray) -> str:
     """ASCII PGM (P2) at maxval 65535, intensity scaled to the full gray range."""
-    pixels = _pgm_samples(intensity)
+    pixels = np.rint(_scaled(intensity) * 65535).astype(int)
     return _pixmap_text("P2", pixels.shape[1], pixels.shape[0], 65535, pixels)
 
 
@@ -89,25 +82,30 @@ _HSV_SECTORS = np.array([[0, 3, 2], [1, 0, 2], [2, 0, 3], [2, 1, 0], [3, 2, 0], 
                          [0, 3, 2]], dtype=np.intp)
 
 
-def _hsv_to_rgb(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """RGB (..., 3) of hue h in [0, 1] and value v at full saturation."""
+def _hsv_to_rgb(h: np.ndarray, s: float, v: np.ndarray) -> np.ndarray:
+    """RGB (..., 3) of hue h in [0, 1], saturation s and value v."""
     f = h * 6.0
     index = _HSV_SECTORS.take(np.floor(f).astype(np.intp), axis=0)
     f -= np.floor(f)
-    corners = np.zeros(v.shape + (4,))   # p = v * (1 - s) = 0
+    corners = np.empty(v.shape + (4,))
     corners[..., 0] = v
-    corners[..., 1] = v * (1.0 - f)
-    corners[..., 3] = v * f
+    corners[..., 1] = v * (1.0 - s * f)
+    corners[..., 2] = v * (1.0 - s)
+    corners[..., 3] = v * (1.0 - s + s * f)   # exactly v * f at s = 1
     index += np.arange(0, corners.size, 4).reshape(v.shape + (1,))   # into the flat corners
     return corners.take(index)
 
 
-def render_ppm(hue: np.ndarray, intensity: np.ndarray) -> str:
-    """ASCII PPM (P3) at maxval 255: hue encodes polarization azimuth, value the intensity."""
+def render_ppm(hue: np.ndarray, intensity: np.ndarray, saturation: float) -> str:
+    """ASCII PPM (P3) at maxval 255: hue encodes the polarization azimuth,
+    the one saturation of the map its degree of linear polarization (0
+    draws grey) and value the intensity."""
     if not np.isfinite(hue).all():
         raise ValueError("pixmap hue must be finite")
+    if not 0.0 <= saturation <= 1.0:
+        raise ValueError(f"pixmap saturation {saturation!r} is not in [0, 1]")
     # hue mod 1: the exact difference rounded once, +0.0 at integers and -0.0
-    rgb = _hsv_to_rgb(hue - np.floor(hue), _scaled(intensity))
+    rgb = _hsv_to_rgb(hue - np.floor(hue), saturation, _scaled(intensity))
     pixels = np.rint(rgb * 255).astype(int)
     ny, nx = hue.shape
     return _pixmap_text("P3", nx, ny, 255, pixels.reshape(ny, 3 * nx))
@@ -146,17 +144,11 @@ def _float_text(values: np.ndarray) -> np.ndarray:
     return text[slot]
 
 
-def render_grid_csvs(grids: list[np.ndarray]) -> list[str]:
-    """The CSV of each 2-D float grid, each cell the shortest round-trip repr.
-
-    The distinct values of each grid go through one _float_text, so a
-    magnitude in several grids is formatted once.  A float repr holds no
-    delimiter or quote, so the rows need no CSV quoting."""
-    bits, inverses = zip(*map(_distinct_bits, grids))
-    text = _float_text(np.concatenate(bits).view(float))
-    starts = np.cumsum([0, *map(len, bits)]).tolist()
-    return ["".join(",".join(row) + "\n" for row in text[start + inverse].tolist())
-            for start, inverse in zip(starts, inverses)]
+def render_grid_csv(grid: np.ndarray) -> str:
+    """The CSV of a 2-D float grid, each cell the shortest round-trip repr
+    (_float_text).  A float repr holds no delimiter or quote, so the rows
+    need no CSV quoting."""
+    return "".join(",".join(row) + "\n" for row in _float_text(grid).tolist())
 
 
 # --- offline count records ---------------------------------------------------

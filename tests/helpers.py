@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from vortexmem import pipeline
+from vortexmem import fields, pipeline
 from vortexmem.hilbert import normalized
 from vortexmem.text import _parsed, _results_text
 
@@ -56,6 +56,21 @@ def project_polarization(m, analyzer) -> np.ndarray:
     a = np.asarray(analyzer, dtype=complex)
     e = np.conj(a[0]) * m.e_h + np.conj(a[1]) * m.e_v
     return e.real ** 2 + e.imag ** 2
+
+
+def stokes(m) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-pixel Stokes parameters (s0, s1, s2, s3) of a fields.VectorFieldMap,
+    from real products of its H and V components: s0 is the intensity
+    |e_h|^2 + |e_v|^2, and s3 = 2 Im(e_h conj(e_v))."""
+    hr, hi, vr, vi = m.e_h.real, m.e_h.imag, m.e_v.real, m.e_v.imag
+    h2, v2 = hr * hr + hi * hi, vr * vr + vi * vi
+    return h2 + v2, h2 - v2, 2.0 * (hr * vr + hi * vi), 2.0 * (hi * vr - hr * vi)
+
+
+def carrier_intensity(grid) -> np.ndarray:
+    """|LG_{+1}|^2 on a fields.Grid: the intensity of every state field_maps renders."""
+    carrier = fields.lg_amplitude(+1, grid)
+    return carrier.real * carrier.real + carrier.imag * carrier.imag
 
 
 def peak_radius(intensity: np.ndarray, grid) -> float:

@@ -686,11 +686,13 @@ def _hsv_to_rgb(h: np.ndarray, s: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.stack([r, g, b], axis=-1)
 
 
-def render_ppm(hue: np.ndarray, intensity: np.ndarray, maxval: int = 255) -> str:
-    """ASCII PPM (P3): hue encodes polarization azimuth, value the intensity."""
+def render_ppm(hue: np.ndarray, intensity: np.ndarray, saturation: float,
+               maxval: int = 255) -> str:
+    """ASCII PPM (P3): hue encodes polarization azimuth, saturation the
+    degree of linear polarization, value the intensity."""
     peak = float(intensity.max())
     value = np.zeros_like(intensity) if peak == 0.0 else intensity / peak
-    rgb = _hsv_to_rgb(np.mod(hue, 1.0), np.ones_like(hue), value)
+    rgb = _hsv_to_rgb(np.mod(hue, 1.0), np.full_like(hue, saturation), value)
     pixels = np.rint(rgb * maxval).astype(int)
     lines = ["P3", f"{hue.shape[1]} {hue.shape[0]}", str(maxval)]
     lines += [" ".join(str(v) for v in row.reshape(-1)) for row in pixels]

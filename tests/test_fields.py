@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import peak_radius, project_polarization
-from vortexmem.fields import Grid, intensity_and_azimuth, lg_amplitude, vector_field_map
+from helpers import carrier_intensity, haar_states, peak_radius, project_polarization, stokes
+from vortexmem import config, pipeline
+from vortexmem.fields import Grid, azimuth, lg_amplitude, vector_field_map
 from vortexmem.hilbert import HYBRID_SPHERE_NAMES, named_state
 
 # odd pixel counts place samples exactly on the coordinate axes
@@ -61,26 +62,22 @@ class TestVectorFieldMap:
     def test_radial_polarization_points_along_radius(self):
         fmap = vector_field_map(named_state("radial"), GRID)
         xx, yy = GRID.mesh()
-        _, azimuth = intensity_and_azimuth(fmap)
         phi = np.mod(np.arctan2(yy, xx), math.pi)
         mask = np.hypot(xx, yy) > 0.2
-        assert _angle_dist(azimuth, phi)[mask].max() < 1e-9
+        assert _angle_dist(azimuth(fmap), phi)[mask].max() < 1e-9
 
     def test_azimuthal_polarization_is_rotated_90(self):
         fmap = vector_field_map(named_state("azimuthal"), GRID)
         xx, yy = GRID.mesh()
-        _, azimuth = intensity_and_azimuth(fmap)
         phi = np.mod(np.arctan2(yy, xx) + math.pi / 2, math.pi)
         mask = np.hypot(xx, yy) > 0.2
-        assert _angle_dist(azimuth, phi)[mask].max() < 1e-9
+        assert _angle_dist(azimuth(fmap), phi)[mask].max() < 1e-9
 
     def test_pole_state_is_uniformly_circular(self):
-        fmap = vector_field_map(named_state("zero"), GRID)
-        intensity, _ = intensity_and_azimuth(fmap)
+        intensity, _, _, s3 = stokes(vector_field_map(named_state("zero"), GRID))
         # doughnut: central null
         assert intensity[GRID.ny // 2, GRID.nx // 2] < 1e-25
         # fully circular polarization wherever there is light
-        s3 = 2.0 * np.imag(fmap.e_h * np.conj(fmap.e_v))
         mask = intensity > 1e-6 * intensity.max()
         assert np.abs(np.abs(s3[mask] / intensity[mask]) - 1.0).max() < 1e-9
 
@@ -88,21 +85,53 @@ class TestVectorFieldMap:
     def test_circular_states_have_azimuth_zero(self, name):
         """s1 = s2 = 0 exactly on every pixel of a pole state, so its
         polarization map (on the preset's grid) gets no hue from round-off."""
-        _, azimuth = intensity_and_azimuth(vector_field_map(named_state(name), Grid()))
-        assert (azimuth == 0.0).all()
+        assert (azimuth(vector_field_map(named_state(name), Grid())) == 0.0).all()
 
     def test_unit_total_power(self):
         for name in HYBRID_SPHERE_NAMES:
             fmap = vector_field_map(named_state(name), GRID)
-            power = intensity_and_azimuth(fmap)[0].sum() * GRID.pixel_area()
+            power = stokes(fmap)[0].sum() * GRID.pixel_area()
             assert power == pytest.approx(1.0, abs=1e-9)
 
     def test_intensity_rotation_invariant(self):
         for name in HYBRID_SPHERE_NAMES:
-            intensity, _ = intensity_and_azimuth(vector_field_map(named_state(name), GRID))
+            intensity = stokes(vector_field_map(named_state(name), GRID))[0]
             rotated = np.rot90(intensity)
             scale = intensity.max()
             assert np.abs(rotated - intensity).max() / scale < 1e-6
+
+
+# the named states and Haar-random ones: every normalized (c0, c1)
+_STATES = ([named_state(name) for name in HYBRID_SPHERE_NAMES]
+           + haar_states(np.random.default_rng(2011), 24))
+
+
+class TestCarrierIntensity:
+    """The closed form field_maps renders: a unit-power state of charge +-1
+    has the intensity |LG_{+1}|^2 and a degree of linear polarization
+    2|c0||c1| on every pixel, whatever (c0, c1)."""
+
+    @pytest.mark.parametrize("c", _STATES)
+    def test_intensity_is_the_carriers(self, c):
+        want = carrier_intensity(GRID)
+        got = stokes(vector_field_map(c, GRID))[0]
+        assert np.abs(got - want).max() <= 1e-15 * want.max()
+
+    @pytest.mark.parametrize("c", _STATES)
+    def test_degree_of_linear_polarization_is_uniform(self, c):
+        s0, s1, s2, _ = stokes(vector_field_map(c, GRID))
+        lit = s0 > 1e-6 * s0.max()
+        dolp = np.sqrt(s1[lit] ** 2 + s2[lit] ** 2) / s0[lit]
+        assert np.abs(dolp - 2.0 * abs(c[0]) * abs(c[1])).max() <= 1e-12
+
+    def test_run_writes_one_intensity_and_grey_circular_light(self):
+        texts = dict(pipeline.run(config.default_config("field_maps")).texts)
+        for suffix in ("_intensity.csv", "_intensity.pgm"):
+            assert len({t for name, t in texts.items() if name.endswith(suffix)}) == 1
+        for name in ("zero", "one"):
+            samples = np.array(texts[f"{name}_polarization.ppm"].split()[4:], dtype=int)
+            rgb = samples.reshape(-1, 3)
+            assert (rgb == rgb[:, :1]).all() and rgb.max() == 255
 
 
 class TestProjections:
@@ -131,7 +160,7 @@ class TestProjections:
 
     def test_pole_state_projects_to_scaled_doughnut(self):
         fmap = vector_field_map(named_state("zero"), GRID)
-        intensity, _ = intensity_and_azimuth(fmap)
+        intensity = stokes(fmap)[0]
         for analyzer, weight in ((H_ANALYZER, 0.5), (V_ANALYZER, 0.5)):
             proj = project_polarization(fmap, analyzer)
             assert np.abs(proj - weight * intensity).max() < 1e-12

@@ -16,16 +16,25 @@ change that alters output bytes has to update the digests here and say
 why.  Each scenario run must
 also stay fast enough for the tier-1 suite.
 
-The field_maps digests were re-pinned once when the carrier and the
-intensity stopped using numpy's exp, hypot, abs and arctan2, whose SIMD
-loops round differently per CPU (fields.lg_amplitude,
-fields.intensity_and_azimuth; arctan2 is left for the azimuth only). 8 of
-the 18 files changed: the six _intensity.csv files, whose intensities moved
-in their last bits, and zero/one_polarization.ppm, whose hue had been drawn
-from the sign of round-off and is now 0 on every pixel. The six PGMs and
-the radial, azimuthal, plus_i and minus_i PPMs kept their bytes. Every
-preset now writes the same bytes at every x86-64 SIMD level, which
+The field_maps digests were re-pinned twice.  The first time, the carrier
+and the intensity stopped using numpy's exp, hypot, abs and arctan2, whose
+SIMD loops round differently per CPU (fields.lg_amplitude; arctan2 is left
+for the azimuth only). 8 of the 18 files changed: the six _intensity.csv
+files, whose intensities moved in their last bits, and
+zero/one_polarization.ppm, whose hue had been drawn from the sign of
+round-off and is now 0 on every pixel. The six PGMs and the radial,
+azimuthal, plus_i and minus_i PPMs kept their bytes. Every preset now
+writes the same bytes at every x86-64 SIMD level, which
 test_no_preset_depends_on_the_simd_level checks.
+
+The second time, every state's intensity became the one closed form it
+equals, |LG_{+1}|^2 of the carrier (a unit-power state of charge +-1), and
+the PPM gained a saturation, the state's degree of linear polarization
+2|c0||c1|.  The same 8 files changed: the six _intensity.csv files, which
+had printed three round-off versions of that grid, are now one text, and
+zero/one_polarization.ppm, circular light of saturation 0, are grey.  The
+six PGMs and the four other PPMs (saturation 0.9999999999999998) kept
+their bytes.
 """
 
 import hashlib
@@ -42,7 +51,7 @@ import pytest
 from vortexmem import config, pipeline, text
 
 SEED = 12345
-RUN_BUDGET_S = 2.0   # the slowest preset, field_maps, takes ~0.4 s on a 2-vCPU VM
+RUN_BUDGET_S = 2.0   # the slowest preset, field_maps, takes ~0.07–0.1 s on a 2-vCPU VM
 
 GOLDEN = {
     "store_tomography": {
@@ -69,39 +78,39 @@ GOLDEN = {
         "zero_intensity.pgm":
             "4eebfcb327bb9d5978919692b2409bc3f926cc80812acfd1a720934f44e59cac",
         "zero_polarization.ppm":
-            "0f1addb4213b370ebba906c417513cc59bf6f9a525ed4995d94f82f44c6908b8",
+            "6bfb39727890ed125d2e85bf9b8928d5f9b46f6a861443c95fdd80b4eab86d78",
         "zero_intensity.csv":
-            "b1578e3d240b2c6fbf526a4b4233005d137c4355c48fbc2185a620e55614dca3",
+            "aebf24b6edacb4b939a7aa04fd2b8379159dc570b0dbe36aeb22a7ed552910af",
         "one_intensity.pgm":
             "4eebfcb327bb9d5978919692b2409bc3f926cc80812acfd1a720934f44e59cac",
         "one_polarization.ppm":
-            "0f1addb4213b370ebba906c417513cc59bf6f9a525ed4995d94f82f44c6908b8",
+            "6bfb39727890ed125d2e85bf9b8928d5f9b46f6a861443c95fdd80b4eab86d78",
         "one_intensity.csv":
-            "b1578e3d240b2c6fbf526a4b4233005d137c4355c48fbc2185a620e55614dca3",
+            "aebf24b6edacb4b939a7aa04fd2b8379159dc570b0dbe36aeb22a7ed552910af",
         "radial_intensity.pgm":
             "4eebfcb327bb9d5978919692b2409bc3f926cc80812acfd1a720934f44e59cac",
         "radial_polarization.ppm":
             "04444f309d47616fdccb56bf936768e21177af79dd54ef2565b9724f310557d6",
         "radial_intensity.csv":
-            "84ffdcb80df368e6ce906777872d9107476151b15ccda0d8e951952806a750b5",
+            "aebf24b6edacb4b939a7aa04fd2b8379159dc570b0dbe36aeb22a7ed552910af",
         "azimuthal_intensity.pgm":
             "4eebfcb327bb9d5978919692b2409bc3f926cc80812acfd1a720934f44e59cac",
         "azimuthal_polarization.ppm":
             "f681a30744997b0ee2bda7e62b0445542ac7af4a58896abf146317eaf92ff285",
         "azimuthal_intensity.csv":
-            "84ffdcb80df368e6ce906777872d9107476151b15ccda0d8e951952806a750b5",
+            "aebf24b6edacb4b939a7aa04fd2b8379159dc570b0dbe36aeb22a7ed552910af",
         "plus_i_intensity.pgm":
             "4eebfcb327bb9d5978919692b2409bc3f926cc80812acfd1a720934f44e59cac",
         "plus_i_polarization.ppm":
             "a5d41eecc43dbeeaf31d62886cfa59b08676aacd44fdb2cde98e4e6bcaf41730",
         "plus_i_intensity.csv":
-            "3a469edb234a79c41da350affa0e6d844d708c4f76b699cb0e3cfd77e530b395",
+            "aebf24b6edacb4b939a7aa04fd2b8379159dc570b0dbe36aeb22a7ed552910af",
         "minus_i_intensity.pgm":
             "4eebfcb327bb9d5978919692b2409bc3f926cc80812acfd1a720934f44e59cac",
         "minus_i_polarization.ppm":
             "36abc16eaa93010aa9b3facac769d407f2e8e1479a4ba131faf2f6c072acfd77",
         "minus_i_intensity.csv":
-            "3a469edb234a79c41da350affa0e6d844d708c4f76b699cb0e3cfd77e530b395",
+            "aebf24b6edacb4b939a7aa04fd2b8379159dc570b0dbe36aeb22a7ed552910af",
     },
     "bounds_table": {
         "bounds.csv":
