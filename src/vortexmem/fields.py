@@ -3,10 +3,11 @@
 Hybrid states are superpositions of two p = 0 Laguerre-Gaussian carriers
 with opposite topological charge and opposite circular polarizations,
 E(r, phi) = c0 * LG_{0,-1} * e_L + c1 * LG_{0,+1} * e_R, which produces the
-radial / azimuthal / spiraling polarization textures.  Projecting such a
-map on a linear analyzer collapses the doughnut into two Hermite-Gaussian
-lobes.  The intensity of a unit-power state is |LG_{0,1}|^2 whatever
-(c0, c1), and its degree of linear polarization is 2|c0||c1| on every pixel.
+radial / azimuthal / spiraling polarization textures.  As LG_{0,-1} is the
+conjugate of LG_{0,+1}, s1 + i s2 = 2 conj(c0) c1 LG_{0,+1}^2, so on every
+pixel a unit-power state has the intensity |LG_{0,1}|^2, the polarization
+azimuth arg(LG_{0,+1}) + arg(conj(c0) c1) / 2 (mod pi) and the degree of
+linear polarization 2|c0||c1| (Milione et al., PRL 107, 053601 (2011)).
 Only the waist plane is modelled; all observables of interest live
 at conjugate planes, so propagation and Gouy phase add nothing testable.
 """
@@ -18,10 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# circular unit vectors in (H, V) Jones components
-E_R = np.array([1.0, -1.0j]) / math.sqrt(2.0)
-E_L = np.array([1.0, +1.0j]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -59,14 +56,6 @@ class Grid:
         return float((x[1] - x[0]) * (y[1] - y[0]))
 
 
-@dataclass(frozen=True)
-class VectorFieldMap:
-    """Per-pixel Jones vector: the H and V component arrays."""
-
-    e_h: np.ndarray
-    e_v: np.ndarray
-
-
 # bounded, since each entry holds a full complex grid
 @functools.lru_cache(maxsize=8)
 def lg_amplitude(l: int, grid: Grid) -> np.ndarray:
@@ -88,22 +77,9 @@ def lg_amplitude(l: int, grid: Grid) -> np.ndarray:
     return field
 
 
-def vector_field_map(c, grid: Grid) -> VectorFieldMap:
-    """Transverse Jones-vector map of the hybrid-sphere state with
-    amplitudes c = (c0, c1) on (|L,-1>, |R,+1>)."""
-    lg_m, lg_p = lg_amplitude(-1, grid), lg_amplitude(+1, grid)
-    e_h = c[0] * lg_m * E_L[0] + c[1] * lg_p * E_R[0]
-    e_v = c[0] * lg_m * E_L[1] + c[1] * lg_p * E_R[1]
-    return VectorFieldMap(e_h, e_v)
-
-
-def azimuth(m: VectorFieldMap) -> np.ndarray:
-    """Per-pixel polarization-ellipse orientation in [0, pi), from real
-    products and sums, so s1 = s2 = 0 and the orientation is 0 on the
-    circular poles zero and one."""
-    hr, hi, vr, vi = m.e_h.real, m.e_h.imag, m.e_v.real, m.e_v.imag
-    s1 = hr * hr + hi * hi
-    s1 -= vr * vr + vi * vi   # in place, as each fresh 512 kB array costs page faults
-    angle = np.arctan2(2.0 * (hr * vr + hi * vi), s1, out=s1)
-    angle *= 0.5
-    return np.mod(angle, math.pi, out=angle)
+def azimuth(turn: float, grid: Grid) -> np.ndarray:
+    """Per-pixel polarization azimuth in [0, pi) of a hybrid state whose
+    amplitudes have the relative phase turn = arg(conj(c0) c1).  A circular
+    pole state has none; turn = 0 gives it the carrier's phase."""
+    carrier = lg_amplitude(+1, grid)
+    return np.mod(np.arctan2(carrier.imag, carrier.real) + turn / 2.0, math.pi)

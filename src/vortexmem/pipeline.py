@@ -29,6 +29,7 @@ finished (file name, text) pairs of bounds_table and field_maps.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
@@ -256,8 +257,8 @@ def run(cfg: ExperimentConfig) -> Report:
         } for nbar in nbars]))])
     if cfg.scenario == "field_maps":
         # every state field_maps takes is a unit-power hybrid state of charge
-        # +-1, whose intensity |c0|^2 |LG_-1|^2 + |c1|^2 |LG_+1|^2 is |LG_1|^2:
-        # one PGM and one CSV serve all states, and a PPM each (hue, saturation)
+        # +-1, whose maps are closed forms (see fields): one intensity |LG_1|^2
+        # for the PGM and CSV, and a PPM per relative phase and saturation
         grid = fields.Grid()
         carrier = fields.lg_amplitude(+1, grid)
         intensity = carrier.real * carrier.real + carrier.imag * carrier.imag
@@ -265,12 +266,10 @@ def run(cfg: ExperimentConfig) -> Report:
         ppms, texts = {}, []
         for name in cfg.input_states:
             c0, c1 = named_state(name)
-            hue = fields.azimuth(fields.vector_field_map((c0, c1), grid))
-            hue /= math.pi
-            key = hue.tobytes(), 2.0 * abs(c0) * abs(c1)   # degree of linear polarization
-            if key not in ppms:
-                ppms[key] = render_ppm(hue, intensity, key[1])
-            texts += [(f"{name}_intensity.pgm", pgm), (f"{name}_polarization.ppm", ppms[key]),
+            turn, s = cmath.phase(c0.conjugate() * c1), 2.0 * abs(c0) * abs(c1)
+            if (turn, s) not in ppms:
+                ppms[turn, s] = render_ppm(fields.azimuth(turn, grid) / math.pi, intensity, s)
+            texts += [(f"{name}_intensity.pgm", pgm), (f"{name}_polarization.ppm", ppms[turn, s]),
                       (f"{name}_intensity.csv", csv)]
         return Report(texts=texts)
     return Report(table=_simulate(cfg))

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -50,16 +51,37 @@ def fidelity(a, b) -> float:
     return abs(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))) ** 2
 
 
+# circular unit vectors in (H, V) Jones components
+E_R = np.array([1.0, -1.0j]) / math.sqrt(2.0)
+E_L = np.array([1.0, +1.0j]) / math.sqrt(2.0)
+
+
+def vector_field_map(c, grid) -> SimpleNamespace:
+    """The general Jones-vector map of the hybrid state with amplitudes
+    c = (c0, c1) on (|L,-1>, |R,+1>) on a fields.Grid: its H and V component
+    arrays ``e_h`` and ``e_v``.  The reference for fields' closed forms."""
+    lg_m, lg_p = fields.lg_amplitude(-1, grid), fields.lg_amplitude(+1, grid)
+    return SimpleNamespace(e_h=c[0] * lg_m * E_L[0] + c[1] * lg_p * E_R[0],
+                           e_v=c[0] * lg_m * E_L[1] + c[1] * lg_p * E_R[1])
+
+
+def reference_azimuth(m) -> np.ndarray:
+    """Per-pixel polarization-ellipse orientation in [0, pi) of a Jones map,
+    0.5 * arctan2(s2, s1) mod pi: 0 where the light is circular."""
+    _, s1, s2, _ = stokes(m)
+    return np.mod(0.5 * np.arctan2(s2, s1), math.pi)
+
+
 def project_polarization(m, analyzer) -> np.ndarray:
-    """Intensity per pixel of a fields.VectorFieldMap behind a polarization
-    analyzer, a normalized Jones vector in (H, V) components."""
+    """Intensity per pixel of a Jones map (vector_field_map) behind a
+    polarization analyzer, a normalized Jones vector in (H, V) components."""
     a = np.asarray(analyzer, dtype=complex)
     e = np.conj(a[0]) * m.e_h + np.conj(a[1]) * m.e_v
     return e.real ** 2 + e.imag ** 2
 
 
 def stokes(m) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-pixel Stokes parameters (s0, s1, s2, s3) of a fields.VectorFieldMap,
+    """Per-pixel Stokes parameters (s0, s1, s2, s3) of a Jones map,
     from real products of its H and V components: s0 is the intensity
     |e_h|^2 + |e_v|^2, and s3 = 2 Im(e_h conj(e_v))."""
     hr, hi, vr, vi = m.e_h.real, m.e_h.imag, m.e_v.real, m.e_v.imag

@@ -1,11 +1,13 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from helpers import carrier_intensity, haar_states, peak_radius, project_polarization, stokes
+from helpers import (carrier_intensity, haar_states, peak_radius, project_polarization,
+                     reference_azimuth, stokes, vector_field_map)
 from vortexmem import config, pipeline
-from vortexmem.fields import Grid, azimuth, lg_amplitude, vector_field_map
+from vortexmem.fields import Grid, azimuth, lg_amplitude
 from vortexmem.hilbert import HYBRID_SPHERE_NAMES, named_state
 
 # odd pixel counts place samples exactly on the coordinate axes
@@ -18,6 +20,11 @@ V_ANALYZER = np.array([0.0, 1.0])
 def _angle_dist(a, b):
     """Distance between orientations mod pi."""
     return np.abs(np.mod(a - b + math.pi / 2, math.pi) - math.pi / 2)
+
+
+def _turn(c):
+    """The relative phase arg(conj(c0) c1) that fields.azimuth takes."""
+    return cmath.phase(c[0].conjugate() * c[1])
 
 
 class TestLGModes:
@@ -60,18 +67,20 @@ class TestLGModes:
 
 class TestVectorFieldMap:
     def test_radial_polarization_points_along_radius(self):
-        fmap = vector_field_map(named_state("radial"), GRID)
+        c = named_state("radial")
         xx, yy = GRID.mesh()
         phi = np.mod(np.arctan2(yy, xx), math.pi)
         mask = np.hypot(xx, yy) > 0.2
-        assert _angle_dist(azimuth(fmap), phi)[mask].max() < 1e-9
+        for got in (reference_azimuth(vector_field_map(c, GRID)), azimuth(_turn(c), GRID)):
+            assert _angle_dist(got, phi)[mask].max() < 1e-9
 
     def test_azimuthal_polarization_is_rotated_90(self):
-        fmap = vector_field_map(named_state("azimuthal"), GRID)
+        c = named_state("azimuthal")
         xx, yy = GRID.mesh()
         phi = np.mod(np.arctan2(yy, xx) + math.pi / 2, math.pi)
         mask = np.hypot(xx, yy) > 0.2
-        assert _angle_dist(azimuth(fmap), phi)[mask].max() < 1e-9
+        for got in (reference_azimuth(vector_field_map(c, GRID)), azimuth(_turn(c), GRID)):
+            assert _angle_dist(got, phi)[mask].max() < 1e-9
 
     def test_pole_state_is_uniformly_circular(self):
         intensity, _, _, s3 = stokes(vector_field_map(named_state("zero"), GRID))
@@ -80,12 +89,6 @@ class TestVectorFieldMap:
         # fully circular polarization wherever there is light
         mask = intensity > 1e-6 * intensity.max()
         assert np.abs(np.abs(s3[mask] / intensity[mask]) - 1.0).max() < 1e-9
-
-    @pytest.mark.parametrize("name", ["zero", "one"])
-    def test_circular_states_have_azimuth_zero(self, name):
-        """s1 = s2 = 0 exactly on every pixel of a pole state, so its
-        polarization map (on the preset's grid) gets no hue from round-off."""
-        assert (azimuth(vector_field_map(named_state(name), Grid())) == 0.0).all()
 
     def test_unit_total_power(self):
         for name in HYBRID_SPHERE_NAMES:
@@ -107,9 +110,10 @@ _STATES = ([named_state(name) for name in HYBRID_SPHERE_NAMES]
 
 
 class TestCarrierIntensity:
-    """The closed form field_maps renders: a unit-power state of charge +-1
-    has the intensity |LG_{+1}|^2 and a degree of linear polarization
-    2|c0||c1| on every pixel, whatever (c0, c1)."""
+    """The closed forms field_maps renders, against the general Jones map:
+    a unit-power state of charge +-1 has the intensity |LG_{+1}|^2, a degree
+    of linear polarization 2|c0||c1| and the azimuth fields.azimuth on every
+    pixel, whatever (c0, c1)."""
 
     @pytest.mark.parametrize("c", _STATES)
     def test_intensity_is_the_carriers(self, c):
@@ -123,6 +127,15 @@ class TestCarrierIntensity:
         lit = s0 > 1e-6 * s0.max()
         dolp = np.sqrt(s1[lit] ** 2 + s2[lit] ** 2) / s0[lit]
         assert np.abs(dolp - 2.0 * abs(c[0]) * abs(c[1])).max() <= 1e-12
+
+    @pytest.mark.parametrize("c", [c for c in _STATES if 2.0 * abs(c[0]) * abs(c[1]) > 1e-3])
+    def test_azimuth_is_the_closed_form(self, c):
+        """Wherever there is light, the carrier's phase plus half the relative
+        phase is the Stokes orientation of the state's Jones map."""
+        fmap = vector_field_map(c, GRID)
+        s0 = stokes(fmap)[0]
+        lit = s0 > 1e-6 * s0.max()
+        assert _angle_dist(azimuth(_turn(c), GRID), reference_azimuth(fmap))[lit].max() <= 1e-12
 
     def test_run_writes_one_intensity_and_grey_circular_light(self):
         texts = dict(pipeline.run(config.default_config("field_maps")).texts)

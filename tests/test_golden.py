@@ -22,7 +22,7 @@ SIMD loops round differently per CPU (fields.lg_amplitude; arctan2 is left
 for the azimuth only). 8 of the 18 files changed: the six _intensity.csv
 files, whose intensities moved in their last bits, and
 zero/one_polarization.ppm, whose hue had been drawn from the sign of
-round-off and is now 0 on every pixel. The six PGMs and the radial,
+round-off and was then 0 on every pixel. The six PGMs and the radial,
 azimuthal, plus_i and minus_i PPMs kept their bytes. Every preset now
 writes the same bytes at every x86-64 SIMD level, which
 test_no_preset_depends_on_the_simd_level checks.
@@ -35,6 +35,11 @@ had printed three round-off versions of that grid, are now one text, and
 zero/one_polarization.ppm, circular light of saturation 0, are grey.  The
 six PGMs and the four other PPMs (saturation 0.9999999999999998) kept
 their bytes.
+
+Since then the hue is the closed-form azimuth, the carrier's phase plus
+half the state's relative phase (fields.azimuth), with no digest moved.
+On zero and one it is no longer 0 on every pixel but the carrier's phase,
+which saturation 0 hides: their PPMs stay grey.
 """
 
 import hashlib

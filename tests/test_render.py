@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from helpers import assert_same_text, carrier_intensity
+from helpers import assert_same_text, carrier_intensity, reference_azimuth, vector_field_map
 from vortexmem import config, hilbert, pipeline, text
-from vortexmem.fields import Grid, azimuth, lg_amplitude, vector_field_map
+from vortexmem.fields import Grid, lg_amplitude
 from vortexmem.hilbert import named_state
 
 # saturation 0 (grey), a half, that of the named vector states, and 1
@@ -33,9 +33,10 @@ def _assert_same_csvs(grids):
 
 
 def _field_map(name, grid):
-    """The hue, intensity and saturation field_maps renders for a named state."""
+    """The hue, intensity and saturation field_maps renders for a named state,
+    the hue from the general Jones map, not from fields' closed form."""
     c0, c1 = named_state(name)
-    hue = azimuth(vector_field_map((c0, c1), grid)) / math.pi
+    hue = reference_azimuth(vector_field_map((c0, c1), grid)) / math.pi
     return hue, carrier_intensity(grid), 2.0 * abs(c0) * abs(c1)
 
 
@@ -182,7 +183,8 @@ def test_field_maps_render_each_distinct_array_once(monkeypatch):
     """Every state of the preset is a unit-power state of charge +-1 with the
     intensity |LG_{+1}|^2, so a run renders one PGM and one CSV, whose repr
     table is its one _float_text, for all six states.  zero and one share
-    their azimuth (0) and saturation (0), so the six states make five PPMs."""
+    their relative phase (0) and saturation (0), so the six states make five
+    PPMs, each the bytes of the general Jones map's hue."""
     calls = {"render_pgm": 0, "render_ppm": 0, "render_grid_csv": 0, "_float_text": 0}
     originals = {name: getattr(pipeline, name) for name in calls if name != "_float_text"}
     originals["_float_text"] = text._float_text
